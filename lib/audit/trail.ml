@@ -38,7 +38,7 @@ let create sim volume =
     timer_armed = false;
     timer_due = 0.;
     timer_us = cfg.Config.group_commit_timer_us;
-    timer_pinned = not cfg.Config.group_commit_adaptive;
+    timer_pinned = false;
     last_commit_at = 0.;
     ewma_interval_us = cfg.Config.group_commit_timer_us;
     tail_image = Bytes.make cfg.Config.block_size '\x00';

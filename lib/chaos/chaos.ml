@@ -515,18 +515,20 @@ let dump_keyed node file schema =
 let dump_index node file index =
   let fs = N.fs node in
   Tmf.run (N.tmf node) (fun tx ->
-      let* next, close =
-        Fs.index_scan fs file ~tx ~index ~range:Expr.full_range
+      let* sc =
+        Fs.open_index_scan fs file ~tx ~index ~range:Expr.full_range
           ~lock:Dp_msg.L_none ()
       in
       let rec loop acc =
-        match next () with
+        match Fs.scan_next fs sc with
         | Ok None -> Ok (List.rev acc)
         | Ok (Some row) -> loop (row :: acc)
         | Error e -> Error e
       in
       (* close on raise too, not just on the fall-through path *)
-      Fun.protect ~finally:close (fun () -> loop []))
+      Fun.protect
+        ~finally:(fun () -> Fs.close_scan fs sc)
+        (fun () -> loop []))
 
 let dump_entries node file =
   let fs = N.fs node in
@@ -904,19 +906,23 @@ let scan_check ctx env prng =
         Ok `Commit
       end
       else begin
-        let* next, close =
+        let* sc =
           stp.stp (fun () ->
-              Fs.index_scan fs env.fe_acct ~tx ~index:acct_index
+              Fs.open_index_scan fs env.fe_acct ~tx ~index:acct_index
                 ~range:Expr.full_range ~lock:Dp_msg.L_none ())
         in
         let rec loop acc =
-          match stp.stp (fun () -> next ()) with
+          match stp.stp (fun () -> Fs.scan_next fs sc) with
           | Ok None -> Ok (List.rev acc)
           | Ok (Some row) -> loop (row :: acc)
           | Error e -> Error e
         in
         (* close on raise too, not just on the fall-through path *)
-        let* rows = Fun.protect ~finally:close (fun () -> loop []) in
+        let* rows =
+          Fun.protect
+            ~finally:(fun () -> Fs.close_scan fs sc)
+            (fun () -> loop [])
+        in
         List.iter
           (fun v -> add_vio ctx ("mid-run index scan: " ^ v))
           (Oracle.check_index ctx.cx_oracle ~file:acct_file ~index:acct_index

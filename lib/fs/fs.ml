@@ -596,6 +596,8 @@ type scan = {
   driver : driver;
   mutable popped : scan_item list;
       (** taken from the driver, not yet handed out by [scan_next] *)
+  base_row : (Row.row -> (Row.row, Errors.t) result) option;
+      (** an index scan's resolver: index row to base row, one point READ *)
 }
 
 let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
@@ -669,7 +671,7 @@ let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
           sc_span = sp;
         }
   in
-  { driver; popped = [] }
+  { driver; popped = []; base_row = None }
 
 (* client-side filtering for the record-at-a-time and RSBB paths *)
 let client_select_gen ~schema ~pred ~proj key record =
@@ -1055,7 +1057,9 @@ let close_scan t sc =
 
 (* one row per call, popped from the batch stream: a buffer is taken
    uncharged and each pop charges its [Sim.tick 3] — the same events at
-   the same times as surrendering the buffer whole *)
+   the same times as surrendering the buffer whole. An index scan then
+   resolves the popped entry to its base row; that READ is sent outside
+   the scan span's attribute window. *)
 let scan_next t sc =
   let* item =
     Trace.attribute t.sim (scan_span sc) (fun () ->
@@ -1073,20 +1077,27 @@ let scan_next t sc =
             Sim.tick t.sim 3;
             Ok (Some item))
   in
-  match item with
-  | None -> Ok None
-  | Some (I_row row) -> Ok (Some row)
-  | Some (I_entry (_, record)) -> (
-      match (scan_file sc).schema with
-      | Some schema -> Ok (Some (Row.decode_exn schema record))
-      | None -> Error (Errors.Bad_request "scan_next on schema-less file"))
+  let* row =
+    match item with
+    | None -> Ok None
+    | Some (I_row row) -> Ok (Some row)
+    | Some (I_entry (_, record)) -> (
+        match (scan_file sc).schema with
+        | Some schema -> Ok (Some (Row.decode_exn schema record))
+        | None -> Error (Errors.Bad_request "scan_next on schema-less file"))
+  in
+  match (row, sc.base_row) with
+  | Some irow, Some base_row ->
+      let* row = base_row irow in
+      Ok (Some row)
+  | _ -> Ok row
 
 (* surface everything the scan has buffered — at least one FS-DP reply
    buffer — as one row array; [None] when the scan is exhausted. With
    [~tick:false] the per-row pop charge is NOT applied: the consumer must
    charge [Sim.tick 3] per row before any per-row message it sends, so the
    message timeline stays byte-identical to the pull path. *)
-let scan_next_batch ?(tick = true) t sc =
+let take_rows ~tick t sc =
   let* items = Trace.attribute t.sim (scan_span sc) (fun () -> take_items ~tick t sc) in
   match items with
   | None -> Ok None
@@ -1107,6 +1118,31 @@ let scan_next_batch ?(tick = true) t sc =
                  (Array.of_list items |> Array.map (function
                     | I_row row -> row
                     | I_entry _ -> assert false))))
+
+(* an index scan takes its entries uncharged ([~tick:false]) and
+   re-applies each pop's tick immediately before that entry's base READ,
+   so the message timeline is byte-identical to pulling rows one at a
+   time; [tick] only governs primary scans *)
+let scan_next_batch ?(tick = true) t sc =
+  match sc.base_row with
+  | None -> take_rows ~tick t sc
+  | Some base_row -> (
+      let* irows = take_rows ~tick:false t sc in
+      match irows with
+      | None -> Ok None
+      | Some irows ->
+          let n = Array.length irows in
+          let out = Array.make n [||] in
+          let rec fill i =
+            if i >= n then Ok (Some out)
+            else begin
+              Sim.tick t.sim 3;
+              let* row = base_row irows.(i) in
+              out.(i) <- row;
+              fill (i + 1)
+            end
+          in
+          fill 0)
 
 (* --- set-oriented update / delete / aggregate ----------------------------- *)
 
@@ -1443,11 +1479,11 @@ let buffered_delete t b ~key = buffer_op t b key Dp_msg.Ob_delete
 
 (* --- index scans -------------------------------------------------------------------------- *)
 
-(* What both index streams share: a VSBB scan of the index file (selection
-   on index fields runs in the index's Disk Process) and [base_row], which
-   resolves one index row to its base row with a point read — one message
-   per qualifying entry, the cost structure of Figure 2. *)
-let open_index_scan t f ~tx ~index ~range ~pred ~proj ~lock =
+(* A VSBB scan of the index file (selection on index fields runs in the
+   index's Disk Process) whose handle carries [base_row], which resolves
+   one index row to its base row with a point read — one message per
+   qualifying entry, the cost structure of Figure 2. *)
+let open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
   let* schema = require_schema f in
   match List.find_opt (fun ix -> String.equal ix.ix_name index) f.indexes with
   | None -> fail (Errors.Name_error ("unknown index " ^ index))
@@ -1471,59 +1507,8 @@ let open_index_scan t f ~tx ~index ~range ~pred ~proj ~lock =
         let row = Row.decode_exn schema record in
         Ok (match proj with Some fields -> Row.project row fields | None -> row)
       in
-      Ok (open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock (), base_row)
-
-(* release eagerly at the end of the stream or on its first error (close
-   is idempotent, callers may pull past the end) *)
-let close_at_end t sc = function
-  | Ok (Some _) as r -> r
-  | (Ok None | Error _) as r ->
-      close_scan t sc;
-      r
-
-let index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
-  let* sc, base_row = open_index_scan t f ~tx ~index ~range ~pred ~proj ~lock in
-  let next () =
-    close_at_end t sc
-      (let* irow = scan_next t sc in
-       match irow with
-       | None -> Ok None
-       | Some irow ->
-           let* row = base_row irow in
-           Ok (Some row))
-  in
-  (* the caller must run [close] on every exit: a fault can abandon the
-     stream between pulls, and only closing releases the SCB and the
-     scan's trace span *)
-  Ok (next, fun () -> close_scan t sc)
-
-(* batch variant of [index_scan]: one call surfaces a whole buffered batch
-   of index entries resolved to base rows. The index-scan pops are taken
-   uncharged ([~tick:false]) and the pop tick is re-applied immediately
-   before each base READ, so the message timeline is byte-identical to
-   pulling rows one at a time. *)
-let index_scan_batch t f ~tx ~index ~range ?pred ?proj ~lock () =
-  let* sc, base_row = open_index_scan t f ~tx ~index ~range ~pred ~proj ~lock in
-  let next_batch () =
-    close_at_end t sc
-      (let* irows = scan_next_batch ~tick:false t sc in
-       match irows with
-       | None -> Ok None
-       | Some irows ->
-           let n = Array.length irows in
-           let out = Array.make n [||] in
-           let rec fill i =
-             if i >= n then Ok (Some out)
-             else begin
-               Sim.tick t.sim 3;
-               let* row = base_row irows.(i) in
-               out.(i) <- row;
-               fill (i + 1)
-             end
-           in
-           fill 0)
-  in
-  Ok (next_batch, fun () -> close_scan t sc)
+      let sc = open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock () in
+      Ok { sc with base_row = Some base_row }
 
 (* --- online index creation ------------------------------------------------ *)
 

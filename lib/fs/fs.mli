@@ -246,11 +246,14 @@ val scan_next : t -> scan -> (Row.row option, Nsql_util.Errors.t) result
     [~tick:false] defers the pop charge: the rows come back uncharged and
     the consumer owes [Sim.tick 3] per row {e before} any per-row message
     it sends — the contract that keeps send times exact for drivers that
-    interleave messages with consumption (index base reads, per-record
-    read-modify-write fallbacks). *)
+    interleave messages with consumption (per-record read-modify-write
+    fallbacks). An index scan ({!open_index_scan}) ignores [tick]: it
+    charges each pop itself, right before that row's base read. *)
 val scan_next_batch :
   ?tick:bool -> t -> scan -> (Row.row array option, Nsql_util.Errors.t) result
 
+(** [close_scan t scan] releases the scan's SCBs and finishes its trace
+    span. Idempotent. *)
 val close_scan : t -> scan -> unit
 
 (** [update_subset t file ~tx ~range ?pred assignments] delegates a
@@ -333,30 +336,19 @@ val flush_apply_buffer : t -> apply_buffer -> (unit, Nsql_util.Errors.t) result
 
 (** {1 Scans via secondary index} *)
 
-(** [index_scan t file ~tx ~index ~range ?pred ~proj ()] scans the index
-    file with VSBB, then fetches each qualifying base row with a point
-    read (one message per base row — the cost structure of Figure 2).
-    [range] and [pred] are in terms of the {e index} file's fields;
-    [proj] is in terms of the base file. Returns [(next, close)]: [next]
-    streams base rows; the caller must run [close] on every exit (it is
-    idempotent, and the stream closes itself when drained to the end), or
-    an abandoned scan leaks its SCB and leaves its trace span open. *)
-val index_scan :
+(** [open_index_scan t file ~tx ~index ~range ?pred ?proj ~lock ()] opens
+    a scan of [file] through its secondary [index]: a VSBB scan of the
+    index file whose every entry {!scan_next} and {!scan_next_batch}
+    resolve to its base row with a point read (one message per base row —
+    the cost structure of Figure 2). [range] and [pred] are in terms of
+    the {e index} file's fields; [proj] is in terms of the base file. The
+    handle is an ordinary {!scan}: the caller must {!close_scan} it on
+    every exit, or an abandoned scan leaks its SCB and leaves its trace
+    span open. [Error] on an unknown index or a file without a schema. *)
+val open_index_scan :
   t -> file -> tx:int -> index:string -> range:Expr.key_range ->
   ?pred:Expr.t -> ?proj:int array -> lock:Dp_msg.lock_mode -> unit ->
-  ((unit -> (Row.row option, Nsql_util.Errors.t) result) * (unit -> unit),
-   Nsql_util.Errors.t) result
-
-(** [index_scan_batch] is {!index_scan} with a batched stream: each
-    [next_batch] call resolves one buffered batch of index entries to base
-    rows (still one point read per row — the per-row messages and their
-    send times are byte-identical to the row-at-a-time stream). Same
-    close-on-every-exit contract as {!index_scan}. *)
-val index_scan_batch :
-  t -> file -> tx:int -> index:string -> range:Expr.key_range ->
-  ?pred:Expr.t -> ?proj:int array -> lock:Dp_msg.lock_mode -> unit ->
-  ((unit -> (Row.row array option, Nsql_util.Errors.t) result) * (unit -> unit),
-   Nsql_util.Errors.t) result
+  (scan, Nsql_util.Errors.t) result
 
 (** [index_schema file ~index] is the schema of the index file (index
     columns then base key columns), for planners that push predicates to

@@ -554,6 +554,7 @@ let build_ctx parsed =
 
      handle               opener            paired close
      scan (SCB + span)    open_scan         close_scan / seq_close
+                          open_index_scan
      trace span           begin_span        Trace.finish
      nowait completion    send_nowait       Msg.await / Msg.await_any
      withheld reply       Msg.defer         Msg.resolve
@@ -568,7 +569,10 @@ let build_ctx parsed =
 
    The per-file shapes that provably drop the handle are flagged as before:
    [ignore (opener ...)], a statement-position call, a [_] binding, and a
-   named binding with no use at all. The interprocedural upgrade is in how
+   named binding with no use at all. A binding is a [let] or a [let*] (an
+   index scan's opener returns a result), and the opener may sit behind a
+   thunk-taking wrapper such as [stp.stp (fun () -> open_index_scan ...)].
+   The interprocedural upgrade is in how
    a *used* binding is judged: every use of the handle is classified. A use
    that reaches a paired close — directly, or as an argument to a function
    whose effect summary contains the closing effect — proves the binding
@@ -617,7 +621,7 @@ let opener_of_app e =
   match e.pexp_desc with
   | Pexp_apply (callee, _) -> (
       match Option.map List.rev (ident_path callee) with
-      | Some ("open_scan" :: _) -> Some K_scan
+      | Some ("open_scan" :: _) | Some ("open_index_scan" :: _) -> Some K_scan
       | Some ("begin_span" :: _) -> Some K_span
       | Some ("send_nowait" :: _) -> Some K_completion
       | Some ("defer" :: "Msg" :: _) -> Some K_deferral
@@ -627,8 +631,28 @@ let opener_of_app e =
       | _ -> None)
   | _ -> None
 
+(* the body of a thunk [fun () -> body], read through the iterator (its
+   only pattern is [()], its only expression child the body) so the check
+   holds on both the 5.1 and the 5.2 function parsetree *)
+let thunk_body e =
+  let pats = ref [] and exprs = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      pat = (fun _ p -> pats := p :: !pats);
+      expr = (fun _ x -> exprs := x :: !exprs);
+    }
+  in
+  Ast_iterator.default_iterator.expr it e;
+  match (!pats, !exprs) with
+  | ( [ { ppat_desc = Ppat_construct ({ txt = Longident.Lident "()"; _ }, None); _ } ],
+      [ body ] ) ->
+      Some body
+  | _ -> None
+
 (* the opener may sit behind value-position wrappers: [if Trace.enabled sim
-   then Some (begin_span ...) else None] still binds a live handle *)
+   then Some (begin_span ...) else None] still binds a live handle, and so
+   does a wrapper applied to a thunk that opens it *)
 let rec spine_opener e =
   match opener_of_app e with
   | Some k -> Some k
@@ -644,6 +668,10 @@ let rec spine_opener e =
       | Pexp_let (_, _, b) | Pexp_sequence (_, b) | Pexp_open (_, b) ->
           spine_opener b
       | Pexp_constraint (a, _) -> spine_opener a
+      | Pexp_apply (_, args) ->
+          List.find_map
+            (fun (_, a) -> Option.bind (thunk_body a) spine_opener)
+            args
       | _ -> None)
 
 type use = U_closer | U_known_nonclosing of string | U_unknown
@@ -723,6 +751,12 @@ let trailing_unprotected_close ~kind name body =
           used || List.exists (fun vb -> uses_var name vb.pvb_expr) vbs
         in
         walk used cont
+    | Pexp_letop { let_; ands; body = cont; _ } ->
+        let used =
+          used
+          || List.exists (fun op -> uses_var name op.pbop_exp) (let_ :: ands)
+        in
+        walk used cont
     | Pexp_sequence (e1, cont) ->
         if direct_close e1 then if used then Some e1.pexp_loc else None
         else walk (used || uses_var name e1) cont
@@ -737,164 +771,77 @@ let trailing_unprotected_close ~kind name body =
   in
   walk false body
 
-(* --- streamed cursors -------------------------------------------------------
-
-   [Fs.index_scan] (and its batch variant) hands back a [(next, close)]
-   pair instead of a scan handle, bound through [let*] over result — three
-   blind spots at once for the handle analysis above: the opener is not an
-   [open_scan]-family call, the pattern is a tuple, and [let*] is a
-   [Pexp_letop], which the [Pexp_let] walk never visits. Recognize exactly
-   that shape — a let/let* binding a tuple whose last component is a
-   variable, whose bound expression calls [index_scan]* — and treat the
-   last component as the stream's close thunk:
-
-   - never called and never passed on: the SCB and span leak on every path;
-   - called only in statement position at the end of the binding's spine
-     after the stream was driven: leaks whenever the driver raises —
-     demand [Fun.protect ~finally];
-   - passed as an argument (e.g. [~finally:close]) or closed inside a
-     function value: assumed safe. *)
-
-let stream_opener_names = [ "index_scan"; "index_scan_batch" ]
-
-let calls_stream_opener e =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it x ->
-          (match ident_path x with
-          | Some p -> (
-              match List.rev p with
-              | last :: _ when List.mem last stream_opener_names ->
-                  found := true
-              | _ -> ())
-          | None -> ());
-          Ast_iterator.default_iterator.expr it x);
-    }
-  in
-  it.expr it e;
-  !found
-
-(* how the close thunk occurs in the body: applied in callee position,
-   passed somewhere as an argument, or mentioned some other way *)
-let stream_close_uses name body =
-  let applied = ref 0 and passed = ref 0 in
-  let is_x x =
-    match x.pexp_desc with
-    | Pexp_ident { txt = Longident.Lident n; _ } -> String.equal n name
-    | _ -> false
-  in
-  let rec go x =
-    match x.pexp_desc with
-    | Pexp_apply (callee, args) ->
-        if is_x callee then incr applied else go callee;
-        List.iter
-          (fun (_, a) -> if is_x a then incr passed else go a)
-          args
-    | Pexp_ident { txt = Longident.Lident n; _ } when String.equal n name ->
-        incr passed
-    | _ ->
-        let it =
-          {
-            Ast_iterator.default_iterator with
-            expr = (fun _ child -> go child);
-          }
-        in
-        Ast_iterator.default_iterator.expr it x
-  in
-  go body;
-  (!applied, !passed)
-
-(* like [trailing_unprotected_close], but the close is the bound thunk
-   applied in callee position, and "used" means the stream's other tuple
-   components (the [next] function) were referenced earlier on the spine *)
-let stream_trailing_close ~others name body =
-  let is_close_call x =
-    match x.pexp_desc with
-    | Pexp_apply (callee, _) -> (
-        match callee.pexp_desc with
-        | Pexp_ident { txt = Longident.Lident n; _ } -> String.equal n name
-        | _ -> false)
-    | _ -> false
-  in
-  let uses_stream x = List.exists (fun n -> uses_var n x) others in
-  let rec walk used e =
-    match e.pexp_desc with
-    | Pexp_let (_, vbs, cont) ->
-        let used =
-          used || List.exists (fun vb -> uses_stream vb.pvb_expr) vbs
-        in
-        walk used cont
-    | Pexp_letop { let_; ands; body = cont; _ } ->
-        let used =
-          used
-          || List.exists (fun op -> uses_stream op.pbop_exp) (let_ :: ands)
-        in
-        walk used cont
-    | Pexp_sequence (e1, cont) ->
-        if is_close_call e1 then if used then Some e1.pexp_loc else None
-        else walk (used || uses_stream e1) cont
-    | Pexp_ifthenelse (_, a, b) -> (
-        match walk used a with
-        | Some l -> Some l
-        | None -> Option.bind b (walk used))
-    | Pexp_match (_, cases) -> List.find_map (fun c -> walk used c.pc_rhs) cases
-    | Pexp_open (_, cont) | Pexp_constraint (cont, _) -> walk used cont
-    | _ -> None
-  in
-  walk false body
-
-let rec stream_pat_var p =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (p, _) | Ppat_alias (p, _) -> stream_pat_var p
-  | _ -> None
-
-let check_stream_binding ~flag pat expr body =
-  let rec unwrap p =
-    match p.ppat_desc with
-    | Ppat_constraint (p, _) | Ppat_alias (p, _) -> unwrap p
-    | _ -> p
-  in
-  match (unwrap pat).ppat_desc with
-  | Ppat_tuple comps when List.length comps >= 2 && calls_stream_opener expr
-    -> (
-      match List.rev comps with
-      | last :: others_rev -> (
-          match stream_pat_var last with
-          | None -> ()
-          | Some close_name -> (
-              let others = List.filter_map stream_pat_var others_rev in
-              match stream_close_uses close_name body with
-              | 0, 0 ->
-                  flag pat.ppat_loc
-                    (Printf.sprintf
-                       "index-scan close thunk %s is never called; the \
-                        stream's SCB and span leak on every path"
-                       close_name)
-              | _, passed when passed > 0 ->
-                  (* handed off (e.g. Fun.protect ~finally:close) *)
-                  ()
-              | _, _ -> (
-                  match stream_trailing_close ~others close_name body with
-                  | Some loc ->
-                      flag loc
-                        (Printf.sprintf
-                           "index-scan stream is closed only on the \
-                            fall-through path; a raise out of the driver \
-                            leaks it — run %s under Fun.protect ~finally"
-                           close_name)
-                  | None -> ())))
-      | [] -> ())
-  | _ -> ()
-
 let res_leak ~path ~ctx structure =
   let unit_name = Source.module_name path in
   let diags = ref [] in
   let flag loc msg =
     diags := Diag.of_loc ~rule:"RES-LEAK" ~file:path loc msg :: !diags
+  in
+  (* one [let] or [let*] binding of [pat] to [expr], scoped over [body] *)
+  let check_binding pat expr body =
+    match spine_opener expr with
+    | None -> ()
+    | Some k -> (
+        let rec pat_var p =
+          match p.ppat_desc with
+          | Ppat_var { txt; _ } -> Some txt
+          | Ppat_constraint (p, _) | Ppat_alias (p, _) -> pat_var p
+          | _ -> None
+        in
+        match pat.ppat_desc with
+        | Ppat_any ->
+            flag pat.ppat_loc
+              (Printf.sprintf
+                 "%s handle bound to _ can never reach %s"
+                 (kind_label k) (kind_close k))
+        | _ -> (
+            match pat_var pat with
+            | None -> ()
+            | Some name -> (
+                match
+                  classify_uses ~ctx ~unit_name ~kind:k name body
+                with
+                | [] ->
+                    flag pat.ppat_loc
+                      (Printf.sprintf
+                         "%s handle %s is never used; %s it on \
+                          every path"
+                         (kind_label k) name (kind_close k))
+                | uses
+                  when List.for_all
+                         (function
+                           | U_known_nonclosing _ -> true
+                           | _ -> false)
+                         uses ->
+                    let callees =
+                      List.sort_uniq String.compare
+                        (List.filter_map
+                           (function
+                             | U_known_nonclosing key -> Some key
+                             | _ -> None)
+                           uses)
+                    in
+                    flag pat.ppat_loc
+                      (Printf.sprintf
+                         "%s handle %s is only passed to %s, none \
+                          of which can reach %s; the handle leaks \
+                          on every path"
+                         (kind_label k) name
+                         (String.concat ", " callees)
+                         (kind_close k))
+                | _ -> (
+                    match
+                      trailing_unprotected_close ~kind:k name body
+                    with
+                    | Some loc ->
+                        flag loc
+                          (Printf.sprintf
+                             "%s handle %s is closed only on the \
+                              fall-through path; a raise out of \
+                              the driver leaks it — run %s under \
+                              Fun.protect ~finally"
+                             (kind_label k) name (kind_close k))
+                    | None -> ()))))
   in
   iter_exprs structure (fun e ->
       match e.pexp_desc with
@@ -918,78 +865,10 @@ let res_leak ~path ~ctx structure =
           | None -> ())
       | Pexp_letop { let_; ands; body; _ } ->
           List.iter
-            (fun op -> check_stream_binding ~flag op.pbop_pat op.pbop_exp body)
+            (fun op -> check_binding op.pbop_pat op.pbop_exp body)
             (let_ :: ands)
       | Pexp_let (_, vbs, body) ->
-          List.iter
-            (fun vb -> check_stream_binding ~flag vb.pvb_pat vb.pvb_expr body)
-            vbs;
-          List.iter
-            (fun vb ->
-              match spine_opener vb.pvb_expr with
-              | None -> ()
-              | Some k -> (
-                  let rec pat_var p =
-                    match p.ppat_desc with
-                    | Ppat_var { txt; _ } -> Some txt
-                    | Ppat_constraint (p, _) | Ppat_alias (p, _) -> pat_var p
-                    | _ -> None
-                  in
-                  match vb.pvb_pat.ppat_desc with
-                  | Ppat_any ->
-                      flag vb.pvb_pat.ppat_loc
-                        (Printf.sprintf
-                           "%s handle bound to _ can never reach %s"
-                           (kind_label k) (kind_close k))
-                  | _ -> (
-                      match pat_var vb.pvb_pat with
-                      | None -> ()
-                      | Some name -> (
-                          match
-                            classify_uses ~ctx ~unit_name ~kind:k name body
-                          with
-                          | [] ->
-                              flag vb.pvb_pat.ppat_loc
-                                (Printf.sprintf
-                                   "%s handle %s is never used; %s it on \
-                                    every path"
-                                   (kind_label k) name (kind_close k))
-                          | uses
-                            when List.for_all
-                                   (function
-                                     | U_known_nonclosing _ -> true
-                                     | _ -> false)
-                                   uses ->
-                              let callees =
-                                List.sort_uniq String.compare
-                                  (List.filter_map
-                                     (function
-                                       | U_known_nonclosing key -> Some key
-                                       | _ -> None)
-                                     uses)
-                              in
-                              flag vb.pvb_pat.ppat_loc
-                                (Printf.sprintf
-                                   "%s handle %s is only passed to %s, none \
-                                    of which can reach %s; the handle leaks \
-                                    on every path"
-                                   (kind_label k) name
-                                   (String.concat ", " callees)
-                                   (kind_close k))
-                          | _ -> (
-                              match
-                                trailing_unprotected_close ~kind:k name body
-                              with
-                              | Some loc ->
-                                  flag loc
-                                    (Printf.sprintf
-                                       "%s handle %s is closed only on the \
-                                        fall-through path; a raise out of \
-                                        the driver leaks it — run %s under \
-                                        Fun.protect ~finally"
-                                       (kind_label k) name (kind_close k))
-                              | None -> ())))))
-            vbs
+          List.iter (fun vb -> check_binding vb.pvb_pat vb.pvb_expr body) vbs
       | _ -> ());
   List.rev !diags
 

@@ -47,7 +47,6 @@ type t = {
   cpu_tick_us : float;
   lock_wait_timeout_us : float;
   group_commit_timer_us : float;
-  group_commit_adaptive : bool;
   mirrored : bool;
 }
 
@@ -76,7 +75,6 @@ let default =
     cpu_tick_us = 1.;
     lock_wait_timeout_us = 2_000_000.;
     group_commit_timer_us = 10_000.;
-    group_commit_adaptive = true;
     mirrored = false;
   }
 
@@ -103,7 +101,6 @@ let v ?(block_size = default.block_size)
     ?(cpu_tick_us = default.cpu_tick_us)
     ?(lock_wait_timeout_us = default.lock_wait_timeout_us)
     ?(group_commit_timer_us = default.group_commit_timer_us)
-    ?(group_commit_adaptive = default.group_commit_adaptive)
     ?(mirrored = default.mirrored) () =
   {
     block_size;
@@ -129,6 +126,5 @@ let v ?(block_size = default.block_size)
     cpu_tick_us;
     lock_wait_timeout_us;
     group_commit_timer_us;
-    group_commit_adaptive;
     mirrored;
   }

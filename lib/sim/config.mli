@@ -57,7 +57,6 @@ type t = {
   cpu_tick_us : float;  (** duration of one simulated CPU tick *)
   lock_wait_timeout_us : float;  (** lock wait before timeout abort *)
   group_commit_timer_us : float;  (** initial group-commit timer *)
-  group_commit_adaptive : bool;  (** Helland-style dynamic timer *)
   mirrored : bool;  (** mirrored volume writes *)
 }
 
@@ -88,7 +87,6 @@ val v :
   ?cpu_tick_us:float ->
   ?lock_wait_timeout_us:float ->
   ?group_commit_timer_us:float ->
-  ?group_commit_adaptive:bool ->
   ?mirrored:bool ->
   unit ->
   t

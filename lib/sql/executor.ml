@@ -41,71 +41,97 @@ let pp_rowset ppf rs =
    fire the same simulation events at the same times as the interleaved
    per-row charges they replace. *)
 
+(* a traced operator span around [f]; both engines open the same span
+   names and attributes, so profiles are comparable across engines *)
+let op_span ctx name attrs f =
+  if not (Trace.enabled ctx.sim) then f (fun _ -> ())
+  else begin
+    let sp = Trace.begin_span ctx.sim ~cat:"op" ~attrs name in
+    Fun.protect
+      ~finally:(fun () -> Trace.finish ctx.sim sp)
+      (fun () -> f (fun out -> List.iter (fun (k, v) -> Trace.add_attr sp k v) out))
+  end
+
+(* --- base-table access paths ------------------------------------------------ *)
+
+(* Open the first table's access path as one scan handle and run [drain sc
+   residual] over it, closing the scan on every exit — error or raise —
+   since leaving it open would also leave its SCB and span open. The
+   primary path delegates its whole predicate to the Disk Process
+   ([residual] is [None]); an index path resolves each entry to its base
+   row inside the scan and hands back the residual filter the requester
+   still runs. *)
+let with_access ctx (plan : select_plan) drain =
+  let tbl = plan.p_table in
+  let* sc =
+    match plan.p_access with
+    | Ap_primary { access; range; pred; proj } ->
+        Ok
+          (Fs.open_scan ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~access ~range
+             ?pred ?proj ~lock:ctx.read_lock ())
+    | Ap_index { index; range; ipred; _ } ->
+        Fs.open_index_scan ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~index ~range
+          ?pred:ipred ~lock:ctx.read_lock ()
+  in
+  let residual =
+    match plan.p_access with
+    | Ap_primary _ -> None
+    | Ap_index { residual = None; _ } -> Some (fun _ -> true)
+    | Ap_index { residual = Some p; _ } -> Some (fun row -> Expr.eval_pred row p)
+  in
+  Fun.protect
+    ~finally:(fun () -> Fs.close_scan ctx.fs sc)
+    (fun () -> drain sc residual)
+
+(* the scan operator's span, shared by both engines *)
+let scan_op ctx (plan : select_plan) f =
+  let tbl = plan.p_table in
+  let path =
+    match plan.p_access with
+    | Ap_primary _ -> "primary"
+    | Ap_index { index; _ } -> "index:" ^ index
+  in
+  op_span ctx
+    ("scan " ^ tbl.Catalog.t_name)
+    [ ("table", Trace.Str tbl.Catalog.t_name); ("path", Trace.Str path) ]
+    f
+
+(* the join operator's span, shared by both engines *)
+let join_op ctx step ~rows_in f =
+  let tbl = step.j_table in
+  let kind =
+    match step.j_inner with Ji_keyed _ -> "keyed" | Ji_scan _ -> "scan"
+  in
+  op_span ctx
+    ("join " ^ tbl.Catalog.t_name)
+    [
+      ("table", Trace.Str tbl.Catalog.t_name);
+      ("kind", Trace.Str kind);
+      ("rows_in", Trace.Int rows_in);
+    ]
+    f
+
 (* --- pull engine: base-table row streams ----------------------------------- *)
 
 (* pull all rows of the first table's access path *)
 let scan_table1 ctx (plan : select_plan) =
-  let tbl = plan.p_table in
-  match plan.p_access with
-  | Ap_primary { access; range; pred; proj } ->
-      let sc =
-        Fs.open_scan ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~access ~range ?pred
-          ?proj ~lock:ctx.read_lock ()
-      in
-      (* close on every exit — error or raise — since leaving the scan open
-         would also leave its SCB and span open *)
+  with_access ctx plan (fun sc residual ->
+      let keep = Option.value residual ~default:(fun _ -> true) in
       let rec go acc =
         match Fs.scan_next ctx.fs sc with
-        | Ok (Some row) -> go (row :: acc)
+        | Ok (Some row) -> go (if keep row then row :: acc else acc)
         | Ok None -> Ok (List.rev acc)
         | Error e -> Error e
       in
-      Fun.protect
-        ~finally:(fun () -> Fs.close_scan ctx.fs sc)
-        (fun () -> go [])
-  | Ap_index { index; range; ipred; residual } ->
-      let* next, close =
-        Fs.index_scan ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~index ~range
-          ?pred:ipred ~lock:ctx.read_lock ()
-      in
-      let rec go acc =
-        let* row = next () in
-        match row with
-        | None -> Ok (List.rev acc)
-        | Some row ->
-            let keep =
-              match residual with None -> true | Some p -> Expr.eval_pred row p
-            in
-            go (if keep then row :: acc else acc)
-      in
-      (* close on every exit, like the primary path: a raise mid-decode
-         must not leak the index scan's SCB and span *)
-      Fun.protect ~finally:close (fun () -> go [])
+      go [])
 
 let scan_table0 ctx (plan : select_plan) =
-  if not (Trace.enabled ctx.sim) then scan_table1 ctx plan
-  else begin
-    let tbl = plan.p_table in
-    let path =
-      match plan.p_access with
-      | Ap_primary _ -> "primary"
-      | Ap_index { index; _ } -> "index:" ^ index
-    in
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [ ("table", Trace.Str tbl.Catalog.t_name); ("path", Trace.Str path) ]
-        ("scan " ^ tbl.Catalog.t_name)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = scan_table1 ctx plan in
-        (match res with
-        | Ok rows -> Trace.add_attr sp "rows_out" (Trace.Int (List.length rows))
-        | Error _ -> ());
-        res)
-  end
+  scan_op ctx plan (fun note ->
+      let res = scan_table1 ctx plan in
+      (match res with
+      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
+      | Error _ -> ());
+      res)
 
 (* one nested-loop / keyed join step: extend each prefix row *)
 let join_step1 ctx prefix_rows step =
@@ -166,31 +192,12 @@ let join_step1 ctx prefix_rows step =
       Ok (List.concat joined)
 
 let join_step ctx prefix_rows step =
-  if not (Trace.enabled ctx.sim) then join_step1 ctx prefix_rows step
-  else begin
-    let tbl = step.j_table in
-    let kind =
-      match step.j_inner with Ji_keyed _ -> "keyed" | Ji_scan _ -> "scan"
-    in
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [
-            ("table", Trace.Str tbl.Catalog.t_name);
-            ("kind", Trace.Str kind);
-            ("rows_in", Trace.Int (List.length prefix_rows));
-          ]
-        ("join " ^ tbl.Catalog.t_name)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = join_step1 ctx prefix_rows step in
-        (match res with
-        | Ok rows -> Trace.add_attr sp "rows_out" (Trace.Int (List.length rows))
-        | Error _ -> ());
-        res)
-  end
+  join_op ctx step ~rows_in:(List.length prefix_rows) (fun note ->
+      let res = join_step1 ctx prefix_rows step in
+      (match res with
+      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
+      | Error _ -> ());
+      res)
 
 let apply_post step rows =
   match step.j_post with
@@ -247,24 +254,15 @@ let group_rows1 ctx (g : group_spec) rows =
   | Some h -> List.filter (fun row -> Expr.eval_pred row h) output
 
 let group_rows ctx (g : group_spec) rows =
-  if not (Trace.enabled ctx.sim) then group_rows1 ctx g rows
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [
-            ("rows_in", Trace.Int (List.length rows));
-            ("keys", Trace.Int (List.length g.g_keys));
-          ]
-        "group"
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let out = group_rows1 ctx g rows in
-        Trace.add_attr sp "rows_out" (Trace.Int (List.length out));
-        out)
-  end
+  op_span ctx "group"
+    [
+      ("rows_in", Trace.Int (List.length rows));
+      ("keys", Trace.Int (List.length g.g_keys));
+    ]
+    (fun note ->
+      let out = group_rows1 ctx g rows in
+      note [ ("rows_out", Trace.Int (List.length out)) ];
+      out)
 
 (* --- sort / project / limit ------------------------------------------------------ *)
 
@@ -289,17 +287,11 @@ let sort_rows1 ctx order rows =
   end
 
 let sort_rows ctx order rows =
-  if order = [] || not (Trace.enabled ctx.sim) then sort_rows1 ctx order rows
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:[ ("rows", Trace.Int (List.length rows)) ]
-        "sort"
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () -> sort_rows1 ctx order rows)
-  end
+  if order = [] then rows
+  else
+    op_span ctx "sort"
+      [ ("rows", Trace.Int (List.length rows)) ]
+      (fun _ -> sort_rows1 ctx order rows)
 
 let project rows exprs =
   List.map (fun row -> Array.of_list (List.map (fun e -> Expr.eval row e) exprs)) rows
@@ -366,26 +358,18 @@ let pushdown_group_rows1 ctx (plan : select_plan) (g : group_spec)
 
 let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
     (ap : agg_pushdown) =
-  if not (Trace.enabled ctx.sim) then pushdown_group_rows1 ctx plan g ap
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:
-          [
-            ("table", Trace.Str plan.p_table.Catalog.t_name);
-            ("keys", Trace.Int (Array.length ap.ap_group_keys));
-          ]
-        ("group-pushdown " ^ plan.p_table.Catalog.t_name)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = pushdown_group_rows1 ctx plan g ap in
-        (match res with
-        | Ok rows -> Trace.add_attr sp "rows_out" (Trace.Int (List.length rows))
-        | Error _ -> ());
-        res)
-  end
+  op_span ctx
+    ("group-pushdown " ^ plan.p_table.Catalog.t_name)
+    [
+      ("table", Trace.Str plan.p_table.Catalog.t_name);
+      ("keys", Trace.Int (Array.length ap.ap_group_keys));
+    ]
+    (fun note ->
+      let res = pushdown_group_rows1 ctx plan g ap in
+      (match res with
+      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
+      | Error _ -> ());
+      res)
 
 let run_select_pull ctx (plan : select_plan) =
   let* rows =
@@ -408,28 +392,16 @@ let run_select_pull ctx (plan : select_plan) =
           | None -> rows)
   in
   let rows = sort_rows ctx plan.p_order rows in
-  let emit () =
-    let rows = project rows plan.p_exprs in
-    let rows = if plan.p_distinct then distinct rows else rows in
-    let rows = limit plan.p_limit rows in
-    Sim.tick ctx.sim (2 * List.length rows);
-    rows
-  in
   let rows =
-    if not (Trace.enabled ctx.sim) then emit ()
-    else begin
-      let sp =
-        Trace.begin_span ctx.sim ~cat:"op"
-          ~attrs:[ ("rows_in", Trace.Int (List.length rows)) ]
-          "emit"
-      in
-      Fun.protect
-        ~finally:(fun () -> Trace.finish ctx.sim sp)
-        (fun () ->
-          let rows = emit () in
-          Trace.add_attr sp "rows_out" (Trace.Int (List.length rows));
-          rows)
-    end
+    op_span ctx "emit"
+      [ ("rows_in", Trace.Int (List.length rows)) ]
+      (fun note ->
+        let rows = project rows plan.p_exprs in
+        let rows = if plan.p_distinct then distinct rows else rows in
+        let rows = limit plan.p_limit rows in
+        Sim.tick ctx.sim (2 * List.length rows);
+        note [ ("rows_out", Trace.Int (List.length rows)) ];
+        rows)
   in
   Ok { cols = plan.p_names; rows }
 
@@ -442,71 +414,28 @@ let run_select_pull ctx (plan : select_plan) =
    when a per-row message follows (keyed joins, index base reads) — see
    [Fs.scan_next_batch] for the contract. *)
 
-(* a traced operator span around [f], sharing the pull engine's span
-   names/attrs so profiles are comparable across engines *)
-let op_span ctx name attrs f =
-  if not (Trace.enabled ctx.sim) then f (fun _ -> ())
-  else begin
-    let sp = Trace.begin_span ctx.sim ~cat:"op" ~attrs name in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () -> f (fun out -> List.iter (fun (k, v) -> Trace.add_attr sp k v) out))
-  end
-
 (* scan the first table's access path as a list of batches, in order *)
 let scan_batches1 ctx (plan : select_plan) =
-  let tbl = plan.p_table in
-  match plan.p_access with
-  | Ap_primary { access; range; pred; proj } ->
-      let sc =
-        Fs.open_scan ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~access ~range ?pred
-          ?proj ~lock:ctx.read_lock ()
-      in
+  with_access ctx plan (fun sc residual ->
       let rec go acc =
         match Fs.scan_next_batch ctx.fs sc with
-        | Ok (Some batch) ->
+        | Ok (Some batch) -> (
             Nsql_sim.Moncore.observe (Sim.moncore ctx.sim) "batch_rows"
               (float_of_int (Array.length batch));
-            go (batch :: acc)
+            match residual with
+            | None -> go (batch :: acc)
+            | Some keep ->
+                (* an index path runs its residual filter here, a batch at
+                   a time, and drops the batches it empties *)
+                let batch = Rowvec.filter keep batch in
+                go (if Array.length batch = 0 then acc else batch :: acc))
         | Ok None -> Ok (List.rev acc)
         | Error e -> Error e
       in
-      Fun.protect
-        ~finally:(fun () -> Fs.close_scan ctx.fs sc)
-        (fun () -> go [])
-  | Ap_index { index; range; ipred; residual } ->
-      let* next_batch, close =
-        Fs.index_scan_batch ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~index ~range
-          ?pred:ipred ~lock:ctx.read_lock ()
-      in
-      (* the residual filter runs here, a batch at a time *)
-      let rec go acc =
-        let* batch = next_batch () in
-        match batch with
-        | None -> Ok (List.rev acc)
-        | Some batch ->
-            Nsql_sim.Moncore.observe (Sim.moncore ctx.sim) "batch_rows"
-              (float_of_int (Array.length batch));
-            let batch =
-              match residual with
-              | None -> batch
-              | Some p -> Rowvec.filter (fun row -> Expr.eval_pred row p) batch
-            in
-            go (if Array.length batch = 0 then acc else batch :: acc)
-      in
-      Fun.protect ~finally:close (fun () -> go [])
+      go [])
 
 let scan_batches ctx (plan : select_plan) =
-  let tbl = plan.p_table in
-  let path =
-    match plan.p_access with
-    | Ap_primary _ -> "primary"
-    | Ap_index { index; _ } -> "index:" ^ index
-  in
-  op_span ctx
-    ("scan " ^ tbl.Catalog.t_name)
-    [ ("table", Trace.Str tbl.Catalog.t_name); ("path", Trace.Str path) ]
-    (fun note ->
+  scan_op ctx plan (fun note ->
       let res = scan_batches1 ctx plan in
       (match res with
       | Ok batches ->
@@ -593,18 +522,7 @@ let apply_post_batches step batches =
         batches
 
 let join_batches ctx batches step =
-  let tbl = step.j_table in
-  let kind =
-    match step.j_inner with Ji_keyed _ -> "keyed" | Ji_scan _ -> "scan"
-  in
-  op_span ctx
-    ("join " ^ tbl.Catalog.t_name)
-    [
-      ("table", Trace.Str tbl.Catalog.t_name);
-      ("kind", Trace.Str kind);
-      ("rows_in", Trace.Int (Rowvec.total_rows batches));
-    ]
-    (fun note ->
+  join_op ctx step ~rows_in:(Rowvec.total_rows batches) (fun note ->
       let res = Errors.list_map (join_batch ctx step) batches in
       (match res with
       | Ok out -> note [ ("rows_out", Trace.Int (Rowvec.total_rows out)) ]
@@ -718,19 +636,11 @@ let group_batches ctx (g : group_spec) batches =
 
 let sort_batches ctx order batches =
   if order = [] then batches
-  else begin
+  else
     (* sorting needs the whole input anyway: concatenate once and reuse
-       the pull path's Fastsort (same simulated sort cost on the same
-       input) *)
-    let sort () =
-      [ Rowvec.of_list (sort_rows1 ctx order (Rowvec.list_of_batches batches)) ]
-    in
-    if not (Trace.enabled ctx.sim) then sort ()
-    else
-      op_span ctx "sort"
-        [ ("rows", Trace.Int (Rowvec.total_rows batches)) ]
-        (fun _ -> sort ())
-  end
+       the pull path's sort operator (same span, same simulated sort cost
+       on the same input) *)
+    [ Rowvec.of_list (sort_rows ctx order (Rowvec.list_of_batches batches)) ]
 
 (* order-preserving de-duplication, array-in array-out; same identity
    fast path as the batched group (floats fall back to the encoding) *)
@@ -806,22 +716,10 @@ let run_select ctx (plan : select_plan) =
   else run_select_pull ctx plan
 
 let traced_dml ctx name table f =
-  if not (Trace.enabled ctx.sim) then f ()
-  else begin
-    let sp =
-      Trace.begin_span ctx.sim ~cat:"op"
-        ~attrs:[ ("table", Trace.Str table) ]
-        (name ^ " " ^ table)
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () ->
-        let res = f () in
-        (match res with
-        | Ok n -> Trace.add_attr sp "rows" (Trace.Int n)
-        | Error _ -> ());
-        res)
-  end
+  op_span ctx (name ^ " " ^ table) [ ("table", Trace.Str table) ] (fun note ->
+      let res = f () in
+      (match res with Ok n -> note [ ("rows", Trace.Int n) ] | Error _ -> ());
+      res)
 
 let run_update ctx (plan : update_plan) =
   traced_dml ctx "update" plan.up_table.Catalog.t_name (fun () ->

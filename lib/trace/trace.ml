@@ -33,11 +33,6 @@ let finish sim (h : h) =
       Tracer.finish (Sim.tracer sim) sp ~now:(Sim.now sim)
         ~after:(Sim.snapshot sim)
 
-let with_span sim ?tid ?cat ?attrs name f =
-  match begin_span sim ?tid ?cat ?attrs name with
-  | None -> f ()
-  | Some _ as h -> Fun.protect ~finally:(fun () -> finish sim h) f
-
 let instant sim ?tid ?(cat = "misc") ?(attrs = []) name =
   let tr = Sim.tracer sim in
   if Tracer.enabled tr then

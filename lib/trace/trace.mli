@@ -14,9 +14,9 @@
     a run with tracing off; test/test_trace.ml enforces this. When tracing
     is disabled every entry point below costs a single branch.
 
-    Every {!begin_span} handle must reach {!finish} (the [SPAN-LEAK] lint
-    rule flags handles that are dropped or never finished); prefer
-    {!with_span} where control flow allows. *)
+    Every {!begin_span} handle must reach {!finish} (the [RES-LEAK] lint
+    rule flags handles that are dropped or never finished); finish under
+    [Fun.protect ~finally] where a raise can cut the span short. *)
 
 type value = Nsql_sim.Tracer.value =
   | Int of int
@@ -51,16 +51,6 @@ val begin_span :
     {!add_stats} was used, its counter delta becomes the begin/end window
     diff. Idempotent; [None] is a no-op. *)
 val finish : Nsql_sim.Sim.t -> h -> unit
-
-(** [with_span sim name f] wraps [f] in a span, finishing on any exit. *)
-val with_span :
-  Nsql_sim.Sim.t ->
-  ?tid:int ->
-  ?cat:string ->
-  ?attrs:(string * value) list ->
-  string ->
-  (unit -> 'a) ->
-  'a
 
 (** Zero-duration event (cache hit, lock wait, SCB reuse). *)
 val instant :

@@ -18,6 +18,7 @@ module Errors = Nsql_util.Errors
 module Wisconsin = Nsql_workload.Wisconsin
 module Debitcredit = Nsql_workload.Debitcredit
 module Chaos = Nsql_chaos.Chaos
+module Trace = Nsql_trace.Trace
 
 let get_ok = Errors.get_ok
 
@@ -127,12 +128,15 @@ let queries_pull () =
    indexed column and on DELETE, pushdown aggregates and an RSBB scan. A
    9-record request budget makes every chain re-drive. Run with fan-out
    off, on, and on through the pull executor; each run's fingerprint
-   carries a digest of every result it printed. *)
+   carries a digest of every result it printed and of its Chrome trace
+   export, which pins span attribution (nesting, extents, counter deltas)
+   on the index-scan path. *)
 let indexed_run ~fanout ~batch =
   let config =
     Config.v ~fs_fanout:fanout ~exec_batch:batch ~dp_records_per_request:9 ()
   in
   let node = N.create_node ~config ~volumes:4 () in
+  Trace.set_enabled (N.sim node) true;
   let rows = 200 in
   get_ok ~ctx:"wisc" (Wisconsin.create node ~name:"t" ~rows ~partitions:4 ());
   let s = N.session node in
@@ -150,7 +154,11 @@ let indexed_run ~fanout ~batch =
   N.set_access_mode s (Some Nsql_fs.Fs.A_rsbb);
   run "SELECT unique1, unique2 FROM t WHERE unique2 < 120 AND four = 2";
   Sim.drain (N.sim node);
-  fingerprint node ^ ";rows=" ^ Digest.to_hex (Digest.string (Buffer.contents out))
+  assert (Trace.dropped (N.sim node) = 0);
+  let trace = Trace.chrome_json [ Trace.take (N.sim node) ] in
+  fingerprint node
+  ^ ";rows=" ^ Digest.to_hex (Digest.string (Buffer.contents out))
+  ^ ";trace=" ^ Digest.to_hex (Digest.string trace)
 
 let indexed () =
   String.concat "|"
@@ -192,5 +200,7 @@ let golden_queries_sequential =
 let golden_queries_pull =
   "msgs_sent=50;msg_req_bytes=90398;msg_reply_bytes=19683;msgs_remote=50;msgs_internode=0;checkpoint_msgs=55;checkpoint_bytes=91178;disk_reads=0;disk_writes=12;blocks_read=0;blocks_written=37;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=5045;cache_misses=0;cache_steals=0;cpu_ticks=86053;lock_requests=36;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=448;audit_bytes=119212;audit_flushes=8;audit_flush_full=4;audit_flush_timer=4;group_commit_txs=4;tx_begun=14;tx_committed=14;tx_aborted=0;records_read=1652;records_returned=629;exec_batches=20;exec_rows=629;redrives=1;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=474586.500000"
 
+(* the [;trace=] digests were captured before index scans became ordinary
+   scan handles *)
 let golden_indexed =
-  "msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1723093.500000;rows=d4f11169d6617aa58907b5db80865e77|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77"
+  "msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1723093.500000;rows=d4f11169d6617aa58907b5db80865e77;trace=60562b48dc26f064f12dea9456ad4e84|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77;trace=8bbd5952fd084950cd8999132ddf87ec|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77;trace=99f49906b4dd692282c290e47dfb3257"

@@ -151,8 +151,7 @@ let buffer_full_flush () =
     (s.Stats.audit_flush_full > 0)
 
 let group_commit_batches () =
-  let config = Config.v ~group_commit_adaptive:false () in
-  let sim, trail = setup ~config () in
+  let sim, trail = setup () in
   Trail.set_timer_us trail 10_000.;
   let s = Sim.stats sim in
   (* five transactions commit within one timer window *)
@@ -172,8 +171,7 @@ let group_commit_batches () =
   Alcotest.(check int) "timer flush" 1 s.Stats.audit_flush_timer
 
 let group_commit_waits_timer () =
-  let config = Config.v ~group_commit_adaptive:false () in
-  let sim, trail = setup ~config () in
+  let sim, trail = setup () in
   Trail.set_timer_us trail 10_000.;
   ignore (Trail.append trail ~tx:1 Ar.Begin_tx);
   let lsn = Trail.append trail ~tx:1 Ar.Commit_tx in

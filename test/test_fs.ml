@@ -214,18 +214,25 @@ let index_scan_streams_base_rows () =
       let* lo = Row.key_of_values ix_schema [ Row.Vstr "owner-0010" ] in
       let* hi = Row.key_of_values ix_schema [ Row.Vstr "owner-0019" ] in
       let range = Expr.{ lo; hi = Keycode.successor (hi ^ "\xff") } in
-      let* next, close =
-        Fs.index_scan n.fs file ~tx ~index:"by_owner" ~range ~proj:[| 0 |]
+      let* sc =
+        Fs.open_index_scan n.fs file ~tx ~index:"by_owner" ~range ~proj:[| 0 |]
           ~lock:Dp_msg.L_none ()
       in
       let rec go acc =
-        let* row = next () in
+        let* row = Fs.scan_next n.fs sc in
         match row with None -> Ok (List.rev acc) | Some r -> go (r :: acc)
       in
       let res = go [] in
-      close ();
+      Fs.close_scan n.fs sc;
       let* rows = res in
       Alcotest.(check int) "ten base rows" 10 (List.length rows);
+      (* an unknown index is an error, not a raise *)
+      (match
+         Fs.open_index_scan n.fs file ~tx ~index:"by_nobody" ~range
+           ~lock:Dp_msg.L_none ()
+       with
+      | Error (Errors.Name_error _) -> ()
+      | _ -> Alcotest.fail "an unknown index must open as an Error");
       Ok ())
 
 let suite =

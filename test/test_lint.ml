@@ -476,60 +476,66 @@ let res_leak_trailing_close () =
     (res_leak1 ~path
        "let f t file = let sc = open_scan t file in close_scan t sc; 0")
 
-(* the streamed-cursor shape: [Fs.index_scan] hands back a (next, close)
-   pair through [let*] over result — an unrecognized opener, a tuple
-   pattern and a letop at once, so the handle analysis above never sees
-   it (the blind spot that let the executor's index path leak) *)
+(* index scans are ordinary scan handles: [open_index_scan] returns a
+   result, so the handle is bound with [let*], sometimes behind a wrapper
+   thunk. The helper fixture resolves [Helper.scan_next] (which never
+   closes) and [Helper.release] (which does), so a verdict can rest on
+   what the handle's uses provably reach. *)
 let res_leak_stream () =
   let path = "lib/fs/fixture.ml" in
-  check_rules "trailing stream close fires" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  let res = go 0 in\n\
-        \  close ();\n\
-        \  res");
-  check_rules "never-closed stream fires" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  go 0");
-  check_rules "plain let binding is covered too" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  let res = go 0 in\n\
-        \  close ();\n\
-        \  res");
-  check_rules "opener behind a wrapper thunk is still seen" [ "RES-LEAK" ]
-    (res_leak1 ~path
-       "let f t stp file =\n\
-        \  let* next, close = stp.stp (fun () -> index_scan t file) in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  let res = go 0 in\n\
-        \  close ();\n\
-        \  res");
-  check_rules "Fun.protect ~finally:close is clean" []
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  Fun.protect ~finally:close (fun () -> go 0)");
-  check_rules "close inside the finally thunk is clean" []
-    (res_leak1 ~path
-       "let f t file =\n\
-        \  let* next, close = index_scan t file in\n\
-        \  let rec go n = match next () with None -> n | Some _ -> go (n + \
-        1) in\n\
-        \  Fun.protect ~finally:(fun () -> close ()) (fun () -> go 0)")
+  let helper =
+    ( "lib/fs/helper.ml",
+      "let scan_next t sc = pop t sc\nlet release t sc = close_scan t sc" )
+  in
+  let check name expected body =
+    check_rules name expected
+      (res_leak_on
+         [ helper; (path, "module Helper = Nsql_fs.Helper\n" ^ body) ]
+         path)
+  in
+  check "trailing index-scan close fires" [ "RES-LEAK" ]
+    "let f t file =\n\
+     \  let* sc = open_index_scan t file in\n\
+     \  let rec go n = match Helper.scan_next t sc with None -> n | Some _ \
+     -> go (n + 1) in\n\
+     \  let res = go 0 in\n\
+     \  close_scan t sc;\n\
+     \  res";
+  check "never-closed index scan fires" [ "RES-LEAK" ]
+    "let f t file =\n\
+     \  let* sc = open_index_scan t file in\n\
+     \  let rec go n = match Helper.scan_next t sc with None -> n | Some _ \
+     -> go (n + 1) in\n\
+     \  go 0";
+  check "plain let binding is covered too" [ "RES-LEAK" ]
+    "let f t file =\n\
+     \  let sc = open_index_scan t file in\n\
+     \  let rec go n = match Helper.scan_next t sc with None -> n | Some _ \
+     -> go (n + 1) in\n\
+     \  let res = go 0 in\n\
+     \  close_scan t sc;\n\
+     \  res";
+  check "opener behind a wrapper thunk is still seen" [ "RES-LEAK" ]
+    "let f t stp file =\n\
+     \  let* sc = stp.stp (fun () -> open_index_scan t file) in\n\
+     \  let rec go n = match Helper.scan_next t sc with None -> n | Some _ \
+     -> go (n + 1) in\n\
+     \  let res = go 0 in\n\
+     \  close_scan t sc;\n\
+     \  res";
+  check "Fun.protect close is clean" []
+    "let f t file =\n\
+     \  let* sc = open_index_scan t file in\n\
+     \  let rec go n = match Helper.scan_next t sc with None -> n | Some _ \
+     -> go (n + 1) in\n\
+     \  Fun.protect ~finally:(fun () -> close_scan t sc) (fun () -> go 0)";
+  check "close through a helper in the finally thunk is clean" []
+    "let f t file =\n\
+     \  let* sc = open_index_scan t file in\n\
+     \  let rec go n = match Helper.scan_next t sc with None -> n | Some _ \
+     -> go (n + 1) in\n\
+     \  Fun.protect ~finally:(fun () -> Helper.release t sc) (fun () -> go \
+     0)"
 
 (* --- the DP wait-queue pattern stays lintable ---------------------------- *)
 

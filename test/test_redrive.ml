@@ -8,11 +8,15 @@
      requester ever re-drives such a chain;
    - the chain driver's error path on a partitioned file, fan-out on and
      off: one failing partition fails the whole request, and every
-     sibling's subset is abandoned and closed. *)
+     sibling's subset is abandoned and closed;
+   - an index scan closed before its stream ends releases its SCB and
+     finishes its span, like any other scan handle. *)
 
 open Harness
 module Dp_msg = Nsql_dp.Dp_msg
 module Stats = Nsql_sim.Stats
+module Trace = Nsql_trace.Trace
+module Tracer = Nsql_sim.Tracer
 
 (* --- goldens ----------------------------------------------------------- *)
 
@@ -203,6 +207,49 @@ let blocked_partition_aggregate ~fanout () =
       (w.closes > 0);
   assert_all_closed n w
 
+(* --- an abandoned index scan ------------------------------------------------ *)
+
+(* a 4-partition base file indexed on owner: the index scan takes one row
+   (one base READ) and is closed long before its stream ends; the index
+   subset's SCB must be gone and the scan's span finished *)
+let abandoned_index_scan ~fanout () =
+  let n =
+    node ~config:(Config.v ~fs_fanout:fanout ~dp_records_per_request:3 ()) ~dps:4 ()
+  in
+  let file =
+    create_accounts n ~parts:4 ~split:10
+      ~indexes:[ Fs.{ is_name = "by_owner"; is_cols = [ 2 ]; is_dp = n.dps.(0) } ]
+  in
+  load_accounts n file 40;
+  let w = watch_scbs n in
+  Trace.set_enabled n.sim true;
+  let tx = Tmf.begin_tx n.tmf in
+  let sc =
+    get_ok ~ctx:"open index scan"
+      (Fs.open_index_scan n.fs file ~tx ~index:"by_owner" ~range:full_range
+         ~lock:Dp_msg.L_none ())
+  in
+  (match get_ok ~ctx:"first row" (Fs.scan_next n.fs sc) with
+  | Some row ->
+      Alcotest.(check bool) "first base row" true
+        (Row.equal_value (Row.Vint 0) row.(0))
+  | None -> Alcotest.fail "the index scan yielded nothing");
+  Alcotest.(check int) "one index subset open" 1 (List.length w.scbs);
+  Fs.close_scan n.fs sc;
+  Alcotest.(check int) "abandoned with CLOSE^SCB" 1 w.closes;
+  get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
+  let spans = Trace.take n.sim in
+  Trace.set_enabled n.sim false;
+  (match
+     List.find_opt
+       (fun sp -> String.equal sp.Tracer.sp_name "vsbb scan ACCOUNT#ix_by_owner")
+       spans
+   with
+  | Some sp ->
+      Alcotest.(check bool) "scan span finished" false sp.Tracer.sp_open
+  | None -> Alcotest.fail "no index scan span");
+  assert_all_closed n w
+
 let suite =
   golden_cases
   @ [
@@ -218,4 +265,8 @@ let suite =
         (blocked_partition_aggregate ~fanout:false);
       Alcotest.test_case "aggregate, one partition blocked (fan-out)" `Quick
         (blocked_partition_aggregate ~fanout:true);
+      Alcotest.test_case "abandoned index scan frees its SCB (sequential)"
+        `Quick (abandoned_index_scan ~fanout:false);
+      Alcotest.test_case "abandoned index scan frees its SCB (fan-out)" `Quick
+        (abandoned_index_scan ~fanout:true);
     ]
