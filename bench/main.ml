@@ -1,6 +1,6 @@
 (* The experiment harness: regenerates every quantitative claim and figure
-   of the paper (experiments E1-E24 and the A1 ablation), then runs
-   Bechamel micro-benchmarks over the core code paths.
+   of the paper (experiments E1-E24 and the A1 ablation). Host-time
+   per-layer costs are measured by the repository benchmark (benchmark/).
 
    Every experiment is one spec: an id, a title and the paper's claim,
    which the runner prints as its heading, and a [run] that prints its
@@ -596,7 +596,7 @@ let e7_group_commit =
     in
     let before = Sim.snapshot sim in
     for tx = 1 to txs do
-      Sim.charge sim interarrival_us;
+      Sim.charge sim ~cat:Moncore.C_other interarrival_us;
       ignore (Trail.append trail ~tx Nsql_audit.Audit_record.Begin_tx);
       ignore
         (Trail.append trail ~tx
@@ -613,7 +613,7 @@ let e7_group_commit =
     while List.exists (fun (_, _, done_at) -> !done_at = None) !completions do
       incr steps;
       if !steps > 10_001 then failwith "E7: settle did not converge";
-      Sim.charge sim 500.;
+      Sim.charge sim ~cat:Moncore.C_other 500.;
       note_durable ()
     done;
     let after = Sim.snapshot sim in
@@ -1166,90 +1166,6 @@ let a1_vsbb_buffer =
         ])
     [ 1024; 4096; 16384 ];
   emit_count "a1" "messages_total" !msgs_total
-
-(* --- Bechamel micro-benchmarks over the core paths ---------------- *)
-
-(* host time, not a claim of the paper: no paper line, its own banner; the
-   executor's per-row and batched operator shapes are timed by E22 *)
-let micro_benchmarks =
-  experiment "micro" "Bechamel micro-benchmarks over the core paths" ""
-  @@ fun () ->
-  printf "@.==== Bechamel micro-benchmarks (real time per run) ====@.";
-  let open Bechamel in
-  let open Toolkit in
-  let sim = Sim.create () in
-  let disk = Disk.create sim ~name:"$B" in
-  ignore (Disk.allocate disk 4096);
-  let cache =
-    Cache.create sim disk ~capacity:256
-      ~durable_lsn:(fun () -> Int64.max_int)
-      ~force_log:(fun _ -> ())
-  in
-  let tree = Nsql_store.Btree.create sim cache ~name:"B" in
-  for i = 0 to 999 do
-    get_ok ~ctx:"ins"
-      (Nsql_store.Btree.insert tree ~key:(Keycode.of_int i)
-         ~record:(String.make 100 'x') ~lsn:1L)
-  done;
-  let schema =
-    Row.schema
-      [|
-        Row.column "a" Row.T_int;
-        Row.column "b" Row.T_float;
-        Row.column "c" (Row.T_varchar 40);
-      |]
-      ~key:[ "a" ]
-  in
-  let row = [| Row.Vint 42; Row.Vfloat 3.14; Row.Vstr "hello, tandem" |] in
-  let image = Row.encode schema row in
-  let pred =
-    Expr.(And (Cmp (Gt, Field 1, float_ 1.), Like (Field 2, "hello%")))
-  in
-  let counter = ref 1_000_000 in
-  let _, sql_session =
-    sql_node "CREATE TABLE t (k INT PRIMARY KEY, v FLOAT NOT NULL)"
-  in
-  for i = 0 to 99 do
-    ignore (N.exec_exn sql_session (fpr "INSERT INTO t VALUES (%d, 1.0)" i))
-  done;
-  let test name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [
-      test "keycode.of_int" (fun () -> Keycode.of_int 123456);
-      test "row.encode" (fun () -> Row.encode schema row);
-      test "row.decode" (fun () -> Row.decode_exn schema image);
-      test "expr.eval_pred" (fun () -> Expr.eval_pred row pred);
-      test "btree.lookup" (fun () ->
-          Nsql_store.Btree.lookup tree (Keycode.of_int 500));
-      test "btree.insert+delete" (fun () ->
-          incr counter;
-          let k = Keycode.of_int !counter in
-          get_ok ~ctx:"i"
-            (Nsql_store.Btree.insert tree ~key:k ~record:"r" ~lsn:1L);
-          ignore (Nsql_store.Btree.delete tree ~key:k ~lsn:1L));
-      test "cache.read (hit)" (fun () -> Cache.read cache 1);
-      test "sql.point select" (fun () ->
-          N.exec_exn sql_session "SELECT v FROM t WHERE k = 7");
-      test "sql.update expression" (fun () ->
-          N.exec_exn sql_session "UPDATE t SET v = v + 1.0 WHERE k = 7");
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ per_run ] -> printf "%-28s %12.0f ns/run@." name per_run
-          | _ -> printf "%-28s (no estimate)@." name)
-        results)
-    tests
 
 (* --- E19: span-profile attribution of the message-flow wins ------- *)
 
@@ -2002,14 +1918,13 @@ let registry =
     e16_distributed_tx; e17_parallel_scan; e18_agg_pushdown;
     e19_profile_attribution; e20_contention; e21_takeover;
     e22_batched_executor; e23_monitor; e24_disk_queue; a1_vsbb_buffer;
-    micro_benchmarks;
   ]
 
 let usage () =
   prerr_endline
     "usage: main.exe [--list] [--only e1,e17,...] [--json results.json] \
      [--trace DIR] [--monitor DIR]\n\
-     experiment ids: e1-e24, a1, micro (--list for descriptions)";
+     experiment ids: e1-e24, a1 (--list for descriptions)";
   exit 2
 
 let ensure_dir dir =

@@ -102,45 +102,43 @@ let write_to_volume t data =
     t.tail_image <- Bytes.of_string images.(tail_idx)
 
 let flush t reason =
-  if Buffer.length t.buffer > 0 then begin
-    let sp =
-      if Trace.enabled t.sim then
-        Trace.begin_span t.sim ~cat:"tmf"
-          ~attrs:
-            [
-              ( "reason",
-                Trace.Str
-                  (match reason with
-                  | Flush_full -> "full"
-                  | Flush_timer -> "timer"
-                  | Flush_force -> "force") );
-              ("bytes", Trace.Int (Buffer.length t.buffer));
-            ]
-          "audit_flush"
-      else None
-    in
-    let s = Sim.stats t.sim in
-    s.Stats.audit_flushes <- s.Stats.audit_flushes + 1;
-    (match reason with
-    | Flush_full -> s.Stats.audit_flush_full <- s.Stats.audit_flush_full + 1
-    | Flush_timer -> s.Stats.audit_flush_timer <- s.Stats.audit_flush_timer + 1
-    | Flush_force -> ());
-    let data = Buffer.contents t.buffer in
-    Buffer.clear t.buffer;
-    write_to_volume t data;
-    t.durable_lsn <- t.last_staged_lsn;
-    (* the flush commits every pending transaction whose commit record is
-       now durable: one I/O, a group of commits *)
-    let committed, still_waiting =
-      List.partition (fun (_, lsn) -> Int64.compare lsn t.durable_lsn <= 0)
-        t.pending
-    in
-    s.Stats.group_commit_txs <- s.Stats.group_commit_txs + List.length committed;
-    t.pending <- still_waiting;
-    if t.pending = [] then t.timer_armed <- false;
-    Trace.add_attr sp "group_commits" (Trace.Int (List.length committed));
-    Trace.finish t.sim sp
-  end
+  if Buffer.length t.buffer > 0 then
+    Trace.span t.sim ~cat:"tmf"
+      ~attrs:(fun () ->
+        [
+          ( "reason",
+            Trace.Str
+              (match reason with
+              | Flush_full -> "full"
+              | Flush_timer -> "timer"
+              | Flush_force -> "force") );
+          ("bytes", Trace.Int (Buffer.length t.buffer));
+        ])
+      "audit_flush"
+      (fun sp ->
+        let s = Sim.stats t.sim in
+        s.Stats.audit_flushes <- s.Stats.audit_flushes + 1;
+        (match reason with
+        | Flush_full -> s.Stats.audit_flush_full <- s.Stats.audit_flush_full + 1
+        | Flush_timer ->
+            s.Stats.audit_flush_timer <- s.Stats.audit_flush_timer + 1
+        | Flush_force -> ());
+        let data = Buffer.contents t.buffer in
+        Buffer.clear t.buffer;
+        write_to_volume t data;
+        t.durable_lsn <- t.last_staged_lsn;
+        (* the flush commits every pending transaction whose commit record is
+           now durable: one I/O, a group of commits *)
+        let committed, still_waiting =
+          List.partition
+            (fun (_, lsn) -> Int64.compare lsn t.durable_lsn <= 0)
+            t.pending
+        in
+        s.Stats.group_commit_txs <-
+          s.Stats.group_commit_txs + List.length committed;
+        t.pending <- still_waiting;
+        if t.pending = [] then t.timer_armed <- false;
+        Trace.add_attr sp "group_commits" (Trace.Int (List.length committed)))
 
 let append t ~tx body =
   let lsn = t.next_lsn in
@@ -209,8 +207,7 @@ let await_durable t lsn =
     if !guard > 1000 then failwith "Trail.await_durable: stuck";
     if t.timer_armed then begin
       (* group-commit: idle until the timer pops *)
-      Nsql_sim.Moncore.with_cat (Sim.moncore t.sim) Nsql_sim.Moncore.C_await
-        (fun () -> Sim.wait_until t.sim t.timer_due);
+      Sim.wait_until t.sim ~cat:Nsql_sim.Moncore.C_await t.timer_due;
       Sim.flush_events t.sim;
       (* the timer event may have found nothing pending; ensure progress *)
       if Int64.compare t.durable_lsn lsn < 0 then flush t Flush_timer

@@ -78,8 +78,7 @@ let clean_frame t f =
   end
   else
     (* an async write may still be in flight; eviction must wait for it *)
-    Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-        Sim.wait_until t.sim f.durable_at)
+    Sim.wait_until t.sim ~cat:Moncore.C_disk f.durable_at
 
 let evict_frame t f =
   clean_frame t f;
@@ -126,8 +125,7 @@ let hit t f =
   touch t f;
   (* if the block was pre-fetched and has not landed yet, wait out the
      remaining latency (still cheaper than a fresh synchronous read) *)
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-      Sim.wait_until t.sim f.valid_at);
+  Sim.wait_until t.sim ~cat:Moncore.C_disk f.valid_at;
   Sim.tick t.sim 3
 
 let miss t =
@@ -151,8 +149,7 @@ let write t block data ~lsn =
   Sim.tick t.sim 3;
   match Hashtbl.find_opt t.table block with
   | Some f ->
-      Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-          Sim.wait_until t.sim f.valid_at);
+      Sim.wait_until t.sim ~cat:Moncore.C_disk f.valid_at;
       touch t f;
       f.data <- data;
       f.dirty <- true;
@@ -196,8 +193,7 @@ let missing_strings t ~first ~count =
    very call issued is not a cache hit. *)
 let absorb t f =
   touch t f;
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-      Sim.wait_until t.sim f.valid_at);
+  Sim.wait_until t.sim ~cat:Moncore.C_disk f.valid_at;
   Sim.tick t.sim 3
 
 let read_range t ~first ~count =
@@ -312,10 +308,9 @@ let flush_all t =
   List.iter (fun (_, f) -> if f.dirty then clean_frame t f)
     (Tbl.sorted_bindings t.table);
   (* wait for in-flight write-behind too *)
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-      List.iter
-        (fun (_, f) -> Sim.wait_until t.sim f.durable_at)
-        (Tbl.sorted_bindings t.table))
+  List.iter
+    (fun (_, f) -> Sim.wait_until t.sim ~cat:Moncore.C_disk f.durable_at)
+    (Tbl.sorted_bindings t.table)
 
 let steal t n =
   let s = Sim.stats t.sim in

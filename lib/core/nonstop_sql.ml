@@ -146,9 +146,8 @@ let in_tx_retry ?(max_retries = 8) ?(backoff_us = 200.) node f =
     | None ->
         (* bounded exponential backoff, charged to the simulated clock so
            competing sessions restart at staggered, deterministic times *)
-        Moncore.with_cat (Sim.moncore node.sim) Moncore.C_await (fun () ->
-            Sim.charge node.sim
-              (backoff_us *. (2. ** float_of_int (min attempt 6))));
+        Sim.charge node.sim ~cat:Moncore.C_await
+          (backoff_us *. (2. ** float_of_int (min attempt 6)));
         go (attempt + 1)
   in
   go 0
@@ -257,18 +256,11 @@ let statement_kind = function
 (* the statement span is the root of a statement's operator tree; [?sql]
    carries the original text into the trace when the caller has it *)
 let exec_statement_traced ?sql s stmt =
-  let sim = s.node.sim in
-  if not (Trace.enabled sim) then exec_statement0 s stmt
-  else begin
-    let kind = statement_kind stmt in
-    let attrs =
-      match sql with None -> [] | Some q -> [ ("sql", Trace.Str q) ]
-    in
-    let sp = Trace.begin_span sim ~cat:"stmt" ~attrs kind in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish sim sp)
-      (fun () -> exec_statement0 s stmt)
-  end
+  Trace.span s.node.sim ~cat:"stmt"
+    ~attrs:(fun () ->
+      match sql with None -> [] | Some q -> [ ("sql", Trace.Str q) ])
+    (statement_kind stmt)
+    (fun _ -> exec_statement0 s stmt)
 
 (* the monitor brackets the whole statement: its elapsed time decomposes
    into per-category clock movement (deltas of the cumulative category

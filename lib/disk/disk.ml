@@ -7,6 +7,8 @@ module Trace = Nsql_trace.Trace
 type t = {
   sim : Sim.t;
   name : string;
+  lat_key : string;  (** this volume's latency histogram, "disk:<name>" *)
+  depth_key : string;  (** its depth-at-submission one, "diskq:<name>" *)
   mirrored : bool;
   mutable data : bytes array;  (** one [bytes] of [block_size] per block *)
   mutable nblocks : int;
@@ -37,6 +39,8 @@ let create ?mirrored sim ~name =
   {
     sim;
     name;
+    lat_key = "disk:" ^ name;
+    depth_key = "diskq:" ^ name;
     mirrored;
     data = [||];
     nblocks = 0;
@@ -159,8 +163,8 @@ let enqueue_io t ~first ~count =
   Moncore.add_busy mc Moncore.R_disk (completion -. start);
   Moncore.observe mc "disk" (completion -. Sim.now t.sim);
   Moncore.gauge_add mc Moncore.G_diskq 1;
-  Moncore.observe mc ("disk:" ^ t.name) (completion -. Sim.now t.sim);
-  Moncore.observe mc ("diskq:" ^ t.name) (float_of_int (live + 1));
+  Moncore.observe mc t.lat_key (completion -. Sim.now t.sim);
+  Moncore.observe mc t.depth_key (float_of_int (live + 1));
   completion
 
 let count_read t ~count ~prefetch =
@@ -261,8 +265,7 @@ let submit_write t ~first data =
    the wait run before the contents are observed). The sole blocking wait
    in this module. *)
 let complete t io =
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_disk (fun () ->
-      Sim.wait_until t.sim io.io_done);
+  Sim.wait_until t.sim ~cat:Moncore.C_disk io.io_done;
   ignore (retire t);
   let blocks =
     if io.io_read then fetch t ~first:io.io_first ~count:io.io_count

@@ -1476,12 +1476,11 @@ let flush_ckpt t req =
     if items <> [] then ckpt_emit t items
   end
 
+(* one span per dispatched request; a re-drive reusing a Subset Control
+   Block is marked, making SCB hits visible per operator *)
 let request_body t req =
-  if not (Trace.enabled t.sim) then run_request t req
-  else begin
-    (* one span per dispatched request; a re-drive reusing a Subset
-       Control Block is marked, making SCB hits visible per operator *)
-    let attrs =
+  Trace.span t.sim ~cat:"dp"
+    ~attrs:(fun () ->
       ("dp", Trace.Str t.dp_name)
       ::
       (match req with
@@ -1496,13 +1495,9 @@ let request_body t req =
       | R_rel_write _ | R_rel_rewrite _ | R_rel_delete _ | R_entry_append _
       | R_entry_read _ | R_get_first _ | R_update_subset_first _
       | R_delete_subset_first _ | R_insert_row _ | R_insert_block _
-      | R_apply_block _ | R_close_scb _ | R_record_count _ -> [])
-    in
-    let sp = Trace.begin_span t.sim ~cat:"dp" ~attrs (tag req) in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish t.sim sp)
-      (fun () -> run_request t req)
-  end
+      | R_apply_block _ | R_close_scb _ | R_record_count _ -> []))
+    (tag req)
+    (fun _ -> run_request t req)
 
 let request t req =
   (* service duration via the capture-aware clock: virtual under a nowait
@@ -1761,8 +1756,7 @@ let takeover t =
         t.replica <- None;
         (* rebuild cost: one message-handling quantum plus work linear in
            the replayed state *)
-        Moncore.with_cat (Sim.moncore t.sim) Moncore.C_ckpt (fun () ->
-            Sim.charge t.sim cfg.Config.msg_cpu_cost_us);
+        Sim.charge t.sim ~cat:Moncore.C_ckpt cfg.Config.msg_cpu_cost_us;
         Sim.tick t.sim (50 * !items);
         (* re-dispatch survivors: a waiter whose blocker never checkpointed
            re-parks against the restored lock table *)
@@ -1794,8 +1788,7 @@ let takeover t =
                          (t.dp_name ^ ": primary failed, state not checkpointed"))))
             end)
           parked;
-        Moncore.with_cat (Sim.moncore t.sim) Moncore.C_ckpt (fun () ->
-            Sim.charge t.sim cfg.Config.msg_cpu_cost_us));
+        Sim.charge t.sim ~cat:Moncore.C_ckpt cfg.Config.msg_cpu_cost_us);
     Ok ()
   end
 

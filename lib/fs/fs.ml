@@ -1160,7 +1160,7 @@ let scan_next_batch ?(tick = true) t sc =
 let drive_chains t f ~range ~span ~attrs ~first ~next ~step =
   let parts = Array.of_list (partition_ranges f range) in
   let par = fanout t && Array.length parts > 1 in
-  let run () =
+  let run (_ : Trace.h) =
     if par then begin
       let pending =
         Array.map (fun (p, prange) -> Some (send_nowait t p.p_dp (first p prange))) parts
@@ -1204,21 +1204,16 @@ let drive_chains t f ~range ~span ~attrs ~first ~next ~step =
       in
       per_partition 0
   in
-  if not (Trace.enabled t.sim) then run ()
-  else begin
-    let sp =
-      Trace.begin_span t.sim ~cat:"fs"
-        ~attrs:
-          ([
-             ("file", Trace.Str f.fname);
-             ("partitions", Trace.Int (Array.length parts));
-             ("parallel", Trace.Bool par);
-           ]
-          @ attrs)
-        (span ^ " " ^ f.fname)
-    in
-    Fun.protect ~finally:(fun () -> Trace.finish t.sim sp) run
-  end
+  Trace.span t.sim ~cat:"fs"
+    ~attrs:(fun () ->
+      [
+        ("file", Trace.Str f.fname);
+        ("partitions", Trace.Int (Array.length parts));
+        ("parallel", Trace.Bool par);
+      ]
+      @ attrs)
+    (span ^ " " ^ f.fname)
+    run
 
 (* UPDATE^SUBSET / DELETE^SUBSET chains: count the records processed *)
 let drive_subset t f ~range ~first ~next =

@@ -15,34 +15,6 @@ let clear sim = Moncore.clear (Sim.moncore sim) ~now:(Sim.now sim)
 let set_slice_us sim us = Moncore.set_slice_us (Sim.moncore sim) us
 let observe sim name v = Moncore.observe (Sim.moncore sim) name v
 
-(* --- per-statement decomposition ------------------------------------------
-
-   The caller brackets a statement with [stmt_begin]/[stmt_end]; the
-   difference of the per-category clock totals tiles the [Sim.now] delta
-   exactly (each total only ever grows by pieces of real clock advances,
-   and all clock values are binary-exact multiples of 0.25 us). *)
-
-type stmt_mark = { m_start : float; m_cats : float array }
-
-let stmt_begin sim : stmt_mark option =
-  let mc = Sim.moncore sim in
-  if not (Moncore.enabled mc) then None
-  else Some { m_start = Sim.now sim; m_cats = Moncore.cat_snapshot mc }
-
-let stmt_end sim mark ~name =
-  match mark with
-  | None -> ()
-  | Some { m_start; m_cats } ->
-      let mc = Sim.moncore sim in
-      let now = Sim.now sim in
-      let after = Moncore.cat_snapshot mc in
-      let cats =
-        Array.init Moncore.n_cats (fun i -> after.(i) -. m_cats.(i))
-      in
-      let elapsed = now -. m_start in
-      Moncore.note_stmt mc ~name ~start:m_start ~elapsed ~cats;
-      Moncore.observe mc "stmt" elapsed
-
 (* --- rendering ------------------------------------------------------------ *)
 
 let pp_us ppf us =
@@ -122,16 +94,11 @@ let pp_report ppf sim =
         Format.fprintf ppf " %s %.1f%%" name
           (if elapsed > 0. then 100. *. busy.(i) /. elapsed else 0.))
       Moncore.res_names;
+    let gauges = Moncore.gauge_snapshot mc in
     Format.fprintf ppf "@.gauges:";
-    List.iter
-      (fun (name, g) ->
-        Format.fprintf ppf " %s=%d" name (Moncore.gauge_value mc g))
-      [
-        ("outstanding", Moncore.G_outstanding);
-        ("parked", Moncore.G_parked);
-        ("locks", Moncore.G_locks);
-        ("diskq", Moncore.G_diskq);
-      ];
+    Array.iteri
+      (fun i name -> Format.fprintf ppf " %s=%d" name gauges.(i))
+      Moncore.gauge_names;
     Format.fprintf ppf "@.";
     (match Moncore.hists mc with
     | [] -> ()

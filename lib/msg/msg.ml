@@ -89,7 +89,7 @@ let charge_hop ?(cat = Moncore.C_msg) t ~from ~to_ bytes =
     distance_cost cfg ~from ~to_
     +. (float_of_int bytes *. cfg.Config.msg_per_byte_us)
   in
-  Moncore.with_cat (Sim.moncore t.sim) cat (fun () -> Sim.charge t.sim cost)
+  Sim.charge t.sim ~cat cost
 
 type raw_result = R_ready of string | R_deferred of deferral
 
@@ -110,14 +110,12 @@ let do_send t ~from ~tag e request =
       match filter ~from ~to_name:e.name ~tag with
       | Fault_pass -> ()
       | Fault_delay d ->
-          Moncore.with_cat (Sim.moncore t.sim) Moncore.C_msg (fun () ->
-              Sim.charge t.sim d)
+          Sim.charge t.sim ~cat:Moncore.C_msg d
       | Fault_path_retry d ->
           stats.Stats.msg_path_retries <- stats.Stats.msg_path_retries + 1;
           (* the failed attempt still cost a hop before the timeout *)
           charge_hop t ~from ~to_:e.processor (String.length request);
-          Moncore.with_cat (Sim.moncore t.sim) Moncore.C_msg (fun () ->
-              Sim.charge t.sim d)));
+          Sim.charge t.sim ~cat:Moncore.C_msg d));
   charge_hop t ~from ~to_:e.processor (String.length request);
   let ctx = { cc_from = from; cc_endpoint = e; cc_deferral = None } in
   let saved = t.current_call in
@@ -143,33 +141,26 @@ let do_send t ~from ~tag e request =
    reports the wait itself (cat-"lock" instants), keeping spans and clock
    charges aligned. *)
 let do_send_traced t ~from ~tag e request =
-  if not (Trace.enabled t.sim) then do_send t ~from ~tag e request
-  else begin
-    let sp =
-      Trace.begin_span t.sim ~cat:"msg"
-        ~attrs:
-          [
-            ("from", Str (Format.asprintf "%a" pp_processor from));
-            ("to", Str e.name);
-            ("dest", Str (Format.asprintf "%a" pp_processor e.processor));
-            ("req_bytes", Int (String.length request));
-            ("remote",
-             Bool (from.cpu <> e.processor.cpu || from.node <> e.processor.node));
-            ("internode", Bool (from.node <> e.processor.node));
-          ]
-        tag
-    in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish t.sim sp)
-      (fun () ->
-        match do_send t ~from ~tag e request with
-        | R_ready reply ->
-            Trace.add_attr sp "reply_bytes" (Int (String.length reply));
-            R_ready reply
-        | R_deferred d ->
-            Trace.add_attr sp "deferred" (Bool true);
-            R_deferred d)
-  end
+  Trace.span t.sim ~cat:"msg"
+    ~attrs:(fun () ->
+      [
+        ("from", Str (Format.asprintf "%a" pp_processor from));
+        ("to", Str e.name);
+        ("dest", Str (Format.asprintf "%a" pp_processor e.processor));
+        ("req_bytes", Int (String.length request));
+        ("remote",
+         Bool (from.cpu <> e.processor.cpu || from.node <> e.processor.node));
+        ("internode", Bool (from.node <> e.processor.node));
+      ])
+    tag
+    (fun sp ->
+      match do_send t ~from ~tag e request with
+      | R_ready reply ->
+          Trace.add_attr sp "reply_bytes" (Int (String.length reply));
+          R_ready reply
+      | R_deferred d ->
+          Trace.add_attr sp "deferred" (Bool true);
+          R_deferred d)
 
 (* --- deferred replies ---------------------------------------------------- *)
 
@@ -219,23 +210,23 @@ let pump_until_resolved t d =
       "Msg: blocking wait on a deferred reply under a clock capture";
   (* the requester is parked on a server-side lock queue: its wall time
      here is lock wait, whatever events happen to fire meanwhile *)
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_lockwait (fun () ->
-      let rec loop () =
-        match d.d_state with
-        | `Resolved (reply, done_at) ->
-            Sim.wait_until t.sim done_at;
-            reply
-        | `Waiting -> (
-            match Sim.next_event t.sim with
-            | None ->
-                Errors.fatal
-                  "Msg: deferred reply can never resolve (no pending events)"
-            | Some due ->
-                if due <= Sim.now t.sim then Sim.flush_events t.sim
-                else Sim.wait_until t.sim due;
-                loop ())
-      in
-      loop ())
+  let cat = Moncore.C_lockwait in
+  let rec loop () =
+    match d.d_state with
+    | `Resolved (reply, done_at) ->
+        Sim.wait_until t.sim ~cat done_at;
+        reply
+    | `Waiting -> (
+        match Sim.next_event t.sim with
+        | None ->
+            Errors.fatal
+              "Msg: deferred reply can never resolve (no pending events)"
+        | Some due ->
+            if due <= Sim.now t.sim then Sim.flush_events t.sim
+            else Sim.wait_until t.sim ~cat due;
+            loop ())
+  in
+  loop ()
 
 let send t ~from ~tag e request =
   match do_send_traced t ~from ~tag e request with
@@ -270,8 +261,7 @@ let await t c =
   Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_outstanding (-1);
   match c with
   | C_ready { c_reply; c_done_at } ->
-      Moncore.with_cat (Sim.moncore t.sim) Moncore.C_await (fun () ->
-          Sim.wait_until t.sim c_done_at);
+      Sim.wait_until t.sim ~cat:Moncore.C_await c_done_at;
       c_reply
   | C_pending d -> pump_until_resolved t d
 
@@ -289,8 +279,9 @@ let await_any t cs =
   (* earliest known completion wins; ties break to the lowest list index so
      the choice never depends on anything but the sim clock. While some
      completion is still parked, pump events one at a time — a pending
-     request may resolve earlier than the best already-known time. *)
-  Moncore.with_cat (Sim.moncore t.sim) Moncore.C_await @@ fun () ->
+     request may resolve earlier than the best already-known time. Every
+     wait in the loop is await time. *)
+  let cat = Moncore.C_await in
   let rec loop () =
     let best = ref None in
     List.iteri
@@ -311,7 +302,7 @@ let await_any t cs =
       cs;
     let pump_one due =
       if due <= Sim.now t.sim then Sim.flush_events t.sim
-      else Sim.wait_until t.sim due
+      else Sim.wait_until t.sim ~cat due
     in
     match !best with
     | Some (i, da, reply) -> (
@@ -322,7 +313,7 @@ let await_any t cs =
             pump_one due;
             loop ()
         | Some _ | None ->
-            Sim.wait_until t.sim da;
+            Sim.wait_until t.sim ~cat da;
             (i, reply))
     | None -> (
         match Sim.next_event t.sim with

@@ -5,11 +5,11 @@
    simulation — callers pass clock values in, and every entry point is a
    single [enabled] branch when monitoring is off. The simulated clock
    itself is attributed here: [Sim.advance_to] reports every real clock
-   movement through [clock_advance], tagged with the *category* current
-   at that instant ([with_cat] around charges and waits), so the
-   per-category totals tile [Sim.now] deltas exactly — every config time
-   constant is a binary-exact multiple of 0.25 us far below 2^52, so the
-   float additions that split an advance across categories and slice
+   movement through [clock_advance], tagged with the *category* named by
+   the charge or wait that caused it, so the per-category totals tile
+   [Sim.now] deltas exactly — every config time constant is a
+   binary-exact multiple of 0.25 us far below 2^52, so the float
+   additions that split an advance across categories and slice
    boundaries are exact.
 
    The same clock hook drives the time-sliced sampler: when an advance
@@ -19,8 +19,8 @@
    event is ever scheduled for sampling (a self-rescheduling sampler
    would keep [Sim.drain] alive forever and perturb event order). *)
 
-(* where a clock advance is charged; [C_other] is the default for any
-   movement no subsystem claimed *)
+(* where a clock advance is charged; [C_other] is for movement that
+   belongs to no subsystem (a driver's own think time) *)
 type cat = C_compute | C_msg | C_disk | C_lockwait | C_ckpt | C_await | C_other
 
 let n_cats = 7
@@ -79,12 +79,39 @@ type stmt = {
   st_cats : float array;  (* sums to [st_elapsed] exactly *)
 }
 
-let slice_cap = 8192
-let stmt_cap = 16384
+(* an append-only buffer capped at [cap] entries: the backing array
+   doubles as it fills, and appends past the cap are only counted *)
+type 'a capped = {
+  cap : int;
+  mutable items : 'a array;
+  mutable n : int;
+  mutable dropped : int;
+}
+
+let capped cap = { cap; items = [||]; n = 0; dropped = 0 }
+
+let capped_reset c =
+  c.items <- [||];
+  c.n <- 0;
+  c.dropped <- 0
+
+let capped_push c x =
+  if c.n >= c.cap then c.dropped <- c.dropped + 1
+  else begin
+    if c.n >= Array.length c.items then begin
+      let len = max 64 (2 * Array.length c.items) in
+      let a = Array.make (min len c.cap) x in
+      Array.blit c.items 0 a 0 c.n;
+      c.items <- a
+    end;
+    c.items.(c.n) <- x;
+    c.n <- c.n + 1
+  end
+
+let capped_list c = Array.to_list (Array.sub c.items 0 c.n)
 
 type t = {
   mutable enabled : bool;
-  mutable cat : cat;
   mutable start_now : float;  (* clock when enabled / cleared *)
   mutable last_now : float;  (* clock high-water mark seen by the hook *)
   mutable slice_us : float;
@@ -92,14 +119,10 @@ type t = {
   busy_us : float array;  (* per-resource totals since [start_now] *)
   gauges : int array;
   mutable cur : slice;
-  mutable slices : slice array;
-  mutable n_slices : int;
-  mutable dropped_slices : int;
+  slices : slice capped;
   mutable probe : (unit -> int array) option;
   hists : (string, Hist.t) Hashtbl.t;
-  mutable stmts : stmt array;
-  mutable n_stmts : int;
-  mutable dropped_stmts : int;
+  stmts : stmt capped;
 }
 
 let fresh_slice start =
@@ -114,7 +137,6 @@ let fresh_slice start =
 let create () =
   {
     enabled = false;
-    cat = C_other;
     start_now = 0.;
     last_now = 0.;
     slice_us = 10_000.;
@@ -122,14 +144,10 @@ let create () =
     busy_us = Array.make n_res 0.;
     gauges = Array.make n_gauges 0;
     cur = fresh_slice 0.;
-    slices = [||];
-    n_slices = 0;
-    dropped_slices = 0;
+    slices = capped 8192;
     probe = None;
     hists = Hashtbl.create 16;
-    stmts = [||];
-    n_stmts = 0;
-    dropped_stmts = 0;
+    stmts = capped 16384;
   }
 
 (* sim.create installs the stats probe; a monitor hook may already have
@@ -141,20 +159,15 @@ let creation_hook : (t -> unit) option ref = ref None
 let enabled t = t.enabled
 
 let clear t ~now =
-  t.cat <- C_other;
   t.start_now <- now;
   t.last_now <- now;
   Array.fill t.cat_us 0 n_cats 0.;
   Array.fill t.busy_us 0 n_res 0.;
   Array.fill t.gauges 0 n_gauges 0;
   t.cur <- fresh_slice now;
-  t.slices <- [||];
-  t.n_slices <- 0;
-  t.dropped_slices <- 0;
+  capped_reset t.slices;
   Hashtbl.reset t.hists;
-  t.stmts <- [||];
-  t.n_stmts <- 0;
-  t.dropped_stmts <- 0
+  capped_reset t.stmts
 
 let set_enabled t ~now on =
   if on && not t.enabled then clear t ~now;
@@ -166,35 +179,14 @@ let set_slice_us t us =
 
 (* --- clock attribution ---------------------------------------------------- *)
 
-let with_cat t c f =
-  if not t.enabled then f ()
-  else begin
-    let saved = t.cat in
-    t.cat <- c;
-    Fun.protect ~finally:(fun () -> t.cat <- saved) f
-  end
-
-let push_slice t sl =
-  if t.n_slices >= slice_cap then t.dropped_slices <- t.dropped_slices + 1
-  else begin
-    if t.n_slices >= Array.length t.slices then begin
-      let cap = max 64 (2 * Array.length t.slices) in
-      let a = Array.make (min cap slice_cap) sl in
-      Array.blit t.slices 0 a 0 t.n_slices;
-      t.slices <- a
-    end;
-    t.slices.(t.n_slices) <- sl;
-    t.n_slices <- t.n_slices + 1
-  end
-
 let close_slice t sl =
   sl.sl_gauges <- Array.copy t.gauges;
   (match t.probe with None -> () | Some f -> sl.sl_stats <- f ());
-  push_slice t sl
+  capped_push t.slices sl
 
-let clock_advance t ~from_ ~to_ =
+let clock_advance t ~cat ~from_ ~to_ =
   if t.enabled && to_ > from_ then begin
-    let ci = cat_index t.cat in
+    let ci = cat_index cat in
     let rec go from_ =
       let sl = t.cur in
       let slice_end = sl.sl_start +. t.slice_us in
@@ -247,20 +239,9 @@ let gauge_add t g d =
   end
 
 let note_stmt t ~name ~start ~elapsed ~cats =
-  if t.enabled then begin
-    if t.n_stmts >= stmt_cap then t.dropped_stmts <- t.dropped_stmts + 1
-    else begin
-      let st = { st_name = name; st_start = start; st_elapsed = elapsed; st_cats = cats } in
-      if t.n_stmts >= Array.length t.stmts then begin
-        let cap = max 64 (2 * Array.length t.stmts) in
-        let a = Array.make (min cap stmt_cap) st in
-        Array.blit t.stmts 0 a 0 t.n_stmts;
-        t.stmts <- a
-      end;
-      t.stmts.(t.n_stmts) <- st;
-      t.n_stmts <- t.n_stmts + 1
-    end
-  end
+  if t.enabled then
+    capped_push t.stmts
+      { st_name = name; st_start = start; st_elapsed = elapsed; st_cats = cats }
 
 (* --- reads ---------------------------------------------------------------- *)
 
@@ -269,13 +250,14 @@ let last_now t = t.last_now
 let slice_us t = t.slice_us
 let cat_snapshot t = Array.copy t.cat_us
 let busy_snapshot t = Array.copy t.busy_us
+let gauge_snapshot t = Array.copy t.gauges
 let gauge_value t g = t.gauges.(gauge_index g)
-let dropped_slices t = t.dropped_slices
-let dropped_stmts t = t.dropped_stmts
+let dropped_slices t = t.slices.dropped
+let dropped_stmts t = t.stmts.dropped
 
-let slices t = Array.to_list (Array.sub t.slices 0 t.n_slices)
+let slices t = capped_list t.slices
 let current_slice t = t.cur
-let stmts t = Array.to_list (Array.sub t.stmts 0 t.n_stmts)
+let stmts t = capped_list t.stmts
 
 let hist t name = Hashtbl.find_opt t.hists name
 

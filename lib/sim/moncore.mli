@@ -12,9 +12,11 @@
     totals tile [Sim.now] deltas {e exactly}: every config time constant
     is a binary-exact multiple of 0.25 us far below 2^52, so the float
     additions splitting an advance across categories and slices are
-    exact. [C_other] is the default for movement no subsystem claimed;
-    [C_await] is overlapped/idle waiting (nowait completions, backoff,
-    event drains) whose underlying work was charged under a capture. *)
+    exact. Every clock-moving [Sim] call names its category; [C_other]
+    is for movement that belongs to no subsystem (a driver's own think
+    time), and [C_await] is overlapped/idle waiting (nowait completions,
+    backoff, event drains) whose underlying work was charged under a
+    capture. *)
 type cat = C_compute | C_msg | C_disk | C_lockwait | C_ckpt | C_await | C_other
 
 val n_cats : int
@@ -79,14 +81,11 @@ val set_slice_us : t -> float -> unit
 (** Sampler slice width; must be a binary-exact positive value (the
     default 10_000. is) or boundary apportioning loses exactness. *)
 
-val with_cat : t -> cat -> (unit -> 'a) -> 'a
-(** Run [f] with clock advances attributed to the category; restores
-    the previous category on exit. A no-op branch when disabled. *)
-
-val clock_advance : t -> from_:float -> to_:float -> unit
-(** The [Sim.advance_to] hook: attribute real clock movement to the
-    current category and the open slice, closing slices (gauge sample +
-    stats probe) at every boundary crossed. Never schedules anything. *)
+val clock_advance : t -> cat:cat -> from_:float -> to_:float -> unit
+(** The [Sim.advance_to] hook: attribute real clock movement to [cat]
+    (the category the causing charge or wait named) and to the open
+    slice, closing slices (gauge sample + stats probe) at every boundary
+    crossed. Never schedules anything. *)
 
 val observe : t -> string -> float -> unit
 (** Record a duration into the named histogram ("stmt", "dp", "disk",
@@ -103,6 +102,7 @@ val last_now : t -> float
 val slice_us : t -> float
 val cat_snapshot : t -> float array
 val busy_snapshot : t -> float array
+val gauge_snapshot : t -> int array
 val gauge_value : t -> gauge -> int
 val dropped_slices : t -> int
 val dropped_stmts : t -> int

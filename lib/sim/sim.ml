@@ -67,43 +67,42 @@ let fire_due t =
     Fun.protect ~finally:(fun () -> t.firing <- false) loop
   end
 
-let advance_to t when_ =
-  (* step through intermediate event times so each event sees a clock that
-     has just reached its due time; these two assignments are the only
-     places [t.now] moves, so reporting them to the monitor here makes
-     the per-category clock attribution exhaustive by construction *)
-  let rec loop () =
-    match Nsql_util.Heap.min_prio t.events with
-    | Some due when due <= when_ && due > t.now ->
-        Moncore.clock_advance t.moncore ~from_:t.now ~to_:due;
-        t.now <- due;
-        fire_due t;
-        loop ()
-    | _ ->
-        if when_ > t.now then begin
-          Moncore.clock_advance t.moncore ~from_:t.now ~to_:when_;
-          t.now <- when_
-        end;
-        fire_due t
-  in
-  loop ()
+(* step through intermediate event times so each event sees a clock that
+   has just reached its due time; these two assignments are the only
+   places [t.now] moves, so reporting them to the monitor here makes the
+   per-category clock attribution exhaustive by construction. Every step
+   is charged to [cat]: a handler that moves the clock names its own
+   category, and the advance then carries on under [cat]. *)
+let rec advance_to t ~cat when_ =
+  match Nsql_util.Heap.min_prio t.events with
+  | Some due when due <= when_ && due > t.now ->
+      Moncore.clock_advance t.moncore ~cat ~from_:t.now ~to_:due;
+      t.now <- due;
+      fire_due t;
+      advance_to t ~cat when_
+  | _ ->
+      if when_ > t.now then begin
+        Moncore.clock_advance t.moncore ~cat ~from_:t.now ~to_:when_;
+        t.now <- when_
+      end;
+      fire_due t
 
-let charge t us =
+let charge t ~cat us =
   if us > 0. then
     match t.capture with
-    | None -> advance_to t (t.now +. us)
+    | None -> advance_to t ~cat (t.now +. us)
     | Some c -> c.cap_accum <- c.cap_accum +. us
 
 let tick t n =
   if n > 0 then begin
     t.stats.Stats.cpu_ticks <- t.stats.Stats.cpu_ticks + n;
-    Moncore.with_cat t.moncore Moncore.C_compute (fun () ->
-        charge t (float_of_int n *. t.config.Config.cpu_tick_us))
+    charge t ~cat:Moncore.C_compute
+      (float_of_int n *. t.config.Config.cpu_tick_us)
   end
 
-let wait_until t when_ =
+let wait_until t ~cat when_ =
   match t.capture with
-  | None -> if when_ > t.now then advance_to t when_
+  | None -> if when_ > t.now then advance_to t ~cat when_
   | Some c ->
       if when_ -. c.cap_base > c.cap_accum then
         c.cap_accum <- when_ -. c.cap_base
@@ -133,16 +132,12 @@ let next_event t = Nsql_util.Heap.min_prio t.events
 
 let in_capture t = t.capture <> None
 
-let drain t =
-  Moncore.with_cat t.moncore Moncore.C_await (fun () ->
-      let rec loop () =
-        match Nsql_util.Heap.min_prio t.events with
-        | None -> ()
-        | Some due ->
-            advance_to t (max due t.now);
-            loop ()
-      in
-      loop ())
+let rec drain t =
+  match Nsql_util.Heap.min_prio t.events with
+  | None -> ()
+  | Some due ->
+      advance_to t ~cat:Moncore.C_await (max due t.now);
+      drain t
 
 let snapshot t = Stats.copy t.stats
 

@@ -19,11 +19,12 @@ val tracer : t -> Tracer.t
 
 (** The world's monitor storage (see {!Moncore}); disabled at creation.
     Drive it through the high-level [Nsql_monitor.Monitor] API. While
-    enabled, every real clock advance is attributed to the current
-    {!Moncore.cat} and apportioned across sampler slices — [tick] runs
-    under [C_compute], [drain] under [C_await], and subsystems wrap
-    their own charges — so per-category totals tile [now] deltas
-    exactly. Bit-identical results, stats, and clock either way. *)
+    enabled, every real clock advance is attributed to the
+    {!Moncore.cat} its clock call names and apportioned across sampler
+    slices — [tick] charges [C_compute], [drain] charges [C_await], and
+    [charge] and [wait_until] take the category as an argument — so
+    per-category totals tile [now] deltas exactly. Bit-identical
+    results, stats, and clock either way. *)
 val moncore : t -> Moncore.t
 
 (** [now t] is the current simulated time in microseconds. *)
@@ -33,12 +34,15 @@ val now : t -> float
     clock by [n * cpu_tick_us], firing any events that come due. *)
 val tick : t -> int -> unit
 
-(** [charge t us] advances the clock by [us] microseconds. *)
-val charge : t -> float -> unit
+(** [charge t ~cat us] advances the clock by [us] microseconds, charged
+    to [cat]. An event handler fired on the way charges its own clock
+    calls to their own categories; the rest of the advance stays [cat]. *)
+val charge : t -> cat:Moncore.cat -> float -> unit
 
-(** [wait_until t when_] advances the clock to at least [when_]. Used when a
-    synchronous operation must wait for an asynchronous completion. *)
-val wait_until : t -> float -> unit
+(** [wait_until t ~cat when_] advances the clock to at least [when_],
+    charged to [cat] like {!charge}. Used when a synchronous operation
+    must wait for an asynchronous completion. *)
+val wait_until : t -> cat:Moncore.cat -> float -> unit
 
 (** [schedule t ~at f] registers [f] to fire when the clock reaches [at].
     Events scheduled at or before the current time fire on the next clock

@@ -142,51 +142,6 @@ let map2 f a b =
 let diff ~before ~after = map2 (fun a b -> a - b) after before
 let add a b = map2 ( + ) a b
 
-let reset t =
-  let z = create () in
-  t.msgs_sent <- z.msgs_sent;
-  t.msg_req_bytes <- 0;
-  t.msg_reply_bytes <- 0;
-  t.msgs_remote <- 0;
-  t.msgs_internode <- 0;
-  t.checkpoint_msgs <- 0;
-  t.checkpoint_bytes <- 0;
-  t.disk_reads <- 0;
-  t.disk_writes <- 0;
-  t.blocks_read <- 0;
-  t.blocks_written <- 0;
-  t.bulk_reads <- 0;
-  t.bulk_writes <- 0;
-  t.prefetch_reads <- 0;
-  t.writebehind_writes <- 0;
-  t.cache_hits <- 0;
-  t.cache_misses <- 0;
-  t.cache_steals <- 0;
-  t.cpu_ticks <- 0;
-  t.lock_requests <- 0;
-  t.lock_conflicts <- 0;
-  t.lock_waits <- 0;
-  t.deadlocks <- 0;
-  t.audit_records <- 0;
-  t.audit_bytes <- 0;
-  t.audit_flushes <- 0;
-  t.audit_flush_full <- 0;
-  t.audit_flush_timer <- 0;
-  t.group_commit_txs <- 0;
-  t.tx_begun <- 0;
-  t.tx_committed <- 0;
-  t.tx_aborted <- 0;
-  t.records_read <- 0;
-  t.records_returned <- 0;
-  t.exec_batches <- 0;
-  t.exec_rows <- 0;
-  t.redrives <- 0;
-  t.faults_injected <- 0;
-  t.msg_path_retries <- 0;
-  t.disk_transient_errors <- 0;
-  t.takeovers <- 0;
-  t.takeover_denials <- 0
-
 let to_assoc t =
   [
     ("msgs_sent", t.msgs_sent);

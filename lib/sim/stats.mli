@@ -68,8 +68,6 @@ val add : t -> t -> t
     counter is added — tests exploit that to check {!pp} completeness. *)
 val map2 : (int -> int -> int) -> t -> t -> t
 
-val reset : t -> unit
-
 val pp : Format.formatter -> t -> unit
 
 (** [pp_brief] prints only the message/IO counters that the experiments

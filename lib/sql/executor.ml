@@ -44,13 +44,8 @@ let pp_rowset ppf rs =
 (* a traced operator span around [f]; both engines open the same span
    names and attributes, so profiles are comparable across engines *)
 let op_span ctx name attrs f =
-  if not (Trace.enabled ctx.sim) then f (fun _ -> ())
-  else begin
-    let sp = Trace.begin_span ctx.sim ~cat:"op" ~attrs name in
-    Fun.protect
-      ~finally:(fun () -> Trace.finish ctx.sim sp)
-      (fun () -> f (fun out -> List.iter (fun (k, v) -> Trace.add_attr sp k v) out))
-  end
+  Trace.span ctx.sim ~cat:"op" ~attrs:(fun () -> attrs) name (fun sp ->
+      f (fun out -> List.iter (fun (k, v) -> Trace.add_attr sp k v) out))
 
 (* --- base-table access paths ------------------------------------------------ *)
 

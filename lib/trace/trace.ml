@@ -33,6 +33,13 @@ let finish sim (h : h) =
       Tracer.finish (Sim.tracer sim) sp ~now:(Sim.now sim)
         ~after:(Sim.snapshot sim)
 
+let span sim ?cat ~attrs name f =
+  if not (Tracer.enabled (Sim.tracer sim)) then f None
+  else begin
+    let h = begin_span sim ?cat ~attrs:(attrs ()) name in
+    Fun.protect ~finally:(fun () -> finish sim h) (fun () -> f h)
+  end
+
 let instant sim ?tid ?(cat = "misc") ?(attrs = []) name =
   let tr = Sim.tracer sim in
   if Tracer.enabled tr then

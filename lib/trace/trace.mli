@@ -14,9 +14,10 @@
     a run with tracing off; test/test_trace.ml enforces this. When tracing
     is disabled every entry point below costs a single branch.
 
-    Every {!begin_span} handle must reach {!finish} (the [RES-LEAK] lint
-    rule flags handles that are dropped or never finished); finish under
-    [Fun.protect ~finally] where a raise can cut the span short. *)
+    A span with lexical extent opens through {!span}, which finishes it
+    on every exit. Every other {!begin_span} handle must reach {!finish}
+    (the [RES-LEAK] lint rule flags handles that are dropped or never
+    finished). *)
 
 type value = Nsql_sim.Tracer.value =
   | Int of int
@@ -51,6 +52,19 @@ val begin_span :
     {!add_stats} was used, its counter delta becomes the begin/end window
     diff. Idempotent; [None] is a no-op. *)
 val finish : Nsql_sim.Sim.t -> h -> unit
+
+(** [span sim ~attrs name f] runs [f] inside a span with the lexical
+    extent of the call: the span begins before [f] runs and finishes when
+    [f] returns or raises. [f] receives the handle, for late
+    {!add_attr} calls. [attrs] is called only when tracing is on; when it
+    is off, [f] gets [None] and the bracket costs one branch. *)
+val span :
+  Nsql_sim.Sim.t ->
+  ?cat:string ->
+  attrs:(unit -> (string * value) list) ->
+  string ->
+  (h -> 'a) ->
+  'a
 
 (** Zero-duration event (cache hit, lock wait, SCB reuse). *)
 val instant :

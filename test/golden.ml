@@ -19,6 +19,7 @@ module Wisconsin = Nsql_workload.Wisconsin
 module Debitcredit = Nsql_workload.Debitcredit
 module Chaos = Nsql_chaos.Chaos
 module Trace = Nsql_trace.Trace
+module Moncore = Nsql_sim.Moncore
 
 let get_ok = Errors.get_ok
 
@@ -86,6 +87,25 @@ let cold_scans ?config () =
   ignore (N.exec_exn s "SELECT COUNT(*), MIN(unique2) FROM t WHERE two = 1");
   Sim.drain (N.sim node);
   fingerprint node
+
+(* a blocking INSERT parked on a DP lock queue behind an open transaction
+   until its wait budget runs out: the requester pumps events while it
+   waits, the one path whose clock moves under [C_lockwait] *)
+let lock_timeout () =
+  let config =
+    Config.v ~dp_lock_wait:true ~lock_wait_timeout_us:150_000. ()
+  in
+  let node = N.create_node ~config ~volumes:2 () in
+  let s1 = N.session node and s2 = N.session node in
+  ignore (N.exec_exn s1 "CREATE TABLE a (k INT PRIMARY KEY, v INT NOT NULL)");
+  ignore (N.exec_exn s1 "INSERT INTO a VALUES (1, 0)");
+  ignore (N.exec_exn s1 "BEGIN");
+  ignore (N.exec_exn s1 "UPDATE a SET v = 1 WHERE k = 1");
+  (match N.exec s2 "INSERT INTO a VALUES (1, 5)" with
+  | Error _ -> ()
+  | Ok _ -> failwith "lock_timeout: the parked INSERT went through");
+  ignore (N.exec_exn s1 "COMMIT");
+  Sim.drain (N.sim node)
 
 (* chaos runs whose plans include audit stalls, disk transients and VM
    pressure (seeds 6 and 12 carry all three): pins the repaired
@@ -175,6 +195,43 @@ let redrive_scenarios =
     ("indexed", indexed);
   ]
 
+(* --- category-split fingerprints -----------------------------------------
+
+   A scenario re-run with the monitor enabled in every world it creates,
+   fingerprinted by each world's seven per-category totals of simulated
+   time. The monitor never perturbs results, stats or the clock, so the
+   scenario's own constant still holds under it. These pin which category
+   every clock advance lands in: a misfiled advance still tiles the clock
+   exactly, so the tiling tests cannot see it. *)
+let cat_split scenario () =
+  let worlds = ref [] in
+  let saved = !Moncore.creation_hook in
+  Moncore.creation_hook :=
+    Some
+      (fun mc ->
+        Moncore.set_enabled mc ~now:0. true;
+        worlds := mc :: !worlds);
+  Fun.protect
+    ~finally:(fun () -> Moncore.creation_hook := saved)
+    (fun () -> ignore (scenario ()));
+  String.concat "|"
+    (List.rev_map
+       (fun mc ->
+         String.concat ";"
+           (Array.to_list
+              (Array.mapi
+                 (fun i us -> Printf.sprintf "%s=%.3f" Moncore.cat_names.(i) us)
+                 (Moncore.cat_snapshot mc))))
+       !worlds)
+
+let cat_scenarios =
+  [
+    ("queries", cat_split (fun () -> queries ()));
+    ("transfers", cat_split (fun () -> transfers ()));
+    ("cold_scans", cat_split (fun () -> cold_scans ()));
+    ("lock_timeout", cat_split lock_timeout);
+  ]
+
 (* --- captured constants (regenerate with the PR-10 capture driver) --- *)
 
 let golden_queries =
@@ -204,3 +261,18 @@ let golden_queries_pull =
    scan handles *)
 let golden_indexed =
   "msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1723093.500000;rows=d4f11169d6617aa58907b5db80865e77;trace=60562b48dc26f064f12dea9456ad4e84|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77;trace=8bbd5952fd084950cd8999132ddf87ec|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77;trace=99f49906b4dd692282c290e47dfb3257"
+
+(* captured before the clock category became an argument of [Sim]'s clock
+   calls (see [cat_scenarios]) *)
+
+let golden_cats_queries =
+  "compute=35623.000;msg=83904.500;disk=58200.000;lock_wait=0.000;ckpt=67912.000;await=228947.000;other=0.000"
+
+let golden_cats_transfers =
+  "compute=2945.000;msg=12292.000;disk=93800.000;lock_wait=0.000;ckpt=95460.500;await=2442743.500;other=0.000"
+
+let golden_cats_cold_scans =
+  "compute=287936.000;msg=528662.500;disk=885400.000;lock_wait=0.000;ckpt=488184.000;await=965047.500;other=0.000"
+
+let golden_cats_lock_timeout =
+  "compute=369.000;msg=7057.000;disk=27200.000;lock_wait=151013.500;ckpt=8105.000;await=90000.000;other=0.000"

@@ -2,6 +2,7 @@
    (group commit, timers, WAL force, read-back). *)
 
 module Sim = Nsql_sim.Sim
+module Moncore = Nsql_sim.Moncore
 module Stats = Nsql_sim.Stats
 module Config = Nsql_sim.Config
 module Disk = Nsql_disk.Disk
@@ -187,14 +188,14 @@ let adaptive_timer_tracks_rate () =
   let sim, trail = setup () in
   (* rapid commits: timer should shrink towards the clamp *)
   for tx = 1 to 50 do
-    Sim.charge sim 100.;
+    Sim.charge sim ~cat:Moncore.C_other 100.;
     let lsn = Trail.append trail ~tx Ar.Commit_tx in
     Trail.request_commit trail ~tx lsn
   done;
   let fast_timer = Trail.current_timer_us trail in
   (* slow commits: timer should grow *)
   for tx = 51 to 70 do
-    Sim.charge sim 40_000.;
+    Sim.charge sim ~cat:Moncore.C_other 40_000.;
     let lsn = Trail.append trail ~tx Ar.Commit_tx in
     Trail.request_commit trail ~tx lsn
   done;

@@ -188,6 +188,49 @@ let export_deterministic () =
            has "\"ph\":\"C\"" ev)
          c1)
 
+(* an event handler fired during a wait charges under its own category;
+   the wait then carries on under its category, so the advance splits
+   exactly between the two *)
+let handler_charges_own_category () =
+  let sim = Sim.create () in
+  Monitor.set_enabled sim true;
+  let mc = Sim.moncore sim in
+  let t0 = Sim.now sim in
+  Sim.schedule sim ~at:(t0 +. 50.) (fun () ->
+      Sim.charge sim ~cat:Moncore.C_disk 30.);
+  Sim.wait_until sim ~cat:Moncore.C_await (t0 +. 100.);
+  let cats = Moncore.cat_snapshot mc in
+  let cat c = cats.(Moncore.cat_index c) in
+  Alcotest.(check (float 0.)) "clock reached the wait target" (t0 +. 100.)
+    (Sim.now sim);
+  Alcotest.(check (float 0.)) "await outside the handler" 70.
+    (cat Moncore.C_await);
+  Alcotest.(check (float 0.)) "disk inside the handler" 30.
+    (cat Moncore.C_disk);
+  Alcotest.(check (float 0.)) "categories tile the clock" (Sim.now sim -. t0)
+    (Array.fold_left ( +. ) 0. cats)
+
+(* a handler that raises out of a wait leaves no category behind: the
+   next charge lands in its own category and the totals still tile *)
+let raising_handler_keeps_split () =
+  let sim = Sim.create () in
+  Monitor.set_enabled sim true;
+  let mc = Sim.moncore sim in
+  let t0 = Sim.now sim in
+  Sim.schedule sim ~at:(t0 +. 50.) (fun () -> failwith "handler");
+  (match Sim.wait_until sim ~cat:Moncore.C_await (t0 +. 100.) with
+  | () -> Alcotest.fail "the handler's exception was lost"
+  | exception Failure _ -> ());
+  Sim.charge sim ~cat:Moncore.C_disk 30.;
+  let cats = Moncore.cat_snapshot mc in
+  let cat c = cats.(Moncore.cat_index c) in
+  Alcotest.(check (float 0.)) "await up to the raise" 50.
+    (cat Moncore.C_await);
+  Alcotest.(check (float 0.)) "the next charge lands in disk" 30.
+    (cat Moncore.C_disk);
+  Alcotest.(check (float 0.)) "categories tile the clock" (Sim.now sim -. t0)
+    (Array.fold_left ( +. ) 0. cats)
+
 (* --- histogram properties (QCheck) --------------------------------------- *)
 
 (* durations spread across the full bucket range: ~2^-7 us to ~2^33 us *)
@@ -253,6 +296,23 @@ let merge_associative =
       let whole = hist_of (la @ lb @ lc) in
       hists_equal m1 m2 && hists_equal m1 whole)
 
+(* the category split of the golden scenarios, captured at the commit
+   before [Sim]'s clock calls took their category as an argument *)
+let golden_cats =
+  List.map2
+    (fun (name, run) expected ->
+      Alcotest.test_case ("golden category split: " ^ name) `Quick (fun () ->
+          Alcotest.(check string)
+            (name ^ ": per-category totals reproduced")
+            expected (run ())))
+    Golden.cat_scenarios
+    [
+      Golden.golden_cats_queries;
+      Golden.golden_cats_transfers;
+      Golden.golden_cats_cold_scans;
+      Golden.golden_cats_lock_timeout;
+    ]
+
 let suite =
   [
     Alcotest.test_case "monitoring is observation-free" `Quick
@@ -265,6 +325,11 @@ let suite =
       gauges_quiesce;
     Alcotest.test_case "exports are byte-identical per seed" `Quick
       export_deterministic;
+    Alcotest.test_case "an event handler charges under its own category"
+      `Quick handler_charges_own_category;
+    Alcotest.test_case "a raising handler leaves the split intact" `Quick
+      raising_handler_keeps_split;
     QCheck_alcotest.to_alcotest quantile_vs_reference;
     QCheck_alcotest.to_alcotest merge_associative;
   ]
+  @ golden_cats

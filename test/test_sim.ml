@@ -3,6 +3,7 @@
 
 module Heap = Nsql_util.Heap
 module Sim = Nsql_sim.Sim
+module Moncore = Nsql_sim.Moncore
 module Stats = Nsql_sim.Stats
 module Config = Nsql_sim.Config
 module Msg = Nsql_msg.Msg
@@ -41,7 +42,7 @@ let heap_property =
 let clock_advances () =
   let sim = Sim.create () in
   Alcotest.(check (float 0.)) "starts at 0" 0. (Sim.now sim);
-  Sim.charge sim 100.;
+  Sim.charge sim ~cat:Moncore.C_other 100.;
   Alcotest.(check (float 0.)) "charge" 100. (Sim.now sim);
   Sim.tick sim 50;
   Alcotest.(check (float 0.)) "ticks move clock" 150. (Sim.now sim);
@@ -53,7 +54,7 @@ let events_fire_in_order () =
   Sim.schedule sim ~at:50. (fun () -> log := "b" :: !log);
   Sim.schedule sim ~at:10. (fun () -> log := "a" :: !log);
   Sim.schedule sim ~at:90. (fun () -> log := "c" :: !log);
-  Sim.charge sim 60.;
+  Sim.charge sim ~cat:Moncore.C_other 60.;
   Alcotest.(check (list string)) "due events fired" [ "a"; "b" ] (List.rev !log);
   Sim.drain sim;
   Alcotest.(check (list string)) "drained" [ "a"; "b"; "c" ] (List.rev !log);

@@ -3,13 +3,14 @@
    byte-identical per seed, nesting stays well-formed under chaos faults,
    and the profile's per-operator / per-leg counters tile the statement's
    global Stats.diff exactly. Plus Stats.pp completeness: every field of
-   Stats.t must reach to_assoc (and so pp). *)
+   Stats.t must reach to_assoc (and so pp), and the [Trace.span] bracket. *)
 
 module N = Nsql_core.Nonstop_sql
 module Sim = Nsql_sim.Sim
 module Stats = Nsql_sim.Stats
 module Config = Nsql_sim.Config
 module Tracer = Nsql_sim.Tracer
+module Moncore = Nsql_sim.Moncore
 module Trace = Nsql_trace.Trace
 module Errors = Nsql_util.Errors
 module Wisconsin = Nsql_workload.Wisconsin
@@ -186,6 +187,40 @@ let stats_pp_complete () =
         (contains name rendered))
     (Stats.to_assoc ones)
 
+(* the lexical span bracket: with tracing off the body runs without a
+   handle and the attributes are never built; with it on they come first,
+   a late [add_attr] lands after them, and a raise still finishes the span
+   at the instant it escaped *)
+let span_bracket () =
+  let sim = Sim.create () in
+  let built = ref 0 in
+  let attrs () =
+    incr built;
+    [ ("k", Trace.Int 1) ]
+  in
+  Alcotest.(check bool) "off: the body gets no handle" true
+    (Trace.span sim ~attrs "off" (fun h -> h = None));
+  Alcotest.(check int) "off: attributes never built" 0 !built;
+  Trace.set_enabled sim true;
+  (match
+     Trace.span sim ~cat:"t" ~attrs "on" (fun h ->
+         Trace.add_attr h "late" (Trace.Bool true);
+         Sim.charge sim ~cat:Moncore.C_other 10.;
+         failwith "body")
+   with
+  | () -> Alcotest.fail "the body's exception was lost"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "on: attributes built once" 1 !built;
+  match Trace.take sim with
+  | [ sp ] ->
+      Alcotest.(check (list string)) "attributes, then the late one"
+        [ "k"; "late" ]
+        (List.map fst sp.Tracer.sp_attrs);
+      Alcotest.(check bool) "finished on the raise" false sp.Tracer.sp_open;
+      Alcotest.(check (float 0.)) "ends where the raise escaped" 10.
+        (sp.Tracer.sp_end -. sp.Tracer.sp_start)
+  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
+
 let suite =
   [
     Alcotest.test_case "tracing is observation-free" `Quick zero_perturbation;
@@ -195,4 +230,6 @@ let suite =
       exact_attribution;
     QCheck_alcotest.to_alcotest chaos_nesting;
     Alcotest.test_case "Stats.pp renders every field" `Quick stats_pp_complete;
+    Alcotest.test_case "the span bracket finishes on every exit" `Quick
+      span_bracket;
   ]
