@@ -1382,11 +1382,9 @@ let e22_batched_executor =
   experiment "e22"
     "push-based batched executor: reply buffers as operator batches"
     "the File System already receives whole VSBB reply buffers; the \
-     batched engine keeps each buffer intact as one operator-exchange \
-     batch — tight array loops inside every operator, no per-record \
-     closure call or list cons at operator boundaries — while query \
-     results, message counts, reply bytes and the simulated clock stay \
-     byte-identical to the row-at-a-time pull engine"
+     executor keeps each buffer intact as one operator-exchange batch — \
+     tight array loops inside every operator, no per-record closure call \
+     or list cons at operator boundaries"
   @@ fun () ->
   let rows = 10_000 in
   let sql =
@@ -1394,29 +1392,26 @@ let e22_batched_executor =
      BY onepercent"
   in
   let reps = 25 in
-  let run batched =
-    let config = Config.v ~exec_batch:batched () in
-    let node, s = wisconsin_node ~config rows in
-    (* first execution warms the cache and keeps the rowset for the gate *)
-    let first = query s sql in
-    let _, delta, sim_us = timed node (fun () -> ignore (N.exec_exn s sql)) in
-    (* one traced run for the per-operator span profile *)
-    let (), spans = traced (N.sim node) (fun () -> ignore (N.exec_exn s sql)) in
-    (* host-CPU throughput over repeated executions of the same query *)
-    let host_s = host_time reps (fun () -> N.exec_exn s sql) in
-    (first, delta, sim_us, spans, float_of_int (reps * rows) /. host_s)
+  let node, s = wisconsin_node rows in
+  (* first execution warms the cache and keeps the rowset for the check *)
+  let first = query s sql in
+  let (), d_bat = N.measure node (fun () -> ignore (N.exec_exn s sql)) in
+  (* one traced run for the per-operator span profile *)
+  let (), sp_bat = traced (N.sim node) (fun () -> ignore (N.exec_exn s sql)) in
+  (* host-CPU throughput over repeated executions of the same query *)
+  let rps_bat =
+    float_of_int (reps * rows) /. host_time reps (fun () -> N.exec_exn s sql)
   in
-  let r_pull, d_pull, t_pull, sp_pull, rps_pull = run false in
-  let r_bat, d_bat, t_bat, sp_bat, rps_bat = run true in
-  (* the regression gate: the batch boundary is the existing VSBB reply,
-     so nothing observable may move *)
-  assert (r_pull = r_bat);
-  assert (d_pull.Stats.msgs_sent = d_bat.Stats.msgs_sent);
-  assert (d_pull.Stats.msg_req_bytes = d_bat.Stats.msg_req_bytes);
-  assert (d_pull.Stats.msg_reply_bytes = d_bat.Stats.msg_reply_bytes);
-  assert (d_pull.Stats.exec_batches = d_bat.Stats.exec_batches);
-  assert (d_pull.Stats.exec_rows = d_bat.Stats.exec_rows);
-  assert (t_pull = t_bat);
+  (* the answer itself: 100 groups whose counts cover every row and whose
+     SUM(unique1) values add up to 0 + 1 + ... + 9999 *)
+  let column i =
+    List.fold_left
+      (fun acc r -> match r.(i) with Row.Vint n -> acc + n | _ -> assert false)
+      0 first.N.Executor.rows
+  in
+  assert (List.length first.N.Executor.rows = 100);
+  assert (column 1 = rows);
+  assert (column 2 = rows * (rows - 1) / 2);
   (* the operator chain, from the planner's descriptor API *)
   printf "operator chain (planner descriptors):@.";
   let chain_node, _ = wisconsin_node 8 in
@@ -1429,35 +1424,29 @@ let e22_batched_executor =
             (Nsql_sql.Planner.operators plan)
       | Error _ -> assert false)
   | _ -> assert false);
-  printf "@.per-operator span profile, pull engine:@.%a@."
-    (Trace.pp_profile ~cats:[ "op" ]) sp_pull;
-  printf "per-operator span profile, batched engine:@.%a@."
+  printf "@.per-operator span profile:@.%a@."
     (Trace.pp_profile ~cats:[ "op" ]) sp_bat;
   let rows_per_batch = ratio d_bat.Stats.exec_rows d_bat.Stats.exec_batches in
   let cols = [ -22; 10; 12; 10; 12 ] in
   row cols [ "engine"; "messages"; "reply bytes"; "batches"; "records/s" ];
-  let line name { Stats.msgs_sent; msg_reply_bytes; exec_batches; _ } rps =
-    row cols
-      [
-        name; num msgs_sent; num msg_reply_bytes; num exec_batches;
-        fixed 0 rps;
-      ]
-  in
-  line "pull (row-at-a-time)" d_pull rps_pull;
-  line "batched" d_bat rps_bat;
+  row cols
+    [
+      "batched"; num d_bat.Stats.msgs_sent; num d_bat.Stats.msg_reply_bytes;
+      num d_bat.Stats.exec_batches; fixed 0 rps_bat;
+    ];
   printf
-    "@.%.1f rows per batch; end-to-end host speedup %.2fx — the end-to-end \
-     figure is dominated by the simulated storage stack below the \
-     executor, which both engines drive identically@."
-    rows_per_batch (rps_bat /. rps_pull);
+    "@.%.1f rows per batch; the end-to-end figure is dominated by the \
+     simulated storage stack below the executor@."
+    rows_per_batch;
   (* --- operator-pipeline throughput --------------------------------- *)
   (* The refactor's target is the per-record cost inside the executor's
      operator chain, so measure exactly that: the same
      filter→project→aggregate pipeline over the same materialized scan
-     output (the real VSBB reply batches), once with the pull engine's
-     per-row list shapes and once with the batched engine's array loops.
-     The storage stack is out of the picture; every simulated charge the
-     engines make (5 ticks per grouped row, 2 per emitted row) stays in. *)
+     output (the real VSBB reply batches), once with the per-row list
+     shapes of the retired pull engine and once with the executor's array
+     loops. The storage stack is out of the picture; every simulated
+     charge the engines make (5 ticks per grouped row, 2 per emitted row)
+     stays in. *)
   let filter_pred = Expr.(Cmp (Ge, Field 1, int_ 0)) in
   let key_exprs = [ Expr.Field 6 ] in
   let key0 = Expr.Field 6 in
@@ -1473,7 +1462,7 @@ let e22_batched_executor =
   let proj_exprs = [ Expr.Field 0; Expr.Field 1; Expr.Field 2; Expr.Field 3 ] in
   let finish spec acc = Dp_msg.finish_acc spec.Dp_msg.ag_kind acc in
   let feeds = List.map Dp_msg.feeder specs in
-  (* the pull engine's shapes: a [scan_next]-style pop per row (tick,
+  (* the retired pull engine's shapes: a [scan_next]-style pop per row (tick,
      result boxing, cons) into a materialized list, then list phases with
      one closure call, key encode and cons per row *)
   let pull_pipeline sim rows =
@@ -1532,7 +1521,7 @@ let e22_batched_executor =
     Sim.tick sim (2 * List.length out);
     out
   in
-  (* the batched engine's shapes: array loops, aggregated ticks, and the
+  (* the executor's shapes: array loops, aggregated ticks, and the
      scalar-key fast path that skips the per-row key encode *)
   let proj_arr = Array.of_list proj_exprs in
   let batched_pipeline sim batches =

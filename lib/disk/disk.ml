@@ -27,11 +27,8 @@ type t = {
           and be retried (mirror read / recalibrate), costing [penalty_us] *)
 }
 
-let create ?mirrored sim ~name =
+let create sim ~name =
   let cfg = Sim.config sim in
-  let mirrored =
-    match mirrored with Some m -> m | None -> cfg.Config.mirrored
-  in
   let depth = cfg.Config.disk_queue_depth in
   if depth < 1 then
     invalid_arg
@@ -41,7 +38,7 @@ let create ?mirrored sim ~name =
     name;
     lat_key = "disk:" ^ name;
     depth_key = "diskq:" ^ name;
-    mirrored;
+    mirrored = cfg.Config.mirrored;
     data = [||];
     nblocks = 0;
     last_block = -10;

@@ -24,9 +24,9 @@
 
 type t
 
-(** [create sim ~name] makes an empty volume. Mirroring comes from the
-    simulation config unless overridden. *)
-val create : ?mirrored:bool -> Nsql_sim.Sim.t -> name:string -> t
+(** [create sim ~name] makes an empty volume, mirrored when the
+    simulation config's [mirrored] is set. *)
+val create : Nsql_sim.Sim.t -> name:string -> t
 
 val name : t -> string
 val block_size : t -> int

@@ -717,8 +717,9 @@ let client_select sc key record =
     ~proj:sc.sc_proj key record
 
 (* one reply buffer absorbed into the scan's item buffer = one
-   executor-visible batch; counted at the absorb site so the pull and
-   batched executors (which drain the same buffers) agree exactly *)
+   executor-visible batch; counted at the absorb site so draining a scan
+   with [scan_next] or with [scan_next_batch] (the same buffers either
+   way) counts the same *)
 let note_batch t n =
   if n > 0 then begin
     let s = Sim.stats t.sim in
@@ -826,8 +827,8 @@ let refill t sc =
    the buffer is empty. Draining item-by-item does nothing to the
    simulation between pops (the pops are pure), so one aggregated
    [Sim.tick (3n)] fires the same events at the same times as n
-   interleaved [Sim.tick 3]s — the batched and pull paths are
-   observationally identical. [tick:false] hands the rows over uncharged:
+   interleaved [Sim.tick 3]s — popping row by row and taking the batch
+   are observationally identical. [tick:false] hands the rows over uncharged:
    the caller owes [Sim.tick 3] per row *before* any per-row message, which
    keeps message send times exact for consumers that interleave sends with
    consumption (index base reads, keyed fallbacks, [scan_next]'s pops). *)
@@ -1096,7 +1097,7 @@ let scan_next t sc =
    buffer — as one row array; [None] when the scan is exhausted. With
    [~tick:false] the per-row pop charge is NOT applied: the consumer must
    charge [Sim.tick 3] per row before any per-row message it sends, so the
-   message timeline stays byte-identical to the pull path. *)
+   message timeline stays byte-identical to popping row by row. *)
 let take_rows ~tick t sc =
   let* items = Trace.attribute t.sim (scan_span sc) (fun () -> take_items ~tick t sc) in
   match items with

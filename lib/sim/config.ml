@@ -23,12 +23,6 @@ type t = {
           bookkeeping, so turning it off changes no message traffic,
           clock or counters — only whether a takeover can resume
           in-flight work *)
-  exec_batch : bool;
-      (** run the SQL executor as a push/batch pipeline: each FS-DP reply
-          buffer flows through the operator chain as one row array with
-          tight loops inside each operator; when false the executor uses
-          the pull-one-row reference path (kept for A/B runs and the
-          byte-identity regression gate) *)
   disk_queue_depth : int;
       (** number of I/Os a volume services concurrently (io_uring-style
           submission/completion channels). 1 — the default — serializes
@@ -63,7 +57,6 @@ let default =
     fs_fanout = true;
     dp_lock_wait = false;
     dp_checkpoint = true;
-    exec_batch = true;
     disk_queue_depth = 1;
     msg_local_cost_us = 300.;
     msg_cpu_cost_us = 1_000.;
@@ -89,7 +82,6 @@ let v ?(block_size = default.block_size)
     ?(fs_fanout = default.fs_fanout)
     ?(dp_lock_wait = default.dp_lock_wait)
     ?(dp_checkpoint = default.dp_checkpoint)
-    ?(exec_batch = default.exec_batch)
     ?(disk_queue_depth = default.disk_queue_depth)
     ?(msg_local_cost_us = default.msg_local_cost_us)
     ?(msg_cpu_cost_us = default.msg_cpu_cost_us)
@@ -114,7 +106,6 @@ let v ?(block_size = default.block_size)
     fs_fanout;
     dp_lock_wait;
     dp_checkpoint;
-    exec_batch;
     disk_queue_depth;
     msg_local_cost_us;
     msg_cpu_cost_us;

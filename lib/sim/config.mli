@@ -17,28 +17,31 @@ type t = {
           request message before the DP replies with a continuation *)
   dp_ticks_per_request : int;
       (** continuation re-drive limit: max CPU ticks per request *)
-  dp_prefetch : bool;  (** asynchronous sequential pre-fetch in the DP *)
+  dp_prefetch : bool;
+      (** asynchronous sequential pre-fetch in the DP; on by default, off
+          only in E5's no-pre-fetch runs *)
   fs_fanout : bool;
       (** drive partitioned files with overlapped (nowait) requests; when
           false the File System uses the blocking one-partition-at-a-time
-          driver (the pre-nowait behaviour, kept for A/B comparison) *)
+          driver (the pre-nowait behaviour). On by default; off in E17's
+          sequential runs, the [queries_sequential] golden and the
+          sequential cases of test_fanout and test_redrive *)
   dp_lock_wait : bool;
       (** park a blocked point request on a DP-side FIFO wait queue (with
           deadlock detection and a {!lock_wait_timeout_us} budget) instead
           of answering with an immediate denial; off by default so
-          single-session workloads keep byte-identical message traffic *)
+          single-session workloads keep byte-identical message traffic.
+          On in E20 (and the other contended-transfer experiments), the
+          [xfer_contend] benchmark workload, the [transfers] golden and
+          the chaos contention runs *)
   dp_checkpoint : bool;
       (** maintain a backup-side replica of takeover-relevant DP state
           (open SCBs, lock table, wait queues, mutation intents) applied
           from the checkpoint stream; pure backup-side bookkeeping — the
           knob changes no message traffic, clock or counters, only whether
-          a takeover can resume in-flight work *)
-  exec_batch : bool;
-      (** run the SQL executor as a push/batch pipeline: each FS-DP reply
-          buffer flows through the operator chain as one row array with
-          tight loops inside each operator; the pull-one-row reference
-          path (exec_batch = false) is kept for A/B comparison and is
-          byte-identical in results, message traffic, counters and clock *)
+          a takeover can resume in-flight work. On by default; off only in
+          test_availability's unreplicated-takeover and replica-is-free
+          cases *)
   disk_queue_depth : int;
       (** number of I/Os a volume services concurrently (io_uring-style
           submission/completion channels). 1 — the default — serializes
@@ -57,7 +60,10 @@ type t = {
   cpu_tick_us : float;  (** duration of one simulated CPU tick *)
   lock_wait_timeout_us : float;  (** lock wait before timeout abort *)
   group_commit_timer_us : float;  (** initial group-commit timer *)
-  mirrored : bool;  (** mirrored volume writes *)
+  mirrored : bool;
+      (** mirrored volume writes: every volume of the world doubles its
+          physical writes. Off by default; on in test_protocol's and
+          test_sim's mirrored-volume cases *)
 }
 
 val default : t
@@ -75,7 +81,6 @@ val v :
   ?fs_fanout:bool ->
   ?dp_lock_wait:bool ->
   ?dp_checkpoint:bool ->
-  ?exec_batch:bool ->
   ?disk_queue_depth:int ->
   ?msg_local_cost_us:float ->
   ?msg_cpu_cost_us:float ->

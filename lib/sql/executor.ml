@@ -6,7 +6,6 @@ module Dp_msg = Nsql_dp.Dp_msg
 module Fastsort = Nsql_sort.Fastsort
 module Errors = Nsql_util.Errors
 module Sim = Nsql_sim.Sim
-module Config = Nsql_sim.Config
 module Trace = Nsql_trace.Trace
 
 open Errors
@@ -26,23 +25,15 @@ let pp_rowset ppf rs =
   List.iter (fun row -> Format.fprintf ppf "%a@," Row.pp_row row) rs.rows;
   Format.fprintf ppf "(%d rows)@]" (List.length rs.rows)
 
-(* The executor has two engines over the same FS traffic:
+(* The executor is a push pipeline over the FS-DP reply buffers: each
+   buffer flows through the operator chain as one row array (a batch),
+   with tight loops inside every operator and no per-record closures
+   across operator boundaries. Per-row CPU charges are applied once per
+   batch in aggregate where the interleaved work is pure OCaml, and per
+   row exactly where a per-row message follows (keyed joins, index base
+   reads) — see [Fs.scan_next_batch] for the contract. *)
 
-   - the batched engine (default, [Config.exec_batch]): each FS-DP reply
-     buffer flows through the operator chain as one row array, with tight
-     loops inside every operator and no per-record closures across
-     operator boundaries;
-   - the pull engine: the original row-at-a-time reference path, kept for
-     A/B runs and as the regression gate.
-
-   Both produce byte-identical rowsets, message traffic, counters and
-   simulated clock (test-enforced): the batch boundary is the reply buffer
-   the pull path was already draining, and aggregated per-row CPU charges
-   fire the same simulation events at the same times as the interleaved
-   per-row charges they replace. *)
-
-(* a traced operator span around [f]; both engines open the same span
-   names and attributes, so profiles are comparable across engines *)
+(* a traced operator span around [f] *)
 let op_span ctx name attrs f =
   Trace.span ctx.sim ~cat:"op" ~attrs:(fun () -> attrs) name (fun sp ->
       f (fun out -> List.iter (fun (k, v) -> Trace.add_attr sp k v) out))
@@ -78,8 +69,8 @@ let with_access ctx (plan : select_plan) drain =
     ~finally:(fun () -> Fs.close_scan ctx.fs sc)
     (fun () -> drain sc residual)
 
-(* the scan operator's span, shared by both engines *)
-let scan_op ctx (plan : select_plan) f =
+(* scan the first table's access path as a list of batches, in order *)
+let scan_batches ctx (plan : select_plan) =
   let tbl = plan.p_table in
   let path =
     match plan.p_access with
@@ -89,349 +80,26 @@ let scan_op ctx (plan : select_plan) f =
   op_span ctx
     ("scan " ^ tbl.Catalog.t_name)
     [ ("table", Trace.Str tbl.Catalog.t_name); ("path", Trace.Str path) ]
-    f
-
-(* the join operator's span, shared by both engines *)
-let join_op ctx step ~rows_in f =
-  let tbl = step.j_table in
-  let kind =
-    match step.j_inner with Ji_keyed _ -> "keyed" | Ji_scan _ -> "scan"
-  in
-  op_span ctx
-    ("join " ^ tbl.Catalog.t_name)
-    [
-      ("table", Trace.Str tbl.Catalog.t_name);
-      ("kind", Trace.Str kind);
-      ("rows_in", Trace.Int rows_in);
-    ]
-    f
-
-(* --- pull engine: base-table row streams ----------------------------------- *)
-
-(* pull all rows of the first table's access path *)
-let scan_table1 ctx (plan : select_plan) =
-  with_access ctx plan (fun sc residual ->
-      let keep = Option.value residual ~default:(fun _ -> true) in
-      let rec go acc =
-        match Fs.scan_next ctx.fs sc with
-        | Ok (Some row) -> go (if keep row then row :: acc else acc)
-        | Ok None -> Ok (List.rev acc)
-        | Error e -> Error e
-      in
-      go [])
-
-let scan_table0 ctx (plan : select_plan) =
-  scan_op ctx plan (fun note ->
-      let res = scan_table1 ctx plan in
-      (match res with
-      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
-      | Error _ -> ());
-      res)
-
-(* one nested-loop / keyed join step: extend each prefix row *)
-let join_step1 ctx prefix_rows step =
-  let tbl = step.j_table in
-  let schema = tbl.Catalog.t_schema in
-  match step.j_inner with
-  | Ji_keyed { key_exprs } ->
-      (* point read per outer row *)
-      let* joined =
-        Errors.list_map
-          (fun prefix ->
-            let values = List.map (fun e -> Expr.eval prefix e) key_exprs in
-            if List.exists (fun v -> v = Row.Null) values then Ok []
-            else
-              let* key = Row.key_of_values schema values in
-              match
-                Fs.read ctx.fs tbl.Catalog.t_file ~tx:ctx.tx ~key
-                  ~lock:ctx.read_lock
-              with
-              | Ok record ->
-                  let inner = Row.decode_exn schema record in
-                  Ok [ Array.append prefix inner ]
-              | Error (Errors.Not_found_key _) -> Ok []
-              | Error e -> Error e)
-          prefix_rows
-      in
-      Ok (List.concat joined)
-  | Ji_scan { pred } ->
-      (* rescan the inner per outer row, with the inner-only predicate
-         delegated to the Disk Process — and its primary-key conjuncts
-         turned into the scan range, so the rescan touches only the
-         qualifying span *)
-      let range, pred =
-        match pred with
-        | None -> (Expr.full_range, None)
-        | Some p -> (
-            match Expr.extract_key_range schema p with
-            | range, residual -> (range, residual))
-      in
-      let* joined =
-        Errors.list_map
-          (fun prefix ->
-            let sc =
-              Fs.open_scan ctx.fs tbl.Catalog.t_file ~tx:ctx.tx
-                ~access:Fs.A_vsbb ~range ?pred ~lock:ctx.read_lock ()
-            in
+    (fun note ->
+      let res =
+        with_access ctx plan (fun sc residual ->
             let rec go acc =
-              match Fs.scan_next ctx.fs sc with
-              | Ok (Some inner) -> go (Array.append prefix inner :: acc)
+              match Fs.scan_next_batch ctx.fs sc with
+              | Ok (Some batch) -> (
+                  Nsql_sim.Moncore.observe (Sim.moncore ctx.sim) "batch_rows"
+                    (float_of_int (Array.length batch));
+                  match residual with
+                  | None -> go (batch :: acc)
+                  | Some keep ->
+                      (* an index path runs its residual filter here, a
+                         batch at a time, and drops the batches it empties *)
+                      let batch = Rowvec.filter keep batch in
+                      go (if Array.length batch = 0 then acc else batch :: acc))
               | Ok None -> Ok (List.rev acc)
               | Error e -> Error e
             in
-            Fun.protect
-              ~finally:(fun () -> Fs.close_scan ctx.fs sc)
-              (fun () -> go []))
-          prefix_rows
+            go [])
       in
-      Ok (List.concat joined)
-
-let join_step ctx prefix_rows step =
-  join_op ctx step ~rows_in:(List.length prefix_rows) (fun note ->
-      let res = join_step1 ctx prefix_rows step in
-      (match res with
-      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
-      | Error _ -> ());
-      res)
-
-let apply_post step rows =
-  match step.j_post with
-  | None -> rows
-  | Some p -> List.filter (fun row -> Expr.eval_pred row p) rows
-
-(* --- aggregation ---------------------------------------------------------------
-
-   The client-side group path and the pushed-down path (Disk Process
-   partials combined with [Dp_msg.merge_acc]) use the same accumulators,
-   so both produce identical values and group order. *)
-
-let finish_spec spec acc = Dp_msg.finish_acc spec.Dp_msg.ag_kind acc
-
-let group_rows1 ctx (g : group_spec) rows =
-  let specs = List.map dp_agg_spec g.g_aggs in
-  let table = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun row ->
-      Sim.tick ctx.sim 5;
-      let keys = List.map (fun k -> Expr.eval row k) g.g_keys in
-      let kenc =
-        let w = Nsql_util.Codec.writer () in
-        Row.encode_values w (Array.of_list keys);
-        Nsql_util.Codec.contents w
-      in
-      let accs =
-        match Hashtbl.find_opt table kenc with
-        | Some (_, accs) -> accs
-        | None ->
-            let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-            Hashtbl.replace table kenc (keys, accs);
-            order := kenc :: !order;
-            accs
-      in
-      List.iter2 (fun spec acc -> Dp_msg.feed_spec acc spec row) specs accs)
-    rows;
-  (* a grand aggregate over zero rows still yields one row *)
-  if Hashtbl.length table = 0 && g.g_keys = [] then begin
-    let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-    Hashtbl.replace table "" ([], accs);
-    order := [ "" ]
-  end;
-  let output =
-    List.rev_map
-      (fun kenc ->
-        let keys, accs = Hashtbl.find table kenc in
-        Array.of_list (keys @ List.map2 finish_spec specs accs))
-      !order
-  in
-  match g.g_having with
-  | None -> output
-  | Some h -> List.filter (fun row -> Expr.eval_pred row h) output
-
-let group_rows ctx (g : group_spec) rows =
-  op_span ctx "group"
-    [
-      ("rows_in", Trace.Int (List.length rows));
-      ("keys", Trace.Int (List.length g.g_keys));
-    ]
-    (fun note ->
-      let out = group_rows1 ctx g rows in
-      note [ ("rows_out", Trace.Int (List.length out)) ];
-      out)
-
-(* --- sort / project / limit ------------------------------------------------------ *)
-
-let sort_rows1 ctx order rows =
-  if order = [] then rows
-  else begin
-    let decorated =
-      List.map (fun row -> (List.map (fun (e, _) -> Expr.eval row e) order, row)) rows
-    in
-    let compare_rows (ka, _) (kb, _) =
-      let rec go ks (specs : (Expr.t * bool) list) =
-        match (ks, specs) with
-        | (a, b) :: rest, (_, desc) :: specs ->
-            let c = Row.compare_value a b in
-            if c <> 0 then if desc then -c else c else go rest specs
-        | _ -> 0
-      in
-      go (List.combine ka kb) order
-    in
-    let sorted, _stats = Fastsort.sort ctx.sim ~compare:compare_rows decorated in
-    List.map snd sorted
-  end
-
-let sort_rows ctx order rows =
-  if order = [] then rows
-  else
-    op_span ctx "sort"
-      [ ("rows", Trace.Int (List.length rows)) ]
-      (fun _ -> sort_rows1 ctx order rows)
-
-let project rows exprs =
-  List.map (fun row -> Array.of_list (List.map (fun e -> Expr.eval row e) exprs)) rows
-
-(* order-preserving de-duplication on encoded output rows *)
-let distinct rows =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun row ->
-      let w = Nsql_util.Codec.writer () in
-      Row.encode_values w row;
-      let k = Nsql_util.Codec.contents w in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    rows
-
-let limit n rows =
-  match n with
-  | None -> rows
-  | Some n ->
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | x :: rest -> x :: take (k - 1) rest
-      in
-      take n rows
-
-(* --- entry points ------------------------------------------------------------------ *)
-
-(* pushed-down aggregation: no scan — one AGGREGATE re-drive chain per
-   partition, the File System merges partials, and the group-output rows
-   (keys then finished aggregate values, in first-seen = key order) are
-   identical to what [group_rows] would have produced *)
-let pushdown_group_rows1 ctx (plan : select_plan) (g : group_spec)
-    (ap : agg_pushdown) =
-  let* groups =
-    Fs.aggregate ctx.fs plan.p_table.Catalog.t_file ~tx:ctx.tx
-      ~range:ap.ap_range ?pred:ap.ap_pred ~group_keys:ap.ap_group_keys
-      ~aggs:ap.ap_aggs ~lock:ctx.read_lock ()
-  in
-  let rows =
-    List.map
-      (fun (keyvals, accs) ->
-        Sim.tick ctx.sim 2;
-        Array.append keyvals
-          (Array.of_list (List.map2 finish_spec ap.ap_aggs accs)))
-      groups
-  in
-  (* a grand aggregate over zero rows still yields one row *)
-  let rows =
-    if rows = [] && Array.length ap.ap_group_keys = 0 then
-      [
-        Array.of_list
-          (List.map (fun spec -> finish_spec spec (Dp_msg.fresh_acc ())) ap.ap_aggs);
-      ]
-    else rows
-  in
-  match g.g_having with
-  | None -> Ok rows
-  | Some h -> Ok (List.filter (fun row -> Expr.eval_pred row h) rows)
-
-let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
-    (ap : agg_pushdown) =
-  op_span ctx
-    ("group-pushdown " ^ plan.p_table.Catalog.t_name)
-    [
-      ("table", Trace.Str plan.p_table.Catalog.t_name);
-      ("keys", Trace.Int (Array.length ap.ap_group_keys));
-    ]
-    (fun note ->
-      let res = pushdown_group_rows1 ctx plan g ap in
-      (match res with
-      | Ok rows -> note [ ("rows_out", Trace.Int (List.length rows)) ]
-      | Error _ -> ());
-      res)
-
-let run_select_pull ctx (plan : select_plan) =
-  let* rows =
-    match (plan.p_group, plan.p_pushdown) with
-    | Some g, Some ap -> pushdown_group_rows ctx plan g ap
-    | _ ->
-        let* rows = scan_table0 ctx plan in
-        let* rows =
-          let rec steps rows = function
-            | [] -> Ok rows
-            | step :: rest ->
-                let* joined = join_step ctx rows step in
-                steps (apply_post step joined) rest
-          in
-          steps rows plan.p_joins
-        in
-        Ok
-          (match plan.p_group with
-          | Some g -> group_rows ctx g rows
-          | None -> rows)
-  in
-  let rows = sort_rows ctx plan.p_order rows in
-  let rows =
-    op_span ctx "emit"
-      [ ("rows_in", Trace.Int (List.length rows)) ]
-      (fun note ->
-        let rows = project rows plan.p_exprs in
-        let rows = if plan.p_distinct then distinct rows else rows in
-        let rows = limit plan.p_limit rows in
-        Sim.tick ctx.sim (2 * List.length rows);
-        note [ ("rows_out", Trace.Int (List.length rows)) ];
-        rows)
-  in
-  Ok { cols = plan.p_names; rows }
-
-(* === batched engine ==========================================================
-
-   Operators consume and emit row batches; each batch is one FS-DP reply
-   buffer (as the pull path would have drained it). Per-row CPU charges
-   are applied once per batch in aggregate where the interleaved work is
-   pure OCaml, and re-applied per row exactly where the pull path put them
-   when a per-row message follows (keyed joins, index base reads) — see
-   [Fs.scan_next_batch] for the contract. *)
-
-(* scan the first table's access path as a list of batches, in order *)
-let scan_batches1 ctx (plan : select_plan) =
-  with_access ctx plan (fun sc residual ->
-      let rec go acc =
-        match Fs.scan_next_batch ctx.fs sc with
-        | Ok (Some batch) -> (
-            Nsql_sim.Moncore.observe (Sim.moncore ctx.sim) "batch_rows"
-              (float_of_int (Array.length batch));
-            match residual with
-            | None -> go (batch :: acc)
-            | Some keep ->
-                (* an index path runs its residual filter here, a batch at
-                   a time, and drops the batches it empties *)
-                let batch = Rowvec.filter keep batch in
-                go (if Array.length batch = 0 then acc else batch :: acc))
-        | Ok None -> Ok (List.rev acc)
-        | Error e -> Error e
-      in
-      go [])
-
-let scan_batches ctx (plan : select_plan) =
-  scan_op ctx plan (fun note ->
-      let res = scan_batches1 ctx plan in
       (match res with
       | Ok batches ->
           note
@@ -441,6 +109,8 @@ let scan_batches ctx (plan : select_plan) =
             ]
       | Error _ -> ());
       res)
+
+(* --- joins ------------------------------------------------------------------- *)
 
 (* one join step over a batch of prefix rows *)
 let join_batch ctx step batch =
@@ -506,6 +176,25 @@ let join_batch ctx step batch =
       in
       go 0
 
+let join_batches ctx batches step =
+  let tbl = step.j_table in
+  let kind =
+    match step.j_inner with Ji_keyed _ -> "keyed" | Ji_scan _ -> "scan"
+  in
+  op_span ctx
+    ("join " ^ tbl.Catalog.t_name)
+    [
+      ("table", Trace.Str tbl.Catalog.t_name);
+      ("kind", Trace.Str kind);
+      ("rows_in", Trace.Int (Rowvec.total_rows batches));
+    ]
+    (fun note ->
+      let res = Errors.list_map (join_batch ctx step) batches in
+      (match res with
+      | Ok out -> note [ ("rows_out", Trace.Int (Rowvec.total_rows out)) ]
+      | Error _ -> ());
+      res)
+
 let apply_post_batches step batches =
   match step.j_post with
   | None -> batches
@@ -516,22 +205,64 @@ let apply_post_batches step batches =
           if Array.length batch = 0 then None else Some batch)
         batches
 
-let join_batches ctx batches step =
-  join_op ctx step ~rows_in:(Rowvec.total_rows batches) (fun note ->
-      let res = Errors.list_map (join_batch ctx step) batches in
-      (match res with
-      | Ok out -> note [ ("rows_out", Trace.Int (Rowvec.total_rows out)) ]
-      | Error _ -> ());
-      res)
+(* --- aggregation ---------------------------------------------------------------
 
-(* Group identity in the batched engine: the pull path encodes every
-   row's key values to a byte string; for non-float keys structural
-   equality coincides with encoding equality (the codec is canonical for
-   Null/Vint/Vbool/Vstr), so the values themselves can key the hash table
-   and the per-row writer allocation and encode disappear. Floats keep
-   the encoded form: [-0. = 0.] and NaN make structural and encoded
-   equality disagree, and group identity must match the pull engine's
-   exactly. *)
+   The requester-side group path and the pushed-down path (Disk Process
+   partials combined with [Dp_msg.merge_acc]) use the same accumulators,
+   so both produce identical values and group order. *)
+
+let finish_spec spec acc = Dp_msg.finish_acc spec.Dp_msg.ag_kind acc
+
+let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
+    (ap : agg_pushdown) =
+  op_span ctx
+    ("group-pushdown " ^ plan.p_table.Catalog.t_name)
+    [
+      ("table", Trace.Str plan.p_table.Catalog.t_name);
+      ("keys", Trace.Int (Array.length ap.ap_group_keys));
+    ]
+    (fun note ->
+      match
+        Fs.aggregate ctx.fs plan.p_table.Catalog.t_file ~tx:ctx.tx
+          ~range:ap.ap_range ?pred:ap.ap_pred ~group_keys:ap.ap_group_keys
+          ~aggs:ap.ap_aggs ~lock:ctx.read_lock ()
+      with
+      | Error e -> Error e
+      | Ok groups ->
+          let rows =
+            List.map
+              (fun (keyvals, accs) ->
+                Sim.tick ctx.sim 2;
+                Array.append keyvals
+                  (Array.of_list (List.map2 finish_spec ap.ap_aggs accs)))
+              groups
+          in
+          (* a grand aggregate over zero rows still yields one row *)
+          let rows =
+            if rows = [] && Array.length ap.ap_group_keys = 0 then
+              [
+                Array.of_list
+                  (List.map
+                     (fun spec -> finish_spec spec (Dp_msg.fresh_acc ()))
+                     ap.ap_aggs);
+              ]
+            else rows
+          in
+          let rows =
+            match g.g_having with
+            | None -> rows
+            | Some h -> List.filter (fun row -> Expr.eval_pred row h) rows
+          in
+          note [ ("rows_out", Trace.Int (List.length rows)) ];
+          Ok rows)
+
+(* Group identity is equality of the encoded key values, as in the Disk
+   Process's pushed-down grouping. For non-float keys structural equality
+   coincides with encoding equality (the codec is canonical for
+   Null/Vint/Vbool/Vstr), so the values themselves key the hash table
+   and no row pays a writer allocation and encode. Floats keep the
+   encoded form: [-0. = 0.] and NaN make structural and encoded equality
+   disagree. *)
 type gkey =
   | K_val of Row.value  (** single non-float key, the common case *)
   | K_vals of Row.value list
@@ -546,78 +277,8 @@ let gkey_of keys =
        Nsql_util.Codec.contents w)
   else K_vals keys
 
-(* batched group/aggregate: one aggregated tick per batch, then a tight
-   feed loop — same accumulators and group order as the pull path *)
-let group_batches1 ctx (g : group_spec) batches =
-  let specs = List.map dp_agg_spec g.g_aggs in
-  let table : (gkey, Row.value list * Dp_msg.agg_acc list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let order = ref [] in
-  let feeds = List.map Dp_msg.feeder specs in
-  let fresh gk keys =
-    let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-    Hashtbl.replace table gk (keys, accs);
-    order := gk :: !order;
-    accs
-  in
-  let feed row accs = List.iter2 (fun f acc -> f acc row) feeds accs in
-  (match g.g_keys with
-  | [ k ] ->
-      (* single group key: the key value itself is the group identity —
-         no per-row list, no encode *)
-      List.iter
-        (fun batch ->
-          let n = Array.length batch in
-          if n > 0 then Sim.tick ctx.sim (5 * n);
-          for i = 0 to n - 1 do
-            let row = batch.(i) in
-            let v = Expr.eval row k in
-            let gk =
-              match v with Row.Vfloat _ -> gkey_of [ v ] | _ -> K_val v
-            in
-            let accs =
-              match Hashtbl.find table gk with
-              | _, accs -> accs
-              | exception Not_found -> fresh gk [ v ]
-            in
-            feed row accs
-          done)
-        batches
-  | _ ->
-      List.iter
-        (fun batch ->
-          let n = Array.length batch in
-          if n > 0 then Sim.tick ctx.sim (5 * n);
-          for i = 0 to n - 1 do
-            let row = batch.(i) in
-            let keys = List.map (fun key -> Expr.eval row key) g.g_keys in
-            let gk = gkey_of keys in
-            let accs =
-              match Hashtbl.find table gk with
-              | _, accs -> accs
-              | exception Not_found -> fresh gk keys
-            in
-            feed row accs
-          done)
-        batches);
-  (* a grand aggregate over zero rows still yields one row *)
-  if Hashtbl.length table = 0 && g.g_keys = [] then begin
-    let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-    Hashtbl.replace table (K_vals []) ([], accs);
-    order := [ K_vals [] ]
-  end;
-  let output =
-    List.rev_map
-      (fun gk ->
-        let keys, accs = Hashtbl.find table gk in
-        Array.of_list (keys @ List.map2 finish_spec specs accs))
-      !order
-  in
-  match g.g_having with
-  | None -> output
-  | Some h -> List.filter (fun row -> Expr.eval_pred row h) output
-
+(* group/aggregate: one aggregated tick per batch, then a tight feed
+   loop; groups come out in first-seen order *)
 let group_batches ctx (g : group_spec) batches =
   op_span ctx "group"
     [
@@ -625,20 +286,109 @@ let group_batches ctx (g : group_spec) batches =
       ("keys", Trace.Int (List.length g.g_keys));
     ]
     (fun note ->
-      let out = group_batches1 ctx g batches in
-      note [ ("rows_out", Trace.Int (List.length out)) ];
-      out)
+      let specs = List.map dp_agg_spec g.g_aggs in
+      let table : (gkey, Row.value list * Dp_msg.agg_acc list) Hashtbl.t =
+        Hashtbl.create 64
+      in
+      let order = ref [] in
+      let feeds = List.map Dp_msg.feeder specs in
+      let fresh gk keys =
+        let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
+        Hashtbl.replace table gk (keys, accs);
+        order := gk :: !order;
+        accs
+      in
+      let feed row accs = List.iter2 (fun f acc -> f acc row) feeds accs in
+      (match g.g_keys with
+      | [ k ] ->
+          (* single group key: the key value itself is the group identity —
+             no per-row list, no encode *)
+          List.iter
+            (fun batch ->
+              let n = Array.length batch in
+              if n > 0 then Sim.tick ctx.sim (5 * n);
+              for i = 0 to n - 1 do
+                let row = batch.(i) in
+                let v = Expr.eval row k in
+                let gk =
+                  match v with Row.Vfloat _ -> gkey_of [ v ] | _ -> K_val v
+                in
+                let accs =
+                  match Hashtbl.find table gk with
+                  | _, accs -> accs
+                  | exception Not_found -> fresh gk [ v ]
+                in
+                feed row accs
+              done)
+            batches
+      | _ ->
+          List.iter
+            (fun batch ->
+              let n = Array.length batch in
+              if n > 0 then Sim.tick ctx.sim (5 * n);
+              for i = 0 to n - 1 do
+                let row = batch.(i) in
+                let keys = List.map (fun key -> Expr.eval row key) g.g_keys in
+                let gk = gkey_of keys in
+                let accs =
+                  match Hashtbl.find table gk with
+                  | _, accs -> accs
+                  | exception Not_found -> fresh gk keys
+                in
+                feed row accs
+              done)
+            batches);
+      (* a grand aggregate over zero rows still yields one row *)
+      if Hashtbl.length table = 0 && g.g_keys = [] then begin
+        let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
+        Hashtbl.replace table (K_vals []) ([], accs);
+        order := [ K_vals [] ]
+      end;
+      let output =
+        List.rev_map
+          (fun gk ->
+            let keys, accs = Hashtbl.find table gk in
+            Array.of_list (keys @ List.map2 finish_spec specs accs))
+          !order
+      in
+      let output =
+        match g.g_having with
+        | None -> output
+        | Some h -> List.filter (fun row -> Expr.eval_pred row h) output
+      in
+      note [ ("rows_out", Trace.Int (List.length output)) ];
+      output)
 
 let sort_batches ctx order batches =
   if order = [] then batches
   else
-    (* sorting needs the whole input anyway: concatenate once and reuse
-       the pull path's sort operator (same span, same simulated sort cost
-       on the same input) *)
-    [ Rowvec.of_list (sort_rows ctx order (Rowvec.list_of_batches batches)) ]
+    (* sorting needs the whole input anyway: concatenate once *)
+    let rows = Rowvec.list_of_batches batches in
+    op_span ctx "sort"
+      [ ("rows", Trace.Int (List.length rows)) ]
+      (fun _ ->
+        let decorated =
+          List.map
+            (fun row -> (List.map (fun (e, _) -> Expr.eval row e) order, row))
+            rows
+        in
+        let compare_rows (ka, _) (kb, _) =
+          let rec go ks (specs : (Expr.t * bool) list) =
+            match (ks, specs) with
+            | (a, b) :: rest, (_, desc) :: specs ->
+                let c = Row.compare_value a b in
+                if c <> 0 then if desc then -c else c else go rest specs
+            | _ -> 0
+          in
+          go (List.combine ka kb) order
+        in
+        let sorted, _stats =
+          Fastsort.sort ctx.sim ~compare:compare_rows decorated
+        in
+        [ Rowvec.of_list (List.map snd sorted) ])
 
 (* order-preserving de-duplication, array-in array-out; same identity
-   fast path as the batched group (floats fall back to the encoding) *)
+   fast path as the group operator (floats fall back to the encoding) *)
 let distinct_batch rows =
   let seen : (gkey, unit) Hashtbl.t = Hashtbl.create 64 in
   Rowvec.filter
@@ -679,7 +429,7 @@ let emit_batches ctx (plan : select_plan) batches =
       note [ ("rows_out", Trace.Int (Array.length rows)) ];
       Rowvec.to_list rows)
 
-let run_select_batched ctx (plan : select_plan) =
+let run_select ctx (plan : select_plan) =
   let* batches =
     match (plan.p_group, plan.p_pushdown) with
     | Some g, Some ap ->
@@ -705,10 +455,6 @@ let run_select_batched ctx (plan : select_plan) =
   in
   let batches = sort_batches ctx plan.p_order batches in
   Ok { cols = plan.p_names; rows = emit_batches ctx plan batches }
-
-let run_select ctx (plan : select_plan) =
-  if (Sim.config ctx.sim).Config.exec_batch then run_select_batched ctx plan
-  else run_select_pull ctx plan
 
 let traced_dml ctx name table f =
   op_span ctx (name ^ " " ^ table) [ ("table", Trace.Str table) ] (fun note ->

@@ -121,9 +121,9 @@ let pp_select_plan ppf p =
 (* --- operator descriptors ----------------------------------------------------
 
    A linear description of the operator chain the Executor runs for a
-   plan, one entry per operator in execution order. The batched executor
-   and the experiments use it to label per-operator work and report
-   per-operator cost without re-deriving the plan shape. *)
+   plan, one entry per operator in execution order. The experiments use
+   it to label per-operator work and report per-operator cost without
+   re-deriving the plan shape. *)
 
 type op_desc =
   | Od_scan of { table : string; path : string }

@@ -1,10 +1,19 @@
-(* Depth-1 golden fingerprints: canonical strings of the full statistics
-   vector plus the final simulated clock for three fixed workloads. The
-   constants below were captured from the pre-queue-model build (after the
-   PR-10 stall/read_range accounting bugfixes, before the multi-queue disk
-   rework) and pin the contract that [disk_queue_depth = 1] — the default —
-   reproduces the single-[busy_until] disk byte for byte: same results,
-   same counters, same clock. test_diskq checks them on every run.
+(* Golden fingerprints: canonical strings of the full statistics vector
+   plus the final simulated clock of fixed workloads, in four groups:
+
+   - [scenarios], captured before the multi-queue disk rework (after the
+     PR-10 stall/read_range accounting bugfixes): they pin the contract
+     that [disk_queue_depth = 1] — the default — reproduces the
+     single-[busy_until] disk byte for byte. test_diskq checks them;
+   - [redrive_scenarios], captured before the continuation re-drive
+     drivers merged, with digests of results and of the Chrome trace
+     export. test_redrive checks them;
+   - [cat_scenarios], each world's seven per-category totals of simulated
+     time. test_monitor checks them;
+   - the [golden_batch_*] digests of test_batch's fixed-seed runs,
+     captured while the row-at-a-time pull engine still ran beside the
+     batched executor and matched it on every seed. test_batch computes
+     and checks them.
 
    No Alcotest in here: the module is also compiled standalone by the
    one-off capture driver that (re)generates the constants, so keep it a
@@ -138,23 +147,15 @@ let scenarios =
    time for scans, subsets and pushdown aggregates *)
 let queries_sequential () = queries ~config:(Config.v ~fs_fanout:false ()) ()
 
-(* the same suite through the pull executor: every row popped one at a
-   time through [Fs.scan_next] *)
-let queries_pull () =
-  queries ~config:(Config.v ~fs_fanout:true ~exec_batch:false ()) ()
-
 (* a 4-partition table with a secondary index: an index scan, the
    requester-side fallbacks that index maintenance forces on UPDATE of an
    indexed column and on DELETE, pushdown aggregates and an RSBB scan. A
    9-record request budget makes every chain re-drive. Run with fan-out
-   off, on, and on through the pull executor; each run's fingerprint
-   carries a digest of every result it printed and of its Chrome trace
-   export, which pins span attribution (nesting, extents, counter deltas)
-   on the index-scan path. *)
-let indexed_run ~fanout ~batch =
-  let config =
-    Config.v ~fs_fanout:fanout ~exec_batch:batch ~dp_records_per_request:9 ()
-  in
+   off and on; each run's fingerprint carries a digest of every result it
+   printed and of its Chrome trace export, which pins span attribution
+   (nesting, extents, counter deltas) on the index-scan path. *)
+let indexed_run ~fanout =
+  let config = Config.v ~fs_fanout:fanout ~dp_records_per_request:9 () in
   let node = N.create_node ~config ~volumes:4 () in
   Trace.set_enabled (N.sim node) true;
   let rows = 200 in
@@ -181,17 +182,11 @@ let indexed_run ~fanout ~batch =
   ^ ";trace=" ^ Digest.to_hex (Digest.string trace)
 
 let indexed () =
-  String.concat "|"
-    [
-      indexed_run ~fanout:false ~batch:true;
-      indexed_run ~fanout:true ~batch:true;
-      indexed_run ~fanout:true ~batch:false;
-    ]
+  String.concat "|" [ indexed_run ~fanout:false; indexed_run ~fanout:true ]
 
 let redrive_scenarios =
   [
     ("queries_sequential", queries_sequential);
-    ("queries_pull", queries_pull);
     ("indexed", indexed);
   ]
 
@@ -254,13 +249,10 @@ let golden_chaos12 =
 let golden_queries_sequential =
   "msgs_sent=50;msg_req_bytes=90398;msg_reply_bytes=19683;msgs_remote=50;msgs_internode=0;checkpoint_msgs=55;checkpoint_bytes=91178;disk_reads=0;disk_writes=12;blocks_read=0;blocks_written=37;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=5045;cache_misses=0;cache_steals=0;cpu_ticks=86053;lock_requests=36;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=448;audit_bytes=119212;audit_flushes=8;audit_flush_full=4;audit_flush_timer=4;group_commit_txs=4;tx_begun=14;tx_committed=14;tx_aborted=0;records_read=1652;records_returned=629;exec_batches=20;exec_rows=629;redrives=1;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=589882.500000"
 
-let golden_queries_pull =
-  "msgs_sent=50;msg_req_bytes=90398;msg_reply_bytes=19683;msgs_remote=50;msgs_internode=0;checkpoint_msgs=55;checkpoint_bytes=91178;disk_reads=0;disk_writes=12;blocks_read=0;blocks_written=37;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=5045;cache_misses=0;cache_steals=0;cpu_ticks=86053;lock_requests=36;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=448;audit_bytes=119212;audit_flushes=8;audit_flush_full=4;audit_flush_timer=4;group_commit_txs=4;tx_begun=14;tx_committed=14;tx_aborted=0;records_read=1652;records_returned=629;exec_batches=20;exec_rows=629;redrives=1;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=474586.500000"
-
 (* the [;trace=] digests were captured before index scans became ordinary
    scan handles *)
 let golden_indexed =
-  "msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1723093.500000;rows=d4f11169d6617aa58907b5db80865e77;trace=60562b48dc26f064f12dea9456ad4e84|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77;trace=8bbd5952fd084950cd8999132ddf87ec|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77;trace=99f49906b4dd692282c290e47dfb3257"
+  "msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1723093.500000;rows=d4f11169d6617aa58907b5db80865e77;trace=60562b48dc26f064f12dea9456ad4e84|msgs_sent=494;msg_req_bytes=63776;msg_reply_bytes=125705;msgs_remote=494;msgs_internode=0;checkpoint_msgs=267;checkpoint_bytes=95166;disk_reads=0;disk_writes=8;blocks_read=0;blocks_written=28;bulk_reads=0;bulk_writes=5;prefetch_reads=0;writebehind_writes=0;cache_hits=4454;cache_misses=0;cache_steals=0;cpu_ticks=86970;lock_requests=197;lock_conflicts=0;lock_waits=0;deadlocks=0;audit_records=521;audit_bytes=93002;audit_flushes=6;audit_flush_full=2;audit_flush_timer=4;group_commit_txs=4;tx_begun=9;tx_committed=9;tx_aborted=0;records_read=937;records_returned=577;exec_batches=68;exec_rows=486;redrives=97;faults_injected=0;msg_path_retries=0;disk_transient_errors=0;takeovers=0;takeover_denials=0;now=1503442.000000;rows=d4f11169d6617aa58907b5db80865e77;trace=8bbd5952fd084950cd8999132ddf87ec"
 
 (* captured before the clock category became an argument of [Sim]'s clock
    calls (see [cat_scenarios]) *)
@@ -276,3 +268,13 @@ let golden_cats_cold_scans =
 
 let golden_cats_lock_timeout =
   "compute=369.000;msg=7057.000;disk=27200.000;lock_wait=151013.500;ckpt=8105.000;await=90000.000;other=0.000"
+
+(* test_batch's fixed-seed digests, captured while the row-at-a-time pull
+   engine still ran beside the batched one and matched it on every seed *)
+
+let golden_batch_select = "d88409106ca3b91d4b15c91cb0d4720e"
+let golden_batch_select_chaos = "c4ae546f9832654e9e4086403d9b52ee"
+let golden_batch_dml = "4cdb1a255e65e8e9ca949803f92560b3"
+let golden_batch_dml_chaos = "6f44c30fe5aeeafacaed48784036bfc9"
+let golden_batch_wisconsin = "ff739119f4328d4d6f97cdf0f3c093cb"
+let golden_batch_wisconsin_chaos = "ff6ffe807673b5b6f628d405229a8f9c"

@@ -1,8 +1,8 @@
 (* The continuation re-drive engines on both sides of the FS-DP interface:
 
-   - golden fingerprints (statistics vector, clock and result digests)
-     pinning the sequential chain and scan drivers, the row-at-a-time pop
-     path, the index-scan plumbing and the indexed-table fallbacks;
+   - golden fingerprints (statistics vector, clock, result and trace
+     digests) pinning the sequential chain and scan drivers, the
+     index-scan plumbing and the indexed-table fallbacks;
    - the Subset Control Block lifecycle: a set request that comes back
      blocked or failed leaves no SCB behind on its Disk Process, since no
      requester ever re-drives such a chain;
@@ -28,7 +28,7 @@ let golden_cases =
             (name ^ ": pre-merge fingerprint reproduced")
             expected (run ())))
     Golden.redrive_scenarios
-    [ Golden.golden_queries_sequential; Golden.golden_queries_pull; Golden.golden_indexed ]
+    [ Golden.golden_queries_sequential; Golden.golden_indexed ]
 
 (* --- SCB watch ----------------------------------------------------------- *)
 

@@ -171,8 +171,8 @@ let disk_sequential_cheaper () =
   Alcotest.(check bool) "sequential cheaper" true (sequential < random)
 
 let disk_mirrored_writes () =
-  let sim = Sim.create () in
-  let d = Disk.create ~mirrored:true sim ~name:"$MIR" in
+  let sim = Sim.create ~config:(Config.v ~mirrored:true ()) () in
+  let d = Disk.create sim ~name:"$MIR" in
   ignore (Disk.allocate d 4);
   let bs = Disk.block_size d in
   Disk.write d 0 (String.make bs 'x');
