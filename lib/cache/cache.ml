@@ -7,9 +7,12 @@ module Tbl = Nsql_util.Tbl
 module Errors = Nsql_util.Errors
 module Trace = Nsql_trace.Trace
 
+type memo = ..
+
 type frame = {
   block : int;
   mutable data : string;
+  mutable memo : memo option;  (** [data] as a reader decoded it *)
   mutable dirty : bool;
   mutable page_lsn : int64;
   mutable valid_at : float;  (** async read in flight until this time *)
@@ -101,6 +104,7 @@ let insert t block data ~dirty ~lsn ~valid_at =
     {
       block;
       data;
+      memo = None;
       dirty;
       page_lsn = lsn;
       valid_at;
@@ -133,17 +137,28 @@ let miss t =
   let s = Sim.stats t.sim in
   s.Stats.cache_misses <- s.Stats.cache_misses + 1
 
-let read t block =
+let read_frame t block =
   match Hashtbl.find_opt t.table block with
   | Some f ->
       hit t f;
-      f.data
+      f
   | None ->
       miss t;
       let data = Disk.read t.disk block in
       let f = insert t block data ~dirty:false ~lsn:0L ~valid_at:(Sim.now t.sim) in
       Sim.tick t.sim 5;
-      f.data
+      f
+
+let read t block = (read_frame t block).data
+
+let read_memo t block decode =
+  let f = read_frame t block in
+  match f.memo with
+  | Some m -> m
+  | None ->
+      let m = decode f.data in
+      f.memo <- Some m;
+      m
 
 let write t block data ~lsn =
   Sim.tick t.sim 3;
@@ -152,6 +167,7 @@ let write t block data ~lsn =
       Sim.wait_until t.sim ~cat:Moncore.C_disk f.valid_at;
       touch t f;
       f.data <- data;
+      f.memo <- None;
       f.dirty <- true;
       if Int64.compare lsn f.page_lsn > 0 then f.page_lsn <- lsn
   | None ->

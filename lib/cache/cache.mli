@@ -44,6 +44,18 @@ val cached : t -> int
 (** [read t block] returns the block contents, fetching on a miss. *)
 val read : t -> int -> string
 
+(** What a reader derives from a block's contents, kept with the frame.
+    Each reader adds its own constructor. *)
+type memo = ..
+
+(** [read_memo t block decode] is [decode (read t block)], computed once
+    per cache residency: the same hit/miss counting, LRU touch and clock
+    charges as {!read}, after which the frame's memo is returned, or
+    filled from its contents first. {!write} clears the memo; eviction,
+    {!steal} and {!drop_all} discard it with the frame, so it never
+    outlives the resident set. [decode] must be pure. *)
+val read_memo : t -> int -> (string -> memo) -> memo
+
 (** [write t block data ~lsn] replaces the cached contents; the block
     becomes dirty with [page_lsn = max old lsn]. No disk I/O happens here —
     the WAL protocol governs when the frame reaches disk. *)

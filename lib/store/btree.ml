@@ -15,7 +15,19 @@ type t = {
 
 let alloc_block t = Disk.allocate (Cache.disk t.cache) 1
 
-let read_page t block = Page.decode (Cache.read t.cache block)
+(* Each resident block is read once into its cache frame's memo: a leaf
+   as a view over the block string, a node decoded. A write clears it. *)
+type Cache.memo += Image of Page.image
+
+let memo_image s = Image (Page.image s)
+
+let read_image t block =
+  match Cache.read_memo t.cache block memo_image with
+  | Image i -> i
+  | _ ->
+      Errors.fatal
+        (Printf.sprintf "Btree %s: block %d is memoised by another reader"
+           t.name block)
 
 let write_page t block page ~lsn =
   Cache.write t.cache block (Page.encode ~block_size:t.block_size page) ~lsn
@@ -37,26 +49,22 @@ let root_block t = t.root
 
 (* --- descent ----------------------------------------------------------- *)
 
-(* Returns the leaf page and the path of internal nodes visited:
-   [(block, child0, entries)] outermost first. *)
+(* Returns the leaf's block and view and the path of internal nodes
+   visited: [(block, child0, entries)] outermost first. *)
 let rec descend t block path key =
   Sim.tick t.sim 10;
-  match read_page t block with
-  | Page.Leaf { entries; next } -> (block, entries, next, List.rev path)
-  | Page.Node { child0; entries } ->
+  match read_image t block with
+  | Page.View v -> (block, v, List.rev path)
+  | Page.Node_image { child0; entries } ->
       let child = Page.find_child entries child0 key in
       descend t child ((block, child0, entries) :: path) key
 
 let find_leaf t key = descend t t.root [] key
 
 let lookup t key =
-  let _, entries, _, _ = find_leaf t key in
-  let pos = Page.find_leaf_pos entries key in
-  if pos < Array.length entries then begin
-    let k, r = entries.(pos) in
-    if String.equal k key then Some r else None
-  end
-  else None
+  let _, v, _ = find_leaf t key in
+  let pos = Page.view_pos v key in
+  if Page.view_has_key v pos key then Some (Page.view_record v pos) else None
 
 (* --- array edits -------------------------------------------------------- *)
 
@@ -146,17 +154,16 @@ let insert t ~key ~record ~lsn =
          (Printf.sprintf "record of %d bytes exceeds maximum"
             (String.length record)))
   else begin
-    let block, old_entries, next, path = find_leaf t key in
-    let pos = Page.find_leaf_pos old_entries key in
-    if
-      pos < Array.length old_entries
-      && String.equal (fst old_entries.(pos)) key
-    then Errors.fail (Errors.Duplicate_key key)
+    let block, v, path = find_leaf t key in
+    let pos = Page.view_pos v key in
+    if Page.view_has_key v pos key then
+      Errors.fail (Errors.Duplicate_key key)
     else begin
       Sim.tick t.sim 10;
-      let entries = array_insert old_entries pos (key, record) in
+      let entries = array_insert (Page.view_entries v) pos (key, record) in
+      let next = Page.view_next v in
       (* rightmost = appending at the end of the last leaf *)
-      let rightmost = next = -1 && pos = Array.length old_entries in
+      let rightmost = next = -1 && pos = Page.view_length v in
       store_leaf t block entries next path ~lsn ~rightmost ();
       t.nrecords <- t.nrecords + 1;
       Ok ()
@@ -164,18 +171,17 @@ let insert t ~key ~record ~lsn =
   end
 
 let update t ~key ~record ~lsn =
-  let block, old_entries, next, path = find_leaf t key in
-  let pos = Page.find_leaf_pos old_entries key in
-  if
-    pos >= Array.length old_entries
-    || not (String.equal (fst old_entries.(pos)) key)
-  then Errors.fail (Errors.Not_found_key key)
+  let block, v, path = find_leaf t key in
+  let pos = Page.view_pos v key in
+  if not (Page.view_has_key v pos key) then
+    Errors.fail (Errors.Not_found_key key)
   else begin
     Sim.tick t.sim 10;
-    let old = snd old_entries.(pos) in
-    let entries = Array.copy old_entries in
+    (* [view_entries] is a fresh copy, so it may be written *)
+    let entries = Page.view_entries v in
+    let old = snd entries.(pos) in
     entries.(pos) <- (key, record);
-    store_leaf t block entries next path ~lsn ();
+    store_leaf t block entries (Page.view_next v) path ~lsn ();
     Ok old
   end
 
@@ -186,20 +192,18 @@ let upsert t ~key ~record ~lsn =
       match insert t ~key ~record ~lsn with
       | Ok () -> ()
       | Error e ->
-          failwith ("Btree.upsert: " ^ Nsql_util.Errors.to_string e))
+          Errors.fatal ("Btree.upsert: " ^ Errors.to_string e))
 
 let delete t ~key ~lsn =
-  let block, old_entries, next, _path = find_leaf t key in
-  let pos = Page.find_leaf_pos old_entries key in
-  if
-    pos >= Array.length old_entries
-    || not (String.equal (fst old_entries.(pos)) key)
-  then Errors.fail (Errors.Not_found_key key)
+  let block, v, _path = find_leaf t key in
+  let pos = Page.view_pos v key in
+  if not (Page.view_has_key v pos key) then
+    Errors.fail (Errors.Not_found_key key)
   else begin
     Sim.tick t.sim 10;
-    let old = snd old_entries.(pos) in
-    let entries = array_remove old_entries pos in
-    write_page t block (Page.Leaf { entries; next }) ~lsn;
+    let old = Page.view_record v pos in
+    let entries = array_remove (Page.view_entries v) pos in
+    write_page t block (Page.Leaf { entries; next = Page.view_next v }) ~lsn;
     t.nrecords <- t.nrecords - 1;
     Ok old
   end
@@ -321,27 +325,28 @@ type cursor = End | At of { block : int; idx : int }
 
 (* normalize a position: skip past drained leaves *)
 let rec normalize t block idx =
-  match read_page t block with
-  | Page.Leaf l ->
-      if idx < Array.length l.entries then At { block; idx }
-      else if l.next < 0 then End
-      else normalize t l.next 0
-  | Page.Node _ ->
-      invalid_arg "Btree.cursor: position on internal node"
+  match read_image t block with
+  | Page.View v -> at_or_after t block v idx
+  | Page.Node_image _ ->
+      Errors.fatal
+        (Printf.sprintf "Btree %s: cursor on internal node %d" t.name block)
+
+and at_or_after t block v idx =
+  if idx < Page.view_length v then At { block; idx }
+  else
+    let next = Page.view_next v in
+    if next < 0 then End else normalize t next 0
 
 let seek t key =
-  let block, entries, next, _ = find_leaf t key in
-  let pos = Page.find_leaf_pos entries key in
-  if pos < Array.length entries then At { block; idx = pos }
-  else if next < 0 then End
-  else normalize t next 0
+  let block, v, _ = find_leaf t key in
+  at_or_after t block v (Page.view_pos v key)
 
 let cursor_entry t = function
   | End -> None
   | At { block; idx } -> (
-      match read_page t block with
-      | Page.Leaf l when idx < Array.length l.entries -> Some l.entries.(idx)
-      | Page.Leaf _ | Page.Node _ -> None)
+      match read_image t block with
+      | Page.View v when idx < Page.view_length v -> Some (Page.view_entry v idx)
+      | Page.View _ | Page.Node_image _ -> None)
 
 let advance t = function
   | End -> End
@@ -353,9 +358,9 @@ let cursor_block = function End -> None | At { block; _ } -> Some block
 
 let leftmost_leaf t =
   let rec go block =
-    match read_page t block with
-    | Page.Leaf _ -> block
-    | Page.Node { child0; _ } -> go child0
+    match read_image t block with
+    | Page.View _ -> block
+    | Page.Node_image { child0; _ } -> go child0
   in
   go t.root
 
@@ -363,9 +368,9 @@ let leaf_blocks t =
   let rec walk block acc =
     if block < 0 then List.rev acc
     else
-      match read_page t block with
-      | Page.Leaf l -> walk l.next (block :: acc)
-      | Page.Node _ -> List.rev acc
+      match read_image t block with
+      | Page.View v -> walk (Page.view_next v) (block :: acc)
+      | Page.Node_image _ -> List.rev acc
   in
   walk (leftmost_leaf t) []
 
@@ -375,14 +380,14 @@ let check_invariants t =
   let rec check_chain block last_key count =
     if block < 0 then Ok count
     else
-      match read_page t block with
-      | Page.Node _ -> fail "leaf chain reaches internal node %d" block
-      | Page.Leaf l ->
-          let n = Array.length l.entries in
+      match read_image t block with
+      | Page.Node_image _ -> fail "leaf chain reaches internal node %d" block
+      | Page.View v ->
+          let n = Page.view_length v in
           let rec check_sorted i last =
             if i >= n then Ok last
             else begin
-              let k, _ = l.entries.(i) in
+              let k, _ = Page.view_entry v i in
               match last with
               | Some lk when String.compare lk k >= 0 ->
                   fail "keys out of order in leaf %d" block
@@ -391,7 +396,7 @@ let check_invariants t =
           in
           let ( let* ) r f = match r with Ok x -> f x | Error e -> Error e in
           let* last = check_sorted 0 last_key in
-          check_chain l.next last (count + n)
+          check_chain (Page.view_next v) last (count + n)
   in
   match check_chain (leftmost_leaf t) None 0 with
   | Error e -> Error e
@@ -404,20 +409,17 @@ let check_invariants t =
         let ok = ref (Ok ()) in
         let rec walk block =
           if !ok = Ok () then
-            match read_page t block with
-            | Page.Leaf l ->
+            match read_image t block with
+            | Page.View v ->
                 Array.iter
                   (fun (k, _) ->
                     if !ok = Ok () then begin
-                      let _, es, _, _ = find_leaf t k in
-                      let pos = Page.find_leaf_pos es k in
-                      if
-                        pos >= Array.length es
-                        || not (String.equal (fst es.(pos)) k)
+                      let _, found, _ = find_leaf t k in
+                      if not (Page.view_has_key found (Page.view_pos found k) k)
                       then ok := fail "key %S not reachable by descent" k
                     end)
-                  l.entries
-            | Page.Node { child0; entries } ->
+                  (Page.view_entries v)
+            | Page.Node_image { child0; entries } ->
                 walk child0;
                 Array.iter (fun (_, c) -> walk c) entries
         in

@@ -1,5 +1,5 @@
 (* Tests of the buffer pool: LRU, WAL protocol, bulk reads, pre-fetch,
-   write-behind, VM stealing. *)
+   write-behind, VM stealing, the per-frame memo. *)
 
 module Sim = Nsql_sim.Sim
 module Stats = Nsql_sim.Stats
@@ -166,6 +166,71 @@ let crash_drops_dirty () =
     (Disk.read disk 7);
   Alcotest.(check int) "cache empty" 0 (Cache.cached cache)
 
+(* --- the per-frame memo -------------------------------------------------- *)
+
+type Cache.memo += Copy of string
+
+let decodes = ref 0
+
+let copy data =
+  incr decodes;
+  Copy data
+
+let read_via_memo cache block =
+  match Cache.read_memo cache block copy with
+  | Copy data -> data
+  | _ -> Alcotest.fail "another reader's memo"
+
+(* One sequence of misses, hits, a write, evictions (one of them dirty), a
+   bulk range, a pre-fetch and a crash, run on twin pools: once reading
+   through [read], once through [read_memo]. The memo must not show in
+   the counters, the clock or the contents read. *)
+let memo_invisible_to_counters () =
+  let run read =
+    let sim, _disk, cache, _log = setup ~capacity:8 () in
+    let seen = ref [] in
+    let r b = seen := read cache b :: !seen in
+    List.iter r [ 0; 1; 2; 0; 1 ];
+    Cache.write cache 1 (block_of cache 'a') ~lsn:1L;
+    List.iter r [ 1; 3; 4; 5; 6; 7; 8; 9; 10; 11; 1 ];
+    ignore (Cache.read_range cache ~first:12 ~count:5);
+    List.iter r [ 12; 16; 1 ];
+    Cache.prefetch cache ~first:20 ~count:3;
+    r 21;
+    Cache.drop_all cache;
+    List.iter r [ 1; 21; 1 ];
+    (Stats.to_assoc (Sim.stats sim), Sim.now sim, List.rev !seen)
+  in
+  let stats, now, seen = run Cache.read in
+  let stats', now', seen' = run read_via_memo in
+  Alcotest.(check (list (pair string int))) "same Stats" stats stats';
+  Alcotest.(check (float 0.)) "same clock" now now';
+  Alcotest.(check (list string)) "same contents" seen seen'
+
+let memo_decoded_once_per_residency () =
+  let _sim, _disk, cache, _log = setup ~capacity:8 () in
+  decodes := 0;
+  let r b = ignore (read_via_memo cache b) in
+  r 0;
+  r 0;
+  Alcotest.(check int) "a hit reuses the memo" 1 !decodes;
+  Cache.write cache 0 (block_of cache 'w') ~lsn:1L;
+  Alcotest.(check string) "a write forces a fresh decode" (block_of cache 'w')
+    (read_via_memo cache 0);
+  Alcotest.(check int) "one decode per write" 2 !decodes;
+  (* eight more blocks through an eight-frame pool evict block 0 *)
+  for i = 1 to 8 do
+    r i
+  done;
+  Alcotest.(check bool) "evicted" false (Cache.resident cache 0);
+  decodes := 0;
+  r 0;
+  r 0;
+  Alcotest.(check int) "an eviction forces a fresh decode" 1 !decodes;
+  Cache.drop_all cache;
+  r 0;
+  Alcotest.(check int) "drop_all forces a fresh decode" 2 !decodes
+
 let suite =
   [
     Alcotest.test_case "hit/miss counting" `Quick hit_miss_counting;
@@ -184,4 +249,8 @@ let suite =
       write_behind_strings;
     Alcotest.test_case "VM steal cleans and frees" `Quick steal_cleans_and_frees;
     Alcotest.test_case "crash drops dirty pages" `Quick crash_drops_dirty;
+    Alcotest.test_case "memo invisible to counters and clock" `Quick
+      memo_invisible_to_counters;
+    Alcotest.test_case "memo decoded once per residency" `Quick
+      memo_decoded_once_per_residency;
   ]

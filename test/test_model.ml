@@ -95,48 +95,110 @@ let cache_matches_model =
 let word_gen =
   QCheck.Gen.(string_size ~gen:(char_range 'a' 'f') (int_range 0 12))
 
+(* Mutations interleaved with reads, on a pool of eight frames so blocks
+   cycle through the cache (and its per-frame memo) all the time. Halfway
+   through, the pool is flushed and dropped, so every later read starts
+   from the disk image. *)
+type tree_op =
+  | T_insert of string * string
+  | T_update of string * string
+  | T_delete of string * string
+  | T_lookup of string * string
+  | T_walk of string * string
+
+let tree_op_gen =
+  QCheck.Gen.(
+    map3
+      (fun kind a b ->
+        match kind with
+        | 0 | 1 | 2 -> T_insert (a, b)
+        | 3 -> T_update (a, b)
+        | 4 -> T_delete (a, b)
+        | 5 -> T_lookup (a, b)
+        | _ -> T_walk (a, b))
+      (int_bound 6) word_gen word_gen)
+
 let btree_string_keys =
   QCheck.Test.make ~name:"btree with composite string keys matches a map"
     ~count:25
-    QCheck.(
-      list_of_size (QCheck.Gen.int_bound 400)
-        (pair (QCheck.make word_gen) (QCheck.make word_gen)))
-    (fun pairs ->
+    QCheck.(list_of_size (QCheck.Gen.int_bound 400) (QCheck.make tree_op_gen))
+    (fun ops ->
       let sim = Sim.create () in
       let disk = Disk.create sim ~name:"$B" in
       let cache =
-        Cache.create sim disk ~capacity:64
+        Cache.create sim disk ~capacity:8
           ~durable_lsn:(fun () -> Int64.max_int)
           ~force_log:(fun _ -> ())
       in
       let t = Btree.create sim cache ~name:"T" in
       let model = Hashtbl.create 64 in
-      List.iter
-        (fun (a, b) ->
-          let key = Keycode.of_string a ^ Keycode.of_string b in
-          (* a fat record forces frequent splits *)
-          let record = a ^ "|" ^ b ^ String.make 200 'r' in
-          match Btree.insert t ~key ~record ~lsn:1L with
-          | Ok () -> Hashtbl.replace model key record
-          | Error (Errors.Duplicate_key _) -> assert (Hashtbl.mem model key)
-          | Error e -> failwith (Errors.to_string e))
-        pairs;
+      let key_of a b = Keycode.of_string a ^ Keycode.of_string b in
+      (* a fat record forces frequent splits *)
+      let record_of tag a b = tag ^ a ^ "|" ^ b ^ String.make 200 'r' in
+      (* the first [n] model entries at or after [from], in key order *)
+      let model_from from n =
+        Hashtbl.fold
+          (fun k r acc -> if String.compare k from >= 0 then (k, r) :: acc else acc)
+          model []
+        |> List.sort compare
+        |> List.filteri (fun i _ -> i < n)
+      in
+      let rec walk c n =
+        if n = 0 then []
+        else
+          match Btree.cursor_entry t c with
+          | None -> []
+          | Some e -> e :: walk (Btree.advance t c) (n - 1)
+      in
+      let ok = ref true in
+      let half = List.length ops / 2 in
+      List.iteri
+        (fun i op ->
+          if i = half then begin
+            Cache.flush_all cache;
+            Cache.drop_all cache
+          end;
+          if !ok then
+            match op with
+            | T_insert (a, b) -> (
+                let key = key_of a b and record = record_of "i" a b in
+                match Btree.insert t ~key ~record ~lsn:1L with
+                | Ok () -> Hashtbl.replace model key record
+                | Error (Errors.Duplicate_key _) -> ok := Hashtbl.mem model key
+                | Error e -> failwith (Errors.to_string e))
+            | T_update (a, b) -> (
+                let key = key_of a b and record = record_of "u" a b in
+                match Btree.update t ~key ~record ~lsn:1L with
+                | Ok old ->
+                    ok := Hashtbl.find_opt model key = Some old;
+                    Hashtbl.replace model key record
+                | Error (Errors.Not_found_key _) -> ok := not (Hashtbl.mem model key)
+                | Error e -> failwith (Errors.to_string e))
+            | T_delete (a, b) -> (
+                let key = key_of a b in
+                match Btree.delete t ~key ~lsn:1L with
+                | Ok old ->
+                    ok := Hashtbl.find_opt model key = Some old;
+                    Hashtbl.remove model key
+                | Error (Errors.Not_found_key _) -> ok := not (Hashtbl.mem model key)
+                | Error e -> failwith (Errors.to_string e))
+            | T_lookup (a, b) ->
+                let key = key_of a b in
+                ok := Btree.lookup t key = Hashtbl.find_opt model key
+            | T_walk (a, b) ->
+                let from = key_of a b in
+                ok := walk (Btree.seek t from) 20 = model_from from 20)
+        ops;
       (match Btree.check_invariants t with
       | Ok () -> ()
       | Error e -> failwith e);
-      (* every model entry is retrievable, and the scan is sorted + complete *)
-      Hashtbl.fold
-        (fun key record acc -> acc && Btree.lookup t key = Some record)
-        model true
-      &&
-      let rec walk c last n =
-        match Btree.cursor_entry t c with
-        | None -> n = Hashtbl.length model
-        | Some (k, _) ->
-            (match last with Some l -> String.compare l k < 0 | None -> true)
-            && walk (Btree.advance t c) (Some k) (n + 1)
-      in
-      walk (Btree.seek t Keycode.low_value) None 0)
+      (* every model entry is retrievable, and the scan is the whole model *)
+      !ok
+      && Hashtbl.fold
+           (fun key record acc -> acc && Btree.lookup t key = Some record)
+           model true
+      && walk (Btree.seek t Keycode.low_value) max_int
+         = model_from Keycode.low_value max_int)
 
 (* --- keycode encoding is order-preserving ------------------------------------ *)
 

@@ -46,6 +46,12 @@ let page_roundtrip () =
   in
   check leaf;
   check node;
+  (match Page.image (Page.encode ~block_size:4096 node) with
+  | Page.Node_image { child0; entries } ->
+      Alcotest.(check int) "image child0" 7 child0;
+      Alcotest.(check (array (pair string int)))
+        "image separators" [| ("m", 8); ("t", 9) |] entries
+  | Page.View _ -> Alcotest.fail "node imaged as a leaf");
   (* decoded content equality, not just shape *)
   match Page.decode (Page.encode ~block_size:4096 leaf) with
   | Page.Leaf { entries; next } ->
@@ -60,6 +66,61 @@ let page_overflow_rejected () =
      ignore (Page.encode ~block_size:4096 huge);
      Alcotest.fail "oversized page accepted"
    with Invalid_argument _ -> ())
+
+(* Leaf views against the decoder. Keys come from a small alphabet, so
+   many are prefixes of others, and include bytes >= 0x80, where signed
+   and unsigned byte order disagree; long keys and records take two-byte
+   length varints. *)
+let view_key_gen =
+  QCheck.Gen.(
+    let alphabet = oneofl [ 'a'; 'b'; '\x00'; '\x7f'; '\x80'; '\xff' ] in
+    oneof
+      [
+        string_size ~gen:alphabet (int_bound 5);
+        string_size ~gen:alphabet (int_range 126 140);
+      ])
+
+let view_page_gen =
+  QCheck.Gen.(
+    triple
+      (list_size (int_bound 10)
+         (pair view_key_gen (string_size (int_bound 200))))
+      (int_range (-1) 1000)
+      (list_size (int_bound 8) view_key_gen))
+
+let leaf_view_matches_decode =
+  QCheck.Test.make ~name:"leaf view agrees with Page.decode" ~count:500
+    (QCheck.make view_page_gen) (fun (raw, next, probes) ->
+      let entries =
+        List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) raw
+        |> Array.of_list
+      in
+      let img = Page.encode ~block_size:8192 (Page.Leaf { entries; next }) in
+      let decoded =
+        match Page.decode img with
+        | Page.Leaf l -> l.entries
+        | Page.Node _ -> QCheck.Test.fail_report "decoded a node"
+      in
+      match Page.image img with
+      | Page.Node_image _ -> QCheck.Test.fail_report "viewed a node"
+      | Page.View v ->
+          Page.view_next v = next
+          && Page.view_entries v = decoded
+          && List.for_all
+               (fun i -> Page.view_record v i = snd decoded.(i))
+               (List.init (Array.length decoded) Fun.id)
+          && List.for_all
+               (fun probe ->
+                 let pos = Page.find_leaf_pos decoded probe in
+                 Page.view_pos v probe = pos
+                 && Page.view_has_key v pos probe
+                    = (pos < Array.length decoded
+                      && String.equal (fst decoded.(pos)) probe))
+               (probes
+               @ List.concat_map
+                   (fun (k, _) ->
+                     [ k; String.sub k 0 (String.length k / 2); k ^ "\x00" ])
+                   (Array.to_list entries)))
 
 (* --- b-tree -------------------------------------------------------------- *)
 
@@ -311,6 +372,7 @@ let suite =
   [
     Alcotest.test_case "page codec roundtrip" `Quick page_roundtrip;
     Alcotest.test_case "page overflow rejected" `Quick page_overflow_rejected;
+    QCheck_alcotest.to_alcotest leaf_view_matches_decode;
     Alcotest.test_case "btree insert/lookup" `Quick insert_lookup;
     Alcotest.test_case "btree duplicate rejected" `Quick duplicate_rejected;
     Alcotest.test_case "btree update/delete" `Quick update_delete;
