@@ -63,9 +63,13 @@ let push_mru t f =
   (match t.mru with Some m -> m.prev <- Some f | None -> t.lru <- Some f);
   t.mru <- Some f
 
+(* a frame already at the MRU end stays put *)
 let touch t f =
-  unlink t f;
-  push_mru t f
+  match t.mru with
+  | Some m when m == f -> ()
+  | Some _ | None ->
+      unlink t f;
+      push_mru t f
 
 (* --- cleaning and eviction ------------------------------------------- *)
 

@@ -11,6 +11,7 @@ module Expr = Nsql_expr.Expr
 module Btree = Nsql_store.Btree
 module Relfile = Nsql_store.Relfile
 module Entryfile = Nsql_store.Entryfile
+module Page = Nsql_store.Page
 module Tmf = Nsql_tmf.Tmf
 module Trail = Nsql_audit.Trail
 module Ar = Nsql_audit.Audit_record
@@ -869,30 +870,74 @@ let maybe_prefetch t scb block =
      end);
   scb.scb_prev_leaf <- block
 
+(* --- the per-record scan path ------------------------------------------
+
+   The subset scans read each record in place in its leaf view: the end
+   key is compared there, and a record is decoded only in the fields its
+   request evaluates or ships (DESIGN.md §5l). The cache reads, ticks and
+   counters are those of a whole-record decode; only host work is saved. *)
+
+(* is entry [i]'s key below the end key [hi]? [Keycode.compare_keys] in
+   place: [high_value] sorts after every other key *)
+let below_end v i hi =
+  if String.equal hi Keycode.high_value then
+    Page.view_compare_key v i hi <> 0
+  else
+    Page.view_compare_key v i hi < 0
+    && Page.view_compare_key v i Keycode.high_value <> 0
+
+(* [fields] of [sch] as a decode mask *)
+let field_mask sch fields =
+  let m = Array.make (Array.length sch.Row.cols) false in
+  List.iter (fun i -> if i >= 0 && i < Array.length m then m.(i) <- true) fields;
+  m
+
+(* the fields [mask] selects of entry [i]'s record, decoded in place *)
+let decode_entry sch mask v i =
+  let pos, len = Page.view_record_span v i in
+  Row.decode_fields sch mask (Page.view_block v) ~pos ~len
+
+(* A pushed-down predicate, prepared once per request: the fields it
+   reads and its charge of 2 ticks per node. *)
+type filter = { expr : Expr.t; mask : bool array; ticks : int }
+
+let filter_of sch = function
+  | None -> None
+  | Some p ->
+      Some
+        { expr = p; mask = field_mask sch (Expr.fields p); ticks = 2 * Expr.size p }
+
+let passes t fl row =
+  Sim.tick t.sim fl.ticks;
+  Expr.eval_pred row fl.expr
+
 (* The walk shared by GET and AGGREGATE executions: from [from_key], visit
    each record below the SCB's end key — pre-fetch, one [records_read] and
    [tick 15] each — until the key range ends or the request's budget is
    spent: [dp_records_per_request] records, [dp_ticks_per_request] ticks,
-   or [visit] reporting its reply buffer full. [one_block] (RSBB) also
-   stops before the first record of a second physical block. A locking
-   scan then takes one virtual-block range lock over the whole span it
-   examined, replacing per-record locks. [reply ~last_key ~more] builds
-   the answer when that lock is granted. *)
+   or [visit] reporting its reply buffer full. [visit v i] gets the record
+   as entry [i] of leaf view [v]. [one_block] (RSBB) also stops before the
+   first record of a second physical block. A locking scan then takes one
+   virtual-block range lock over the whole span it examined, replacing
+   per-record locks. [reply ~last_key ~more] builds the answer when that
+   lock is granted. *)
 let walk_scan t ~tx f b scb scb_id ~lock ~from_key ~one_block ~visit ~reply =
   let cfg = Sim.config t.sim in
   let s = Sim.stats t.sim in
   let ticks0 = s.Stats.cpu_ticks in
   let examined = ref 0 in
-  let last_key = ref from_key in
+  (* the last visited entry; its key is copied out once, at the end *)
+  let last_view = ref None in
+  let last_idx = ref 0 in
   let more = ref false in
   let first_block = ref (-1) in
   let stop = ref false in
   let cursor = ref (Btree.seek b from_key) in
   while not !stop do
-    match Btree.cursor_entry b !cursor with
+    match Btree.cursor_view b !cursor with
     | None -> stop := true
-    | Some (key, record) ->
-        if Keycode.compare_keys key scb.scb_hi >= 0 then stop := true
+    | Some (v, i) ->
+        if not (below_end v i scb.scb_hi) then stop := true
         else begin
           (match Btree.cursor_block !cursor with
           | Some blk ->
@@ -907,8 +952,11 @@ let walk_scan t ~tx f b scb scb_id ~lock ~from_key ~one_block ~visit ~reply =
             incr examined;
             s.Stats.records_read <- s.Stats.records_read + 1;
             Sim.tick t.sim 15;
-            let full = visit key record in
-            last_key := key;
+            let full = visit v i in
+            (match !last_view with
+            | Some lv when lv == v -> ()
+            | Some _ | None -> last_view := Some v);
+            last_idx := i;
             cursor := Btree.advance b !cursor;
             if
               full
@@ -916,24 +964,29 @@ let walk_scan t ~tx f b scb scb_id ~lock ~from_key ~one_block ~visit ~reply =
               || s.Stats.cpu_ticks - ticks0 >= cfg.Config.dp_ticks_per_request
             then begin
               stop := true;
-              more := Btree.cursor_entry b !cursor <> None
+              more := Btree.cursor_view b !cursor <> None
             end
           end
         end
   done;
+  let last_key =
+    match !last_view with
+    | Some v -> Page.view_key v !last_idx
+    | None -> from_key
+  in
   let locked =
     match lock_of_mode lock with
     | Some mode
-      when Keycode.compare_keys from_key !last_key <= 0 && !examined > 0 ->
+      when Keycode.compare_keys from_key last_key <= 0 && !examined > 0 ->
         try_lock t ~tx ~file:f.f_id
-          (Lock.Range (from_key, Keycode.successor !last_key))
+          (Lock.Range (from_key, Keycode.successor last_key))
           mode
     | Some _ | None -> Ok ()
   in
   match locked with
   | Error blockers ->
       Ok (Rp_blocked { blockers; processed = 0; last_key = from_key; scb = scb_id })
-  | Ok () -> reply ~last_key:!last_key ~more:!more
+  | Ok () -> reply ~last_key ~more:!more
 
 (* One GET^FIRST/GET^NEXT execution: fill a (virtual or real) block. *)
 let run_read_scan t ~tx f scb scb_id ~from_key =
@@ -948,33 +1001,46 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
       (* a VSBB scan of a SQL file ships rows; everything else ships raw
          (key, record) entries *)
       let ships_rows = buffering = B_vsbb && schema <> None in
+      let fl = match schema with Some sch -> filter_of sch pred | None -> None in
+      (* the fields a shipped row is decoded in, and whether the
+         predicate's decode already holds all of them *)
+      let ship_mask =
+        match (schema, proj) with
+        | Some sch, Some fields -> field_mask sch (Array.to_list fields)
+        | Some sch, None -> Array.make (Array.length sch.Row.cols) true
+        | None, _ -> [||]
+      in
+      let pred_covers =
+        match fl with
+        | Some fl -> Array.for_all2 (fun ship p -> p || not ship) ship_mask fl.mask
+        | None -> false
+      in
       let reply_bytes = ref 0 in
       let rows = ref [] in
       let entries = ref [] in
-      let visit key record =
+      let visit v i =
         let selected, row =
-          match (pred, schema) with
-          | None, _ -> (true, None)
-          | Some p, Some sch ->
-              let row = Row.decode_exn sch record in
-              Sim.tick t.sim (2 * Expr.size p);
-              (Expr.eval_pred row p, Some row)
-          | Some _, None -> (true, None)
+          match (fl, schema) with
+          | Some fl, Some sch ->
+              let row = decode_entry sch fl.mask v i in
+              (passes t fl row, Some row)
+          | _ -> (true, None)
         in
         if selected then begin
           (match schema with
           | Some sch when ships_rows ->
               let row =
-                match row with Some r -> r | None -> Row.decode_exn sch record
+                match row with
+                | Some r when pred_covers -> r
+                | Some _ | None -> decode_entry sch ship_mask v i
               in
               let row =
                 match proj with Some fields -> Row.project row fields | None -> row
               in
-              let w = Nsql_util.Codec.writer () in
-              Row.encode_values w row;
-              reply_bytes := !reply_bytes + Nsql_util.Codec.written w;
+              reply_bytes := !reply_bytes + Row.values_size row;
               rows := row :: !rows
           | Some _ | None ->
+              let key, record = Page.view_entry v i in
               reply_bytes := !reply_bytes + String.length key + String.length record;
               entries := (key, record) :: !entries);
           s.Stats.records_returned <- s.Stats.records_returned + 1;
@@ -1007,15 +1073,21 @@ let run_agg_scan t ~tx f scb scb_id ~from_key =
         | None ->
             Errors.fail (Errors.Bad_request "AGGREGATE requires a SQL file")
       in
-      let visit _key record =
-        let row = Row.decode_exn schema record in
-        let selected =
-          match pred with
-          | None -> true
-          | Some p ->
-              Sim.tick t.sim (2 * Expr.size p);
-              Expr.eval_pred row p
-        in
+      let fl = filter_of schema pred in
+      (* one decode per record, in every field the predicate, the group
+         key or an aggregate argument reads *)
+      let mask =
+        field_mask schema
+          (Array.to_list group_keys
+          @ (match pred with Some p -> Expr.fields p | None -> [])
+          @ List.concat_map
+              (fun spec ->
+                match spec.ag_arg with Some e -> Expr.fields e | None -> [])
+              aggs)
+      in
+      let visit v i =
+        let row = decode_entry schema mask v i in
+        let selected = match fl with None -> true | Some fl -> passes t fl row in
         if selected then begin
           let key_vals = Array.map (fun i -> row.(i)) group_keys in
           let w = Nsql_util.Codec.writer () in
@@ -1076,9 +1148,11 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
     | Scb_read _ | Scb_agg _ ->
         Errors.fail (Errors.Bad_request "SCB is not an update or delete subset")
   in
-  let apply_one key record row =
+  let all_fields = Array.make (Array.length schema.Row.cols) true in
+  let apply_one key v i =
     match action with
     | `Update assignments ->
+        let row = decode_entry schema all_fields v i in
         let after_row = Expr.apply_assignments row assignments in
         Sim.tick t.sim
           (List.fold_left
@@ -1091,13 +1165,14 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
           do_update_fields t ~tx f ~key ~before_row:row ~after_row ~targets
             schema
         in
-        register_undo_update t ~tx f ~key ~before:record;
+        register_undo_update t ~tx f ~key ~before:(Page.view_record v i);
         Ok ()
     | `Delete ->
         let* image = do_delete t ~tx f ~key in
         register_undo_delete t ~tx f ~key ~image;
         Ok ()
   in
+  let fl = filter_of schema pred in
   let ticks0 = s.Stats.cpu_ticks in
   let examined = ref 0 in
   let processed = ref 0 in
@@ -1111,10 +1186,10 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
   let continue_ = ref true in
   while !continue_ do
     let cursor = Btree.seek b !next_seek in
-    match Btree.cursor_entry b cursor with
+    match Btree.cursor_view b cursor with
     | None -> continue_ := false
-    | Some (key, record) ->
-        if Keycode.compare_keys key scb.scb_hi >= 0 then continue_ := false
+    | Some (v, i) ->
+        if not (below_end v i scb.scb_hi) then continue_ := false
         else begin
           (match Btree.cursor_block cursor with
           | Some blk -> maybe_prefetch t scb blk
@@ -1122,13 +1197,11 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
           incr examined;
           s.Stats.records_read <- s.Stats.records_read + 1;
           Sim.tick t.sim 15;
-          let row = Row.decode_exn schema record in
+          let key = Page.view_key v i in
           let selected =
-            match pred with
+            match fl with
             | None -> true
-            | Some p ->
-                Sim.tick t.sim (2 * Expr.size p);
-                Expr.eval_pred row p
+            | Some fl -> passes t fl (decode_entry schema fl.mask v i)
           in
           if selected then begin
             (* per-record exclusive lock for set mutations *)
@@ -1145,7 +1218,7 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
                        });
                 continue_ := false
             | Ok () -> (
-                match apply_one key record row with
+                match apply_one key v i with
                 | Ok () ->
                     incr processed;
                     last_done := key;

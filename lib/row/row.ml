@@ -167,11 +167,6 @@ let validate s row =
 (* Fixed-width CHAR fields are blank padded on disk, like ENSCRIBE. *)
 let pad_char n s = if String.length s >= n then s else s ^ String.make (n - String.length s) ' '
 
-let rstrip_blanks s =
-  let n = ref (String.length s) in
-  while !n > 0 && s.[!n - 1] = ' ' do decr n done;
-  String.sub s 0 !n
-
 let encode_field w ty v =
   match (v, ty) with
   | Null, _ -> ()
@@ -199,26 +194,73 @@ let encode s row =
   Array.iteri (fun i v -> encode_field w s.cols.(i).col_type v) row;
   Codec.contents w
 
-let decode_field r ty =
-  match ty with
-  | T_int -> Vint (Int64.to_int (Codec.r_i64 r))
-  | T_float -> Vfloat (Codec.r_float r)
-  | T_bool -> Vbool (Codec.r_bool r)
-  | T_char n -> Vstr (rstrip_blanks (Codec.r_raw r n))
-  | T_varchar _ -> Vstr (Codec.r_bytes r)
+(* where the varint at [pos] ends, reading no byte at or past [limit] *)
+let rec varint_end src pos limit =
+  if pos >= limit then raise Codec.Truncated
+  else if Char.code src.[pos] land 0x80 = 0 then pos + 1
+  else varint_end src (pos + 1) limit
+
+(* the varint at [pos], once [varint_end] has bounded it *)
+let rec varint_value src pos shift acc =
+  let b = Char.code src.[pos] in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_value src (pos + 1) (shift + 7) acc
+
+(* a CHAR(n) field less its blank padding, copied once *)
+let char_value src pos n =
+  let e = ref (pos + n) in
+  while !e > pos && src.[!e - 1] = ' ' do decr e done;
+  String.sub src pos (!e - pos)
+
+(* The one record walker: the null bitmap, then each non-null field in
+   column order. A field [mask] selects is decoded; any other is skipped
+   by its width and reads as [Null]. No byte at or past [pos + len] is
+   read: a field that would cross it raises [Codec.Truncated]. *)
+let walk s mask src ~pos ~len =
+  let cols = s.cols in
+  let n = Array.length cols in
+  let limit = pos + len in
+  if pos < 0 || len < 0 || limit > String.length src then
+    raise Codec.Truncated;
+  let p = ref (pos + ((n + 7) / 8)) in
+  if !p > limit then raise Codec.Truncated;
+  let row = Array.make n Null in
+  for i = 0 to n - 1 do
+    if Char.code src.[pos + (i lsr 3)] land (1 lsl (i land 7)) = 0 then begin
+      let at = !p in
+      let ty = cols.(i).col_type in
+      let width =
+        match ty with
+        | T_int | T_float -> 8
+        | T_bool -> 1
+        | T_char w -> w
+        | T_varchar _ ->
+            let e = varint_end src at limit in
+            e - at + varint_value src at 0 0
+      in
+      if width < 0 || width > limit - at then raise Codec.Truncated;
+      if mask.(i) then
+        row.(i) <-
+          (match ty with
+          | T_int -> Vint (Int64.to_int (String.get_int64_le src at))
+          | T_float -> Vfloat (Int64.float_of_bits (String.get_int64_le src at))
+          | T_bool -> Vbool (not (Char.equal src.[at] '\000'))
+          | T_char w -> Vstr (char_value src at w)
+          | T_varchar _ ->
+              let e = varint_end src at limit in
+              Vstr (String.sub src e (at + width - e)));
+      p := at + width
+    end
+  done;
+  row
+
+let decode_fields s mask src ~pos ~len =
+  try walk s mask src ~pos ~len
+  with Codec.Truncated -> Errors.fatal "Row.decode_fields: truncated record image"
 
 let decode s bytes_ =
-  let n = Array.length s.cols in
-  let nbytes = (n + 7) / 8 in
-  try
-    let r = Codec.reader bytes_ in
-    let bitmap = Codec.r_raw r nbytes in
-    let is_null i = Char.code bitmap.[i / 8] land (1 lsl (i mod 8)) <> 0 in
-    let row =
-      Array.init n (fun i ->
-          if is_null i then Null else decode_field r s.cols.(i).col_type)
-    in
-    Ok row
+  let mask = Array.make (Array.length s.cols) true in
+  try Ok (walk s mask bytes_ ~pos:0 ~len:(String.length bytes_))
   with Codec.Truncated -> fail (Internal "Row.decode: truncated record image")
 
 let decode_exn s bytes_ =
@@ -300,6 +342,18 @@ let decode_schema r =
 let encode_values w row =
   Codec.w_varint w (Array.length row);
   Array.iter (fun v -> encode_value w v) row
+
+let value_size = function
+  | Null -> 1
+  | Vint _ | Vfloat _ -> 9
+  | Vbool _ -> 2
+  | Vstr s -> 1 + Codec.varint_size (String.length s) + String.length s
+
+let values_size row =
+  Array.fold_left
+    (fun acc v -> acc + value_size v)
+    (Codec.varint_size (Array.length row))
+    row
 
 let decode_values r =
   let n = Codec.r_varint r in

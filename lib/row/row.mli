@@ -69,6 +69,15 @@ val encode : schema -> row -> string
 (** [decode s bytes] parses a record image. *)
 val decode : schema -> string -> (row, Nsql_util.Errors.t) result
 
+(** [decode_fields s mask src ~pos ~len] decodes the record image held
+    in the [len] bytes of [src] from [pos], in place. Only the fields
+    [mask] selects (one entry per column) are decoded; every other field
+    is skipped by its width and reads as [Null]. [decode s bytes] is the
+    all-columns case over the whole string. Raises {!Nsql_util.Errors.Fatal}
+    if a field crosses [pos + len]. *)
+val decode_fields :
+  schema -> bool array -> string -> pos:int -> len:int -> row
+
 (** [decode_exn s bytes] is [decode] for trusted (self-written) images. *)
 val decode_exn : schema -> string -> row
 
@@ -93,6 +102,10 @@ val decode_schema : Nsql_util.Codec.reader -> schema
 
 val encode_values : Nsql_util.Codec.writer -> row -> unit
 val decode_values : Nsql_util.Codec.reader -> row
+
+(** [values_size row] is the number of bytes [encode_values] writes for
+    [row]. *)
+val values_size : row -> int
 
 (** {1 Keys} *)
 

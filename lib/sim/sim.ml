@@ -67,25 +67,33 @@ let fire_due t =
     Fun.protect ~finally:(fun () -> t.firing <- false) loop
   end
 
+(* the clock moves forward to [when_]; this assignment is the only place
+   [t.now] moves, so reporting it to the monitor here makes the
+   per-category clock attribution exhaustive by construction *)
+let move_to t ~cat when_ =
+  if when_ > t.now then begin
+    Moncore.clock_advance t.moncore ~cat ~from_:t.now ~to_:when_;
+    t.now <- when_
+  end
+
 (* step through intermediate event times so each event sees a clock that
-   has just reached its due time; these two assignments are the only
-   places [t.now] moves, so reporting them to the monitor here makes the
-   per-category clock attribution exhaustive by construction. Every step
-   is charged to [cat]: a handler that moves the clock names its own
-   category, and the advance then carries on under [cat]. *)
+   has just reached its due time. Every step is charged to [cat]: a
+   handler that moves the clock names its own category, and the advance
+   then carries on under [cat]. When no event is due by the target, the
+   clock just moves: [fire_due] would find nothing to fire, so skipping
+   it is exact, and this path allocates nothing. *)
 let rec advance_to t ~cat when_ =
-  match Nsql_util.Heap.min_prio t.events with
-  | Some due when due <= when_ && due > t.now ->
-      Moncore.clock_advance t.moncore ~cat ~from_:t.now ~to_:due;
-      t.now <- due;
-      fire_due t;
-      advance_to t ~cat when_
-  | _ ->
-      if when_ > t.now then begin
-        Moncore.clock_advance t.moncore ~cat ~from_:t.now ~to_:when_;
-        t.now <- when_
-      end;
-      fire_due t
+  let target = if when_ > t.now then when_ else t.now in
+  if Nsql_util.Heap.none_due_by t.events target then move_to t ~cat when_
+  else
+    match Nsql_util.Heap.min_prio t.events with
+    | Some due when due <= when_ && due > t.now ->
+        move_to t ~cat due;
+        fire_due t;
+        advance_to t ~cat when_
+    | _ ->
+        move_to t ~cat when_;
+        fire_due t
 
 let charge t ~cat us =
   if us > 0. then

@@ -341,12 +341,15 @@ let seek t key =
   let block, v, _ = find_leaf t key in
   at_or_after t block v (Page.view_pos v key)
 
-let cursor_entry t = function
+let cursor_view t = function
   | End -> None
   | At { block; idx } -> (
       match read_image t block with
-      | Page.View v when idx < Page.view_length v -> Some (Page.view_entry v idx)
+      | Page.View v when idx < Page.view_length v -> Some (v, idx)
       | Page.View _ | Page.Node_image _ -> None)
+
+let cursor_entry t c =
+  Option.map (fun (v, idx) -> Page.view_entry v idx) (cursor_view t c)
 
 let advance t = function
   | End -> End

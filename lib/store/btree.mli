@@ -65,6 +65,11 @@ type cursor
 (** [seek t key] positions at the first entry with key [>= key]. *)
 val seek : t -> string -> cursor
 
+(** [cursor_view t c] is the leaf view and entry index at the cursor,
+    read through the cache exactly as {!cursor_entry} reads it; the entry
+    stays in the block until a caller copies it out. *)
+val cursor_view : t -> cursor -> (Page.view * int) option
+
 (** [cursor_entry t c] is the (key, record) at the cursor. *)
 val cursor_entry : t -> cursor -> (string * string) option
 

@@ -6,9 +6,7 @@ type t =
 
 let empty_leaf = Leaf { entries = [||]; next = -1 }
 
-let varint_size n =
-  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
-  go (Int.max n 0) 1
+let varint_size = Codec.varint_size
 
 let bytes_size s = varint_size (String.length s) + String.length s
 
@@ -138,10 +136,11 @@ let view_of_leaf s =
 
 let view_length v = Array.length v.offsets
 let view_next v = v.next
+let view_block v = v.block
 
 (* the key of entry [i] against [key], in [String.compare]'s order
    (unsigned bytes, a proper prefix first), without copying it out *)
-let compare_key v i key =
+let view_compare_key v i key =
   let s = v.block in
   let off = v.offsets.(i) in
   let klen = varint_at s off in
@@ -158,29 +157,37 @@ let view_pos v key =
   let lo = ref 0 and hi = ref (view_length v) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_key v mid key < 0 then lo := mid + 1 else hi := mid
+    if view_compare_key v mid key < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
-let view_has_key v i key = i < view_length v && compare_key v i key = 0
+let view_has_key v i key = i < view_length v && view_compare_key v i key = 0
+
+let view_key v i =
+  let s = v.block in
+  let off = v.offsets.(i) in
+  let klen = varint_at s off in
+  String.sub s (off + varint_size klen) klen
 
 (* the record whose length varint starts at [rpos] *)
 let record_at s rpos =
   let rlen = varint_at s rpos in
   String.sub s (rpos + varint_size rlen) rlen
 
-let view_record v i =
+let record_pos v i =
   let s = v.block in
   let off = v.offsets.(i) in
   let klen = varint_at s off in
-  record_at s (off + varint_size klen + klen)
+  off + varint_size klen + klen
 
-let view_entry v i =
-  let s = v.block in
-  let off = v.offsets.(i) in
-  let klen = varint_at s off in
-  let kstart = off + varint_size klen in
-  (String.sub s kstart klen, record_at s (kstart + klen))
+let view_record_span v i =
+  let rpos = record_pos v i in
+  let rlen = varint_at v.block rpos in
+  (rpos + varint_size rlen, rlen)
+
+let view_record v i = record_at v.block (record_pos v i)
+
+let view_entry v i = (view_key v i, view_record v i)
 
 let view_entries v = Array.init (view_length v) (view_entry v)
 

@@ -60,6 +60,20 @@ val view_pos : view -> string -> int
 (** [view_has_key v i key] — is there an entry [i] and is its key [key]? *)
 val view_has_key : view -> int -> string -> bool
 
+(** [view_block v] is the encoded block the view reads. *)
+val view_block : view -> string
+
+(** [view_compare_key v i key] compares entry [i]'s key with [key] in
+    place, in the order of [String.compare]. *)
+val view_compare_key : view -> int -> string -> int
+
+(** [view_key v i] copies out entry [i]'s key only. *)
+val view_key : view -> int -> string
+
+(** [view_record_span v i] is [(pos, len)]: entry [i]'s record is the
+    [len] bytes of {!view_block} from [pos], read in place. *)
+val view_record_span : view -> int -> int * int
+
 (** [view_entry v i] copies out entry [i]'s (key, record). *)
 val view_entry : view -> int -> string * string
 

@@ -29,6 +29,10 @@ let w_varint b n =
   in
   go n
 
+let varint_size n =
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go (Int.max n 0) 1
+
 let w_float b f = w_i64 b (Int64.bits_of_float f)
 let w_bool b v = w_u8 b (if v then 1 else 0)
 

@@ -24,6 +24,9 @@ val w_int : writer -> int -> unit
 (** [w_varint w n] writes a non-negative integer in LEB128 (1-10 bytes). *)
 val w_varint : writer -> int -> unit
 
+(** [varint_size n] is the number of bytes [w_varint] writes for [n]. *)
+val varint_size : int -> int
+
 val w_float : writer -> float -> unit
 val w_bool : writer -> bool -> unit
 

@@ -51,6 +51,8 @@ let push h ~prio value =
 
 let min_prio h = if h.size = 0 then None else Some h.data.(0).prio
 
+let none_due_by h x = h.size = 0 || h.data.(0).prio > x
+
 let pop_min h =
   if h.size = 0 then None
   else begin

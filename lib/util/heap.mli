@@ -16,5 +16,9 @@ val push : 'a t -> prio:float -> 'a -> unit
 (** [min_prio h] is the smallest priority, if any. *)
 val min_prio : 'a t -> float option
 
+(** [none_due_by h x] is [true] iff every priority in [h] exceeds [x]:
+    [min_prio h] is [None] or above [x], asked without allocating. *)
+val none_due_by : 'a t -> float -> bool
+
 (** [pop_min h] removes and returns the minimum element. *)
 val pop_min : 'a t -> (float * 'a) option

@@ -231,6 +231,73 @@ let memo_decoded_once_per_residency () =
   r 0;
   Alcotest.(check int) "drop_all forces a fresh decode" 2 !decodes
 
+(* The pool's replacement order against a list-based LRU: MRU first, a
+   hit or a write moves a block to the front, an insert first evicts from
+   the back until there is room. Pre-fetch inserts the range's missing
+   blocks in block order. Residency is compared after every step, and at
+   the end [steal] must give up the blocks in the model's LRU order. *)
+type cache_op = Read of int | Write of int | Prefetch of int * int
+
+let cache_ops_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (4, map (fun b -> Read b) (int_bound 23));
+           (2, map (fun b -> Write b) (int_bound 23));
+           (1, map2 (fun b n -> Prefetch (b, n)) (int_bound 23) (int_range 1 6));
+         ]))
+
+let print_cache_op = function
+  | Read b -> Printf.sprintf "R%d" b
+  | Write b -> Printf.sprintf "W%d" b
+  | Prefetch (b, n) -> Printf.sprintf "P%d+%d" b n
+
+let lru_matches_model =
+  QCheck.Test.make ~name:"eviction order is LRU" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_cache_op) cache_ops_gen)
+    (fun ops ->
+      let capacity = 8 in
+      let _sim, _disk, cache, _log = setup ~capacity () in
+      let model = ref [] in
+      let use b =
+        if List.mem b !model then model := b :: List.filter (( <> ) b) !model
+        else begin
+          if List.length !model >= capacity then
+            model := List.filteri (fun i _ -> i < capacity - 1) !model;
+          model := b :: !model
+        end
+      in
+      let agrees () =
+        List.for_all
+          (fun b -> Cache.resident cache b = List.mem b !model)
+          (List.init 32 Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Read b ->
+              ignore (Cache.read cache b);
+              use b
+          | Write b ->
+              Cache.write cache b (block_of cache 'w') ~lsn:0L;
+              use b
+          | Prefetch (first, count) ->
+              let missing =
+                List.filter
+                  (fun b -> not (List.mem b !model))
+                  (List.init count (fun i -> first + i))
+              in
+              Cache.prefetch cache ~first ~count;
+              List.iter use missing);
+          agrees ())
+        ops
+      && List.for_all
+           (fun b ->
+             ignore (Cache.steal cache 1);
+             not (Cache.resident cache b))
+           (List.rev !model))
+
 let suite =
   [
     Alcotest.test_case "hit/miss counting" `Quick hit_miss_counting;
@@ -253,4 +320,5 @@ let suite =
       memo_invisible_to_counters;
     Alcotest.test_case "memo decoded once per residency" `Quick
       memo_decoded_once_per_residency;
+    QCheck_alcotest.to_alcotest lru_matches_model;
   ]

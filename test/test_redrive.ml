@@ -250,6 +250,150 @@ let abandoned_index_scan ~fanout () =
   | None -> Alcotest.fail "no index scan span");
   assert_all_closed n w
 
+(* --- column-selective decoding across re-drives ------------------------- *)
+
+(* The predicate, group-key and projected columns all sit after a nullable
+   VARCHAR, so a record's decode must skip a field whose width varies from
+   row to row (absent when NULL, one- and two-byte length prefixes) before
+   it reaches any of them. A 7-record budget makes every chain re-drive
+   many times and cross leaves. Answers are checked against the generated
+   rows themselves, evaluated whole. *)
+let wide_schema =
+  Row.schema
+    [|
+      Row.column ~nullable:true "note" (Row.T_varchar 200);
+      Row.column "grp" Row.T_int;
+      Row.column "k" Row.T_int;
+      Row.column "v" Row.T_int;
+      Row.column "tag" (Row.T_char 6);
+      Row.column ~nullable:true "f" Row.T_float;
+      Row.column "b" Row.T_bool;
+    |]
+    ~key:[ "grp"; "k" ]
+
+let wide_row i =
+  [|
+    (if i mod 3 = 0 then Row.Null else Row.Vstr (String.make (i * 37 mod 201) 'n'));
+    Row.Vint (i mod 5);
+    Row.Vint i;
+    Row.Vint (i * 7919 mod 1000);
+    Row.Vstr (Printf.sprintf "t%d" (i mod 13));
+    (if i mod 4 = 0 then Row.Null else Row.Vfloat (float_of_int i /. 3.));
+    Row.Vbool (i mod 2 = 0);
+  |]
+
+let wide_rows = 300
+
+(* (v < 600 OR f IS NULL) AND b = TRUE *)
+let wide_pred =
+  Expr.(
+    And
+      ( Or (Cmp (Lt, Field 3, int_ 600), Is_null (Field 5)),
+        Cmp (Eq, Field 6, bool_ true) ))
+
+let check_rows what expected got =
+  Alcotest.(check (list string))
+    what
+    (List.map (Format.asprintf "%a" Row.pp_row) expected)
+    (List.map (Format.asprintf "%a" Row.pp_row) got)
+
+let selective_decode_redrive () =
+  let n = node ~config:(Config.v ~dp_records_per_request:7 ()) () in
+  let file =
+    get_ok ~ctx:"create WIDE"
+      (Fs.create_file n.fs ~fname:"WIDE" ~schema:wide_schema
+         ~partitions:[ Fs.{ ps_lo = ""; ps_dp = n.dps.(0) } ]
+         ~indexes:[] ())
+  in
+  in_tx n (fun tx ->
+      Errors.list_iter
+        (fun i -> Fs.insert_row n.fs file ~tx (wide_row i))
+        (List.init wide_rows Fun.id));
+  (* the reference: every row in key order, evaluated whole *)
+  let all =
+    List.sort
+      (fun a b ->
+        String.compare (Row.key_of_row wide_schema a) (Row.key_of_row wide_schema b))
+      (List.init wide_rows wide_row)
+  in
+  let selected = List.filter (fun r -> Expr.eval_pred r wide_pred) all in
+  let scan ~access ?proj () =
+    in_tx n (fun tx ->
+        Ok
+          (drain_scan n
+             (Fs.open_scan n.fs file ~tx ~access ~range:full_range
+                ~pred:wide_pred ?proj ~lock:Dp_msg.L_none ())))
+  in
+  (* GET: shipped columns beyond the predicate's, none, all, and raw
+     entries *)
+  List.iter
+    (fun (what, access, proj) ->
+      check_rows what
+        (match proj with
+        | Some fields -> List.map (fun r -> Row.project r fields) selected
+        | None -> selected)
+        (scan ~access ?proj ()))
+    [
+      ("VSBB, projection beyond the predicate", Fs.A_vsbb, Some [| 5; 2; 4 |]);
+      ("VSBB, projection within the predicate", Fs.A_vsbb, Some [| 6; 3 |]);
+      ("VSBB, whole rows", Fs.A_vsbb, None);
+      ("RSBB, projection", Fs.A_rsbb, Some [| 5; 2; 4 |]);
+    ];
+  (* AGGREGATE per grp: row count, SUM(v), MIN(tag), MAX(f) *)
+  let aggs =
+    Dp_msg.
+      [
+        { ag_kind = Agg_count_star; ag_arg = None };
+        { ag_kind = Agg_sum; ag_arg = Some (Expr.Field 3) };
+        { ag_kind = Agg_min; ag_arg = Some (Expr.Field 4) };
+        { ag_kind = Agg_max; ag_arg = Some (Expr.Field 5) };
+      ]
+  in
+  let groups =
+    in_tx n (fun tx ->
+        Fs.aggregate n.fs file ~tx ~range:full_range ~pred:wide_pred
+          ~group_keys:[| 1 |] ~aggs ~lock:Dp_msg.L_none ())
+  in
+  let got =
+    List.map
+      (fun (key, accs) ->
+        Array.append key
+          (Array.of_list
+             (List.map2 (fun spec acc -> Dp_msg.finish_acc spec.Dp_msg.ag_kind acc) aggs accs)))
+      groups
+  in
+  let expected =
+    List.filter_map
+      (fun g ->
+        let rows = List.filter (fun r -> Row.equal_value r.(1) (Row.Vint g)) selected in
+        if rows = [] then None
+        else
+          let acc spec =
+            let a = Dp_msg.fresh_acc () in
+            List.iter (fun r -> Dp_msg.feed_spec a spec r) rows;
+            Dp_msg.finish_acc spec.Dp_msg.ag_kind a
+          in
+          Some (Array.of_list (Row.Vint g :: List.map acc aggs)))
+      (List.init 5 Fun.id)
+  in
+  check_rows "AGGREGATE by grp" expected got;
+  (* UPDATE: v = v + 1000 where the predicate holds *)
+  let bump = [ Expr.{ target = 3; source = Binop (Add, Field 3, int_ 1000) } ] in
+  let updated =
+    in_tx n (fun tx ->
+        Fs.update_subset n.fs file ~tx ~range:full_range ~pred:wide_pred bump)
+  in
+  Alcotest.(check int) "UPDATE count" (List.length selected) updated;
+  check_rows "UPDATE result"
+    (List.map
+       (fun r -> if Expr.eval_pred r wide_pred then Expr.apply_assignments r bump else r)
+       all)
+    (in_tx n (fun tx ->
+         Ok
+           (drain_scan n
+              (Fs.open_scan n.fs file ~tx ~access:Fs.A_vsbb ~range:full_range
+                 ~lock:Dp_msg.L_none ()))))
+
 let suite =
   golden_cases
   @ [
@@ -269,4 +413,6 @@ let suite =
         `Quick (abandoned_index_scan ~fanout:false);
       Alcotest.test_case "abandoned index scan frees its SCB (fan-out)" `Quick
         (abandoned_index_scan ~fanout:true);
+      Alcotest.test_case "selective decode after a nullable VARCHAR" `Quick
+        selective_decode_redrive;
     ]

@@ -137,6 +137,99 @@ let roundtrip_random =
       | Ok row' -> Row.equal_row row row'
       | Error _ -> false)
 
+(* A random schema (every column type, nullable or not, INT key first),
+   a row for it, a decode mask, and junk around the image so that it is
+   decoded at a nonzero position inside a larger string. *)
+let masked_case_gen =
+  QCheck.Gen.(
+    let col_type =
+      oneof
+        [
+          return Row.T_int;
+          return Row.T_float;
+          return Row.T_bool;
+          map (fun n -> Row.T_char n) (int_range 1 8);
+          map (fun n -> Row.T_varchar n) (int_range 0 200);
+        ]
+    in
+    let text n = string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\000'; '\xff' ]) (int_bound n) in
+    let value = function
+      | Row.T_int -> map (fun i -> Row.Vint i) int
+      | Row.T_float -> map (fun f -> Row.Vfloat f) float
+      | Row.T_bool -> map (fun b -> Row.Vbool b) bool
+      | Row.T_char n | Row.T_varchar n -> map (fun s -> Row.Vstr s) (text n)
+    in
+    let* cols = list_size (int_range 0 11) (pair col_type bool) in
+    let cols = (Row.T_int, false) :: cols in
+    let schema =
+      Row.schema
+        (Array.of_list
+           (List.mapi
+              (fun i (ty, nullable) -> Row.column ~nullable (Printf.sprintf "c%d" i) ty)
+              cols))
+        ~key:[ "c0" ]
+    in
+    let* row =
+      flatten_l
+        (List.map
+           (fun (ty, nullable) ->
+             if nullable then
+               frequency [ (1, return Row.Null); (3, value ty) ]
+             else value ty)
+           cols)
+    in
+    let* mask = list_repeat (List.length cols) bool in
+    let* prefix = string_size (int_bound 9) in
+    let* suffix = string_size (int_bound 9) in
+    return (schema, Array.of_list row, Array.of_list mask, prefix, suffix))
+
+let print_masked_case (schema, row, mask, prefix, suffix) =
+  Format.asprintf "%a@ %a@ mask=%s@ prefix=%S@ suffix=%S" Row.pp_schema schema
+    Row.pp_row row
+    (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") mask)))
+    prefix suffix
+
+let decode_fields_matches_decode =
+  QCheck.Test.make ~name:"selective decode agrees with Row.decode" ~count:500
+    (QCheck.make ~print:print_masked_case masked_case_gen)
+    (fun (schema, row, mask, prefix, suffix) ->
+      let img = Row.encode schema row in
+      let src = prefix ^ img ^ suffix in
+      let pos = String.length prefix and len = String.length img in
+      let full = Row.decode_exn schema img in
+      let sel = Row.decode_fields schema mask src ~pos ~len in
+      let truncated_fails mask cut =
+        match Row.decode_fields schema mask src ~pos ~len:(len - cut) with
+        | _ -> false
+        | exception Nsql_util.Errors.Fatal _ -> true
+      in
+      Array.length sel = Array.length full
+      && Array.for_all2 Row.equal_value
+           (Array.mapi (fun i v -> if mask.(i) then v else Row.Null) full)
+           sel
+      && List.for_all
+           (fun cut ->
+             truncated_fails mask cut
+             && truncated_fails (Array.map (fun _ -> true) mask) cut)
+           (List.sort_uniq compare [ 1; 1 + (len / 2); len ]))
+
+let values_size_matches_encoding =
+  QCheck.Test.make ~name:"values_size is the encode_values length" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          array_size (int_bound 20)
+            (oneof
+               [
+                 value_gen;
+                 return Row.Null;
+                 map (fun s -> Row.Vstr s) (string_size (int_range 100 300));
+               ])))
+    (fun row ->
+      let w = Codec.writer () in
+      Row.encode_values w row;
+      Row.values_size row = Codec.written w)
+
 let suite =
   [
     Alcotest.test_case "record codec roundtrip" `Quick roundtrip;
@@ -149,4 +242,6 @@ let suite =
     Alcotest.test_case "char padding stripped" `Quick char_padding_stripped;
     QCheck_alcotest.to_alcotest compare_total_order;
     QCheck_alcotest.to_alcotest roundtrip_random;
+    QCheck_alcotest.to_alcotest decode_fields_matches_decode;
+    QCheck_alcotest.to_alcotest values_size_matches_encoding;
   ]

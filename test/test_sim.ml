@@ -69,6 +69,145 @@ let event_schedules_event () =
   Sim.drain sim;
   Alcotest.(check int) "both fired" 2 !fired
 
+(* --- the clock's no-event fast path ------------------------------------ *)
+
+let event_due_at_target_fires () =
+  let sim = Sim.create () in
+  let fired_at = ref (-1.) in
+  Sim.schedule sim ~at:5. (fun () -> fired_at := Sim.now sim);
+  Sim.tick sim 4;
+  Alcotest.(check (float 0.)) "not yet due" (-1.) !fired_at;
+  Sim.tick sim 1;
+  Alcotest.(check (float 0.)) "fired on reaching its time" 5. !fired_at
+
+let late_event_fires_next_advance () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let note name () = log := (name, Sim.now sim) :: !log in
+  (* a handler that schedules into the past and then moves the clock
+     itself: the nested advance cannot fire, the outer one must *)
+  Sim.schedule sim ~at:10. (fun () ->
+      note "a" ();
+      Sim.schedule sim ~at:3. (note "b");
+      Sim.tick sim 1);
+  Sim.charge sim ~cat:Moncore.C_other 10.;
+  Alcotest.(check (list (pair string (float 0.))))
+    "past event fired by the enclosing advance"
+    [ ("a", 10.); ("b", 11.) ]
+    (List.rev !log);
+  (* scheduled at [now] outside any handler: fires on the next advance *)
+  Sim.schedule sim ~at:(Sim.now sim) (note "c");
+  Alcotest.(check int) "pending until the clock moves" 2 (List.length !log);
+  Sim.tick sim 1;
+  Alcotest.(check (list (pair string (float 0.))))
+    "fired on the next tick"
+    [ ("a", 10.); ("b", 11.); ("c", 12.) ]
+    (List.rev !log)
+
+(* The advance rule written over a list: step to each event due by the
+   target and later than now, firing everything due at each step, then
+   land on the target and fire what is due there. The events are data —
+   an id, an offset from the clock at scheduling, and an optional child
+   the handler schedules the same way — so the model and [Sim] run the
+   same schedule. *)
+type clock_op = Sched of int * int * (int * int) option | Tick of int
+
+let clock_ops_gen =
+  QCheck.Gen.(
+    list_size (int_bound 40)
+      (frequency
+         [
+           ( 2,
+             map3
+               (fun off child coff -> (off, if child then Some coff else None))
+               (int_range (-5) 20) bool (int_range (-3) 10)
+             |> map (fun (off, child) -> `S (off, child)) );
+           (3, map (fun n -> `T n) (int_bound 12));
+         ]))
+  |> QCheck.Gen.map (fun ops ->
+         List.mapi
+           (fun i -> function
+             | `S (off, child) ->
+                 Sched (i, off, Option.map (fun c -> (1000 + i, c)) child)
+             | `T n -> Tick n)
+           ops)
+
+let model_firing ops =
+  let now = ref 0. and seq = ref 0 and pending = ref [] and log = ref [] in
+  let push at ev =
+    pending := (Float.max at !now, !seq, ev) :: !pending;
+    incr seq
+  in
+  let earliest () =
+    List.fold_left
+      (fun acc (d, q, e) ->
+        match acc with
+        | Some (d', q', _) when d' < d || (d' = d && q' < q) -> acc
+        | _ -> Some (d, q, e))
+      None !pending
+  in
+  let run (_, q, (id, child)) =
+    pending := List.filter (fun (_, q', _) -> q' <> q) !pending;
+    log := (id, !now) :: !log;
+    Option.iter
+      (fun (cid, coff) -> push (!now +. float_of_int coff) (cid, None))
+      child
+  in
+  let rec fire_due () =
+    match earliest () with
+    | Some ((d, _, _) as e) when d <= !now ->
+        run e;
+        fire_due ()
+    | _ -> ()
+  in
+  let rec advance target =
+    match earliest () with
+    | Some (d, _, _) when d <= target && d > !now ->
+        now := d;
+        fire_due ();
+        advance target
+    | _ ->
+        now := Float.max !now target;
+        fire_due ()
+  in
+  List.iter
+    (function
+      | Sched (id, off, child) -> push (!now +. float_of_int off) (id, child)
+      | Tick n -> if n > 0 then advance (!now +. float_of_int n))
+    ops;
+  let rec drain () =
+    match earliest () with
+    | Some (d, _, _) ->
+        advance d;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  List.rev !log
+
+let sim_firing ops =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let rec handler id child () =
+    log := (id, Sim.now sim) :: !log;
+    Option.iter
+      (fun (cid, coff) ->
+        Sim.schedule sim ~at:(Sim.now sim +. float_of_int coff) (handler cid None))
+      child
+  in
+  List.iter
+    (function
+      | Sched (id, off, child) ->
+          Sim.schedule sim ~at:(Sim.now sim +. float_of_int off) (handler id child)
+      | Tick n -> Sim.tick sim n)
+    ops;
+  Sim.drain sim;
+  List.rev !log
+
+let firing_matches_model =
+  QCheck.Test.make ~name:"events fire as the advance rule says" ~count:300
+    (QCheck.make clock_ops_gen) (fun ops -> sim_firing ops = model_firing ops)
+
 let measure_diffs () =
   let sim = Sim.create () in
   Sim.tick sim 7;
@@ -196,6 +335,11 @@ let suite =
     Alcotest.test_case "clock advances" `Quick clock_advances;
     Alcotest.test_case "events fire in order" `Quick events_fire_in_order;
     Alcotest.test_case "event schedules event" `Quick event_schedules_event;
+    Alcotest.test_case "event due at the tick target fires" `Quick
+      event_due_at_target_fires;
+    Alcotest.test_case "late event fires on the next advance" `Quick
+      late_event_fires_next_advance;
+    QCheck_alcotest.to_alcotest firing_matches_model;
     Alcotest.test_case "measure diffs stats" `Quick measure_diffs;
     Alcotest.test_case "msg roundtrip and counters" `Quick
       msg_roundtrip_and_counters;

@@ -107,15 +107,27 @@ let leaf_view_matches_decode =
           Page.view_next v = next
           && Page.view_entries v = decoded
           && List.for_all
-               (fun i -> Page.view_record v i = snd decoded.(i))
+               (fun i ->
+                 let key, record = decoded.(i) in
+                 let pos, len = Page.view_record_span v i in
+                 Page.view_record v i = record
+                 && String.sub (Page.view_block v) pos len = record
+                 && Page.view_key v i = key)
                (List.init (Array.length decoded) Fun.id)
           && List.for_all
                (fun probe ->
                  let pos = Page.find_leaf_pos decoded probe in
+                 let sign n = Int.compare n 0 in
                  Page.view_pos v probe = pos
                  && Page.view_has_key v pos probe
                     = (pos < Array.length decoded
-                      && String.equal (fst decoded.(pos)) probe))
+                      && String.equal (fst decoded.(pos)) probe)
+                 && Array.for_all Fun.id
+                      (Array.mapi
+                         (fun i (k, _) ->
+                           sign (Page.view_compare_key v i probe)
+                           = sign (String.compare k probe))
+                         decoded))
                (probes
                @ List.concat_map
                    (fun (k, _) ->
