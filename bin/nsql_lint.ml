@@ -5,7 +5,9 @@
 
    Parses every .ml under the given roots (default: lib) with
    compiler-libs and enforces the determinism / protocol / lock-discipline
-   / effect rules described in DESIGN.md §5. Exit code 1 on any
+   / effect rules described in DESIGN.md §5. DEAD-EXPORT also reads the
+   code directories next to each root (bin, bench, benchmark, examples,
+   test) for references to lib's interfaces. Exit code 1 on any
    unsuppressed finding or stale allowlist entry, 2 on usage errors. *)
 
 module Engine = Nsql_lint_lib.Engine

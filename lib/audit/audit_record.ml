@@ -33,9 +33,6 @@ let pp_body ppf = function
         (String.concat ";"
            (List.map (fun (n, _, _) -> string_of_int n) fields))
 
-let pp ppf t =
-  Format.fprintf ppf "@[lsn=%Ld tx=%d %a@]" t.lsn t.tx pp_body t.body
-
 let body_tag = function
   | Begin_tx -> 0
   | Commit_tx -> 1
@@ -128,5 +125,3 @@ let decode r =
   { lsn; tx; body }
 
 let encoded_size t = String.length (encode t)
-
-let is_for_tx tx t = t.tx = tx

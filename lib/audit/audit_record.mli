@@ -30,7 +30,6 @@ type body =
 type t = { lsn : int64; tx : int; body : body }
 
 val pp_body : Format.formatter -> body -> unit
-val pp : Format.formatter -> t -> unit
 
 (** [encode r] frames the record (length prefix included) for the trail. *)
 val encode : t -> string
@@ -40,6 +39,3 @@ val decode : Nsql_util.Codec.reader -> t
 
 (** [encoded_size r] is [String.length (encode r)]. *)
 val encoded_size : t -> int
-
-(** [is_for_tx tx r] filters by transaction. *)
-val is_for_tx : int -> t -> bool

@@ -37,18 +37,16 @@ let create sim volume =
     pending = [];
     timer_armed = false;
     timer_due = 0.;
-    timer_us = cfg.Config.group_commit_timer_us;
+    timer_us = Config.group_commit_timer_us;
     timer_pinned = false;
     last_commit_at = 0.;
-    ewma_interval_us = cfg.Config.group_commit_timer_us;
-    tail_image = Bytes.make cfg.Config.block_size '\x00';
+    ewma_interval_us = Config.group_commit_timer_us;
+    tail_image = Bytes.make Config.block_size '\x00';
   }
 
 let next_lsn t = t.next_lsn
 let volume t = t.volume
 let durable_lsn t = t.durable_lsn
-let buffered_bytes t = Buffer.length t.buffer
-let bytes_written t = t.write_pos
 
 let set_timer_us t us =
   t.timer_us <- us;
@@ -59,7 +57,7 @@ let current_timer_us t = t.timer_us
 (* Write the staged bytes to the volume, continuing the byte stream at
    [write_pos]: the first block is rewritten in full if partially filled. *)
 let write_to_volume t data =
-  let bs = Disk.block_size t.volume in
+  let bs = Config.block_size in
   let first_block = t.write_pos / bs in
   let offset = t.write_pos mod bs in
   let total = offset + String.length data in
@@ -216,7 +214,7 @@ let await_durable t lsn =
   done
 
 let read_durable t =
-  let bs = Disk.block_size t.volume in
+  let bs = Config.block_size in
   let nblocks = (t.write_pos + bs - 1) / bs in
   if nblocks = 0 then []
   else begin

@@ -117,41 +117,6 @@ let with_tx s f =
 
 let in_tx s f = Tmf.run s.node.tmf f
 
-(* --- deadlock-victim retry --------------------------------------------- *)
-
-let retryable = function
-  | Errors.Deadlock _ | Errors.Lock_timeout _ | Errors.Takeover _ -> true
-  | _ -> false
-
-let in_tx_retry ?(max_retries = 8) ?(backoff_us = 200.) node f =
-  let rec go attempt =
-    let tx = Tmf.begin_tx node.tmf in
-    let finish r =
-      match r with
-      | Ok v -> (
-          match Tmf.commit node.tmf ~tx with
-          | Ok () -> Some (Ok v)
-          | Error e -> Some (Error e))
-      | Error e -> (
-          (* abort first — releases this transaction's locks so the
-             competitors it deadlocked with can proceed *)
-          match Tmf.abort node.tmf ~tx with
-          | Error e' -> Some (Error e')
-          | Ok () ->
-              if retryable e && attempt < max_retries then None
-              else Some (Error e))
-    in
-    match finish (f tx) with
-    | Some r -> (r, attempt)
-    | None ->
-        (* bounded exponential backoff, charged to the simulated clock so
-           competing sessions restart at staggered, deterministic times *)
-        Sim.charge node.sim ~cat:Moncore.C_await
-          (backoff_us *. (2. ** float_of_int (min attempt 6)));
-        go (attempt + 1)
-  in
-  go 0
-
 let schema_of_create (cols : Ast.col_def list) primary_key =
   let columns =
     Array.of_list
@@ -341,7 +306,6 @@ let create_cluster ?config ?(volumes_per_node = 1) ~nodes () =
   { cl_nodes; cl_registry }
 
 let cluster_nodes c = c.cl_nodes
-let cluster_registry c = c.cl_registry
 
 let network_tx c ~home =
   Dtx.begin_network c.cl_registry ~home

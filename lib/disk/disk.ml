@@ -77,20 +77,18 @@ let stall t ~us =
   Array.iteri (fun i b -> t.slots.(i) <- max b until) t.slots;
   ignore (retire t)
 
-let name t = t.name
-let block_size t = (Sim.config t.sim).Config.block_size
 let blocks t = t.nblocks
 
 let max_bulk_blocks t =
   let cfg = Sim.config t.sim in
-  max 1 (cfg.Config.bulk_io_max_bytes / cfg.Config.block_size)
+  max 1 (cfg.Config.bulk_io_max_bytes / Config.block_size)
 
 let allocate t n =
   let first = t.nblocks in
   let needed = t.nblocks + n in
   if needed > Array.length t.data then begin
     let cap = max 64 (max needed (2 * Array.length t.data)) in
-    let bs = block_size t in
+    let bs = Config.block_size in
     let data = Array.init cap (fun i ->
         if i < t.nblocks then t.data.(i) else Bytes.make bs '\x00')
     in
@@ -111,16 +109,15 @@ let check_range t ~first ~count =
 
 (* Service time of one I/O; the head moves to the end of the range. *)
 let io_time t ~first ~count =
-  let cfg = Sim.config t.sim in
   let position_cost =
     (* continuing right after — or rewriting — the last touched block is
        physically sequential *)
     if first = t.last_block + 1 || first = t.last_block then
-      cfg.Config.disk_sequential_us
-    else cfg.Config.disk_seek_us
+      Config.disk_sequential_us
+    else Config.disk_seek_us
   in
   t.last_block <- first + count - 1;
-  position_cost +. (float_of_int count *. cfg.Config.disk_per_block_us)
+  position_cost +. (float_of_int count *. Config.disk_per_block_us)
 
 (* An I/O enters the device queue: it starts when its service channel is
    free and the caller has reached that point in time. The channel is the
@@ -186,7 +183,7 @@ let fetch t ~first ~count =
 let store t ~first data =
   Array.iteri
     (fun i block ->
-      let bs = block_size t in
+      let bs = Config.block_size in
       if String.length block <> bs then
         invalid_arg
           (Printf.sprintf "Disk(%s): block payload %d bytes, expected %d"
@@ -307,5 +304,3 @@ let write_bulk_async t ~first data =
       ~attrs:(io_attrs t ~first ~count @ [ ("done_at", Float completion) ])
       "disk_write_behind";
   completion
-
-let io_busy_until t = Array.fold_left max t.slots.(0) t.slots

@@ -28,9 +28,6 @@ type t
     simulation config's [mirrored] is set. *)
 val create : Nsql_sim.Sim.t -> name:string -> t
 
-val name : t -> string
-val block_size : t -> int
-
 (** [blocks t] is the current number of allocated blocks. *)
 val blocks : t -> int
 
@@ -72,10 +69,6 @@ type io
     its handle without advancing the clock. *)
 val submit_read : t -> first:int -> count:int -> io
 
-(** [submit_write t ~first data] enqueues a bulk write. The block contents
-    are applied immediately (the simulated controller owns the buffer). *)
-val submit_write : t -> first:int -> string array -> io
-
 (** [io_done_at io] is the simulated time at which the I/O completes. *)
 val io_done_at : io -> float
 
@@ -96,10 +89,6 @@ val read_bulk_async : t -> first:int -> count:int -> string array * float
     completion time. Counted as a write-behind write. The block contents
     are applied immediately (the simulated controller owns the buffer). *)
 val write_bulk_async : t -> first:int -> string array -> float
-
-(** [io_busy_until t] is the time at which the device becomes fully idle
-    (every service channel drained). *)
-val io_busy_until : t -> float
 
 (** {1 Fault injection} *)
 

@@ -92,7 +92,6 @@ type replica = {
   rp_scbs : (int, scb) Hashtbl.t;
   mutable rp_locks : (int * int * Lock.resource * Lock.mode) list;
   mutable rp_parked : waiter list;
-  mutable rp_bytes : int;  (** checkpoint bytes absorbed (observability) *)
 }
 
 type t = {
@@ -116,15 +115,9 @@ type t = {
   (* checkpoint items accumulated (reversed) while a request executes;
      flushed as one checkpoint message when the request completes *)
   mutable ckpt_pending : Dp_msg.ckpt_item list;
-  (* backup-side replica; [Some] iff a backup exists and
-     [Config.dp_checkpoint] is on. Cleared by takeover (the backup is
-     consumed) and by crash. *)
+  (* backup-side replica; [Some] iff a backup exists. Cleared by takeover
+     (the backup is consumed) and emptied by crash. *)
   mutable replica : replica option;
-  (* transactions whose un-checkpointed state was lost in a replica-less
-     takeover: their requests are denied with the retryable
-     [Errors.Takeover] until they finish *)
-  denied : (int, unit) Hashtbl.t;
-  mutable lost_scbs : bool;  (** SCBs were dropped by a replica-less takeover *)
 }
 
 (* [handler] is defined at the bottom of this file (it needs the whole
@@ -138,9 +131,7 @@ let pump_cell : (t -> unit) ref = ref (fun _ -> ())
 
 (* --- process-pair checkpointing ---------------------------------------- *)
 
-(* Checkpoint traffic flows whenever a backup exists — the replica knob
-   only decides whether the backup half applies it. That keeps the knob
-   free: on or off, message counts, bytes and clock are identical. *)
+(* Checkpoint traffic flows whenever a backup exists. *)
 let ckpt_active t = Msg.endpoint_backup t.endpoint <> None
 
 let ckpt_push t item =
@@ -201,7 +192,6 @@ let apply_ckpt t payload =
           Errors.fatal
             ("Dp replica: malformed checkpoint: " ^ decode_error_to_string e)
       | Ok items ->
-          rp.rp_bytes <- rp.rp_bytes + String.length payload;
           List.iter
             (fun item ->
               match item with
@@ -274,17 +264,9 @@ let create sim msys tmf ~name ~processor ?backup () =
       waitgraph = Lock.Waitgraph.create ();
       ckpt_pending = [];
       replica =
-        (if backup <> None && cfg.Config.dp_checkpoint then
-           Some
-             {
-               rp_scbs = Hashtbl.create 16;
-               rp_locks = [];
-               rp_parked = [];
-               rp_bytes = 0;
-             }
+        (if backup <> None then
+           Some { rp_scbs = Hashtbl.create 16; rp_locks = []; rp_parked = [] }
          else None);
-      denied = Hashtbl.create 8;
-      lost_scbs = false;
     }
   in
   (* mirror lock grants into the checkpoint stream *)
@@ -298,7 +280,6 @@ let create sim msys tmf ~name ~processor ?backup () =
   Tmf.register_resource_manager tmf ~on_finish:(fun tx ->
       let held = Lock.held locks ~tx in
       Lock.release_all locks ~tx;
-      Hashtbl.remove t.denied tx;
       if held > 0 then ckpt_emit t [ Ck_release { tx } ];
       !pump_cell t);
   Msg.set_handler endpoint (fun payload -> !handler_cell t payload);
@@ -308,7 +289,6 @@ let name t = t.dp_name
 let endpoint t = t.endpoint
 let volume t = t.volume
 let cache t = t.cache
-let locks t = t.locks
 
 let file_id t fname = Hashtbl.find_opt t.by_name fname
 
@@ -316,11 +296,6 @@ let find_file t id =
   match Hashtbl.find_opt t.files id with
   | Some f -> Ok f
   | None -> Errors.fail (Errors.File_not_found (Printf.sprintf "#%d" id))
-
-let file_schema t ~file =
-  match Hashtbl.find_opt t.files file with
-  | Some f -> f.f_schema
-  | None -> None
 
 let record_count t ~file =
   match Hashtbl.find_opt t.files file with
@@ -729,7 +704,7 @@ let op_entry_append t ~file ~tx ~record =
       Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
   | Ok () ->
       let* () =
-        let bs = Disk.block_size t.volume in
+        let bs = Config.block_size in
         if String.length record + 2 > bs then
           Errors.fail (Errors.Bad_request "record exceeds block size")
         else Ok ()
@@ -771,14 +746,7 @@ let open_subset t ~file (range : Expr.key_range) scb_body =
 let find_scb t id =
   match Hashtbl.find_opt t.scbs id with
   | Some scb -> Ok scb
-  | None ->
-      if t.lost_scbs then
-        (* the cursor predates a replica-less takeover: retryable, so the
-           session's retry machinery re-runs the statement from scratch *)
-        Errors.fail
-          (Errors.Takeover (Printf.sprintf "SCB %d lost in takeover" id))
-      else
-        Errors.fail (Errors.Bad_request (Printf.sprintf "unknown SCB %d" id))
+  | None -> Errors.fail (Errors.Bad_request (Printf.sprintf "unknown SCB %d" id))
 
 let redrive t ~file id =
   let s = Sim.stats t.sim in
@@ -1489,49 +1457,8 @@ let dispatch t req : (reply, Errors.t) result =
       let* _f = find_file t file in
       Ok (Rp_slot (record_count t ~file))
 
-(* The transaction a request runs under, if any ([tx = 0] marks
-   transactionless ENSCRIBE-style access). *)
-let req_tx (req : request) =
-  match req with
-  | R_read { tx; _ }
-  | R_read_next { tx; _ }
-  | R_insert { tx; _ }
-  | R_update { tx; _ }
-  | R_delete { tx; _ }
-  | R_lock_file { tx; _ }
-  | R_lock_generic { tx; _ }
-  | R_rel_read { tx; _ }
-  | R_rel_write { tx; _ }
-  | R_rel_rewrite { tx; _ }
-  | R_rel_delete { tx; _ }
-  | R_entry_append { tx; _ }
-  | R_entry_read { tx; _ }
-  | R_get_first { tx; _ }
-  | R_get_next { tx; _ }
-  | R_update_subset_first { tx; _ }
-  | R_update_subset_next { tx; _ }
-  | R_delete_subset_first { tx; _ }
-  | R_delete_subset_next { tx; _ }
-  | R_insert_row { tx; _ }
-  | R_insert_block { tx; _ }
-  | R_apply_block { tx; _ }
-  | R_agg_first { tx; _ }
-  | R_agg_next { tx; _ } -> Some tx
-  | R_create_file _ | R_close_scb _ | R_record_count _ -> None
-
 let run_request t req =
-  match req_tx req with
-  | Some tx when tx > 0 && Hashtbl.mem t.denied tx ->
-      (* the transaction had un-checkpointed work in flight when the backup
-         took over: its effects here are unknown, so every further request
-         is refused until the transaction finishes (abort + retry) *)
-      let s = Sim.stats t.sim in
-      s.Stats.takeover_denials <- s.Stats.takeover_denials + 1;
-      Rp_error
-        (Errors.Takeover
-           (Printf.sprintf "tx %d was in flight on %s at takeover" tx
-              t.dp_name))
-  | _ -> ( match dispatch t req with Ok reply -> reply | Error e -> Rp_error e)
+  match dispatch t req with Ok reply -> reply | Error e -> Rp_error e
 
 (* Ship the deltas a dispatched request accumulated to the backup, as one
    checkpoint message. A mutation additionally carries its own request
@@ -1705,8 +1632,8 @@ let park t req ~tx ~blockers ~payload =
       let s = Sim.stats t.sim in
       s.Stats.lock_waits <- s.Stats.lock_waits + 1;
       let budget = (Sim.config t.sim).Config.lock_wait_timeout_us in
-      (* [Sim.schedule] against the virtual clock: under a nowait capture
-         [Sim.after] would base the deadline on the frozen real clock *)
+      (* schedule against the virtual clock: under a nowait capture the
+         real clock is frozen, so a deadline based on it would be early *)
       Sim.schedule t.sim
         ~at:(Sim.now t.sim +. budget)
         (fun () ->
@@ -1779,91 +1706,58 @@ let handler t payload =
           ""
       | `Reply reply -> encode_reply reply)
 
-(* Process-pair takeover: the backup resumes as primary. With an active
-   replica (checkpointing on) every acknowledged piece of state survives —
-   SCB definitions, aggregate partials, granted locks in grant order, and
-   the parked waiters with their live deferrals, so wait budgets keep
-   counting. Without a replica the backup still answers, but cursors and
-   locks are gone: transactions that were in flight here are denied with a
-   retryable [Errors.Takeover] until they finish, and parked requests are
-   flushed the same way. *)
+(* Process-pair takeover: the backup resumes as primary, rebuilt from its
+   replica. Every acknowledged piece of state survives — SCB definitions,
+   aggregate partials, granted locks in grant order, and the parked
+   waiters with their live deferrals, so wait budgets keep counting. A
+   Disk Process with a backup always keeps a replica, so the replica and
+   the endpoint's backup come and go together. *)
 let takeover t =
-  if not (Msg.takeover_endpoint t.endpoint) then
-    Errors.fail
-      (Errors.Bad_request (t.dp_name ^ ": process pair has no backup"))
-  else begin
-    let s = Sim.stats t.sim in
-    s.Stats.takeovers <- s.Stats.takeovers + 1;
-    let cfg = Sim.config t.sim in
-    t.ckpt_pending <- [];
-    (match t.replica with
-    | Some rp ->
-        (* rebuild primary structures from the replica alone: anything the
-           checkpoint stream missed is deliberately lost, which is what the
-           byte-identity and takeover tests probe *)
-        Hashtbl.reset t.scbs;
-        Lock.clear_all t.locks;
-        Lock.Waitgraph.clear t.waitgraph;
-        let items = ref 0 in
-        List.iter
-          (fun (id, scb) ->
-            incr items;
-            Hashtbl.replace t.scbs id scb)
-          (Nsql_util.Tbl.sorted_bindings rp.rp_scbs);
-        (* oldest grant first, so Shared-then-Exclusive upgrades replay in
-           the order the primary granted them *)
-        let locks = List.rev rp.rp_locks in
-        List.iter (fun _ -> incr items) locks;
-        Lock.restore t.locks locks;
-        (* waiter records survive by reference: the withheld deferrals and
-           the already-scheduled wait-budget timeouts stay valid, so FIFO
-           order and remaining budgets carry across the takeover *)
-        let old_parked = List.length t.waiters in
-        t.waiters <-
-          List.filter (fun w -> not (Msg.resolved w.w_deferral)) rp.rp_parked;
-        Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked
-          (List.length t.waiters - old_parked);
-        List.iter (fun _ -> incr items) t.waiters;
-        (* the new primary has no backup: stop consuming checkpoints *)
-        Msg.set_checkpoint_receiver t.endpoint None;
-        t.replica <- None;
-        (* rebuild cost: one message-handling quantum plus work linear in
-           the replayed state *)
-        Sim.charge t.sim ~cat:Moncore.C_ckpt cfg.Config.msg_cpu_cost_us;
-        Sim.tick t.sim (50 * !items);
-        (* re-dispatch survivors: a waiter whose blocker never checkpointed
-           re-parks against the restored lock table *)
-        pump t
-    | None ->
-        (* no replica was maintained: volatile cursor and lock state is
-           gone. Deny every transaction that had work in flight here with a
-           retryable error; the wait queue is flushed the same way. *)
-        List.iter
-          (fun (tx, _file, _res, _mode) -> Hashtbl.replace t.denied tx ())
-          (Lock.snapshot t.locks);
-        List.iter (fun w -> Hashtbl.replace t.denied w.w_tx ()) t.waiters;
-        Hashtbl.reset t.scbs;
-        t.lost_scbs <- true;
-        Lock.clear_all t.locks;
-        Lock.Waitgraph.clear t.waitgraph;
-        let parked = t.waiters in
-        t.waiters <- [];
-        Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked
-          (-List.length parked);
-        List.iter
-          (fun w ->
-            if not (Msg.resolved w.w_deferral) then begin
-              emit_wait_end t w ~outcome:"takeover";
-              Msg.resolve t.msys w.w_deferral
-                (encode_reply
-                   (Rp_error
-                      (Errors.Takeover
-                         (t.dp_name ^ ": primary failed, state not checkpointed"))))
-            end)
-          parked;
-        Sim.charge t.sim ~cat:Moncore.C_ckpt cfg.Config.msg_cpu_cost_us);
-    Ok ()
-  end
+  match t.replica with
+  | Some rp when Msg.takeover_endpoint t.endpoint ->
+      let s = Sim.stats t.sim in
+      s.Stats.takeovers <- s.Stats.takeovers + 1;
+      t.ckpt_pending <- [];
+      (* rebuild primary structures from the replica alone: anything the
+         checkpoint stream missed is deliberately lost, which is what the
+         byte-identity and takeover tests probe *)
+      Hashtbl.reset t.scbs;
+      Lock.clear_all t.locks;
+      Lock.Waitgraph.clear t.waitgraph;
+      let items = ref 0 in
+      List.iter
+        (fun (id, scb) ->
+          incr items;
+          Hashtbl.replace t.scbs id scb)
+        (Nsql_util.Tbl.sorted_bindings rp.rp_scbs);
+      (* oldest grant first, so Shared-then-Exclusive upgrades replay in
+         the order the primary granted them *)
+      let locks = List.rev rp.rp_locks in
+      List.iter (fun _ -> incr items) locks;
+      Lock.restore t.locks locks;
+      (* waiter records survive by reference: the withheld deferrals and
+         the already-scheduled wait-budget timeouts stay valid, so FIFO
+         order and remaining budgets carry across the takeover *)
+      let old_parked = List.length t.waiters in
+      t.waiters <-
+        List.filter (fun w -> not (Msg.resolved w.w_deferral)) rp.rp_parked;
+      Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked
+        (List.length t.waiters - old_parked);
+      List.iter (fun _ -> incr items) t.waiters;
+      (* the new primary has no backup: stop consuming checkpoints *)
+      Msg.set_checkpoint_receiver t.endpoint None;
+      t.replica <- None;
+      (* rebuild cost: one message-handling quantum plus work linear in
+         the replayed state *)
+      Sim.charge t.sim ~cat:Moncore.C_ckpt Config.msg_cpu_cost_us;
+      Sim.tick t.sim (50 * !items);
+      (* re-dispatch survivors: a waiter whose blocker never checkpointed
+         re-parks against the restored lock table *)
+      pump t;
+      Ok ()
+  | _ ->
+      Errors.fail
+        (Errors.Bad_request (t.dp_name ^ ": process pair has no backup"))
 
 (* --- idle-time work ------------------------------------------------------------- *)
 
@@ -1883,8 +1777,7 @@ let crash t =
   | Some rp ->
       Hashtbl.reset rp.rp_scbs;
       rp.rp_locks <- [];
-      rp.rp_parked <- [];
-      rp.rp_bytes <- 0
+      rp.rp_parked <- []
   | None -> ());
   (* parked requests lose their server: flush each with an I/O error so no
      requester is left holding a completion that can never resolve *)

@@ -38,7 +38,6 @@ val name : t -> string
 val endpoint : t -> Nsql_msg.Msg.endpoint
 val volume : t -> Nsql_disk.Disk.t
 val cache : t -> Nsql_cache.Cache.t
-val locks : t -> Nsql_lock.Lock.t
 
 (** [handler t request_bytes] decodes, executes and replies — the message
     system calls this. Exposed for direct testing. *)
@@ -53,9 +52,6 @@ val request : t -> Dp_msg.request -> Dp_msg.reply
 
 (** [file_id t fname] looks up a file by name. *)
 val file_id : t -> string -> int option
-
-(** [file_schema t ~file] is the schema of a SQL file. *)
-val file_schema : t -> file:int -> Nsql_row.Row.schema option
 
 (** [record_count t ~file] is the live record count. *)
 val record_count : t -> file:int -> int

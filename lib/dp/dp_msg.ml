@@ -7,11 +7,6 @@ type buffered_op = Ob_update of Expr.assignment list | Ob_delete
 
 type lock_mode = L_none | L_shared | L_exclusive
 
-let pp_lock_mode ppf = function
-  | L_none -> Format.pp_print_string ppf "none"
-  | L_shared -> Format.pp_print_string ppf "S"
-  | L_exclusive -> Format.pp_print_string ppf "X"
-
 type buffering = B_rsbb | B_vsbb
 
 type file_kind_spec = K_key_sequenced | K_relative of int | K_entry_sequenced

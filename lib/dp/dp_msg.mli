@@ -29,8 +29,6 @@ type buffered_op = Ob_update of Expr.assignment list | Ob_delete
 
 type lock_mode = L_none | L_shared | L_exclusive
 
-val pp_lock_mode : Format.formatter -> lock_mode -> unit
-
 type buffering = B_rsbb | B_vsbb
 
 type file_kind_spec = K_key_sequenced | K_relative of int | K_entry_sequenced
@@ -64,10 +62,6 @@ type agg_acc = {
 }
 
 val fresh_acc : unit -> agg_acc
-
-(** [feed_acc acc v] folds one input value; [Null] is skipped (SQL
-    aggregate semantics). *)
-val feed_acc : agg_acc -> Row.value -> unit
 
 (** [feeder spec] is {!feed_spec} with the kind/argument dispatch hoisted
     out of the per-row path — batch loops resolve it once per query and

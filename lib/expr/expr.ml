@@ -93,9 +93,6 @@ let int_ i = Const (Row.Vint i)
 let float_ f = Const (Row.Vfloat f)
 let str s = Const (Row.Vstr s)
 let bool_ b = Const (Row.Vbool b)
-let null = Const Row.Null
-let ( &&& ) a b = And (a, b)
-let ( ||| ) a b = Or (a, b)
 
 let conjuncts e =
   let rec go acc = function
@@ -279,8 +276,6 @@ let eval_pred row e =
 (* --- assignments ----------------------------------------------------- *)
 
 type assignment = { target : int; source : t }
-
-let pp_assignment ppf a = Format.fprintf ppf "#%d := %a" a.target pp a.source
 
 let apply_assignments row assignments =
   let updated = Array.copy row in

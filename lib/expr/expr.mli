@@ -46,12 +46,6 @@ val int_ : int -> t
 val float_ : float -> t
 val str : string -> t
 val bool_ : bool -> t
-val null : t
-val ( &&& ) : t -> t -> t
-val ( ||| ) : t -> t -> t
-
-(** [conjuncts e] flattens nested [And]s. *)
-val conjuncts : t -> t list
 
 (** [conjoin es] rebuilds a conjunction ([Const true] if empty). *)
 val conjoin : t list -> t
@@ -80,8 +74,6 @@ val like_match : pattern:string -> string -> bool
 
 (** An assignment [SET field := expr], evaluated against the old record. *)
 type assignment = { target : int; source : t }
-
-val pp_assignment : Format.formatter -> assignment -> unit
 
 (** [apply_assignments row assignments] builds the updated row; all sources
     are evaluated against the {e old} row, as in SQL. *)

@@ -118,7 +118,8 @@ let register t ~file ~unit_name ~prefixes structure =
   in
   items "" prefixes structure
 
-let context_of t ~unit_name structure =
+(* a file's module aliases and top-level opens *)
+let file_context ~unit_name structure =
   let ctx =
     { c_unit = unit_name; c_aliases = Hashtbl.create 8; c_opens = [] }
   in
@@ -144,53 +145,50 @@ let context_of t ~unit_name structure =
           | None -> ())
       | _ -> ())
     structure;
+  ctx
+
+let context_of t ~unit_name structure =
+  let ctx = file_context ~unit_name structure in
   Hashtbl.replace t.g_ctx unit_name ctx;
   ctx
 
 let alias_in ctx m = Option.value ~default:m (Hashtbl.find_opt ctx.c_aliases m)
 
-(* resolve a reference path (["Msg"; "checkpoint"] or ["go"]) occurring in
-   [ctx]'s file, inside a binding whose enclosing-module prefixes are
-   [prefixes], to a node key *)
-let resolve_with t ctx ~prefixes path =
+(* the keys a reference path (["Msg"; "checkpoint"] or ["go"]) occurring
+   in [ctx]'s file may name, inside a binding whose enclosing-module
+   prefixes are [prefixes], in resolution order *)
+let candidates ctx ~prefixes path =
   match List.rev path with
-  | [] -> None
+  | [] -> []
+  | [ name ] ->
+      List.map (fun p -> p ^ name) prefixes
+      @ [ ctx.c_unit ^ "." ^ name ]
+      @ List.map (fun o -> o ^ "." ^ name) ctx.c_opens
   | name :: rev_mods -> (
       let mods = List.rev rev_mods in
-      let candidates =
-        match mods with
-        | [] ->
-            List.map (fun p -> p ^ name) prefixes
-            @ [ ctx.c_unit ^ "." ^ name ]
-            @ List.map (fun o -> o ^ "." ^ name) ctx.c_opens
-        | mods -> (
-            let rec last_two = function
-              | [ a; b ] -> (Some a, b)
-              | [ b ] -> (None, b)
-              | _ :: rest -> last_two rest
-              | [] -> assert false
-            in
-            let before, last = last_two mods in
-            let unit_access = alias_in ctx last ^ "." ^ name in
-            (* a nested module of this very unit: [Waitgraph.find_cycle]
-               written inside lock.ml means Lock.Waitgraph.find_cycle *)
-            let own_nested =
-              ctx.c_unit ^ "." ^ String.concat "." mods ^ "." ^ name
-            in
-            match before with
-            | None -> [ unit_access; own_nested ]
-            | Some m ->
-                [
-                  unit_access;
-                  alias_in ctx m ^ "." ^ last ^ "." ^ name;
-                  own_nested;
-                ])
+      let rec last_two = function
+        | [ a; b ] -> (Some a, b)
+        | [ b ] -> (None, b)
+        | _ :: rest -> last_two rest
+        | [] -> assert false
       in
-      match
-        List.find_opt (fun key -> Hashtbl.mem t.g_nodes key) candidates
-      with
-      | Some key -> Some key
-      | None -> None)
+      let before, last = last_two mods in
+      let unit_access = alias_in ctx last ^ "." ^ name in
+      (* a nested module of this very unit: [Waitgraph.find_cycle]
+         written inside lock.ml means Lock.Waitgraph.find_cycle *)
+      let own_nested =
+        ctx.c_unit ^ "." ^ String.concat "." mods ^ "." ^ name
+      in
+      match before with
+      | None -> [ unit_access; own_nested ]
+      | Some m ->
+          [ unit_access; alias_in ctx m ^ "." ^ last ^ "." ^ name; own_nested ])
+
+(* resolve a reference path to the first candidate that is a node *)
+let resolve_with t ctx ~prefixes path =
+  List.find_opt
+    (fun key -> Hashtbl.mem t.g_nodes key)
+    (candidates ctx ~prefixes path)
 
 let resolve t ~unit_name path =
   match Hashtbl.find_opt t.g_ctx unit_name with

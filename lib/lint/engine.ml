@@ -28,6 +28,7 @@ let registry =
     ("CKPT-COMPLETE", "dispatch-path mutations reach a checkpoint emit");
     ("CLOCK-CHARGE", "dispatch-path I/O and parking charge the sim clock");
     ("PARK-SAFE", "wait-queue parking matches the nothing-applied whitelist");
+    ("DEAD-EXPORT", "every .mli value is used by another compilation unit");
   ]
 
 let rule_names = List.map fst registry
@@ -69,6 +70,33 @@ let clock_roots ~(ctx : Rules.ctx) ~mli_sigs =
       (fs_exported_keys ~mli_sigs)
   in
   List.sort_uniq String.compare (dp_handlers @ fs_exports)
+
+(* DEAD-EXPORT's readers outside the lint roots: the code directories next
+   to each root directory ([lib] beside [bin], [test], ...). They are parsed
+   for references only; no rule runs on them and a file that fails to
+   parse is skipped. *)
+let user_dirs = [ "bin"; "bench"; "benchmark"; "examples"; "test" ]
+
+let outside_users roots =
+  let dirs =
+    List.concat_map
+      (fun root ->
+        if Source.is_dir root then
+          List.map (Filename.concat (Filename.dirname root)) user_dirs
+        else [])
+      roots
+  in
+  let dirs =
+    List.filter
+      (fun d -> Source.is_dir d && not (List.mem d roots))
+      (List.sort_uniq String.compare dirs)
+  in
+  List.filter_map
+    (fun path ->
+      match Source.parse_impl path with
+      | Ok structure -> Some (path, structure)
+      | Error _ -> None)
+    (Source.ml_files dirs)
 
 let run ?(allow_file = None) ?(rules = None) ~roots () =
   let enabled name =
@@ -122,7 +150,11 @@ let run ?(allow_file = None) ?(rules = None) ~roots () =
     @ (if enabled "CLOCK-CHARGE" then
          Rules.clock_charge ~ctx ~roots:(clock_roots ~ctx ~mli_sigs) ()
        else [])
-    @ if enabled "PARK-SAFE" then Rules.park_safe ~ctx () else []
+    @ (if enabled "PARK-SAFE" then Rules.park_safe ~ctx () else [])
+    @
+    if enabled "DEAD-EXPORT" then
+      Rules.dead_export ~mli_sigs ~users:(parsed @ outside_users roots)
+    else []
   in
   let all = parse_diags @ file_diags @ proto_diags @ graph_diags in
   let entries =

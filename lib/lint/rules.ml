@@ -25,6 +25,7 @@
    | CKPT-COMPLETE | every replica-visible DP mutation emits its checkpoint  |
    | CLOCK-CHARGE  | I/O and parking on dispatch paths charge the sim clock  |
    | PARK-SAFE     | only nothing-applied ops enter the lock wait queue      |
+   | DEAD-EXPORT   | every exported value has a user outside its own unit    |
 *)
 
 open Parsetree
@@ -1114,6 +1115,87 @@ let park_safe ?(whitelist = park_whitelist) ~ctx () =
                 cases)
             (case_lists_of dispatch.n_body));
       List.rev !diags
+
+(* --- DEAD-EXPORT ------------------------------------------------------------ *)
+
+(* An interface value that no other compilation unit names is surface
+   without a user: delete it, or drop it from the .mli when its own module
+   still needs it. [users] is every parsed unit that may refer to lib (lib
+   itself and the code beside it), so an export only a test uses still
+   counts as used. References resolve through each file's module aliases
+   and opens ([Callgraph.candidates]); a local open ([M.(e)],
+   [let open M in]) widens the file's opens, and a binding operator
+   ([let*]) is an unqualified reference. Resolution is deliberately
+   generous, since a missed finding costs less than a false one. Only
+   top-level [val]s are checked. *)
+let dead_export ~mli_sigs ~users =
+  let used : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
+  List.iter
+    (fun (path, structure) ->
+      let unit_name = Source.module_name path in
+      let ctx = Callgraph.file_context ~unit_name structure in
+      let refs = ref [] in
+      let it =
+        {
+          Ast_iterator.default_iterator with
+          open_declaration =
+            (fun it od ->
+              (match od.popen_expr.pmod_desc with
+              | Pmod_ident { txt; _ } -> (
+                  match Callgraph.last_component txt with
+                  | Some m ->
+                      ctx.c_opens <- Callgraph.alias_in ctx m :: ctx.c_opens
+                  | None -> ())
+              | _ -> ());
+              Ast_iterator.default_iterator.open_declaration it od);
+          expr =
+            (fun it e ->
+              (match e.pexp_desc with
+              | Pexp_ident { txt; _ } -> (
+                  match try Longident.flatten txt with _ -> [] with
+                  | [] -> ()
+                  | p -> refs := p :: !refs)
+              | Pexp_letop { let_; ands; _ } ->
+                  List.iter
+                    (fun op -> refs := [ op.pbop_op.txt ] :: !refs)
+                    (let_ :: ands)
+              | _ -> ());
+              Ast_iterator.default_iterator.expr it e);
+        }
+      in
+      it.structure it structure;
+      List.iter
+        (fun p ->
+          List.iter
+            (fun key ->
+              match String.index_opt key '.' with
+              | Some i when not (String.equal (String.sub key 0 i) unit_name)
+                ->
+                  Hashtbl.replace used key ()
+              | _ -> ())
+            (Callgraph.candidates ctx ~prefixes:[] p))
+        !refs)
+    users;
+  List.concat_map
+    (fun (path, signature) ->
+      let unit_name = Source.module_name path in
+      List.filter_map
+        (fun item ->
+          match item.psig_desc with
+          | Psig_value vd ->
+              let key = unit_name ^ "." ^ vd.pval_name.txt in
+              if Hashtbl.mem used key then None
+              else
+                Some
+                  (Diag.of_loc ~rule:"DEAD-EXPORT" ~file:path vd.pval_loc
+                     (Printf.sprintf
+                        "%s is exported but no other compilation unit \
+                         refers to it: delete it, or drop it from the \
+                         interface"
+                        key))
+          | _ -> None)
+        signature)
+    mli_sigs
 
 (* --- the per-file bundle -------------------------------------------------- *)
 

@@ -214,15 +214,6 @@ let total_locks t =
     0
     (Nsql_util.Tbl.sorted_bindings t.by_tx)
 
-(* A deterministic image of every granted lock, ordered by transaction id
-   then grant order within the transaction. Used by takeover tests and by
-   the denial path to learn which transactions held pre-takeover state. *)
-let snapshot t =
-  List.concat_map
-    (fun (tx, es) ->
-      List.rev_map (fun e -> (tx, e.e_file, e.e_res, e.e_mode)) !es)
-    (Nsql_util.Tbl.sorted_bindings t.by_tx)
-
 (* Rebuild the table from a grant log — takeover on the new primary. No
    stats, no ticks, no conflict checks: the log only ever contains grants
    that were legal when made, and replaying upgrades last keeps the final
@@ -247,12 +238,6 @@ let restore t entries =
           index_by_tx t e;
           Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_locks 1)
     entries
-
-let holders t ~file res =
-  let ft = file_table t file in
-  let iv = interval res in
-  List.sort_uniq compare
-    (List.map (fun e -> e.e_tx) (overlapping ft res iv))
 
 module Waitgraph = struct
   type g = (int, int list) Hashtbl.t

@@ -10,10 +10,8 @@ module Hist = Nsql_sim.Hist
 let set_enabled sim on =
   Moncore.set_enabled (Sim.moncore sim) ~now:(Sim.now sim) on
 
-let enabled sim = Moncore.enabled (Sim.moncore sim)
 let clear sim = Moncore.clear (Sim.moncore sim) ~now:(Sim.now sim)
 let set_slice_us sim us = Moncore.set_slice_us (Sim.moncore sim) us
-let observe sim name v = Moncore.observe (Sim.moncore sim) name v
 
 (* --- rendering ------------------------------------------------------------ *)
 

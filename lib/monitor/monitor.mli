@@ -16,21 +16,12 @@ val set_enabled : Nsql_sim.Sim.t -> bool -> unit
 (** Enabling clears previous state and starts accounting at the current
     simulated time. *)
 
-val enabled : Nsql_sim.Sim.t -> bool
 val clear : Nsql_sim.Sim.t -> unit
 
 val set_slice_us : Nsql_sim.Sim.t -> float -> unit
 (** Sampler slice width (default 10_000. us). Must be binary-exact. *)
 
-val observe : Nsql_sim.Sim.t -> string -> float -> unit
-(** Record a duration into a named latency histogram. *)
-
 (** {2 Rendering} *)
-
-val pp_us : Format.formatter -> float -> unit
-
-val sparkline : ?width:int -> Hist.t -> string
-(** The histogram's non-empty bucket range as unicode block heights. *)
 
 val pp_report : Format.formatter -> Nsql_sim.Sim.t -> unit
 (** The [\monitor] view: where-time-goes table, busy fractions, gauges,

@@ -73,21 +73,17 @@ let register t ~name ~processor ?backup handler =
 
 let set_handler e h = e.handler <- h
 
-let endpoint_name e = e.name
 let endpoint_processor e = e.processor
 
-let lookup t name = Hashtbl.find_opt t.endpoints name
-
-let distance_cost cfg ~(from : processor) ~(to_ : processor) =
-  if from.node <> to_.node then cfg.Config.msg_node_cost_us
-  else if from.cpu <> to_.cpu then cfg.Config.msg_cpu_cost_us
-  else cfg.Config.msg_local_cost_us
+let distance_cost ~(from : processor) ~(to_ : processor) =
+  if from.node <> to_.node then Config.msg_node_cost_us
+  else if from.cpu <> to_.cpu then Config.msg_cpu_cost_us
+  else Config.msg_local_cost_us
 
 let charge_hop ?(cat = Moncore.C_msg) t ~from ~to_ bytes =
-  let cfg = Sim.config t.sim in
   let cost =
-    distance_cost cfg ~from ~to_
-    +. (float_of_int bytes *. cfg.Config.msg_per_byte_us)
+    distance_cost ~from ~to_
+    +. (float_of_int bytes *. Config.msg_per_byte_us)
   in
   Sim.charge t.sim ~cat cost
 
@@ -349,9 +345,12 @@ let checkpoint t e payload =
       let stats = Sim.stats t.sim in
       stats.Stats.checkpoint_msgs <- stats.Stats.checkpoint_msgs + 1;
       stats.Stats.checkpoint_bytes <- stats.Stats.checkpoint_bytes + bytes_;
-      charge_hop ~cat:Moncore.C_ckpt t ~from:e.processor ~to_:backup bytes_;
-      (* deliver to the backup half: heap-only replica maintenance *)
-      (match e.ckpt_receiver with None -> () | Some f -> f payload)
+      (* deliver to the backup half before charging the hop: the charge
+         fires due events, and a takeover among them must find the
+         checkpoint already applied, as a real primary waits for the
+         backup's acknowledgement. Heap-only, so nothing else moves. *)
+      (match e.ckpt_receiver with None -> () | Some f -> f payload);
+      charge_hop ~cat:Moncore.C_ckpt t ~from:e.processor ~to_:backup bytes_
 
 (* Process-pair takeover: the backup becomes the primary. The old primary
    is gone; a new backup would be re-created elsewhere in the real system

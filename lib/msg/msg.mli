@@ -14,8 +14,6 @@
 
 type processor = { node : int; cpu : int }
 
-val pp_processor : Format.formatter -> processor -> unit
-
 type system
 
 type endpoint
@@ -60,7 +58,6 @@ val register :
     construction cycle between a server and its message system). *)
 val set_handler : endpoint -> (string -> string) -> unit
 
-val endpoint_name : endpoint -> string
 val endpoint_processor : endpoint -> processor
 val endpoint_backup : endpoint -> processor option
 
@@ -68,8 +65,6 @@ val endpoint_backup : endpoint -> processor option
     process-pair takeover after a primary failure); returns [false] if no
     backup exists. Checkpointed state makes this transparent to clients. *)
 val takeover_endpoint : endpoint -> bool
-
-val lookup : system -> string -> endpoint option
 
 (** [send sys ~from ~tag endpoint request] performs one request/reply
     interaction and returns the reply payload. Charges message costs and

@@ -45,12 +45,6 @@ let entries t ~file = List.rev (entry t file).ef_entries
 
 let lookup t ~file ~key = Smap.find_opt key (keyed t file).kf_rows
 
-let float_sum t ~file ~col =
-  Smap.fold
-    (fun _ row acc ->
-      match row.(col) with Row.Vfloat f -> acc +. f | _ -> acc)
-    (keyed t file).kf_rows 0.
-
 (* --- transaction views -------------------------------------------------- *)
 
 type op =

@@ -39,15 +39,6 @@ val row_count : t -> file:string -> int
 (** [rows t ~file] is the committed contents in primary-key order. *)
 val rows : t -> file:string -> (string * Row.row) list
 
-(** [entries t ~file] is the committed append-order contents. *)
-val entries : t -> file:string -> string list
-
-val lookup : t -> file:string -> key:string -> Row.row option
-
-(** [float_sum t ~file ~col] sums a float column over the committed rows —
-    balance-conservation checks. *)
-val float_sum : t -> file:string -> col:int -> float
-
 (** {1 Transaction views}
 
     A view buffers one transaction's intended effects on top of the

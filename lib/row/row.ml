@@ -268,8 +268,6 @@ let decode_exn s bytes_ =
   | Ok row -> row
   | Error e -> failwith ("Row.decode_exn: " ^ Errors.to_string e)
 
-let encoded_size s row = String.length (encode s row)
-
 let encode_value w v =
   match v with
   | Null -> Codec.w_u8 w 0
@@ -392,9 +390,6 @@ let key_of_values s vs =
         end
   in
   go [] 0 vs
-
-let key_schema s =
-  Array.to_list (Array.map (fun i -> s.cols.(i).col_type) s.key_cols)
 
 let project row fields = Array.map (fun i -> row.(i)) fields
 

@@ -53,10 +53,6 @@ val equal_row : row -> row -> bool
     to float. *)
 val compare_value : value -> value -> int
 
-(** [value_matches_type v ty] checks a value against a column type
-    (including width limits). *)
-val value_matches_type : value -> col_type -> bool
-
 (** [validate s row] checks arity, types, widths, and nullability. *)
 val validate : schema -> row -> (unit, Nsql_util.Errors.t) result
 
@@ -80,10 +76,6 @@ val decode_fields :
 
 (** [decode_exn s bytes] is [decode] for trusted (self-written) images. *)
 val decode_exn : schema -> string -> row
-
-(** [encoded_size s row] is [String.length (encode s row)] without building
-    the string. *)
-val encoded_size : schema -> row -> int
 
 (** {1 Value wire codec}
 
@@ -116,9 +108,6 @@ val key_of_row : schema -> row -> string
     columns' types. A prefix of the key columns is allowed (for generic
     positioning). *)
 val key_of_values : schema -> value list -> (string, Nsql_util.Errors.t) result
-
-(** [key_schema s] is the list of key column types, in key order. *)
-val key_schema : schema -> col_type list
 
 (** {1 Projection} *)
 

@@ -14,8 +14,6 @@ let empty_row : Row.row = [||]
 
 let buf capacity = { data = Array.make (max capacity 1) empty_row; len = 0 }
 
-let length b = b.len
-
 let push b (x : Row.row) =
   if b.len = Array.length b.data then begin
     let bigger = Array.make (2 * Array.length b.data) empty_row in

@@ -5,8 +5,6 @@
     inside an operator instead of paying a closure call and a list cons
     per record at every operator boundary. *)
 
-val empty : Row.row array
-
 (** {1 Growable output buffer}
 
     For operators whose output cardinality is unknown up front (joins,
@@ -15,8 +13,6 @@ val empty : Row.row array
 type buf
 
 val buf : int -> buf
-
-val length : buf -> int
 
 val push : buf -> Row.row -> unit
 

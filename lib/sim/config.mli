@@ -1,13 +1,47 @@
-(** Simulation parameters: era-faithful defaults, all overridable.
+(** Simulation parameters: era-faithful defaults.
 
-    The defaults model a late-1980s Tandem NonStop VLX-class configuration:
+    The model is a late-1980s Tandem NonStop VLX-class configuration:
     4 KB disk blocks, 28 KB maximum bulk transfer, ~25 ms disk access time,
-    millisecond-scale interprocess messages. Absolute values only set the
-    scale of reported simulated times; the reproduced results are ratios of
-    message/IO/byte counts, which do not depend on them. *)
+    millisecond-scale interprocess messages. The cost model is a set of
+    fixed constants below; the record holds only the knobs that select a
+    mechanism or size a resource. Absolute times only set the scale of
+    reported simulated times; the reproduced results are ratios of
+    message/IO/byte counts, which do not depend on them.
+
+    Every time constant is a binary-exact multiple of 0.25 µs, which the
+    monitor's exact category tiling relies on (see [Moncore]). *)
+
+val block_size : int
+(** bytes per disk block (paper: 4 KB max) *)
+
+val msg_local_cost_us : float
+(** fixed cost, same-processor message *)
+
+val msg_cpu_cost_us : float
+(** fixed cost, cross-processor message *)
+
+val msg_node_cost_us : float
+(** fixed cost, cross-node message *)
+
+val msg_per_byte_us : float
+(** marginal cost per payload byte *)
+
+val disk_seek_us : float
+(** average seek + rotational delay *)
+
+val disk_sequential_us : float
+(** settle cost when physically sequential *)
+
+val disk_per_block_us : float
+(** media transfer time per block *)
+
+val cpu_tick_us : float
+(** duration of one simulated CPU tick *)
+
+val group_commit_timer_us : float
+(** initial group-commit timer *)
 
 type t = {
-  block_size : int;  (** bytes per disk block (paper: 4 KB max) *)
   bulk_io_max_bytes : int;  (** max bytes per bulk I/O (paper: 28 KB) *)
   cache_blocks : int;  (** buffer-pool capacity in blocks *)
   vsbb_buffer_bytes : int;  (** reply buffer for virtual/real blocks *)
@@ -34,14 +68,6 @@ type t = {
           On in E20 (and the other contended-transfer experiments), the
           [xfer_contend] benchmark workload, the [transfers] golden and
           the chaos contention runs *)
-  dp_checkpoint : bool;
-      (** maintain a backup-side replica of takeover-relevant DP state
-          (open SCBs, lock table, wait queues, mutation intents) applied
-          from the checkpoint stream; pure backup-side bookkeeping — the
-          knob changes no message traffic, clock or counters, only whether
-          a takeover can resume in-flight work. On by default; off only in
-          test_availability's unreplicated-takeover and replica-is-free
-          cases *)
   disk_queue_depth : int;
       (** number of I/Os a volume services concurrently (io_uring-style
           submission/completion channels). 1 — the default — serializes
@@ -50,16 +76,7 @@ type t = {
           (test-enforced); deeper queues overlap seeks and transfers
           across channels, and pre-fetch, write-behind and the DP scan
           read-ahead keep that many bulk windows in flight *)
-  msg_local_cost_us : float;  (** fixed cost, same-processor message *)
-  msg_cpu_cost_us : float;  (** fixed cost, cross-processor message *)
-  msg_node_cost_us : float;  (** fixed cost, cross-node message *)
-  msg_per_byte_us : float;  (** marginal cost per payload byte *)
-  disk_seek_us : float;  (** average seek + rotational delay *)
-  disk_sequential_us : float;  (** settle cost when physically sequential *)
-  disk_per_block_us : float;  (** media transfer time per block *)
-  cpu_tick_us : float;  (** duration of one simulated CPU tick *)
   lock_wait_timeout_us : float;  (** lock wait before timeout abort *)
-  group_commit_timer_us : float;  (** initial group-commit timer *)
   mirrored : bool;
       (** mirrored volume writes: every volume of the world doubles its
           physical writes. Off by default; on in test_protocol's and
@@ -68,9 +85,12 @@ type t = {
 
 val default : t
 
-(** [v ()] builds a configuration from [default] with optional overrides. *)
+(** [v ()] builds a configuration from [default] with optional overrides.
+    Raises [Invalid_argument] naming the field when
+    [lock_wait_timeout_us] is not a positive multiple of 0.25 µs, or when
+    a count or size other than [disk_queue_depth] (which [Disk.create]
+    checks) is below 1. *)
 val v :
-  ?block_size:int ->
   ?bulk_io_max_bytes:int ->
   ?cache_blocks:int ->
   ?vsbb_buffer_bytes:int ->
@@ -80,18 +100,8 @@ val v :
   ?dp_prefetch:bool ->
   ?fs_fanout:bool ->
   ?dp_lock_wait:bool ->
-  ?dp_checkpoint:bool ->
   ?disk_queue_depth:int ->
-  ?msg_local_cost_us:float ->
-  ?msg_cpu_cost_us:float ->
-  ?msg_node_cost_us:float ->
-  ?msg_per_byte_us:float ->
-  ?disk_seek_us:float ->
-  ?disk_sequential_us:float ->
-  ?disk_per_block_us:float ->
-  ?cpu_tick_us:float ->
   ?lock_wait_timeout_us:float ->
-  ?group_commit_timer_us:float ->
   ?mirrored:bool ->
   unit ->
   t

@@ -41,8 +41,6 @@ let bucket_of v =
     !hi
   end
 
-let edge_hi i = edges.(i)
-
 type t = {
   counts : int array;
   mutable n : int;

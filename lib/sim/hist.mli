@@ -1,7 +1,7 @@
 (** Deterministic fixed-bucket latency histogram.
 
     Log-spaced buckets with ratio 2^(1/8): bucket 0 holds values at or
-    below 1 us, bucket [i] covers [(edge_hi (i-1), edge_hi i)], and 256
+    below 1 us, bucket [i] covers [(edge (i-1), edge i]], and 256
     buckets reach past an hour of microseconds (overflow clamps into the
     last bucket). Only int bucket counts and exact min/max are stored —
     no float sum — so {!merge} is associative and order-independent to
@@ -9,13 +9,8 @@
 
 type t
 
-val n_buckets : int
-
 val bucket_of : float -> int
 (** Bucket index a value falls in; pure function of the value. *)
-
-val edge_hi : int -> float
-(** Inclusive upper edge of a bucket. *)
 
 val create : unit -> t
 val record : t -> float -> unit

@@ -7,10 +7,12 @@
    itself is attributed here: [Sim.advance_to] reports every real clock
    movement through [clock_advance], tagged with the *category* named by
    the charge or wait that caused it, so the per-category totals tile
-   [Sim.now] deltas exactly — every config time constant is a
-   binary-exact multiple of 0.25 us far below 2^52, so the float
-   additions that split an advance across categories and slice
-   boundaries are exact.
+   [Sim.now] deltas exactly. The additions that split an advance across
+   categories and slice boundaries are exact because every time that
+   reaches the clock is a binary-exact multiple of 0.25 us far below
+   2^52: the cost model's fixed constants in [Config] are (test_sim
+   checks them), and [Config.v] rejects a [lock_wait_timeout_us], the
+   one configurable time, that is not.
 
    The same clock hook drives the time-sliced sampler: when an advance
    crosses a slice boundary the open slice is closed — instantaneous

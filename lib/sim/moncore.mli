@@ -19,7 +19,6 @@
     capture. *)
 type cat = C_compute | C_msg | C_disk | C_lockwait | C_ckpt | C_await | C_other
 
-val n_cats : int
 val cat_index : cat -> int
 val cat_names : string array
 
@@ -31,7 +30,6 @@ val cat_names : string array
     it reads the depth as of the last disk interaction. *)
 type gauge = G_outstanding | G_parked | G_locks | G_diskq
 
-val n_gauges : int
 val gauge_index : gauge -> int
 val gauge_names : string array
 
@@ -40,7 +38,6 @@ val gauge_names : string array
     so overlapped service can exceed the slice length. *)
 type res = R_dp | R_disk
 
-val n_res : int
 val res_index : res -> int
 val res_names : string array
 

@@ -105,7 +105,7 @@ let tick t n =
   if n > 0 then begin
     t.stats.Stats.cpu_ticks <- t.stats.Stats.cpu_ticks + n;
     charge t ~cat:Moncore.C_compute
-      (float_of_int n *. t.config.Config.cpu_tick_us)
+      (float_of_int n *. Config.cpu_tick_us)
   end
 
 let wait_until t ~cat when_ =
@@ -131,8 +131,6 @@ let capture t f =
 
 let schedule t ~at f =
   Nsql_util.Heap.push t.events ~prio:(max at t.now) f
-
-let after t delay f = schedule t ~at:(t.now +. delay) f
 
 let flush_events t = fire_due t
 

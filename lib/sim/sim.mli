@@ -49,9 +49,6 @@ val wait_until : t -> cat:Moncore.cat -> float -> unit
     movement (or [flush_events]). *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
 
-(** [after t delay f] is [schedule t ~at:(now t +. delay) f]. *)
-val after : t -> float -> (unit -> unit) -> unit
-
 (** [flush_events t] fires every event due at or before the current time. *)
 val flush_events : t -> unit
 

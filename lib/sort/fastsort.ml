@@ -7,10 +7,6 @@ type stats = {
   elapsed_us : float;
 }
 
-let pp_stats ppf s =
-  Format.fprintf ppf "runs=%d passes=%d cmps=%d elapsed=%.0fus" s.runs_formed
-    s.merge_passes s.comparisons s.elapsed_us
-
 (* split [items] round-robin over [ways] sub-sorters *)
 let distribute ways items =
   let buckets = Array.make ways [] in

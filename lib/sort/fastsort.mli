@@ -16,8 +16,6 @@ type stats = {
   elapsed_us : float;  (** simulated elapsed time of the whole sort *)
 }
 
-val pp_stats : Format.formatter -> stats -> unit
-
 (** [sort sim ~compare items] sorts with the default configuration. *)
 val sort :
   ?ways:int ->

@@ -128,20 +128,6 @@ let rec pp_sexpr ppf = function
   | E_agg (kind, Some e) -> Format.fprintf ppf "%s(%a)" (agg_name kind) pp_sexpr e
   | E_agg (kind, None) -> Format.fprintf ppf "%s(?)" (agg_name kind)
 
-let pp_statement ppf = function
-  | St_create_table { ct_name; _ } -> Format.fprintf ppf "CREATE TABLE %s" ct_name
-  | St_create_index { ci_name; ci_table; _ } ->
-      Format.fprintf ppf "CREATE INDEX %s ON %s" ci_name ci_table
-  | St_insert { i_table; i_values; _ } ->
-      Format.fprintf ppf "INSERT INTO %s (%d rows)" i_table (List.length i_values)
-  | St_select _ -> Format.pp_print_string ppf "SELECT"
-  | St_update { u_table; _ } -> Format.fprintf ppf "UPDATE %s" u_table
-  | St_delete { d_table; _ } -> Format.fprintf ppf "DELETE FROM %s" d_table
-  | St_drop_table name -> Format.fprintf ppf "DROP TABLE %s" name
-  | St_begin -> Format.pp_print_string ppf "BEGIN WORK"
-  | St_commit -> Format.pp_print_string ppf "COMMIT WORK"
-  | St_rollback -> Format.pp_print_string ppf "ROLLBACK WORK"
-
 let conjuncts e =
   let rec go acc = function
     | E_and (a, b) -> go (go acc b) a

@@ -81,9 +81,7 @@ and select_stmt = {
 
 val agg_name : agg_kind -> string
 
-val pp_literal : Format.formatter -> literal -> unit
 val pp_sexpr : Format.formatter -> sexpr -> unit
-val pp_statement : Format.formatter -> statement -> unit
 
 (** [conjuncts e] flattens nested ANDs. *)
 val conjuncts : sexpr -> sexpr list

@@ -26,11 +26,6 @@ let env_of_tables tables =
   in
   List.rev env
 
-let joined_width env =
-  List.fold_left
-    (fun acc e -> acc + Array.length e.en_schema.Row.cols)
-    0 env
-
 let entry_matches entry name =
   (match entry.en_alias with
   | Some a -> String.equal a name
@@ -129,17 +124,3 @@ let rec bind env e =
           Ok (List.fold_left (fun acc l -> Expr.Or (acc, eq l)) (eq first) rest))
   | E_agg _ ->
       fail (Errors.Bad_request "aggregate not allowed in this context")
-
-let table_of_field env i =
-  let rec go = function
-    | [] -> invalid_arg "Binder.table_of_field"
-    | [ entry ] -> entry
-    | entry :: (next :: _ as rest) ->
-        if i < next.en_offset then entry else go rest
-  in
-  go env
-
-let fields_within _env entry e =
-  let lo = entry.en_offset in
-  let hi = entry.en_offset + Array.length entry.en_schema.Row.cols in
-  List.for_all (fun i -> i >= lo && i < hi) (Expr.fields e)

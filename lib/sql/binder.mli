@@ -24,15 +24,6 @@ type env = env_entry list
     order. *)
 val env_of_tables : (string * string option * Row.schema) list -> env
 
-(** [joined_width env] is the total field count. *)
-val joined_width : env -> int
-
-(** [resolve env ~qualifier ~column] finds the joined-row field number.
-    Unqualified names must be unambiguous. *)
-val resolve :
-  env -> qualifier:string option -> column:string ->
-  (int, Nsql_util.Errors.t) result
-
 (** [bind env e] lowers a surface expression (no aggregates allowed). *)
 val bind : env -> Ast.sexpr -> (Expr.t, Nsql_util.Errors.t) result
 
@@ -42,10 +33,3 @@ val lit_value : Ast.literal -> Row.value
 (** Operator lowering, shared with the planner's aggregate rewriting. *)
 val cmp_op : Ast.cmp -> Expr.cmp
 val bin_op : Ast.binop -> Expr.binop
-
-(** [table_of_field env i] is the env entry owning joined field [i]. *)
-val table_of_field : env -> int -> env_entry
-
-(** [fields_within env entry e] — does [e] reference only fields of
-    [entry]'s table? (single-variable test for pushdown) *)
-val fields_within : env -> env_entry -> Expr.t -> bool

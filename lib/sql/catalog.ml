@@ -18,8 +18,6 @@ let create fs ~dps =
   if Array.length dps = 0 then invalid_arg "Catalog.create: no disk processes";
   { fs; dps; tables = Hashtbl.create 16; next_dp = 0 }
 
-let fs t = t.fs
-
 let canonical name = String.lowercase_ascii name
 
 let register t name file =

@@ -14,8 +14,6 @@ type t
 
 val create : Fs.t -> dps:Nsql_dp.Dp.t array -> t
 
-val fs : t -> Fs.t
-
 (** [register t name file] adds an externally created SQL file. *)
 val register : t -> string -> Fs.file -> (unit, Nsql_util.Errors.t) result
 

@@ -1,4 +1,5 @@
 module Sim = Nsql_sim.Sim
+module Config = Nsql_sim.Config
 module Cache = Nsql_cache.Cache
 module Disk = Nsql_disk.Disk
 module Errors = Nsql_util.Errors
@@ -33,7 +34,7 @@ let write_page t block page ~lsn =
   Cache.write t.cache block (Page.encode ~block_size:t.block_size page) ~lsn
 
 let create sim cache ~name =
-  let block_size = Disk.block_size (Cache.disk cache) in
+  let block_size = Config.block_size in
   let t =
     { sim; cache; name; root = 0; nrecords = 0; height = 1; block_size }
   in
@@ -42,10 +43,8 @@ let create sim cache ~name =
   write_page t root Page.empty_leaf ~lsn:0L;
   t
 
-let name t = t.name
 let record_count t = t.nrecords
 let height t = t.height
-let root_block t = t.root
 
 (* --- descent ----------------------------------------------------------- *)
 

@@ -18,10 +18,8 @@ type t
 (** [create sim cache ~name] allocates an empty tree (one root leaf). *)
 val create : Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> name:string -> t
 
-val name : t -> string
 val record_count : t -> int
 val height : t -> int
-val root_block : t -> int
 
 (** [lookup t key] returns the record image stored under [key]. *)
 val lookup : t -> string -> string option

@@ -1,4 +1,5 @@
 module Sim = Nsql_sim.Sim
+module Config = Nsql_sim.Config
 module Cache = Nsql_cache.Cache
 module Disk = Nsql_disk.Disk
 module Errors = Nsql_util.Errors
@@ -23,14 +24,13 @@ let create sim cache ~name =
     sim;
     cache;
     name;
-    block_size = Disk.block_size (Cache.disk cache);
+    block_size = Config.block_size;
     blocks = [||];
     nblocks = 0;
     tail_offset = 0;
     count = 0;
   }
 
-let name t = t.name
 let record_count t = t.count
 
 let add_block t =

@@ -9,7 +9,6 @@ type t
 
 val create : Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> name:string -> t
 
-val name : t -> string
 val record_count : t -> int
 
 (** [append t ~record ~lsn] adds a record at EOF and returns its address. *)

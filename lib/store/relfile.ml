@@ -1,4 +1,5 @@
 module Sim = Nsql_sim.Sim
+module Config = Nsql_sim.Config
 module Cache = Nsql_cache.Cache
 module Disk = Nsql_disk.Disk
 module Errors = Nsql_util.Errors
@@ -21,7 +22,7 @@ type t = {
 let physical_slot_size t = t.slot_size + 2
 
 let create sim cache ~name ~slot_size =
-  let bs = Disk.block_size (Cache.disk cache) in
+  let bs = Config.block_size in
   if slot_size < 1 || slot_size + 2 > bs then
     invalid_arg "Relfile.create: bad slot size";
   {
@@ -36,7 +37,6 @@ let create sim cache ~name ~slot_size =
     first_free_hint = 0;
   }
 
-let name t = t.name
 let slot_size t = t.slot_size
 let slot_count t = t.nblocks * t.slots_per_block
 let record_count t = t.occupied

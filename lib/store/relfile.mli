@@ -11,11 +11,7 @@ type t
 val create :
   Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> name:string -> slot_size:int -> t
 
-val name : t -> string
 val slot_size : t -> int
-
-(** [slot_count t] is the number of allocated slots (occupied or not). *)
-val slot_count : t -> int
 
 (** [record_count t] is the number of occupied slots. *)
 val record_count : t -> int

@@ -8,8 +8,8 @@ let pp_outcome ppf o =
     o.losers
 
 (* In-doubt branches (PREPARE without a local decision) ask the resolver
-   whether their coordinator committed; plain [rollforward] has no
-   coordinator to ask, so in-doubt branches are losers (presumed abort). *)
+   whether their coordinator committed; a resolver that answers [false]
+   makes them losers (presumed abort). *)
 let rollforward_with trail ~resolve ~apply =
   let records = Trail.read_durable trail in
   (* pass 1: find winners *)
@@ -55,9 +55,6 @@ let rollforward_with trail ~resolve ~apply =
     winners = Hashtbl.length committed;
     losers = Hashtbl.length seen - Hashtbl.length committed;
   }
-
-let rollforward trail ~apply =
-  rollforward_with trail ~resolve:(fun ~coordinator_node:_ ~coordinator_tx:_ -> false) ~apply
 
 (* [coordinator_committed trail ~tx] — did this trail record a COMMIT for
    [tx]? Used as the in-doubt resolver against a coordinator's trail. *)

@@ -22,16 +22,12 @@ type outcome = {
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** [rollforward trail ~apply] scans the durable trail and calls
-    [apply body] for every data operation of a committed transaction.
-    In-doubt two-phase-commit branches (PREPARE without a local decision)
-    are treated as losers — presumed abort. *)
-val rollforward :
-  Nsql_audit.Trail.t -> apply:(Nsql_audit.Audit_record.body -> unit) -> outcome
-
-(** [rollforward_with trail ~resolve ~apply] additionally resolves
-    in-doubt branches by asking [resolve ~coordinator_node ~coordinator_tx]
-    whether the named coordinator transaction committed. *)
+(** [rollforward_with trail ~resolve ~apply] scans the durable trail and
+    calls [apply body] for every data operation of a committed
+    transaction. In-doubt two-phase-commit branches (PREPARE without a
+    local decision) are resolved by asking
+    [resolve ~coordinator_node ~coordinator_tx] whether the named
+    coordinator transaction committed. *)
 val rollforward_with :
   Nsql_audit.Trail.t ->
   resolve:(coordinator_node:int -> coordinator_tx:int -> bool) ->

@@ -69,9 +69,6 @@ val commit : t -> tx:int -> (unit, Nsql_util.Errors.t) result
     record, and releases the participants. *)
 val abort : t -> tx:int -> (unit, Nsql_util.Errors.t) result
 
-(** [active_count t] is the number of in-flight transactions. *)
-val active_count : t -> int
-
 (** [run t f] wraps [f] in a transaction: commits on [Ok], aborts on
     [Error] (returning the original error). *)
 val run :

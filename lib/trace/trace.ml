@@ -48,9 +48,6 @@ let instant sim ?tid ?(cat = "misc") ?(attrs = []) name =
 let add_attr (h : h) k v =
   match h with None -> () | Some sp -> Tracer.add_attr sp k v
 
-let add_stats (h : h) d =
-  match h with None -> () | Some sp -> Tracer.add_stats sp d
-
 let attribute sim (h : h) f =
   match h with
   | None -> f ()

@@ -77,14 +77,9 @@ val instant :
 
 val add_attr : h -> string -> value -> unit
 
-(** [add_stats h d] accumulates an explicit counter delta into the span,
-    suppressing the begin/end window diff at finish. Partition legs use
-    this: a window diff would absorb the interleaved work of sibling
-    legs. *)
-val add_stats : h -> Nsql_sim.Stats.t -> unit
-
 (** [attribute sim h f] runs [f], adds the counter delta it produced to
-    [h] (as {!add_stats}), and — while [f] runs — lets spans begun inside
+    [h] (suppressing the span's begin/end window diff: a partition leg's
+    window would absorb the interleaved work of its siblings), and — while [f] runs — lets spans begun inside
     infer [h] as their parent. One branch when [h] is [None]. *)
 val attribute : Nsql_sim.Sim.t -> h -> (unit -> 'a) -> 'a
 
@@ -108,10 +103,6 @@ val attr : Nsql_sim.Tracer.span -> string -> value option
     [Nsql_monitor.Monitor.chrome_counters]) after the span events. *)
 val chrome_json :
   ?counters:string list -> Nsql_sim.Tracer.span list list -> string
-
-(** Default category filter for {!pp_profile}: statement, operator, file
-    system and partition-leg spans. *)
-val profile_cats : string list
 
 (** [pp_profile ppf spans] renders the operator tree with per-span
     simulated µs and counter deltas (messages, bytes, re-drives, cache

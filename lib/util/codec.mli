@@ -63,10 +63,7 @@ val pos : reader -> int
 (** [unread r n] moves the read offset back by [n] bytes. *)
 val unread : reader -> int -> unit
 
-(** [remaining r] is the number of unread bytes. *)
-val remaining : reader -> int
-
-(** [at_end r] is [remaining r = 0]. *)
+(** [at_end r] holds when every byte has been read. *)
 val at_end : reader -> bool
 
 exception Truncated

@@ -43,7 +43,6 @@ let equal (a : t) (b : t) = a = b
 let fail e = Error e
 
 let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
-let ( let+ ) r f = match r with Ok x -> Ok (f x) | Error _ as e -> e
 
 let list_iter f xs =
   let rec go = function

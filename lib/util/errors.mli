@@ -40,8 +40,6 @@ val fail : t -> ('a, t) result
 (** Monadic bind for [('a, t) result]; also available as [let*]. *)
 val ( let* ) : ('a, t) result -> ('a -> ('b, t) result) -> ('b, t) result
 
-val ( let+ ) : ('a, t) result -> ('a -> 'b) -> ('b, t) result
-
 (** [list_iter f xs] applies [f] to each element, stopping at the first
     error. *)
 val list_iter : ('a -> (unit, t) result) -> 'a list -> (unit, t) result

@@ -7,8 +7,6 @@ type 'a t = {
 }
 
 let create () = { data = [||]; size = 0; next_seq = 0 }
-let is_empty h = h.size = 0
-let length h = h.size
 
 let less a b = if a.prio = b.prio then a.seq < b.seq else a.prio < b.prio
 

@@ -7,8 +7,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 (** [push h ~prio x] inserts [x] with priority [prio]. *)
 val push : 'a t -> prio:float -> 'a -> unit

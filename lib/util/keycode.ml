@@ -75,8 +75,6 @@ let read_string r =
   in
   loop ()
 
-let read_bool r = Codec.r_u8 r <> 0
-
 let successor k = k ^ "\x00"
 
 let prefix_upper_bound p =

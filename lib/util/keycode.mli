@@ -31,7 +31,6 @@ val of_bool : bool -> string
 val read_int : Codec.reader -> int
 val read_float : Codec.reader -> float
 val read_string : Codec.reader -> string
-val read_bool : Codec.reader -> bool
 
 (** [successor k] is the smallest byte string strictly greater than [k]
     (i.e. [k ^ "\x00"]); used to turn inclusive bounds into exclusive ones

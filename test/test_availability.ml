@@ -170,8 +170,8 @@ let suite =
 
 module Stats = Nsql_sim.Stats
 
-let lock_wait_config ?dp_checkpoint () =
-  Config.v ~dp_lock_wait:true ~lock_wait_timeout_us:150_000. ?dp_checkpoint ()
+let lock_wait_config () =
+  Config.v ~dp_lock_wait:true ~lock_wait_timeout_us:150_000. ()
 
 (* an exclusive point read sent nowait straight at the Disk Process, so the
    test can hold several parked requests at once *)
@@ -253,36 +253,6 @@ let takeover_keeps_wait_budget () =
   get_ok ~ctx:"abort tx2" (Tmf.abort n.tmf ~tx:tx2);
   get_ok ~ctx:"commit tx1" (Tmf.commit n.tmf ~tx:tx1)
 
-(* without a replica (checkpoint apply off), a takeover still answers, but
-   transactions that were in flight are denied with a retryable error until
-   they abort — after which service is clean *)
-let unreplicated_takeover_denies_retryably () =
-  let n = node ~config:(Config.v ~dp_checkpoint:false ()) () in
-  let file = create_accounts n in
-  load_accounts n file 10;
-  let tx = Tmf.begin_tx n.tmf in
-  ignore
-    (get_ok ~ctx:"tx X"
-       (Fs.read n.fs file ~tx ~key:(acct_key 2) ~lock:Dp_msg.L_exclusive));
-  let s = Sim.stats n.sim in
-  let denials = s.Stats.takeover_denials in
-  get_ok ~ctx:"takeover" (Dp.takeover n.dps.(0));
-  (match Fs.read n.fs file ~tx ~key:(acct_key 4) ~lock:Dp_msg.L_exclusive with
-  | Error (Errors.Takeover _ as e) ->
-      Alcotest.(check bool) "classified retryable" true (N.retryable e)
-  | Ok _ -> Alcotest.fail "in-flight tx served by unreplicated new primary"
-  | Error e -> Alcotest.fail (Errors.to_string e));
-  Alcotest.(check int) "denial counted" (denials + 1)
-    s.Stats.takeover_denials;
-  get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
-  (* the abort clears the denial: a fresh attempt succeeds *)
-  in_tx n (fun tx ->
-      let open Errors in
-      let* _ =
-        Fs.read n.fs file ~tx ~key:(acct_key 4) ~lock:Dp_msg.L_exclusive
-      in
-      Ok ())
-
 (* no-backup regressions: a solo Disk Process refuses takeover with
    [Bad_request], and a second takeover of a pair finds no backup left *)
 let no_backup_regressions () =
@@ -307,12 +277,17 @@ let no_backup_regressions () =
     (N.takeover_volume nn 0)
 
 (* "the replica is free when unused": with no fault injected, running the
-   same workload with checkpoint apply on and off yields bit-identical
-   results, clock, and counters — the checkpoint messages themselves are
-   charged either way, the replica bookkeeping is pure heap *)
+   same workload with the backup's replica fed and detached yields
+   bit-identical results, clock, and counters — the checkpoint messages
+   themselves are charged either way, the replica bookkeeping is pure
+   heap *)
 let replica_is_free_when_unused () =
-  let run dp_checkpoint =
-    let n = node ~config:(lock_wait_config ~dp_checkpoint ()) () in
+  let run replica =
+    let n = node ~config:(lock_wait_config ()) () in
+    if not replica then
+      Array.iter
+        (fun dp -> Msg.set_checkpoint_receiver (Dp.endpoint dp) None)
+        n.dps;
     let file = create_accounts n in
     load_accounts n file 60;
     let dpfile = Option.get (Dp.file_id n.dps.(0) "ACCOUNT#p0") in
@@ -365,8 +340,6 @@ let suite =
         takeover_preserves_fifo_waiters;
       Alcotest.test_case "takeover keeps the wait budget counting" `Quick
         takeover_keeps_wait_budget;
-      Alcotest.test_case "unreplicated takeover denies retryably" `Quick
-        unreplicated_takeover_denies_retryably;
       Alcotest.test_case "no backup: Bad_request and double takeover" `Quick
         no_backup_regressions;
       Alcotest.test_case "replica is free when unused" `Quick

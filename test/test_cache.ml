@@ -25,7 +25,7 @@ let setup ?(capacity = 16) () =
   in
   (sim, disk, cache, log)
 
-let block_of cache c = String.make (Disk.block_size (Cache.disk cache)) c
+let block_of c = String.make Config.block_size c
 
 let hit_miss_counting () =
   let sim, _disk, cache, _log = setup () in
@@ -38,7 +38,7 @@ let hit_miss_counting () =
 
 let write_read_through () =
   let sim, _disk, cache, _log = setup () in
-  let payload = block_of cache 'z' in
+  let payload = block_of 'z' in
   Cache.write cache 5 payload ~lsn:10L;
   Alcotest.(check string) "read back from cache" payload (Cache.read cache 5);
   Alcotest.(check bool) "dirty" true (Cache.is_dirty cache 5);
@@ -64,7 +64,7 @@ let lru_evicts_coldest () =
 
 let wal_forces_log_before_write () =
   let _sim, disk, cache, log = setup () in
-  let payload = block_of cache 'w' in
+  let payload = block_of 'w' in
   Cache.write cache 3 payload ~lsn:42L;
   Cache.flush_block cache 3;
   Alcotest.(check bool) "log forced through 42" true
@@ -75,13 +75,13 @@ let wal_forces_log_before_write () =
 let wal_no_force_when_durable () =
   let _sim, _disk, cache, log = setup () in
   log.durable <- 100L;
-  Cache.write cache 3 (block_of cache 'q') ~lsn:42L;
+  Cache.write cache 3 (block_of 'q') ~lsn:42L;
   Cache.flush_block cache 3;
   Alcotest.(check (list int64)) "no force needed" [] log.forced
 
 let eviction_respects_wal () =
   let _sim, _disk, cache, log = setup ~capacity:8 () in
-  Cache.write cache 0 (block_of cache 'd') ~lsn:77L;
+  Cache.write cache 0 (block_of 'd') ~lsn:77L;
   (* filling the pool forces eviction of block 0 *)
   for i = 1 to 9 do
     ignore (Cache.read cache i)
@@ -127,9 +127,9 @@ let write_behind_strings () =
   let _sim, disk, cache, log = setup ~capacity:32 () in
   (* dirty blocks 0..6 under lsn 5, plus an isolated dirty block 20 *)
   for i = 0 to 6 do
-    Cache.write cache i (block_of cache (Char.chr (48 + i))) ~lsn:5L
+    Cache.write cache i (block_of (Char.chr (48 + i))) ~lsn:5L
   done;
-  Cache.write cache 20 (block_of cache 'x') ~lsn:5L;
+  Cache.write cache 20 (block_of 'x') ~lsn:5L;
   (* not durable yet: write-behind must do nothing *)
   let queued = Cache.write_behind cache in
   Alcotest.(check int) "WAL blocks write-behind" 0 queued;
@@ -142,7 +142,7 @@ let write_behind_strings () =
   Alcotest.(check int) "counted as write-behind" 2 s.Stats.writebehind_writes;
   Alcotest.(check int) "nothing dirty left" 0 (Cache.dirty_count cache);
   Sim.drain _sim;
-  Alcotest.(check string) "contents on disk" (block_of cache '0')
+  Alcotest.(check string) "contents on disk" (block_of '0')
     (Disk.read disk 0)
 
 let steal_cleans_and_frees () =
@@ -150,7 +150,7 @@ let steal_cleans_and_frees () =
   for i = 0 to 9 do
     ignore (Cache.read cache i)
   done;
-  Cache.write cache 3 (block_of cache 's') ~lsn:9L;
+  Cache.write cache 3 (block_of 's') ~lsn:9L;
   let freed = Cache.steal cache 10 in
   Alcotest.(check int) "freed all" 10 freed;
   Alcotest.(check int) "empty now" 0 (Cache.cached cache);
@@ -159,10 +159,10 @@ let steal_cleans_and_frees () =
 
 let crash_drops_dirty () =
   let _sim, disk, cache, _log = setup () in
-  Cache.write cache 7 (block_of cache 'c') ~lsn:3L;
+  Cache.write cache 7 (block_of 'c') ~lsn:3L;
   Cache.drop_all cache;
   Alcotest.(check string) "disk untouched"
-    (String.make (Disk.block_size disk) '\x00')
+    (String.make Config.block_size '\x00')
     (Disk.read disk 7);
   Alcotest.(check int) "cache empty" 0 (Cache.cached cache)
 
@@ -191,7 +191,7 @@ let memo_invisible_to_counters () =
     let seen = ref [] in
     let r b = seen := read cache b :: !seen in
     List.iter r [ 0; 1; 2; 0; 1 ];
-    Cache.write cache 1 (block_of cache 'a') ~lsn:1L;
+    Cache.write cache 1 (block_of 'a') ~lsn:1L;
     List.iter r [ 1; 3; 4; 5; 6; 7; 8; 9; 10; 11; 1 ];
     ignore (Cache.read_range cache ~first:12 ~count:5);
     List.iter r [ 12; 16; 1 ];
@@ -214,8 +214,8 @@ let memo_decoded_once_per_residency () =
   r 0;
   r 0;
   Alcotest.(check int) "a hit reuses the memo" 1 !decodes;
-  Cache.write cache 0 (block_of cache 'w') ~lsn:1L;
-  Alcotest.(check string) "a write forces a fresh decode" (block_of cache 'w')
+  Cache.write cache 0 (block_of 'w') ~lsn:1L;
+  Alcotest.(check string) "a write forces a fresh decode" (block_of 'w')
     (read_via_memo cache 0);
   Alcotest.(check int) "one decode per write" 2 !decodes;
   (* eight more blocks through an eight-frame pool evict block 0 *)
@@ -280,7 +280,7 @@ let lru_matches_model =
               ignore (Cache.read cache b);
               use b
           | Write b ->
-              Cache.write cache b (block_of cache 'w') ~lsn:0L;
+              Cache.write cache b (block_of 'w') ~lsn:0L;
               use b
           | Prefetch (first, count) ->
               let missing =

@@ -194,36 +194,42 @@ let takeover_determinism seed () =
    set, the deterministic parameter streams commit exactly once in both,
    so the committed results of the takeover run equal the fault-free
    run's *)
+let takeover_equivalence seed =
+  let ff = Chaos.run_contention ~txs_per_terminal:5 ~seed () in
+  let tk = Chaos.run_contention ~txs_per_terminal:5 ~takeover:true ~seed () in
+  if tk.Chaos.n_violations <> [] then
+    QCheck.Test.fail_reportf "takeover seed %d violations:@.%s" seed
+      (String.concat "\n" tk.Chaos.n_violations);
+  if tk.Chaos.n_stats.Stats.takeovers <> 1 then
+    QCheck.Test.fail_reportf "takeover seed %d: takeover did not land" seed;
+  let failed r = r.Chaos.n_transfers.Debitcredit.x_failed in
+  if failed ff = 0 && failed tk <> 0 then
+    QCheck.Test.fail_reportf
+      "takeover seed %d: takeover abandoned %d parameter sets the fault-free \
+       run committed"
+      seed (failed tk);
+  if failed ff = 0 && failed tk = 0
+     && ff.Chaos.n_transfers.Debitcredit.x_committed
+        <> tk.Chaos.n_transfers.Debitcredit.x_committed
+  then
+    QCheck.Test.fail_reportf
+      "takeover seed %d: %d commits fault-free vs %d across takeover" seed
+      ff.Chaos.n_transfers.Debitcredit.x_committed
+      tk.Chaos.n_transfers.Debitcredit.x_committed
+
 let qcheck_takeover_equivalence =
   QCheck.Test.make ~count:5
     ~name:"takeover: committed results equal the fault-free run"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let ff = Chaos.run_contention ~txs_per_terminal:5 ~seed () in
-      let tk =
-        Chaos.run_contention ~txs_per_terminal:5 ~takeover:true ~seed ()
-      in
-      if tk.Chaos.n_violations <> [] then
-        QCheck.Test.fail_reportf "takeover seed %d violations:@.%s" seed
-          (String.concat "\n" tk.Chaos.n_violations);
-      if tk.Chaos.n_stats.Stats.takeovers <> 1 then
-        QCheck.Test.fail_reportf "takeover seed %d: takeover did not land"
-          seed;
-      let failed r = r.Chaos.n_transfers.Debitcredit.x_failed in
-      if failed ff = 0 && failed tk <> 0 then
-        QCheck.Test.fail_reportf
-          "takeover seed %d: takeover abandoned %d parameter sets the \
-           fault-free run committed"
-          seed (failed tk);
-      if failed ff = 0 && failed tk = 0
-         && ff.Chaos.n_transfers.Debitcredit.x_committed
-            <> tk.Chaos.n_transfers.Debitcredit.x_committed
-      then
-        QCheck.Test.fail_reportf
-          "takeover seed %d: %d commits fault-free vs %d across takeover"
-          seed ff.Chaos.n_transfers.Debitcredit.x_committed
-          tk.Chaos.n_transfers.Debitcredit.x_committed;
+      takeover_equivalence seed;
       true)
+
+(* seeds where the takeover landed inside a checkpoint hop: the backup
+   must already hold the checkpoint the hop carries, or the new primary
+   restores a lock its finished holder released (an orphan lock every
+   later transfer on that account waits out) *)
+let takeover_in_ckpt_hop seed () = takeover_equivalence seed
 
 let suite =
   corpus_cases
@@ -243,4 +249,10 @@ let suite =
       Alcotest.test_case "takeover replay determinism" `Quick
         (takeover_determinism 6);
       QCheck_alcotest.to_alcotest qcheck_takeover_equivalence;
+      Alcotest.test_case "takeover mid-checkpoint, seed 316" `Quick
+        (takeover_in_ckpt_hop 316);
+      Alcotest.test_case "takeover mid-checkpoint, seed 354" `Quick
+        (takeover_in_ckpt_hop 354);
+      Alcotest.test_case "takeover mid-checkpoint, seed 412035" `Quick
+        (takeover_in_ckpt_hop 412035);
     ]

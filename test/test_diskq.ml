@@ -200,7 +200,7 @@ let read_range_mixed_residency () =
 
 let read_range_returns_disk_contents () =
   let _sim, disk, cache = cache_setup ~depth:4 () in
-  let bs = Disk.block_size disk in
+  let bs = Config.block_size in
   for i = 0 to 27 do
     Disk.write disk i (String.make bs (Char.chr (Char.code 'a' + (i mod 26))))
   done;
@@ -241,7 +241,7 @@ let random_io_run ~depth ~seed =
          if Random.State.int rng 6 = 0 then
            Some (float_of_int (1 + Random.State.int rng 3) *. 100.)
          else None));
-  let bs = Disk.block_size d in
+  let bs = Config.block_size in
   for i = 0 to 255 do
     Disk.write d i (String.make bs (Char.chr (i mod 256)))
   done;
@@ -304,7 +304,7 @@ let prefetch_writebehind_under_faults () =
       (Some
          (fun () ->
            if Random.State.int rng 4 = 0 then Some 250. else None));
-    let bs = Disk.block_size disk in
+    let bs = Config.block_size in
     for i = 0 to 55 do
       Disk.write disk i (String.make bs (Char.chr (Char.code 'A' + (i mod 56))))
     done;

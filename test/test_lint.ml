@@ -702,6 +702,67 @@ let park_safe () =
   check_rules "whitelisted arm opening a scan fires" [ "PARK-SAFE" ]
     (Rules.park_safe ~whitelist:[ "R_read" ] ~ctx:scans ())
 
+(* --- DEAD-EXPORT ------------------------------------------------------------ *)
+
+let dead_export () =
+  let intf = Source.parse_intf_string ~path:"lib/util/widget.mli" in
+  let mli =
+    intf
+      "val used_in_lib : int -> int\n\
+       val unused : int\n\
+       val test_only : int\n\
+       val via_alias : int\n\
+       val self_only : int\n\
+       val ( let$ ) : int -> (int -> int) -> int\n\
+       val via_local_open : int"
+  in
+  let widget =
+    ( "lib/util/widget.ml",
+      parse ~path:"lib/util/widget.ml"
+        "let used_in_lib x = x\n\
+         let unused = 0\n\
+         let test_only = 1\n\
+         let via_alias = 2\n\
+         let self_only = 3\n\
+         let ( let$ ) x f = f x\n\
+         let via_local_open = self_only + 4" )
+  in
+  let lib_user =
+    ( "lib/core/gadget.ml",
+      parse ~path:"lib/core/gadget.ml"
+        "module W = Nsql_util.Widget\n\
+         let g = W.via_alias + Nsql_util.Widget.used_in_lib 1\n\
+         let h = W.(via_local_open)\n\
+         let k = let open Nsql_util.Widget in let$ x = 1 in x" )
+  in
+  let test_user =
+    ( "test/test_widget.ml",
+      parse ~path:"test/test_widget.ml" "let t = Widget.test_only" )
+  in
+  let names diags =
+    List.map
+      (fun d ->
+        match String.index_opt d.Diag.msg ' ' with
+        | Some i -> String.sub d.Diag.msg 0 i
+        | None -> d.Diag.msg)
+      diags
+  in
+  let run users =
+    Rules.dead_export ~mli_sigs:[ ("lib/util/widget.mli", mli) ] ~users
+  in
+  Alcotest.(check (list string))
+    "unused and self-only exports fire; test, alias, local-open and \
+     binding-operator users count"
+    [ "Widget.unused"; "Widget.self_only" ]
+    (names (run [ widget; lib_user; test_user ]));
+  Alcotest.(check (list string))
+    "without the test tree the test-only export is dead too"
+    [ "Widget.unused"; "Widget.test_only"; "Widget.self_only" ]
+    (names (run [ widget; lib_user ]));
+  check_rules "a finding is a DEAD-EXPORT"
+    [ "DEAD-EXPORT"; "DEAD-EXPORT" ]
+    (run [ widget; lib_user; test_user ])
+
 (* --- rule filtering -------------------------------------------------------- *)
 
 let rule_filtering () =
@@ -850,6 +911,7 @@ let suite =
     Alcotest.test_case "CKPT-COMPLETE fixtures" `Quick ckpt_complete;
     Alcotest.test_case "CLOCK-CHARGE fixtures" `Quick clock_charge;
     Alcotest.test_case "PARK-SAFE fixtures" `Quick park_safe;
+    Alcotest.test_case "DEAD-EXPORT fixtures" `Quick dead_export;
     Alcotest.test_case "rule filtering" `Quick rule_filtering;
     Alcotest.test_case "allowlist suppresses and reports stale" `Quick allowlist;
     Alcotest.test_case "allowlist line pinning" `Quick allowlist_line_mismatch;

@@ -55,7 +55,7 @@ let cache_matches_model =
           ~durable_lsn:(fun () -> !durable)
           ~force_log:(fun lsn -> if lsn > !durable then durable := lsn)
       in
-      let bs = Disk.block_size disk in
+      let bs = Config.block_size in
       let model = Array.make 32 (String.make bs '\x00') in
       let lsn = ref 0L in
       let ok = ref true in

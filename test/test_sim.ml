@@ -274,7 +274,7 @@ let disk_roundtrip () =
   let sim = Sim.create () in
   let d = Disk.create sim ~name:"$DATA" in
   let first = Disk.allocate d 10 in
-  let bs = Disk.block_size d in
+  let bs = Config.block_size in
   let payload = String.init bs (fun i -> Char.chr (i mod 256)) in
   Disk.write d (first + 3) payload;
   Alcotest.(check string) "read back" payload (Disk.read d (first + 3));
@@ -313,7 +313,7 @@ let disk_mirrored_writes () =
   let sim = Sim.create ~config:(Config.v ~mirrored:true ()) () in
   let d = Disk.create sim ~name:"$MIR" in
   ignore (Disk.allocate d 4);
-  let bs = Disk.block_size d in
+  let bs = Config.block_size in
   Disk.write d 0 (String.make bs 'x');
   let s = Sim.stats sim in
   Alcotest.(check int) "two physical writes" 2 s.Nsql_sim.Stats.disk_writes;
@@ -328,8 +328,88 @@ let disk_async_completion () =
   Alcotest.(check (float 0.)) "clock did not advance" t0 (Sim.now sim);
   Alcotest.(check bool) "completion in the future" true (completion > t0)
 
+(* --- configuration ---------------------------------------------------- *)
+
+let rejects ~field f =
+  match f () with
+  | (_ : Config.t) -> Alcotest.failf "%s: bad value accepted" field
+  | exception Invalid_argument msg ->
+      let mentions =
+        let n = String.length field and m = String.length msg in
+        let rec go i = i + n <= m && (String.sub msg i n = field || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) (field ^ " named in: " ^ msg) true mentions
+
+let config_rejects_bad_values () =
+  let time = rejects ~field:"lock_wait_timeout_us" in
+  time (fun () -> Config.v ~lock_wait_timeout_us:0. ());
+  time (fun () -> Config.v ~lock_wait_timeout_us:(-250.) ());
+  time (fun () -> Config.v ~lock_wait_timeout_us:0.1 ());
+  time (fun () -> Config.v ~lock_wait_timeout_us:1000.3 ());
+  time (fun () -> Config.v ~lock_wait_timeout_us:Float.nan ());
+  time (fun () -> Config.v ~lock_wait_timeout_us:Float.infinity ());
+  rejects ~field:"bulk_io_max_bytes" (fun () -> Config.v ~bulk_io_max_bytes:0 ());
+  rejects ~field:"cache_blocks" (fun () -> Config.v ~cache_blocks:0 ());
+  rejects ~field:"vsbb_buffer_bytes" (fun () ->
+      Config.v ~vsbb_buffer_bytes:(-1) ());
+  rejects ~field:"audit_buffer_bytes" (fun () ->
+      Config.v ~audit_buffer_bytes:0 ());
+  rejects ~field:"dp_records_per_request" (fun () ->
+      Config.v ~dp_records_per_request:0 ());
+  rejects ~field:"dp_ticks_per_request" (fun () ->
+      Config.v ~dp_ticks_per_request:0 ())
+
+let config_accepts_defaults () =
+  Alcotest.(check bool) "v () is default" true (Config.v () = Config.default);
+  let d = Config.default in
+  let c =
+    Config.v ~bulk_io_max_bytes:d.Config.bulk_io_max_bytes
+      ~cache_blocks:d.Config.cache_blocks
+      ~vsbb_buffer_bytes:d.Config.vsbb_buffer_bytes
+      ~audit_buffer_bytes:d.Config.audit_buffer_bytes
+      ~dp_records_per_request:d.Config.dp_records_per_request
+      ~dp_ticks_per_request:d.Config.dp_ticks_per_request
+      ~disk_queue_depth:d.Config.disk_queue_depth
+      ~lock_wait_timeout_us:d.Config.lock_wait_timeout_us ()
+  in
+  Alcotest.(check bool) "defaults pass the checks" true (c = d);
+  (* the smallest accepted values *)
+  ignore
+    (Config.v ~lock_wait_timeout_us:0.25 ~bulk_io_max_bytes:1 ~cache_blocks:1
+       ~vsbb_buffer_bytes:1 ~audit_buffer_bytes:1 ~dp_records_per_request:1
+       ~dp_ticks_per_request:1 ())
+
+(* exact time tiling in [Moncore] rests on every clock delta being a
+   binary-exact multiple of 0.25 us *)
+let config_constants_are_quarter_us () =
+  List.iter
+    (fun (name, us) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s = %g is a multiple of 0.25" name us)
+        true
+        (us > 0. && Float.is_integer (us *. 4.)))
+    [
+      ("msg_local_cost_us", Config.msg_local_cost_us);
+      ("msg_cpu_cost_us", Config.msg_cpu_cost_us);
+      ("msg_node_cost_us", Config.msg_node_cost_us);
+      ("msg_per_byte_us", Config.msg_per_byte_us);
+      ("disk_seek_us", Config.disk_seek_us);
+      ("disk_sequential_us", Config.disk_sequential_us);
+      ("disk_per_block_us", Config.disk_per_block_us);
+      ("cpu_tick_us", Config.cpu_tick_us);
+      ("group_commit_timer_us", Config.group_commit_timer_us);
+      ("default lock_wait_timeout_us", Config.default.Config.lock_wait_timeout_us);
+    ]
+
 let suite =
   [
+    Alcotest.test_case "config rejects bad values" `Quick
+      config_rejects_bad_values;
+    Alcotest.test_case "config accepts its defaults" `Quick
+      config_accepts_defaults;
+    Alcotest.test_case "config time constants are quarter-us exact" `Quick
+      config_constants_are_quarter_us;
     Alcotest.test_case "heap ordering" `Quick heap_orders;
     QCheck_alcotest.to_alcotest heap_property;
     Alcotest.test_case "clock advances" `Quick clock_advances;
