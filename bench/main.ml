@@ -1350,16 +1350,16 @@ let e21_takeover =
   let tps_after =
     float_of_int after_n /. (t0 +. elapsed_us -. takeover_at) *. 1e6
   in
-  let cols = [ 10; 9; 11; 12; 9; 10; 10; 9 ] in
+  let cols = [ 10; 9; 12; 9; 10; 10; 9 ] in
   row cols
     [
-      "committed"; "takeovers"; "ckpt_denied"; "latency_us"; "base_tps";
-      "tps_before"; "tps_after"; "slowdown";
+      "committed"; "takeovers"; "latency_us"; "base_tps"; "tps_before";
+      "tps_after"; "slowdown";
     ];
   row cols
     [
       num rep.Debitcredit.x_committed; num delta.Stats.takeovers;
-      num rep.Debitcredit.x_takeover_aborts; fixed 1 !takeover_latency;
+      fixed 1 !takeover_latency;
       fixed 1 base_tps; fixed 1 tps_before; fixed 1 tps_after;
       fixed 2 (elapsed_us /. base_elapsed) ^ "x";
     ];
@@ -1369,7 +1369,6 @@ let e21_takeover =
      and no committed work is lost@.";
   emit_count "e21" "committed" rep.Debitcredit.x_committed;
   emit "e21" "takeover_latency_us" !takeover_latency;
-  emit_count "e21" "takeover_aborts" rep.Debitcredit.x_takeover_aborts;
   emit "e21" "tps_base" base_tps;
   emit "e21" "tps_before" tps_before;
   emit "e21" "tps_after" tps_after;
@@ -1503,7 +1502,7 @@ let e22_batched_executor =
               order := kenc :: !order;
               a
         in
-        List.iter2 (fun spec acc -> Dp_msg.feed_spec acc spec row) specs accs)
+        List.iter2 (fun spec acc -> Dp_msg.feeder spec acc row) specs accs)
       rows;
     let grouped =
       List.rev_map
@@ -1521,8 +1520,8 @@ let e22_batched_executor =
     Sim.tick sim (2 * List.length out);
     out
   in
-  (* the executor's shapes: array loops, aggregated ticks, and the
-     scalar-key fast path that skips the per-row key encode *)
+  (* the executor's shapes: array loops, aggregated ticks, and the shared
+     group table, which keys a non-float row by value with no encode *)
   let proj_arr = Array.of_list proj_exprs in
   let batched_pipeline sim batches =
     (* [scan_next_batch]-style take: each reply buffer is surrendered
@@ -1535,46 +1534,18 @@ let e22_batched_executor =
           if Array.length b = 0 then None else Some b)
         batches
     in
-    let table = Hashtbl.create 64 in
-    let order = ref [] in
+    let table = Dp_msg.Groups.create ~keyless:false specs in
     List.iter
       (fun batch ->
         let n = Array.length batch in
         if n > 0 then Sim.tick sim (5 * n);
         for i = 0 to n - 1 do
           let row = batch.(i) in
-          (* single-key fast path, as in the engine: the value itself is
-             the group identity — no per-row key list, no encode *)
-          let v = Expr.eval row key0 in
-          let gk =
-            match v with
-            | Row.Vfloat _ ->
-                `Enc
-                  (let w = Nsql_util.Codec.writer () in
-                   Row.encode_values w [| v |];
-                   Nsql_util.Codec.contents w)
-            | _ -> `Val v
-          in
-          let accs =
-            match Hashtbl.find table gk with
-            | _, a -> a
-            | exception Not_found ->
-                let a = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-                Hashtbl.replace table gk ([ v ], a);
-                order := gk :: !order;
-                a
-          in
+          let accs = Dp_msg.Groups.find_or_add table [| Expr.eval row key0 |] in
           List.iter2 (fun f acc -> f acc row) feeds accs
         done)
       batches;
-    let grouped =
-      Rowvec.of_list
-        (List.rev_map
-           (fun gk ->
-             let keys, accs = Hashtbl.find table gk in
-             Array.of_list (keys @ List.map2 finish specs accs))
-           !order)
-    in
+    let grouped = Rowvec.of_list (Dp_msg.Groups.rows table) in
     let out =
       Rowvec.map (fun row -> Array.map (fun e -> Expr.eval row e) proj_arr)
         grouped

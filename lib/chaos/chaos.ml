@@ -1366,12 +1366,12 @@ let pp_contention_report ppf r =
   let t = r.n_transfers in
   Format.fprintf ppf
     "@[<v>contention seed %d: %d terminals over %d hot accounts@,\
-     %d committed, %d deadlock aborts, %d timeout aborts, %d takeover \
-     aborts, %d retries, %d abandoned@,\
+     %d committed, %d deadlock aborts, %d timeout aborts, %d retries, %d \
+     abandoned@,\
      %d lock waits queued, %d deadlocks detected, %d takeovers, %d messages"
     r.n_seed r.n_terminals r.n_accounts t.Debitcredit.x_committed
     t.Debitcredit.x_deadlock_aborts t.Debitcredit.x_timeout_aborts
-    t.Debitcredit.x_takeover_aborts t.Debitcredit.x_retries
+    t.Debitcredit.x_retries
     t.Debitcredit.x_failed r.n_lock_waits r.n_deadlocks
     r.n_stats.Stats.takeovers r.n_stats.Stats.msgs_sent;
   (match r.n_violations with

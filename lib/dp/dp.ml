@@ -35,35 +35,15 @@ type file = {
   mutable f_structure : structure;
 }
 
-(* What a Subset Control Block remembers so that re-drives don't have to
-   re-send the predicate / projection / update expression. *)
-type scb_body =
-  | Scb_read of {
-      buffering : buffering;
-      pred : Expr.t option;
-      proj : int array option;
-      lock : lock_mode;
-    }
-  | Scb_update of { pred : Expr.t option; assignments : Expr.assignment list }
-  | Scb_delete of { pred : Expr.t option }
-  | Scb_agg of {
-      pred : Expr.t option;
-      group_keys : int array;
-      aggs : agg_spec list;
-      lock : lock_mode;
-      (* partial state accumulated across re-drives, keyed by the encoded
-         group-key values; [ag_order] remembers first-seen order (= key
-         order, since the scan is key-ordered) so the final reply never
-         depends on hash-table traversal order *)
-      ag_groups : (string, Row.row * agg_acc list) Hashtbl.t;
-      mutable ag_order : string list;  (** reversed *)
-    }
-
 type scb = {
   scb_file : int;
   scb_lo : string;  (** inclusive begin of the key range *)
   scb_hi : string;  (** exclusive end of the key range *)
-  scb_body : scb_body;
+  scb_body : ckpt_scb_body;
+      (** what re-drives don't re-send (predicate, projection, update
+          expression), exactly as checkpointed to the backup *)
+  scb_groups : Groups.t option;
+      (** an aggregate's partials across re-drives; [Some] iff [Cs_agg] *)
   mutable scb_prev_leaf : int;  (** pre-fetch heuristic state *)
   mutable scb_pf_hi : int;
       (** highest block the deep (queue-depth > 1) read-ahead has
@@ -142,43 +122,21 @@ let ckpt_push t item =
 let ckpt_emit t items =
   if ckpt_active t then Msg.checkpoint t.msys t.endpoint (encode_ckpt items)
 
-let ckpt_body_of_scb scb =
-  match scb.scb_body with
-  | Scb_read { buffering; pred; proj; lock } ->
-      Cs_read { buffering; pred; proj; lock }
-  | Scb_update { pred; assignments } -> Cs_update { pred; assignments }
-  | Scb_delete { pred } -> Cs_delete { pred }
-  | Scb_agg { pred; group_keys; aggs; lock; _ } ->
-      Cs_agg { pred; group_keys; aggs; lock }
-
-(* a fresh SCB: no pre-fetch history yet *)
+(* a fresh SCB: no pre-fetch history, no aggregate partials yet *)
 let new_scb ~file ~lo ~hi scb_body =
   {
     scb_file = file;
     scb_lo = lo;
     scb_hi = hi;
     scb_body;
+    scb_groups =
+      (match scb_body with
+      | Cs_agg { group_keys; aggs; _ } ->
+          Some (Groups.create ~keyless:(group_keys = [||]) aggs)
+      | Cs_read _ | Cs_update _ | Cs_delete _ -> None);
     scb_prev_leaf = -10;
     scb_pf_hi = -1;
   }
-
-let scb_of_ckpt ~file ~lo ~hi body =
-  new_scb ~file ~lo ~hi
-    (match body with
-    | Cs_read { buffering; pred; proj; lock } ->
-        Scb_read { buffering; pred; proj; lock }
-    | Cs_update { pred; assignments } -> Scb_update { pred; assignments }
-    | Cs_delete { pred } -> Scb_delete { pred }
-    | Cs_agg { pred; group_keys; aggs; lock } ->
-        Scb_agg
-          {
-            pred;
-            group_keys;
-            aggs;
-            lock;
-            ag_groups = Hashtbl.create 16;
-            ag_order = [];
-          })
 
 (* The backup half absorbing a checkpoint message: pure heap bookkeeping,
    never touching the simulation clock or counters — the wire cost was
@@ -205,20 +163,12 @@ let apply_ckpt t payload =
                   rp.rp_locks <-
                     List.filter (fun (tx', _, _, _) -> tx' <> tx) rp.rp_locks
               | Ck_scb_open { scb; file; lo; hi; body } ->
-                  Hashtbl.replace rp.rp_scbs scb (scb_of_ckpt ~file ~lo ~hi body)
+                  Hashtbl.replace rp.rp_scbs scb (new_scb ~file ~lo ~hi body)
               | Ck_agg_state { scb; groups } -> (
                   match Hashtbl.find_opt rp.rp_scbs scb with
-                  | Some { scb_body = Scb_agg ag; _ } ->
-                      Hashtbl.reset ag.ag_groups;
-                      ag.ag_order <- [];
-                      List.iter
-                        (fun (key_vals, accs) ->
-                          let w = Nsql_util.Codec.writer () in
-                          Row.encode_values w key_vals;
-                          let gk = Nsql_util.Codec.contents w in
-                          Hashtbl.replace ag.ag_groups gk (key_vals, accs);
-                          ag.ag_order <- gk :: ag.ag_order)
-                        groups
+                  | Some { scb_groups = Some g; _ } ->
+                      Groups.reset g;
+                      List.iter (fun (key, accs) -> Groups.merge g key accs) groups
                   | Some _ | None -> ())
               | Ck_scb_close { scb } -> Hashtbl.remove rp.rp_scbs scb
               | Ck_park { tx; payload = _ } -> (
@@ -740,7 +690,7 @@ let open_subset t ~file (range : Expr.key_range) scb_body =
   Hashtbl.replace t.scbs id scb;
   ckpt_push t
     (Ck_scb_open
-       { scb = id; file; lo = scb.scb_lo; hi = scb.scb_hi; body = ckpt_body_of_scb scb });
+       { scb = id; file; lo = scb.scb_lo; hi = scb.scb_hi; body = scb_body });
   (scb, id)
 
 let find_scb t id =
@@ -765,13 +715,10 @@ let drop_scb t id =
    re-drive boundary leaves partials in the SCB, checkpoint them so the
    backup's replica folds from the same accumulators. *)
 let ckpt_agg_progress t id scb =
-  match scb.scb_body with
-  | Scb_agg ag when ckpt_active t ->
-      let groups =
-        List.rev_map (fun gk -> Hashtbl.find ag.ag_groups gk) ag.ag_order
-      in
-      ckpt_push t (Ck_agg_state { scb = id; groups })
-  | Scb_agg _ | Scb_read _ | Scb_update _ | Scb_delete _ -> ()
+  match scb.scb_groups with
+  | Some g when ckpt_active t ->
+      ckpt_push t (Ck_agg_state { scb = id; groups = Groups.groups g })
+  | Some _ | None -> ()
 
 (* The Disk Process frees a Subset Control Block itself as soon as it
    reports the subset exhausted, so the File System never has to send a
@@ -962,9 +909,9 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
   let s = Sim.stats t.sim in
   let* b = btree_of f in
   match scb.scb_body with
-  | Scb_update _ | Scb_delete _ | Scb_agg _ ->
+  | Cs_update _ | Cs_delete _ | Cs_agg _ ->
       Errors.fail (Errors.Bad_request "SCB is not a read subset")
-  | Scb_read { buffering; pred; proj; lock } ->
+  | Cs_read { buffering; pred; proj; lock } ->
       let schema = f.f_schema in
       (* a VSBB scan of a SQL file ships rows; everything else ships raw
          (key, record) entries *)
@@ -1031,10 +978,10 @@ let run_read_scan t ~tx f scb scb_id ~from_key =
    in first-seen order — which is key order, because the scan is. *)
 let run_agg_scan t ~tx f scb scb_id ~from_key =
   let* b = btree_of f in
-  match scb.scb_body with
-  | Scb_read _ | Scb_update _ | Scb_delete _ ->
+  match (scb.scb_body, scb.scb_groups) with
+  | (Cs_read _ | Cs_update _ | Cs_delete _), _ | Cs_agg _, None ->
       Errors.fail (Errors.Bad_request "SCB is not an aggregate subset")
-  | Scb_agg ({ pred; group_keys; aggs; lock; ag_groups; _ } as ag) ->
+  | Cs_agg { pred; group_keys; aggs; lock }, Some groups ->
       let* schema =
         match f.f_schema with
         | Some sch -> Ok sch
@@ -1053,40 +1000,22 @@ let run_agg_scan t ~tx f scb scb_id ~from_key =
                 match spec.ag_arg with Some e -> Expr.fields e | None -> [])
               aggs)
       in
+      let feeds = List.map feeder aggs in
       let visit v i =
         let row = decode_entry schema mask v i in
         let selected = match fl with None -> true | Some fl -> passes t fl row in
         if selected then begin
-          let key_vals = Array.map (fun i -> row.(i)) group_keys in
-          let w = Nsql_util.Codec.writer () in
-          Row.encode_values w key_vals;
-          let gk = Nsql_util.Codec.contents w in
           let accs =
-            match Hashtbl.find_opt ag_groups gk with
-            | Some (_, accs) -> accs
-            | None ->
-                let accs = List.map (fun _ -> fresh_acc ()) aggs in
-                Hashtbl.replace ag_groups gk (key_vals, accs);
-                ag.ag_order <- gk :: ag.ag_order;
-                accs
+            Groups.find_or_add groups (Array.map (fun i -> row.(i)) group_keys)
           in
-          List.iter2 (fun acc spec -> feed_spec acc spec row) accs aggs;
+          List.iter2 (fun feed acc -> feed acc row) feeds accs;
           Sim.tick t.sim 5
         end;
         false
       in
       walk_scan t ~tx f b scb scb_id ~lock ~from_key ~one_block:false ~visit
         ~reply:(fun ~last_key ~more ->
-          let groups =
-            if more then []
-            else
-              List.rev_map
-                (fun gk ->
-                  match Hashtbl.find_opt ag_groups gk with
-                  | Some g -> g
-                  | None -> Errors.fatal "Dp.run_agg_scan: group order desync")
-                ag.ag_order
-          in
+          let groups = if more then [] else Groups.groups groups in
           Ok (Rp_agg { groups; last_key; more; scb = scb_id }))
 
 (* One UPDATE^SUBSET / DELETE^SUBSET execution.
@@ -1111,9 +1040,9 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
   in
   let* pred, action =
     match scb.scb_body with
-    | Scb_update { pred; assignments } -> Ok (pred, `Update assignments)
-    | Scb_delete { pred } -> Ok (pred, `Delete)
-    | Scb_read _ | Scb_agg _ ->
+    | Cs_update { pred; assignments } -> Ok (pred, `Update assignments)
+    | Cs_delete { pred } -> Ok (pred, `Delete)
+    | Cs_read _ | Cs_agg _ ->
         Errors.fail (Errors.Bad_request "SCB is not an update or delete subset")
   in
   let all_fields = Array.make (Array.length schema.Row.cols) true in
@@ -1393,7 +1322,7 @@ let dispatch t req : (reply, Errors.t) result =
   | R_entry_read { file; tx; addr } -> op_entry_read t ~file ~tx ~addr
   | R_get_first { file; tx; buffering; range; pred; proj; lock } ->
       let* f = find_file t file in
-      let scb, id = open_subset t ~file range (Scb_read { buffering; pred; proj; lock }) in
+      let scb, id = open_subset t ~file range (Cs_read { buffering; pred; proj; lock }) in
       finish_subset t scb id (run_read_scan t ~tx f scb id ~from_key:range.Expr.lo)
   | R_get_next { file; tx; scb = id; after_key } ->
       let* f, scb = redrive t ~file id in
@@ -1416,14 +1345,14 @@ let dispatch t req : (reply, Errors.t) result =
             else Ok ()
         | None -> Ok ()
       in
-      let scb, id = open_subset t ~file range (Scb_update { pred; assignments }) in
+      let scb, id = open_subset t ~file range (Cs_update { pred; assignments }) in
       finish_subset t scb id (run_write_scan t ~tx f scb id ~after_key:"")
   | R_update_subset_next { file; tx; scb = id; after_key } ->
       let* f, scb = redrive t ~file id in
       finish_subset t scb id (run_write_scan t ~tx f scb id ~after_key)
   | R_delete_subset_first { file; tx; range; pred } ->
       let* f = find_file t file in
-      let scb, id = open_subset t ~file range (Scb_delete { pred }) in
+      let scb, id = open_subset t ~file range (Cs_delete { pred }) in
       finish_subset t scb id (run_write_scan t ~tx f scb id ~after_key:"")
   | R_delete_subset_next { file; tx; scb = id; after_key } ->
       let* f, scb = redrive t ~file id in
@@ -1437,16 +1366,7 @@ let dispatch t req : (reply, Errors.t) result =
   | R_agg_first { file; tx; range; pred; group_keys; aggs; lock } ->
       let* f = find_file t file in
       let scb, id =
-        open_subset t ~file range
-          (Scb_agg
-             {
-               pred;
-               group_keys;
-               aggs;
-               lock;
-               ag_groups = Hashtbl.create 16;
-               ag_order = [];
-             })
+        open_subset t ~file range (Cs_agg { pred; group_keys; aggs; lock })
       in
       finish_subset t scb id (run_agg_scan t ~tx f scb id ~from_key:range.Expr.lo)
   | R_agg_next { file; tx; scb = id; after_key } ->

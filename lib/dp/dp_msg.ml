@@ -62,14 +62,7 @@ let feed_acc acc (v : Row.value) =
       | Row.Null -> acc.aa_max <- v
       | m -> if Row.compare_value v m > 0 then acc.aa_max <- v)
 
-let feed_spec acc spec row =
-  match (spec.ag_kind, spec.ag_arg) with
-  | Agg_count_star, _ -> acc.aa_count <- acc.aa_count + 1
-  | _, Some e -> feed_acc acc (Expr.eval row e)
-  | _, None -> ()
-
-(* [feed_spec] with the kind/argument dispatch hoisted out of the
-   per-row path; batch loops resolve it once per query *)
+(* the kind/argument dispatch is resolved once per query, not per row *)
 let feeder spec =
   match (spec.ag_kind, spec.ag_arg) with
   | Agg_count_star, _ -> fun acc _row -> acc.aa_count <- acc.aa_count + 1
@@ -110,6 +103,81 @@ let finish_acc kind acc : Row.value =
         Row.Vfloat
           ((acc.aa_sum_f +. float_of_int acc.aa_sum_i)
           /. float_of_int acc.aa_count)
+
+(* The one group table: the Disk Process's SCB, the File System's
+   partition merge and the Executor's group and DISTINCT operators all
+   key groups here, so pushed-down and requester-side grouping agree bit
+   for bit. A key row with no float is its own identity (the codec is
+   canonical for Null/Vint/Vbool/Vstr, so structural equality is encoded
+   equality); a key holding a float keys by its encoding, because
+   [-0. = 0.] and NaN make structural and encoded equality disagree. *)
+module Groups = struct
+  type t = {
+    specs : agg_spec list;
+    keyless : bool;
+    tbl : (Row.row, agg_acc list) Hashtbl.t;
+    mutable order : (Row.row * agg_acc list) list;  (** reversed *)
+  }
+
+  (* A float-free key is its own table key, so the common case allocates
+     nothing. A key holding a float is looked up by its encoding, wrapped
+     as [[| Vfloat 0.; Vstr encoding |]]: that row holds a float, so it
+     can never equal a float-free key. *)
+  let key_of row =
+    if Array.exists (function Row.Vfloat _ -> true | _ -> false) row then begin
+      let w = Codec.writer () in
+      Row.encode_values w row;
+      [| Row.Vfloat 0.; Row.Vstr (Codec.contents w) |]
+    end
+    else row
+
+  let create ~keyless specs =
+    { specs; keyless; tbl = Hashtbl.create 16; order = [] }
+
+  let add t k row accs =
+    Hashtbl.replace t.tbl k accs;
+    t.order <- (row, accs) :: t.order
+
+  let find_or_add t row =
+    let k = key_of row in
+    match Hashtbl.find t.tbl k with
+    | accs -> accs
+    | exception Not_found ->
+        let accs = List.map (fun _ -> fresh_acc ()) t.specs in
+        add t k row accs;
+        accs
+
+  let first_seen t row =
+    let k = key_of row in
+    if Hashtbl.mem t.tbl k then false
+    else begin
+      add t k row [];
+      true
+    end
+
+  let merge t row accs =
+    let k = key_of row in
+    match Hashtbl.find t.tbl k with
+    | into -> List.iter2 (fun into acc -> merge_acc ~into acc) into accs
+    | exception Not_found -> add t k row accs
+
+  let length t = Hashtbl.length t.tbl
+  let groups t = List.rev t.order
+
+  let reset t =
+    Hashtbl.reset t.tbl;
+    t.order <- []
+
+  let rows t =
+    let finish accs =
+      Array.of_list
+        (List.map2 (fun spec acc -> finish_acc spec.ag_kind acc) t.specs accs)
+    in
+    (* a grand aggregate over zero rows still yields one row *)
+    if t.order = [] && t.keyless then
+      [ finish (List.map (fun _ -> fresh_acc ()) t.specs) ]
+    else List.rev_map (fun (key, accs) -> Array.append key (finish accs)) t.order
+end
 
 type request =
   | R_create_file of {
@@ -413,7 +481,6 @@ let w_error w (e : Errors.t) =
     | Errors.Io_error s -> (13, s)
     | Errors.Internal s -> (14, s)
     | Errors.Deadlock s -> (15, s)
-    | Errors.Takeover s -> (16, s)
   in
   Codec.w_u8 w tag;
   Codec.w_bytes w payload
@@ -438,7 +505,6 @@ let r_error r : Errors.t =
   | 13 -> Errors.Io_error payload
   | 14 -> Errors.Internal payload
   | 15 -> Errors.Deadlock payload
-  | 16 -> Errors.Takeover payload
   | n -> bad_tag "error" n
 
 (* --- request codec ------------------------------------------------------- *)

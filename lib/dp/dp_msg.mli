@@ -63,23 +63,66 @@ type agg_acc = {
 
 val fresh_acc : unit -> agg_acc
 
-(** [feeder spec] is {!feed_spec} with the kind/argument dispatch hoisted
-    out of the per-row path — batch loops resolve it once per query and
-    apply the returned closure to every row. *)
+(** [feeder spec acc row] evaluates the spec's argument against [row] and
+    feeds it ([Agg_count_star] counts the row unconditionally). The
+    kind/argument dispatch happens once, in [feeder spec]: batch loops
+    resolve it once per query and apply the returned closure to every
+    row. *)
 val feeder : agg_spec -> agg_acc -> Row.row -> unit
-
-(** [feed_spec acc spec row] evaluates the spec's argument against [row]
-    and feeds it ([Agg_count_star] counts the row unconditionally). *)
-val feed_spec : agg_acc -> agg_spec -> Row.row -> unit
-
-(** [merge_acc ~into acc] folds a partial into another — the requester-side
-    combine step for per-partition partials. *)
-val merge_acc : into:agg_acc -> agg_acc -> unit
 
 (** [finish_acc kind acc] is the aggregate's final value: COUNT of zero
     rows is 0, every other kind over zero rows is [Null], SUM stays
     integer unless a float was seen. *)
 val finish_acc : agg_kind -> agg_acc -> Row.value
+
+(** The one group table. Every grouping site keys groups here: the Disk
+    Process's aggregate SCB, the File System's partition merge and the
+    Executor's group and DISTINCT operators, so pushed-down and
+    requester-side grouping agree bit for bit.
+
+    Key rule: a key row with no [Vfloat] is its own identity (the codec
+    is canonical for [Null]/[Vint]/[Vbool]/[Vstr], so value equality is
+    encoded equality). A key row holding a [Vfloat] keys by its encoding,
+    because [-0. = 0.] and NaN make value and encoded equality disagree:
+    [-0.] and [0.] are two groups, equal-bit NaNs one. Groups list in
+    first-seen order, never in hash order. *)
+module Groups : sig
+  type t
+
+  (** [create ~keyless specs] is an empty table whose groups carry one
+      accumulator per spec. [keyless] marks a grand aggregate (no GROUP
+      BY), which {!rows} answers with one row even over no input. *)
+  val create : keyless:bool -> agg_spec list -> t
+
+  (** [find_or_add t key] is the accumulators of [key]'s group, adding a
+      fresh group first if [key] is new. [key] must not be mutated
+      afterwards: the table keeps it as the group's key row. *)
+  val find_or_add : t -> Row.row -> agg_acc list
+
+  (** [first_seen t key] adds [key]'s group if absent and says whether it
+      did — the DISTINCT test. *)
+  val first_seen : t -> Row.row -> bool
+
+  (** [merge t key accs] folds a partial group in, accumulator by
+      accumulator (counts and sums add, MIN/MAX keep the extreme); a new
+      key adopts [accs] as its accumulators. *)
+  val merge : t -> Row.row -> agg_acc list -> unit
+
+  (** the number of groups *)
+  val length : t -> int
+
+  (** the groups, with their key rows, in first-seen order *)
+  val groups : t -> (Row.row * agg_acc list) list
+
+  (** [reset t] empties the table. *)
+  val reset : t -> unit
+
+  (** [rows t] is one finished row per group, in first-seen order: the key
+      row followed by each accumulator's {!finish_acc} value. A keyless
+      table with no groups yields one row of empty accumulators (COUNT 0,
+      every other aggregate [Null]). *)
+  val rows : t -> Row.row list
+end
 
 type request =
   | R_create_file of {

@@ -7,7 +7,6 @@ module Dp = Nsql_dp.Dp
 module Dp_msg = Nsql_dp.Dp_msg
 module Keycode = Nsql_util.Keycode
 module Errors = Nsql_util.Errors
-module Tbl = Nsql_util.Tbl
 module Trace = Nsql_trace.Trace
 module Stats = Nsql_sim.Stats
 
@@ -141,10 +140,28 @@ let expect_record reply =
 (* --- partition routing --------------------------------------------------- *)
 
 (* the partition whose [lo, next-lo) interval contains [key] *)
-let route f key =
+let route_index f key =
   let n = Array.length f.parts in
   let rec go i = if i + 1 < n && Keycode.compare_keys f.parts.(i + 1).p_lo key <= 0 then go (i + 1) else i in
-  f.parts.(go 0)
+  go 0
+
+let route f key = f.parts.(route_index f key)
+
+(* [by_partition f key_of items] splits [items] by the partition [key_of]
+   routes each to, keeping arrival order within a partition, and lists
+   the partitions touched in ascending [p_file] order — the send order of
+   the blocked INSERT^BLOCK and APPLY^BLOCK flushes *)
+let by_partition f key_of items =
+  let per_part = Array.make (Array.length f.parts) [] in
+  List.iter
+    (fun x ->
+      let i = route_index f (key_of x) in
+      per_part.(i) <- x :: per_part.(i))
+    items;
+  Array.to_list f.parts
+  |> List.mapi (fun i p -> (p, List.rev per_part.(i)))
+  |> List.filter (fun (_, xs) -> xs <> [])
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a.p_file b.p_file)
 
 (* clip [range] to each partition; returns the non-empty pieces in order *)
 let partition_ranges f (range : Expr.key_range) =
@@ -1296,35 +1313,6 @@ let delete_subset t f ~tx ~range ?pred () =
       ~next:(fun p scb after_key ->
         Dp_msg.R_delete_subset_next { file = p.p_file; tx; scb; after_key })
 
-(* merge per-partition group lists in partition (= key) order; a group
-   whose rows straddle a partition boundary merges accumulator-wise *)
-let merge_partition_groups per_part =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  Array.iter
-    (fun groups ->
-      List.iter
-        (fun (keyvals, accs) ->
-          let gk =
-            let w = Nsql_util.Codec.writer () in
-            Row.encode_values w keyvals;
-            Nsql_util.Codec.contents w
-          in
-          match Hashtbl.find_opt tbl gk with
-          | None ->
-              Hashtbl.replace tbl gk (keyvals, accs);
-              order := gk :: !order
-          | Some (_, into_accs) ->
-              List.iter2 (fun into acc -> Dp_msg.merge_acc ~into acc) into_accs accs)
-        groups)
-    per_part;
-  List.rev_map
-    (fun gk ->
-      match Hashtbl.find_opt tbl gk with
-      | Some g -> g
-      | None -> Errors.fatal "Fs.aggregate: group order desync")
-    !order
-
 (* one AGGREGATE^FIRST / AGGREGATE^NEXT chain per partition; intermediate
    replies carry no groups (the partials stay in the Disk Process SCB),
    the final one carries the partition's groups *)
@@ -1351,7 +1339,14 @@ let aggregate t f ~tx ~range ?pred ~group_keys ~aggs ~lock () =
               end
           | _ -> None))
   in
-  Ok (merge_partition_groups per_part)
+  (* merge in partition (= key) order, whatever order the chains finished
+     in; a group whose rows straddle a partition boundary merges
+     accumulator-wise *)
+  let merged = Dp_msg.Groups.create ~keyless:(group_keys = [||]) aggs in
+  Array.iter
+    (List.iter (fun (key, accs) -> Dp_msg.Groups.merge merged key accs))
+    per_part;
+  Ok merged
 
 (* --- blocked sequential inserts --------------------------------------------------------- *)
 
@@ -1373,28 +1368,15 @@ let flush_insert_buffer t b =
       let rows = List.rev rows_rev in
       b.ib_rows <- [];
       let* schema = require_schema b.ib_file in
-      (* group by partition, one INSERT^BLOCK message per partition *)
-      let groups = Hashtbl.create 4 in
-      List.iter
-        (fun row ->
-          let p = route b.ib_file (Row.key_of_row schema row) in
-          let existing =
-            Option.value ~default:[] (Hashtbl.find_opt groups p.p_file)
-          in
-          Hashtbl.replace groups p.p_file (row :: existing))
-        rows;
+      (* one INSERT^BLOCK message per partition *)
       let* () =
         Errors.list_iter
-          (fun (pfile, prows) ->
-            let p =
-              Array.to_list b.ib_file.parts
-              |> List.find (fun p -> p.p_file = pfile)
-            in
+          (fun (p, prows) ->
             expect_applied ~ctx:"INSERT^BLOCK"
               (send t p.p_dp
                  (Dp_msg.R_insert_block
-                    { file = pfile; tx = b.ib_tx; rows = List.rev prows })))
-          (Tbl.sorted_bindings groups)
+                    { file = p.p_file; tx = b.ib_tx; rows = prows })))
+          (by_partition b.ib_file (Row.key_of_row schema) rows)
       in
       (* index maintenance, also blocked *)
       Errors.list_iter
@@ -1440,27 +1422,14 @@ let flush_apply_buffer t b =
             | Dp_msg.Ob_delete -> delete_row_via_key t b.ab_file ~tx:b.ab_tx ~key)
           ops
       else begin
-        (* group by partition, one APPLY^BLOCK per partition touched *)
-        let groups = Hashtbl.create 4 in
-        List.iter
-          (fun (key, op) ->
-            let p = route b.ab_file key in
-            let existing =
-              Option.value ~default:[] (Hashtbl.find_opt groups p.p_file)
-            in
-            Hashtbl.replace groups p.p_file ((key, op) :: existing))
-          ops;
+        (* one APPLY^BLOCK per partition touched *)
         Errors.list_iter
-          (fun (pfile, pops) ->
-            let p =
-              Array.to_list b.ab_file.parts
-              |> List.find (fun p -> p.p_file = pfile)
-            in
+          (fun (p, pops) ->
             expect_applied ~ctx:"APPLY^BLOCK"
               (send t p.p_dp
                  (Dp_msg.R_apply_block
-                    { file = pfile; tx = b.ab_tx; ops = List.rev pops })))
-          (Tbl.sorted_bindings groups)
+                    { file = p.p_file; tx = b.ab_tx; ops = pops })))
+          (by_partition b.ab_file fst ops)
       end
 
 let buffer_op t b key op =

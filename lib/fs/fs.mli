@@ -278,16 +278,17 @@ val delete_subset :
     AGGREGATE^FIRST / AGGREGATE^NEXT re-drive chain per partition
     (overlapped under fan-out), each final reply carrying one accumulator
     per (group, aggregate) instead of the qualifying rows. Partition
-    results are combined here with {!Dp_msg.merge_acc} — groups whose rows
-    straddle a partition boundary merge exactly. [group_keys] must be a
-    prefix of the file's primary-key columns (the planner's legality
-    rule), which makes first-seen order equal key order, so the group
-    order is identical to a client-side scan's. *)
+    results are merged, in partition order, into one
+    {!Dp_msg.Groups.t} — groups whose rows straddle a partition boundary
+    merge exactly. [group_keys] must be a prefix of the file's
+    primary-key columns (the planner's legality rule), which makes
+    first-seen order equal key order, so the group order is identical to
+    a client-side scan's. *)
 val aggregate :
   t -> file -> tx:int -> range:Expr.key_range -> ?pred:Expr.t ->
   group_keys:int array -> aggs:Dp_msg.agg_spec list -> lock:Dp_msg.lock_mode ->
   unit ->
-  ((Row.row * Dp_msg.agg_acc list) list, Nsql_util.Errors.t) result
+  (Dp_msg.Groups.t, Nsql_util.Errors.t) result
 
 (** {1 Blocked sequential insert (extension, experiment E11)} *)
 

@@ -40,7 +40,6 @@ type t = {
   mutable msg_path_retries : int;
   mutable disk_transient_errors : int;
   mutable takeovers : int;
-  mutable takeover_denials : int;
 }
 
 let create () =
@@ -86,7 +85,6 @@ let create () =
     msg_path_retries = 0;
     disk_transient_errors = 0;
     takeovers = 0;
-    takeover_denials = 0;
   }
 
 let copy t = { t with msgs_sent = t.msgs_sent }
@@ -136,7 +134,6 @@ let map2 f a b =
     msg_path_retries = f a.msg_path_retries b.msg_path_retries;
     disk_transient_errors = f a.disk_transient_errors b.disk_transient_errors;
     takeovers = f a.takeovers b.takeovers;
-    takeover_denials = f a.takeover_denials b.takeover_denials;
   }
 
 let diff ~before ~after = map2 (fun a b -> a - b) after before
@@ -185,7 +182,6 @@ let to_assoc t =
     ("msg_path_retries", t.msg_path_retries);
     ("disk_transient_errors", t.disk_transient_errors);
     ("takeovers", t.takeovers);
-    ("takeover_denials", t.takeover_denials);
   ]
 
 let pp ppf t =

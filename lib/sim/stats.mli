@@ -48,8 +48,6 @@ type t = {
   mutable msg_path_retries : int;  (** message-path failures retried *)
   mutable disk_transient_errors : int;  (** transient I/O errors retried *)
   mutable takeovers : int;  (** process-pair takeovers performed *)
-  mutable takeover_denials : int;
-      (** requests denied because their state predated a takeover *)
 }
 
 val create : unit -> t

@@ -208,10 +208,9 @@ let apply_post_batches step batches =
 (* --- aggregation ---------------------------------------------------------------
 
    The requester-side group path and the pushed-down path (Disk Process
-   partials combined with [Dp_msg.merge_acc]) use the same accumulators,
-   so both produce identical values and group order. *)
-
-let finish_spec spec acc = Dp_msg.finish_acc spec.Dp_msg.ag_kind acc
+   partials merged by [Fs.aggregate]) use the same accumulators and the
+   same [Dp_msg.Groups] table, so both produce identical values and group
+   order. *)
 
 let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
     (ap : agg_pushdown) =
@@ -229,25 +228,10 @@ let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
       with
       | Error e -> Error e
       | Ok groups ->
-          let rows =
-            List.map
-              (fun (keyvals, accs) ->
-                Sim.tick ctx.sim 2;
-                Array.append keyvals
-                  (Array.of_list (List.map2 finish_spec ap.ap_aggs accs)))
-              groups
-          in
-          (* a grand aggregate over zero rows still yields one row *)
-          let rows =
-            if rows = [] && Array.length ap.ap_group_keys = 0 then
-              [
-                Array.of_list
-                  (List.map
-                     (fun spec -> finish_spec spec (Dp_msg.fresh_acc ()))
-                     ap.ap_aggs);
-              ]
-            else rows
-          in
+          for _ = 1 to Dp_msg.Groups.length groups do
+            Sim.tick ctx.sim 2
+          done;
+          let rows = Dp_msg.Groups.rows groups in
           let rows =
             match g.g_having with
             | None -> rows
@@ -255,27 +239,6 @@ let pushdown_group_rows ctx (plan : select_plan) (g : group_spec)
           in
           note [ ("rows_out", Trace.Int (List.length rows)) ];
           Ok rows)
-
-(* Group identity is equality of the encoded key values, as in the Disk
-   Process's pushed-down grouping. For non-float keys structural equality
-   coincides with encoding equality (the codec is canonical for
-   Null/Vint/Vbool/Vstr), so the values themselves key the hash table
-   and no row pays a writer allocation and encode. Floats keep the
-   encoded form: [-0. = 0.] and NaN make structural and encoded equality
-   disagree. *)
-type gkey =
-  | K_val of Row.value  (** single non-float key, the common case *)
-  | K_vals of Row.value list
-  | K_row of Row.row
-  | K_enc of string
-
-let gkey_of keys =
-  if List.exists (function Row.Vfloat _ -> true | _ -> false) keys then
-    K_enc
-      (let w = Nsql_util.Codec.writer () in
-       Row.encode_values w (Array.of_list keys);
-       Nsql_util.Codec.contents w)
-  else K_vals keys
 
 (* group/aggregate: one aggregated tick per batch, then a tight feed
    loop; groups come out in first-seen order *)
@@ -287,70 +250,23 @@ let group_batches ctx (g : group_spec) batches =
     ]
     (fun note ->
       let specs = List.map dp_agg_spec g.g_aggs in
-      let table : (gkey, Row.value list * Dp_msg.agg_acc list) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let order = ref [] in
+      let table = Dp_msg.Groups.create ~keyless:(g.g_keys = []) specs in
       let feeds = List.map Dp_msg.feeder specs in
-      let fresh gk keys =
-        let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-        Hashtbl.replace table gk (keys, accs);
-        order := gk :: !order;
-        accs
-      in
-      let feed row accs = List.iter2 (fun f acc -> f acc row) feeds accs in
-      (match g.g_keys with
-      | [ k ] ->
-          (* single group key: the key value itself is the group identity —
-             no per-row list, no encode *)
-          List.iter
-            (fun batch ->
-              let n = Array.length batch in
-              if n > 0 then Sim.tick ctx.sim (5 * n);
-              for i = 0 to n - 1 do
-                let row = batch.(i) in
-                let v = Expr.eval row k in
-                let gk =
-                  match v with Row.Vfloat _ -> gkey_of [ v ] | _ -> K_val v
-                in
-                let accs =
-                  match Hashtbl.find table gk with
-                  | _, accs -> accs
-                  | exception Not_found -> fresh gk [ v ]
-                in
-                feed row accs
-              done)
-            batches
-      | _ ->
-          List.iter
-            (fun batch ->
-              let n = Array.length batch in
-              if n > 0 then Sim.tick ctx.sim (5 * n);
-              for i = 0 to n - 1 do
-                let row = batch.(i) in
-                let keys = List.map (fun key -> Expr.eval row key) g.g_keys in
-                let gk = gkey_of keys in
-                let accs =
-                  match Hashtbl.find table gk with
-                  | _, accs -> accs
-                  | exception Not_found -> fresh gk keys
-                in
-                feed row accs
-              done)
-            batches);
-      (* a grand aggregate over zero rows still yields one row *)
-      if Hashtbl.length table = 0 && g.g_keys = [] then begin
-        let accs = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-        Hashtbl.replace table (K_vals []) ([], accs);
-        order := [ K_vals [] ]
-      end;
-      let output =
-        List.rev_map
-          (fun gk ->
-            let keys, accs = Hashtbl.find table gk in
-            Array.of_list (keys @ List.map2 finish_spec specs accs))
-          !order
-      in
+      let keys = Array.of_list g.g_keys in
+      List.iter
+        (fun batch ->
+          let n = Array.length batch in
+          if n > 0 then Sim.tick ctx.sim (5 * n);
+          for i = 0 to n - 1 do
+            let row = batch.(i) in
+            let accs =
+              Dp_msg.Groups.find_or_add table
+                (Array.map (fun key -> Expr.eval row key) keys)
+            in
+            List.iter2 (fun feed acc -> feed acc row) feeds accs
+          done)
+        batches;
+      let output = Dp_msg.Groups.rows table in
       let output =
         match g.g_having with
         | None -> output
@@ -387,26 +303,11 @@ let sort_batches ctx order batches =
         in
         [ Rowvec.of_list (List.map snd sorted) ])
 
-(* order-preserving de-duplication, array-in array-out; same identity
-   fast path as the group operator (floats fall back to the encoding) *)
+(* order-preserving de-duplication, array-in array-out; rows are keyed
+   by the group operator's identity rule *)
 let distinct_batch rows =
-  let seen : (gkey, unit) Hashtbl.t = Hashtbl.create 64 in
-  Rowvec.filter
-    (fun row ->
-      let k =
-        if Array.exists (function Row.Vfloat _ -> true | _ -> false) row then
-          K_enc
-            (let w = Nsql_util.Codec.writer () in
-             Row.encode_values w row;
-             Nsql_util.Codec.contents w)
-        else K_row row
-      in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    rows
+  let seen = Dp_msg.Groups.create ~keyless:false [] in
+  Rowvec.filter (Dp_msg.Groups.first_seen seen) rows
 
 let emit_batches ctx (plan : select_plan) batches =
   op_span ctx "emit"

@@ -76,8 +76,8 @@ type select_plan = {
 
 (** [dp_agg_spec (kind, arg)] is the wire spec for one aggregate; COUNT
     with no argument counts rows, like a star-count. The Executor's
-    client-side group path uses the same accumulators
-    ({!Dp_msg.feed_spec} / {!Dp_msg.finish_acc}), so pushed-down and
+    client-side group path uses the same accumulators and group table
+    ({!Dp_msg.feeder} / {!Dp_msg.Groups}), so pushed-down and
     client-side aggregation agree exactly. *)
 val dp_agg_spec : Ast.agg_kind * Expr.t option -> Dp_msg.agg_spec
 

@@ -15,7 +15,6 @@ type t =
   | Io_error of string
   | Internal of string
   | Deadlock of string
-  | Takeover of string
 
 let pp ppf = function
   | Not_found_key k -> Format.fprintf ppf "key not found: %S" k
@@ -34,7 +33,6 @@ let pp ppf = function
   | Io_error m -> Format.fprintf ppf "i/o error: %s" m
   | Internal m -> Format.fprintf ppf "internal error: %s" m
   | Deadlock m -> Format.fprintf ppf "deadlock: %s" m
-  | Takeover m -> Format.fprintf ppf "takeover: %s" m
 
 let to_string e = Format.asprintf "%a" pp e
 

@@ -24,10 +24,6 @@ type t =
   | Deadlock of string
       (** transaction chosen as deadlock victim; the request was denied and
           the caller should abort and retry *)
-  | Takeover of string
-      (** request lost to a process-pair takeover: the transaction's
-          un-checkpointed state did not survive on the new primary; the
-          caller should abort and retry *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -335,7 +335,6 @@ type transfer_report = {
   x_committed : int;
   x_deadlock_aborts : int;
   x_timeout_aborts : int;
-  x_takeover_aborts : int;
   x_retries : int;
   x_failed : int;
 }
@@ -368,7 +367,7 @@ let run_transfers ?(max_retries = 25) ?(backoff_us = 300.) ?on_commit db
   let sim = N.sim node and msys = N.msys node and tmf = N.tmf node in
   let from = N.app_processor node in
   let committed = ref 0 and deadlocks = ref 0 and timeouts = ref 0 in
-  let takeover_aborts = ref 0 and retries = ref 0 and failures = ref 0 in
+  let retries = ref 0 and failures = ref 0 in
   let send_dp dp req =
     Msg.send_nowait msys ~from ~tag:(Dp_msg.tag req) (Dp.endpoint dp)
       (Dp_msg.encode_request req)
@@ -445,11 +444,6 @@ let run_transfers ?(max_retries = 25) ?(backoff_us = 300.) ?on_commit db
           true
       | Errors.Lock_timeout _ ->
           incr timeouts;
-          true
-      | Errors.Takeover _ ->
-          (* the request was lost to a process-pair takeover: nothing was
-             acknowledged, so re-running the parameter set is safe *)
-          incr takeover_aborts;
           true
       | _ -> false
     in
@@ -550,7 +544,6 @@ let run_transfers ?(max_retries = 25) ?(backoff_us = 300.) ?on_commit db
     x_committed = !committed;
     x_deadlock_aborts = !deadlocks;
     x_timeout_aborts = !timeouts;
-    x_takeover_aborts = !takeover_aborts;
     x_retries = !retries;
     x_failed = !failures;
   }

@@ -77,7 +77,6 @@ type transfer_report = {
   x_committed : int;
   x_deadlock_aborts : int;  (** aborts after a [Deadlock] denial *)
   x_timeout_aborts : int;  (** aborts after a lock-wait budget expiry *)
-  x_takeover_aborts : int;  (** aborts after a process-pair takeover denial *)
   x_retries : int;  (** re-runs after a retryable abort *)
   x_failed : int;  (** parameter sets abandoned (retry budget spent) *)
 }

@@ -30,4 +30,5 @@ let () =
       ("lint", Test_lint.suite);
       ("diskq", Test_diskq.suite);
       ("redrive", Test_redrive.suite);
+      ("groups", Test_groups.suite);
     ]

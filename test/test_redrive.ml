@@ -10,7 +10,9 @@
      off: one failing partition fails the whole request, and every
      sibling's subset is abandoned and closed;
    - an index scan closed before its stream ends releases its SCB and
-     finishes its span, like any other scan handle. *)
+     finishes its span, like any other scan handle;
+   - a grouped AGGREGATE's partials survive a takeover between two
+     re-drives, rebuilt on the backup from the checkpoint stream. *)
 
 open Harness
 module Dp_msg = Nsql_dp.Dp_msg
@@ -354,14 +356,7 @@ let selective_decode_redrive () =
         Fs.aggregate n.fs file ~tx ~range:full_range ~pred:wide_pred
           ~group_keys:[| 1 |] ~aggs ~lock:Dp_msg.L_none ())
   in
-  let got =
-    List.map
-      (fun (key, accs) ->
-        Array.append key
-          (Array.of_list
-             (List.map2 (fun spec acc -> Dp_msg.finish_acc spec.Dp_msg.ag_kind acc) aggs accs)))
-      groups
-  in
+  let got = Dp_msg.Groups.rows groups in
   let expected =
     List.filter_map
       (fun g ->
@@ -370,7 +365,7 @@ let selective_decode_redrive () =
         else
           let acc spec =
             let a = Dp_msg.fresh_acc () in
-            List.iter (fun r -> Dp_msg.feed_spec a spec r) rows;
+            List.iter (Dp_msg.feeder spec a) rows;
             Dp_msg.finish_acc spec.Dp_msg.ag_kind a
           in
           Some (Array.of_list (Row.Vint g :: List.map acc aggs)))
@@ -394,6 +389,75 @@ let selective_decode_redrive () =
               (Fs.open_scan n.fs file ~tx ~access:Fs.A_vsbb ~range:full_range
                  ~lock:Dp_msg.L_none ()))))
 
+(* --- aggregate partials across a takeover -------------------------------- *)
+
+(* A grouped AGGREGATE whose chain re-drives dozens of times, with the
+   process pair taking over between two re-drives: the new primary must
+   fold on from the partials its backup rebuilt out of the last
+   [Ck_agg_state] checkpoint, so the final groups equal an uninterrupted
+   run's. *)
+let agg_takeover_between_redrives () =
+  let aggs =
+    Dp_msg.
+      [
+        { ag_kind = Agg_count_star; ag_arg = None };
+        { ag_kind = Agg_sum; ag_arg = Some (Expr.Field 5) };
+        { ag_kind = Agg_min; ag_arg = Some (Expr.Field 4) };
+        { ag_kind = Agg_max; ag_arg = Some (Expr.Field 3) };
+      ]
+  in
+  let run ~takeover_after =
+    let n = node ~config:(Config.v ~dp_records_per_request:7 ()) () in
+    let file =
+      get_ok ~ctx:"create WIDE"
+        (Fs.create_file n.fs ~fname:"WIDE" ~schema:wide_schema
+           ~partitions:[ Fs.{ ps_lo = ""; ps_dp = n.dps.(0) } ]
+           ~indexes:[] ())
+    in
+    in_tx n (fun tx ->
+        Errors.list_iter
+          (fun i -> Fs.insert_row n.fs file ~tx (wide_row i))
+          (List.init wide_rows Fun.id));
+    let dp = n.dps.(0) in
+    let dpfile = Option.get (Dp.file_id dp "WIDE#p0") in
+    let tx = Tmf.begin_tx n.tmf in
+    let rec drive k req =
+      match Dp.request dp req with
+      | Dp_msg.Rp_agg { groups; last_key; more = false; _ } -> (k, last_key, groups)
+      | Dp_msg.Rp_agg { last_key; more = true; scb; _ } ->
+          if k = takeover_after then get_ok ~ctx:"takeover" (Dp.takeover dp);
+          drive (k + 1)
+            (Dp_msg.R_agg_next { file = dpfile; tx; scb; after_key = last_key })
+      | _ -> Alcotest.fail "AGGREGATE chain: unexpected reply"
+    in
+    let redrives, _, groups =
+      drive 1
+        (Dp_msg.R_agg_first
+           {
+             file = dpfile;
+             tx;
+             range = full_range;
+             pred = Some wide_pred;
+             group_keys = [| 1 |];
+             aggs;
+             lock = Dp_msg.L_none;
+           })
+    in
+    get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
+    let merged = Dp_msg.Groups.create ~keyless:false aggs in
+    List.iter (fun (key, accs) -> Dp_msg.Groups.merge merged key accs) groups;
+    ((Sim.stats n.sim).Stats.takeovers, redrives, Dp_msg.Groups.rows merged)
+  in
+  let takeovers0, redrives0, expected = run ~takeover_after:(-1) in
+  let takeovers1, redrives1, got = run ~takeover_after:10 in
+  Alcotest.(check int) "no takeover in the reference run" 0 takeovers0;
+  Alcotest.(check int) "one takeover, mid-chain" 1 takeovers1;
+  Alcotest.(check bool) "the chain re-drove past the takeover" true
+    (redrives1 > 20);
+  Alcotest.(check int) "same chain length" redrives0 redrives1;
+  Alcotest.(check int) "every grp value grouped" 5 (List.length expected);
+  check_rows "groups across the takeover = groups without it" expected got
+
 let suite =
   golden_cases
   @ [
@@ -415,4 +479,6 @@ let suite =
         (abandoned_index_scan ~fanout:true);
       Alcotest.test_case "selective decode after a nullable VARCHAR" `Quick
         selective_decode_redrive;
+      Alcotest.test_case "grouped AGGREGATE across a takeover between re-drives"
+        `Quick agg_takeover_between_redrives;
     ]
