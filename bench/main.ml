@@ -1502,7 +1502,7 @@ let e22_batched_executor =
               order := kenc :: !order;
               a
         in
-        List.iter2 (fun spec acc -> Dp_msg.feeder spec acc row) specs accs)
+        List.iter2 (fun f acc -> f acc row) feeds accs)
       rows;
     let grouped =
       List.rev_map

@@ -39,7 +39,7 @@ type scb = {
   scb_file : int;
   scb_lo : string;  (** inclusive begin of the key range *)
   scb_hi : string;  (** exclusive end of the key range *)
-  scb_body : ckpt_scb_body;
+  scb_body : subset;
       (** what re-drives don't re-send (predicate, projection, update
           expression), exactly as checkpointed to the backup *)
   scb_groups : Groups.t option;
@@ -904,84 +904,79 @@ let walk_scan t ~tx f b scb scb_id ~lock ~from_key ~one_block ~visit ~reply =
   | Ok () -> reply ~last_key ~more:!more
 
 (* One GET^FIRST/GET^NEXT execution: fill a (virtual or real) block. *)
-let run_read_scan t ~tx f scb scb_id ~from_key =
+let run_read_scan t ~tx f scb scb_id ~buffering ~pred ~proj ~lock ~from_key =
   let cfg = Sim.config t.sim in
   let s = Sim.stats t.sim in
   let* b = btree_of f in
-  match scb.scb_body with
-  | Cs_update _ | Cs_delete _ | Cs_agg _ ->
-      Errors.fail (Errors.Bad_request "SCB is not a read subset")
-  | Cs_read { buffering; pred; proj; lock } ->
-      let schema = f.f_schema in
-      (* a VSBB scan of a SQL file ships rows; everything else ships raw
-         (key, record) entries *)
-      let ships_rows = buffering = B_vsbb && schema <> None in
-      let fl = match schema with Some sch -> filter_of sch pred | None -> None in
-      (* the fields a shipped row is decoded in, and whether the
-         predicate's decode already holds all of them *)
-      let ship_mask =
-        match (schema, proj) with
-        | Some sch, Some fields -> field_mask sch (Array.to_list fields)
-        | Some sch, None -> Array.make (Array.length sch.Row.cols) true
-        | None, _ -> [||]
-      in
-      let pred_covers =
-        match fl with
-        | Some fl -> Array.for_all2 (fun ship p -> p || not ship) ship_mask fl.mask
-        | None -> false
-      in
-      let reply_bytes = ref 0 in
-      let rows = ref [] in
-      let entries = ref [] in
-      let visit v i =
-        let selected, row =
-          match (fl, schema) with
-          | Some fl, Some sch ->
-              let row = decode_entry sch fl.mask v i in
-              (passes t fl row, Some row)
-          | _ -> (true, None)
-        in
-        if selected then begin
-          (match schema with
-          | Some sch when ships_rows ->
-              let row =
-                match row with
-                | Some r when pred_covers -> r
-                | Some _ | None -> decode_entry sch ship_mask v i
-              in
-              let row =
-                match proj with Some fields -> Row.project row fields | None -> row
-              in
-              reply_bytes := !reply_bytes + Row.values_size row;
-              rows := row :: !rows
-          | Some _ | None ->
-              let key, record = Page.view_entry v i in
-              reply_bytes := !reply_bytes + String.length key + String.length record;
-              entries := (key, record) :: !entries);
-          s.Stats.records_returned <- s.Stats.records_returned + 1;
-          Sim.tick t.sim 10
-        end;
-        !reply_bytes >= cfg.Config.vsbb_buffer_bytes
-      in
-      walk_scan t ~tx f b scb scb_id ~lock ~from_key
-        ~one_block:(buffering = B_rsbb) ~visit ~reply:(fun ~last_key ~more ->
-          if !rows = [] && !entries = [] && not more then Ok Rp_end
-          else if ships_rows then
-            Ok (Rp_vblock { rows = List.rev !rows; last_key; more; scb = scb_id })
-          else
-            Ok (Rp_block { entries = List.rev !entries; last_key; more; scb = scb_id }))
+  let schema = f.f_schema in
+  (* a VSBB scan of a SQL file ships rows; everything else ships raw
+     (key, record) entries *)
+  let ships_rows = buffering = B_vsbb && schema <> None in
+  let fl = match schema with Some sch -> filter_of sch pred | None -> None in
+  (* the fields a shipped row is decoded in, and whether the
+     predicate's decode already holds all of them *)
+  let ship_mask =
+    match (schema, proj) with
+    | Some sch, Some fields -> field_mask sch (Array.to_list fields)
+    | Some sch, None -> Array.make (Array.length sch.Row.cols) true
+    | None, _ -> [||]
+  in
+  let pred_covers =
+    match fl with
+    | Some fl -> Array.for_all2 (fun ship p -> p || not ship) ship_mask fl.mask
+    | None -> false
+  in
+  let reply_bytes = ref 0 in
+  let rows = ref [] in
+  let entries = ref [] in
+  let visit v i =
+    let selected, row =
+      match (fl, schema) with
+      | Some fl, Some sch ->
+          let row = decode_entry sch fl.mask v i in
+          (passes t fl row, Some row)
+      | _ -> (true, None)
+    in
+    if selected then begin
+      (match schema with
+      | Some sch when ships_rows ->
+          let row =
+            match row with
+            | Some r when pred_covers -> r
+            | Some _ | None -> decode_entry sch ship_mask v i
+          in
+          let row =
+            match proj with Some fields -> Row.project row fields | None -> row
+          in
+          reply_bytes := !reply_bytes + Row.values_size row;
+          rows := row :: !rows
+      | Some _ | None ->
+          let key, record = Page.view_entry v i in
+          reply_bytes := !reply_bytes + String.length key + String.length record;
+          entries := (key, record) :: !entries);
+      s.Stats.records_returned <- s.Stats.records_returned + 1;
+      Sim.tick t.sim 10
+    end;
+    !reply_bytes >= cfg.Config.vsbb_buffer_bytes
+  in
+  walk_scan t ~tx f b scb scb_id ~lock ~from_key
+    ~one_block:(buffering = B_rsbb) ~visit ~reply:(fun ~last_key ~more ->
+      if !rows = [] && !entries = [] && not more then Ok Rp_end
+      else if ships_rows then
+        Ok (Rp_vblock { rows = List.rev !rows; last_key; more; scb = scb_id })
+      else
+        Ok (Rp_block { entries = List.rev !entries; last_key; more; scb = scb_id }))
 
 (* One AGGREGATE^FIRST/AGGREGATE^NEXT execution: fold qualifying records
    into the SCB's per-group accumulators under the same re-drive budget as
    a read scan. Intermediate replies carry no group data (the partials
    stay in the SCB); the final reply ships every group's accumulator state
    in first-seen order — which is key order, because the scan is. *)
-let run_agg_scan t ~tx f scb scb_id ~from_key =
+let run_agg_scan t ~tx f scb scb_id ~pred ~group_keys ~aggs ~lock ~from_key =
   let* b = btree_of f in
-  match (scb.scb_body, scb.scb_groups) with
-  | (Cs_read _ | Cs_update _ | Cs_delete _), _ | Cs_agg _, None ->
-      Errors.fail (Errors.Bad_request "SCB is not an aggregate subset")
-  | Cs_agg { pred; group_keys; aggs; lock }, Some groups ->
+  match scb.scb_groups with
+  | None -> Errors.fail (Errors.Internal "aggregate SCB without partials")
+  | Some groups ->
       let* schema =
         match f.f_schema with
         | Some sch -> Ok sch
@@ -1028,7 +1023,7 @@ let run_agg_scan t ~tx f scb scb_id ~from_key =
    request), so the re-drive retries the conflicting record. One update is
    applied per matched record; updated records are never revisited because
    the scan key always advances past them. *)
-let run_write_scan t ~tx f scb scb_id ~after_key =
+let run_write_scan t ~tx f scb scb_id ~pred ~action ~after_key =
   let cfg = Sim.config t.sim in
   let s = Sim.stats t.sim in
   let* () = require_tx t tx in
@@ -1037,13 +1032,6 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
     match f.f_schema with
     | Some sch -> Ok sch
     | None -> Errors.fail (Errors.Bad_request "set update requires a SQL file")
-  in
-  let* pred, action =
-    match scb.scb_body with
-    | Cs_update { pred; assignments } -> Ok (pred, `Update assignments)
-    | Cs_delete { pred } -> Ok (pred, `Delete)
-    | Cs_read _ | Cs_agg _ ->
-        Errors.fail (Errors.Bad_request "SCB is not an update or delete subset")
   in
   let all_fields = Array.make (Array.length schema.Row.cols) true in
   let apply_one key v i =
@@ -1149,6 +1137,24 @@ let run_write_scan t ~tx f scb scb_id ~after_key =
              more = !more;
              scb = scb_id;
            })
+
+(* One step of the subset [scb] defines: its FIRST ([after_key = None])
+   or a NEXT restarting after [Some key]. *)
+let run_subset t ~tx f scb id ~after_key =
+  let from_key =
+    match after_key with None -> scb.scb_lo | Some k -> Keycode.successor k
+  in
+  match scb.scb_body with
+  | Cs_read { buffering; pred; proj; lock } ->
+      run_read_scan t ~tx f scb id ~buffering ~pred ~proj ~lock ~from_key
+  | Cs_agg { pred; group_keys; aggs; lock } ->
+      run_agg_scan t ~tx f scb id ~pred ~group_keys ~aggs ~lock ~from_key
+  | Cs_update { pred; assignments } ->
+      run_write_scan t ~tx f scb id ~pred ~action:(`Update assignments)
+        ~after_key:(Option.value after_key ~default:"")
+  | Cs_delete { pred } ->
+      run_write_scan t ~tx f scb id ~pred ~action:`Delete
+        ~after_key:(Option.value after_key ~default:"")
 
 (* --- SQL row inserts --------------------------------------------------------- *)
 
@@ -1284,9 +1290,8 @@ let op_create_file t ~fname ~kind ~schema ~check =
       match kind with
       | K_key_sequenced ->
           S_btree (Btree.create t.sim t.cache ~name:fname)
-      | K_relative slot_size ->
-          S_rel (Relfile.create t.sim t.cache ~name:fname ~slot_size)
-      | K_entry_sequenced -> S_entry (Entryfile.create t.sim t.cache ~name:fname)
+      | K_relative slot_size -> S_rel (Relfile.create t.sim t.cache ~slot_size)
+      | K_entry_sequenced -> S_entry (Entryfile.create t.sim t.cache)
     in
     let f =
       { f_id = id; f_name = fname; f_kind = kind; f_schema = schema;
@@ -1320,59 +1325,35 @@ let dispatch t req : (reply, Errors.t) result =
   | R_rel_delete { file; tx; slot } -> op_rel_delete t ~file ~tx ~slot
   | R_entry_append { file; tx; record } -> op_entry_append t ~file ~tx ~record
   | R_entry_read { file; tx; addr } -> op_entry_read t ~file ~tx ~addr
-  | R_get_first { file; tx; buffering; range; pred; proj; lock } ->
-      let* f = find_file t file in
-      let scb, id = open_subset t ~file range (Cs_read { buffering; pred; proj; lock }) in
-      finish_subset t scb id (run_read_scan t ~tx f scb id ~from_key:range.Expr.lo)
-  | R_get_next { file; tx; scb = id; after_key } ->
-      let* f, scb = redrive t ~file id in
-      finish_subset t scb id
-        (run_read_scan t ~tx f scb id ~from_key:(Keycode.successor after_key))
-  | R_update_subset_first { file; tx; range; pred; assignments } ->
+  | R_subset_first { file; tx; range; body } ->
       let* f = find_file t file in
       (* reject primary-key updates: the scan is keyed on them *)
       let* () =
-        match f.f_schema with
-        | Some sch ->
-            let key_cols = Array.to_list sch.Row.key_cols in
-            if
-              List.exists
-                (fun a -> List.mem a.Expr.target key_cols)
-                assignments
-            then
-              Errors.fail
-                (Errors.Bad_request "UPDATE of primary-key columns not allowed")
-            else Ok ()
-        | None -> Ok ()
+        match (body, f.f_schema) with
+        | Cs_update { assignments; _ }, Some sch
+          when List.exists (fun a -> Array.mem a.Expr.target sch.Row.key_cols)
+                 assignments ->
+            Errors.fail
+              (Errors.Bad_request "UPDATE of primary-key columns not allowed")
+        | (Cs_read _ | Cs_update _ | Cs_delete _ | Cs_agg _), _ -> Ok ()
       in
-      let scb, id = open_subset t ~file range (Cs_update { pred; assignments }) in
-      finish_subset t scb id (run_write_scan t ~tx f scb id ~after_key:"")
-  | R_update_subset_next { file; tx; scb = id; after_key } ->
+      let scb, id = open_subset t ~file range body in
+      finish_subset t scb id (run_subset t ~tx f scb id ~after_key:None)
+  | R_subset_next { kind; file; tx; scb = id; after_key } ->
       let* f, scb = redrive t ~file id in
-      finish_subset t scb id (run_write_scan t ~tx f scb id ~after_key)
-  | R_delete_subset_first { file; tx; range; pred } ->
-      let* f = find_file t file in
-      let scb, id = open_subset t ~file range (Cs_delete { pred }) in
-      finish_subset t scb id (run_write_scan t ~tx f scb id ~after_key:"")
-  | R_delete_subset_next { file; tx; scb = id; after_key } ->
-      let* f, scb = redrive t ~file id in
-      finish_subset t scb id (run_write_scan t ~tx f scb id ~after_key)
+      finish_subset t scb id
+        (if kind_of_subset scb.scb_body = kind then
+           run_subset t ~tx f scb id ~after_key:(Some after_key)
+         else
+           Errors.fail
+             (Errors.Bad_request
+                (Printf.sprintf "SCB %d does not serve %s" id (tag req))))
   | R_insert_row { file; tx; row } -> op_insert_row t ~file ~tx ~row
   | R_insert_block { file; tx; rows } -> op_insert_block t ~file ~tx ~rows
   | R_apply_block { file; tx; ops } -> op_apply_block t ~file ~tx ~ops
   | R_close_scb { scb } ->
       drop_scb t scb;
       Ok Rp_ok
-  | R_agg_first { file; tx; range; pred; group_keys; aggs; lock } ->
-      let* f = find_file t file in
-      let scb, id =
-        open_subset t ~file range (Cs_agg { pred; group_keys; aggs; lock })
-      in
-      finish_subset t scb id (run_agg_scan t ~tx f scb id ~from_key:range.Expr.lo)
-  | R_agg_next { file; tx; scb = id; after_key } ->
-      let* f, scb = redrive t ~file id in
-      finish_subset t scb id
-        (run_agg_scan t ~tx f scb id ~from_key:(Keycode.successor after_key))
   | R_record_count { file } ->
       let* _f = find_file t file in
       Ok (Rp_slot (record_count t ~file))
@@ -1404,17 +1385,13 @@ let request_body t req =
       ("dp", Trace.Str t.dp_name)
       ::
       (match req with
-      | R_get_next { scb; _ }
-      | R_update_subset_next { scb; _ }
-      | R_delete_subset_next { scb; _ }
-      | R_agg_next { scb; _ } ->
+      | R_subset_next { scb; _ } ->
           [ ("scb_reuse", Trace.Bool true); ("scb", Trace.Int scb) ]
-      | R_agg_first _ -> [ ("agg_fold", Trace.Bool true) ]
+      | R_subset_first { body = Cs_agg _; _ } -> [ ("agg_fold", Trace.Bool true) ]
       | R_create_file _ | R_read _ | R_read_next _ | R_insert _ | R_update _
       | R_delete _ | R_lock_file _ | R_lock_generic _ | R_rel_read _
       | R_rel_write _ | R_rel_rewrite _ | R_rel_delete _ | R_entry_append _
-      | R_entry_read _ | R_get_first _ | R_update_subset_first _
-      | R_delete_subset_first _ | R_insert_row _ | R_insert_block _
+      | R_entry_read _ | R_subset_first _ | R_insert_row _ | R_insert_block _
       | R_apply_block _ | R_close_scb _ | R_record_count _ -> []))
     (tag req)
     (fun _ -> run_request t req)
@@ -1458,10 +1435,8 @@ let park_tx (req : request) =
   | R_entry_append { tx; _ } -> Some tx
   | R_insert_row { tx; _ } -> Some tx
   | R_insert_block { tx; _ } -> Some tx
-  | R_create_file _ | R_rel_read _ | R_entry_read _ | R_get_first _
-  | R_get_next _ | R_update_subset_first _ | R_update_subset_next _
-  | R_delete_subset_first _ | R_delete_subset_next _ | R_apply_block _
-  | R_close_scb _ | R_agg_first _ | R_agg_next _ | R_record_count _ -> None
+  | R_create_file _ | R_rel_read _ | R_entry_read _ | R_subset_first _
+  | R_subset_next _ | R_apply_block _ | R_close_scb _ | R_record_count _ -> None
 
 let emit_wait_end t w ~outcome =
   Moncore.observe (Sim.moncore t.sim) "lock_wait"
@@ -1728,10 +1703,8 @@ let recover_with_gen t ~resolve =
       let structure =
         match f.f_kind with
         | K_key_sequenced -> S_btree (Btree.create t.sim t.cache ~name:f.f_name)
-        | K_relative slot_size ->
-            S_rel (Relfile.create t.sim t.cache ~name:f.f_name ~slot_size)
-        | K_entry_sequenced ->
-            S_entry (Entryfile.create t.sim t.cache ~name:f.f_name)
+        | K_relative slot_size -> S_rel (Relfile.create t.sim t.cache ~slot_size)
+        | K_entry_sequenced -> S_entry (Entryfile.create t.sim t.cache)
       in
       f.f_structure <- structure)
     (Nsql_util.Tbl.sorted_bindings t.files);

@@ -179,6 +179,33 @@ module Groups = struct
     else List.rev_map (fun (key, accs) -> Array.append key (finish accs)) t.order
 end
 
+(* A subset's definition: what a FIRST request ships, what the Disk
+   Process keeps in the Subset Control Block (re-drives never re-send it)
+   and what [Ck_scb_open] checkpoints to the backup. *)
+type subset =
+  | Cs_read of {
+      buffering : buffering;
+      pred : Expr.t option;
+      proj : int array option;
+      lock : lock_mode;
+    }
+  | Cs_update of { pred : Expr.t option; assignments : Expr.assignment list }
+  | Cs_delete of { pred : Expr.t option }
+  | Cs_agg of {
+      pred : Expr.t option;
+      group_keys : int array;
+      aggs : agg_spec list;
+      lock : lock_mode;
+    }
+
+type subset_kind = Sk_get | Sk_update | Sk_delete | Sk_agg
+
+let kind_of_subset = function
+  | Cs_read _ -> Sk_get
+  | Cs_update _ -> Sk_update
+  | Cs_delete _ -> Sk_delete
+  | Cs_agg _ -> Sk_agg
+
 type request =
   | R_create_file of {
       fname : string;
@@ -206,45 +233,18 @@ type request =
   | R_rel_delete of { file : int; tx : int; slot : int }
   | R_entry_append of { file : int; tx : int; record : string }
   | R_entry_read of { file : int; tx : int; addr : int }
-  | R_get_first of {
+  | R_subset_first of { file : int; tx : int; range : Expr.key_range; body : subset }
+  | R_subset_next of {
+      kind : subset_kind;
       file : int;
       tx : int;
-      buffering : buffering;
-      range : Expr.key_range;
-      pred : Expr.t option;
-      proj : int array option;
-      lock : lock_mode;
+      scb : int;
+      after_key : string;
     }
-  | R_get_next of { file : int; tx : int; scb : int; after_key : string }
-  | R_update_subset_first of {
-      file : int;
-      tx : int;
-      range : Expr.key_range;
-      pred : Expr.t option;
-      assignments : Expr.assignment list;
-    }
-  | R_update_subset_next of { file : int; tx : int; scb : int; after_key : string }
-  | R_delete_subset_first of {
-      file : int;
-      tx : int;
-      range : Expr.key_range;
-      pred : Expr.t option;
-    }
-  | R_delete_subset_next of { file : int; tx : int; scb : int; after_key : string }
   | R_insert_row of { file : int; tx : int; row : Row.row }
   | R_insert_block of { file : int; tx : int; rows : Row.row list }
   | R_apply_block of { file : int; tx : int; ops : (string * buffered_op) list }
   | R_close_scb of { scb : int }
-  | R_agg_first of {
-      file : int;
-      tx : int;
-      range : Expr.key_range;
-      pred : Expr.t option;
-      group_keys : int array;
-      aggs : agg_spec list;
-      lock : lock_mode;
-    }
-  | R_agg_next of { file : int; tx : int; scb : int; after_key : string }
   | R_record_count of { file : int }
 
 type reply =
@@ -292,31 +292,31 @@ let tag = function
   | R_rel_delete _ -> "REL^DELETE"
   | R_entry_append _ -> "ENTRY^APPEND"
   | R_entry_read _ -> "ENTRY^READ"
-  | R_get_first { buffering = B_vsbb; _ } -> "GET^FIRST^VSBB"
-  | R_get_first { buffering = B_rsbb; _ } -> "GET^FIRST^RSBB"
-  | R_get_next _ -> "GET^NEXT"
-  | R_update_subset_first _ -> "UPDATE^SUBSET^FIRST"
-  | R_update_subset_next _ -> "UPDATE^SUBSET^NEXT"
-  | R_delete_subset_first _ -> "DELETE^SUBSET^FIRST"
-  | R_delete_subset_next _ -> "DELETE^SUBSET^NEXT"
+  | R_subset_first { body = Cs_read { buffering = B_vsbb; _ }; _ } -> "GET^FIRST^VSBB"
+  | R_subset_first { body = Cs_read { buffering = B_rsbb; _ }; _ } -> "GET^FIRST^RSBB"
+  | R_subset_first { body = Cs_update _; _ } -> "UPDATE^SUBSET^FIRST"
+  | R_subset_first { body = Cs_delete _; _ } -> "DELETE^SUBSET^FIRST"
+  | R_subset_first { body = Cs_agg _; _ } -> "AGGREGATE^FIRST"
+  | R_subset_next { kind = Sk_get; _ } -> "GET^NEXT"
+  | R_subset_next { kind = Sk_update; _ } -> "UPDATE^SUBSET^NEXT"
+  | R_subset_next { kind = Sk_delete; _ } -> "DELETE^SUBSET^NEXT"
+  | R_subset_next { kind = Sk_agg; _ } -> "AGGREGATE^NEXT"
   | R_insert_row _ -> "INSERT^ROW"
   | R_insert_block _ -> "INSERT^BLOCK"
   | R_apply_block _ -> "APPLY^BLOCK"
   | R_close_scb _ -> "CLOSE^SCB"
-  | R_agg_first _ -> "AGGREGATE^FIRST"
-  | R_agg_next _ -> "AGGREGATE^NEXT"
   | R_record_count _ -> "RECORD^COUNT"
 
 let is_mutation = function
   | R_insert _ | R_update _ | R_delete _ | R_rel_write _ | R_rel_rewrite _
-  | R_rel_delete _ | R_entry_append _ | R_update_subset_first _
-  | R_update_subset_next _ | R_delete_subset_first _ | R_delete_subset_next _
-  | R_insert_row _ | R_insert_block _ | R_apply_block _ | R_create_file _ ->
+  | R_rel_delete _ | R_entry_append _ | R_insert_row _ | R_insert_block _
+  | R_apply_block _ | R_create_file _
+  | R_subset_first { body = Cs_update _ | Cs_delete _; _ }
+  | R_subset_next { kind = Sk_update | Sk_delete; _ } ->
       true
   | R_read _ | R_read_next _ | R_lock_file _ | R_lock_generic _
-  | R_get_first _ | R_get_next _
-  | R_close_scb _ | R_rel_read _ | R_entry_read _
-  | R_agg_first _ | R_agg_next _ | R_record_count _ ->
+  | R_close_scb _ | R_rel_read _ | R_entry_read _ | R_record_count _
+  | R_subset_first _ | R_subset_next _ ->
       false
 
 (* --- decode errors ------------------------------------------------------- *)
@@ -509,6 +509,65 @@ let r_error r : Errors.t =
 
 (* --- request codec ------------------------------------------------------- *)
 
+(* A subset's own fields, written and read in this one place: a FIRST
+   request carries them after its key range, [Ck_scb_open] after its key
+   bounds. *)
+let w_subset_fields w = function
+  | Cs_read { buffering; pred; proj; lock } ->
+      Codec.w_u8 w (match buffering with B_rsbb -> 0 | B_vsbb -> 1);
+      w_opt w Expr.encode pred;
+      w_opt w w_proj proj;
+      w_lock w lock
+  | Cs_update { pred; assignments } ->
+      w_opt w Expr.encode pred;
+      w_assignments w assignments
+  | Cs_delete { pred } -> w_opt w Expr.encode pred
+  | Cs_agg { pred; group_keys; aggs; lock } ->
+      w_opt w Expr.encode pred;
+      w_proj w group_keys;
+      w_agg_specs w aggs;
+      w_lock w lock
+
+let r_subset_fields r = function
+  | Sk_get ->
+      let buffering = match Codec.r_u8 r with 0 -> B_rsbb | _ -> B_vsbb in
+      let pred = r_opt r Expr.decode in
+      let proj = r_opt r r_proj in
+      let lock = r_lock r in
+      Cs_read { buffering; pred; proj; lock }
+  | Sk_update ->
+      let pred = r_opt r Expr.decode in
+      let assignments = r_assignments r in
+      Cs_update { pred; assignments }
+  | Sk_delete -> Cs_delete { pred = r_opt r Expr.decode }
+  | Sk_agg ->
+      let pred = r_opt r Expr.decode in
+      let group_keys = r_proj r in
+      let aggs = r_agg_specs r in
+      let lock = r_lock r in
+      Cs_agg { pred; group_keys; aggs; lock }
+
+(* the request tag of a subset's FIRST; its NEXT's tag is one more *)
+let first_tag = function
+  | Sk_get -> 13
+  | Sk_update -> 15
+  | Sk_delete -> 17
+  | Sk_agg -> 24
+
+let r_subset_first r kind =
+  let file = Codec.r_varint r in
+  let tx = Codec.r_varint r in
+  let range = r_range r in
+  let body = r_subset_fields r kind in
+  R_subset_first { file; tx; range; body }
+
+let r_subset_next r kind =
+  let file = Codec.r_varint r in
+  let tx = Codec.r_varint r in
+  let scb = Codec.r_varint r in
+  let after_key = Codec.r_bytes r in
+  R_subset_next { kind; file; tx; scb; after_key }
+
 let encode_request req =
   let w = Codec.writer () in
   (match req with
@@ -597,42 +656,14 @@ let encode_request req =
       Codec.w_varint w file;
       Codec.w_varint w tx;
       Codec.w_varint w addr
-  | R_get_first { file; tx; buffering; range; pred; proj; lock } ->
-      Codec.w_u8 w 13;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_u8 w (match buffering with B_rsbb -> 0 | B_vsbb -> 1);
-      w_range w range;
-      w_opt w Expr.encode pred;
-      w_opt w w_proj proj;
-      w_lock w lock
-  | R_get_next { file; tx; scb; after_key } ->
-      Codec.w_u8 w 14;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w scb;
-      Codec.w_bytes w after_key
-  | R_update_subset_first { file; tx; range; pred; assignments } ->
-      Codec.w_u8 w 15;
+  | R_subset_first { file; tx; range; body } ->
+      Codec.w_u8 w (first_tag (kind_of_subset body));
       Codec.w_varint w file;
       Codec.w_varint w tx;
       w_range w range;
-      w_opt w Expr.encode pred;
-      w_assignments w assignments
-  | R_update_subset_next { file; tx; scb; after_key } ->
-      Codec.w_u8 w 16;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w scb;
-      Codec.w_bytes w after_key
-  | R_delete_subset_first { file; tx; range; pred } ->
-      Codec.w_u8 w 17;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      w_range w range;
-      w_opt w Expr.encode pred
-  | R_delete_subset_next { file; tx; scb; after_key } ->
-      Codec.w_u8 w 18;
+      w_subset_fields w body
+  | R_subset_next { kind; file; tx; scb; after_key } ->
+      Codec.w_u8 w (first_tag kind + 1);
       Codec.w_varint w file;
       Codec.w_varint w tx;
       Codec.w_varint w scb;
@@ -664,21 +695,6 @@ let encode_request req =
   | R_close_scb { scb } ->
       Codec.w_u8 w 21;
       Codec.w_varint w scb
-  | R_agg_first { file; tx; range; pred; group_keys; aggs; lock } ->
-      Codec.w_u8 w 24;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      w_range w range;
-      w_opt w Expr.encode pred;
-      w_proj w group_keys;
-      w_agg_specs w aggs;
-      w_lock w lock
-  | R_agg_next { file; tx; scb; after_key } ->
-      Codec.w_u8 w 25;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w scb;
-      Codec.w_bytes w after_key
   | R_record_count { file } ->
       Codec.w_u8 w 26;
       Codec.w_varint w file);
@@ -767,46 +783,12 @@ let decode_request_exn payload =
       let tx = Codec.r_varint r in
       let addr = Codec.r_varint r in
       R_entry_read { file; tx; addr }
-  | 13 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let buffering = match Codec.r_u8 r with 0 -> B_rsbb | _ -> B_vsbb in
-      let range = r_range r in
-      let pred = r_opt r Expr.decode in
-      let proj = r_opt r r_proj in
-      let lock = r_lock r in
-      R_get_first { file; tx; buffering; range; pred; proj; lock }
-  | 14 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let scb = Codec.r_varint r in
-      let after_key = Codec.r_bytes r in
-      R_get_next { file; tx; scb; after_key }
-  | 15 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let range = r_range r in
-      let pred = r_opt r Expr.decode in
-      let assignments = r_assignments r in
-      R_update_subset_first { file; tx; range; pred; assignments }
-  | 16 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let scb = Codec.r_varint r in
-      let after_key = Codec.r_bytes r in
-      R_update_subset_next { file; tx; scb; after_key }
-  | 17 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let range = r_range r in
-      let pred = r_opt r Expr.decode in
-      R_delete_subset_first { file; tx; range; pred }
-  | 18 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let scb = Codec.r_varint r in
-      let after_key = Codec.r_bytes r in
-      R_delete_subset_next { file; tx; scb; after_key }
+  | 13 -> r_subset_first r Sk_get
+  | 14 -> r_subset_next r Sk_get
+  | 15 -> r_subset_first r Sk_update
+  | 16 -> r_subset_next r Sk_update
+  | 17 -> r_subset_first r Sk_delete
+  | 18 -> r_subset_next r Sk_delete
   | 19 ->
       let file = Codec.r_varint r in
       let tx = Codec.r_varint r in
@@ -842,21 +824,8 @@ let decode_request_exn payload =
             (key, op))
       in
       R_apply_block { file; tx; ops }
-  | 24 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let range = r_range r in
-      let pred = r_opt r Expr.decode in
-      let group_keys = r_proj r in
-      let aggs = r_agg_specs r in
-      let lock = r_lock r in
-      R_agg_first { file; tx; range; pred; group_keys; aggs; lock }
-  | 25 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let scb = Codec.r_varint r in
-      let after_key = Codec.r_bytes r in
-      R_agg_next { file; tx; scb; after_key }
+  | 24 -> r_subset_first r Sk_agg
+  | 25 -> r_subset_next r Sk_agg
   | 26 ->
       let file = Codec.r_varint r in
       R_record_count { file }
@@ -994,22 +963,6 @@ let decode_reply payload = guard decode_reply_exn payload
 
 module Lock = Nsql_lock.Lock
 
-type ckpt_scb_body =
-  | Cs_read of {
-      buffering : buffering;
-      pred : Expr.t option;
-      proj : int array option;
-      lock : lock_mode;
-    }
-  | Cs_update of { pred : Expr.t option; assignments : Expr.assignment list }
-  | Cs_delete of { pred : Expr.t option }
-  | Cs_agg of {
-      pred : Expr.t option;
-      group_keys : int array;
-      aggs : agg_spec list;
-      lock : lock_mode;
-    }
-
 type ckpt_item =
   | Ck_intent of { payload : string }
       (** a mutation request is about to be applied: its full request bytes *)
@@ -1021,7 +974,7 @@ type ckpt_item =
       file : int;
       lo : string;
       hi : string;
-      body : ckpt_scb_body;
+      body : subset;
     }  (** a subset cursor opened: definition, not position — position is
            client-held and re-supplied on every re-drive *)
   | Ck_agg_state of { scb : int; groups : (Row.row * agg_acc list) list }
@@ -1066,48 +1019,17 @@ let r_resource r =
       Lock.Range (lo, hi)
   | n -> bad_tag "lock resource" n
 
-let w_scb_body w = function
-  | Cs_read { buffering; pred; proj; lock } ->
-      Codec.w_u8 w 0;
-      Codec.w_u8 w (match buffering with B_rsbb -> 0 | B_vsbb -> 1);
-      w_opt w Expr.encode pred;
-      w_opt w w_proj proj;
-      w_lock w lock
-  | Cs_update { pred; assignments } ->
-      Codec.w_u8 w 1;
-      w_opt w Expr.encode pred;
-      w_assignments w assignments
-  | Cs_delete { pred } ->
-      Codec.w_u8 w 2;
-      w_opt w Expr.encode pred
-  | Cs_agg { pred; group_keys; aggs; lock } ->
-      Codec.w_u8 w 3;
-      w_opt w Expr.encode pred;
-      w_proj w group_keys;
-      w_agg_specs w aggs;
-      w_lock w lock
+(* [Ck_scb_open]'s kind byte *)
+let w_ckpt_kind w kind =
+  Codec.w_u8 w
+    (match kind with Sk_get -> 0 | Sk_update -> 1 | Sk_delete -> 2 | Sk_agg -> 3)
 
-let r_scb_body r =
+let r_ckpt_kind r =
   match Codec.r_u8 r with
-  | 0 ->
-      let buffering = match Codec.r_u8 r with 0 -> B_rsbb | _ -> B_vsbb in
-      let pred = r_opt r Expr.decode in
-      let proj = r_opt r r_proj in
-      let lock = r_lock r in
-      Cs_read { buffering; pred; proj; lock }
-  | 1 ->
-      let pred = r_opt r Expr.decode in
-      let assignments = r_assignments r in
-      Cs_update { pred; assignments }
-  | 2 ->
-      let pred = r_opt r Expr.decode in
-      Cs_delete { pred }
-  | 3 ->
-      let pred = r_opt r Expr.decode in
-      let group_keys = r_proj r in
-      let aggs = r_agg_specs r in
-      let lock = r_lock r in
-      Cs_agg { pred; group_keys; aggs; lock }
+  | 0 -> Sk_get
+  | 1 -> Sk_update
+  | 2 -> Sk_delete
+  | 3 -> Sk_agg
   | n -> bad_tag "checkpoint SCB body" n
 
 let w_ckpt_item w = function
@@ -1129,7 +1051,8 @@ let w_ckpt_item w = function
       Codec.w_varint w file;
       Codec.w_bytes w lo;
       Codec.w_bytes w hi;
-      w_scb_body w body
+      w_ckpt_kind w (kind_of_subset body);
+      w_subset_fields w body
   | Ck_agg_state { scb; groups } ->
       Codec.w_u8 w 4;
       Codec.w_varint w scb;
@@ -1160,7 +1083,7 @@ let r_ckpt_item r =
       let file = Codec.r_varint r in
       let lo = Codec.r_bytes r in
       let hi = Codec.r_bytes r in
-      let body = r_scb_body r in
+      let body = r_subset_fields r (r_ckpt_kind r) in
       Ck_scb_open { scb; file; lo; hi; body }
   | 4 ->
       let scb = Codec.r_varint r in

@@ -11,12 +11,12 @@
     record inserts/updates/deletes, record-at-a-time sequential reads, and
     real sequential block buffering ([R_read_next] with [sbb]).
 
-    {b The new SQL interface}: set-oriented requests carrying a primary-key
-    range, an optional single-variable selection predicate, an optional
-    field projection, or update-expression assignments. The first request
-    of a set operation creates a {e Subset Control Block} in the Disk
-    Process; continuation re-drives ([R_get_next], [R_update_subset_next],
-    [R_delete_subset_next]) carry only the SCB number and the restart key —
+    {b The new SQL interface}: set-oriented requests over a primary-key
+    range. A subset's FIRST request ([R_subset_first]) ships its
+    definition — a {!subset}: a selection predicate, a field projection,
+    update-expression assignments or aggregates — and the Disk Process
+    keeps it in a {e Subset Control Block}. Every continuation re-drive
+    ([R_subset_next]) carries only the SCB number and the restart key —
     measurably smaller messages.
 
     [R_insert_block] is the paper's "future enhancement": a blocked
@@ -36,7 +36,7 @@ type file_kind_spec = K_key_sequenced | K_relative of int | K_entry_sequenced
 (** {1 Aggregate pushdown}
 
     The SQL interface lets the Disk Process evaluate COUNT/SUM/MIN/MAX/AVG
-    at the source ([R_agg_first]/[R_agg_next]): instead of shipping every
+    at the source (a [Cs_agg] subset): instead of shipping every
     qualifying row up in virtual blocks, the DP folds rows into accumulator
     state inside the re-drive budget and the final reply carries one
     accumulator per (group, aggregate) — bytes proportional to the number
@@ -124,6 +124,34 @@ module Groups : sig
   val rows : t -> Row.row list
 end
 
+(** A subset's definition: everything a FIRST request ships and the Disk
+    Process keeps in the SCB, and everything the backup needs to rebuild
+    it ([Ck_scb_open]). Scan {e position} is deliberately absent for
+    read/update/delete subsets: it is client-held and re-supplied by every
+    re-drive ([after_key]). *)
+type subset =
+  | Cs_read of {
+      buffering : buffering;
+      pred : Expr.t option;
+      proj : int array option;
+      lock : lock_mode;
+    }
+  | Cs_update of { pred : Expr.t option; assignments : Expr.assignment list }
+  | Cs_delete of { pred : Expr.t option }
+  | Cs_agg of {
+      pred : Expr.t option;
+      group_keys : int array;
+          (** grouping fields, a prefix of the file's key columns *)
+      aggs : agg_spec list;
+      lock : lock_mode;
+    }
+
+(** which subset a re-drive continues: GET, UPDATE^SUBSET, DELETE^SUBSET
+    or AGGREGATE *)
+type subset_kind = Sk_get | Sk_update | Sk_delete | Sk_agg
+
+val kind_of_subset : subset -> subset_kind
+
 type request =
   | R_create_file of {
       fname : string;
@@ -151,31 +179,15 @@ type request =
   | R_rel_delete of { file : int; tx : int; slot : int }
   | R_entry_append of { file : int; tx : int; record : string }
   | R_entry_read of { file : int; tx : int; addr : int }
-  | R_get_first of {
+  | R_subset_first of { file : int; tx : int; range : Expr.key_range; body : subset }
+      (** opens an SCB on [body] and runs its first step over [range] *)
+  | R_subset_next of {
+      kind : subset_kind;  (** must match the SCB's body *)
       file : int;
       tx : int;
-      buffering : buffering;
-      range : Expr.key_range;
-      pred : Expr.t option;
-      proj : int array option;
-      lock : lock_mode;
-    }
-  | R_get_next of { file : int; tx : int; scb : int; after_key : string }
-  | R_update_subset_first of {
-      file : int;
-      tx : int;
-      range : Expr.key_range;
-      pred : Expr.t option;
-      assignments : Expr.assignment list;
-    }
-  | R_update_subset_next of { file : int; tx : int; scb : int; after_key : string }
-  | R_delete_subset_first of {
-      file : int;
-      tx : int;
-      range : Expr.key_range;
-      pred : Expr.t option;
-    }
-  | R_delete_subset_next of { file : int; tx : int; scb : int; after_key : string }
+      scb : int;
+      after_key : string;  (** restart strictly after this key *)
+    }  (** re-drives the subset SCB [scb] defines *)
   | R_insert_row of { file : int; tx : int; row : Row.row }
   | R_insert_block of { file : int; tx : int; rows : Row.row list }
   | R_apply_block of {
@@ -188,17 +200,6 @@ type request =
               future enhancement *)
     }
   | R_close_scb of { scb : int }
-  | R_agg_first of {
-      file : int;
-      tx : int;
-      range : Expr.key_range;
-      pred : Expr.t option;
-      group_keys : int array;
-          (** grouping fields, a prefix of the file's key columns *)
-      aggs : agg_spec list;
-      lock : lock_mode;
-    }
-  | R_agg_next of { file : int; tx : int; scb : int; after_key : string }
   | R_record_count of { file : int }
       (** catalog-style cardinality probe, one per partition *)
 
@@ -270,26 +271,6 @@ val is_mutation : request -> bool
 
 module Lock = Nsql_lock.Lock
 
-(** The definition half of a subset cursor — everything needed to rebuild
-    the SCB on the backup. Scan {e position} is deliberately absent for
-    read/update/delete cursors: it is client-held and re-supplied by every
-    re-drive ([after_key]), so the replica never needs it. *)
-type ckpt_scb_body =
-  | Cs_read of {
-      buffering : buffering;
-      pred : Expr.t option;
-      proj : int array option;
-      lock : lock_mode;
-    }
-  | Cs_update of { pred : Expr.t option; assignments : Expr.assignment list }
-  | Cs_delete of { pred : Expr.t option }
-  | Cs_agg of {
-      pred : Expr.t option;
-      group_keys : int array;
-      aggs : agg_spec list;
-      lock : lock_mode;
-    }
-
 type ckpt_item =
   | Ck_intent of { payload : string }
       (** a mutation request is being applied: its full request bytes *)
@@ -301,7 +282,7 @@ type ckpt_item =
       file : int;
       lo : string;
       hi : string;
-      body : ckpt_scb_body;
+      body : subset;
     }
   | Ck_agg_state of { scb : int; groups : (Row.row * agg_acc list) list }
       (** aggregate partials surviving a re-drive boundary *)

@@ -703,6 +703,18 @@ let client_select_gen ~schema ~pred ~proj key record =
           | Some fields -> Some (I_row (Row.project row fields))
           | None -> Some (I_row row)))
 
+(* the subset a GET^FIRST opens: the predicate and projection travel only
+   under VSBB, an RSBB scan applies them client-side *)
+let read_body ~access ~pred ~proj ~lock =
+  let vsbb = access = A_vsbb in
+  Dp_msg.Cs_read
+    {
+      buffering = (if vsbb then Dp_msg.B_vsbb else Dp_msg.B_rsbb);
+      pred = (if vsbb then pred else None);
+      proj = (if vsbb then proj else None);
+      lock;
+    }
+
 (* --- sequential (blocking) scan driver ----------------------------------- *)
 
 let seq_close t sc =
@@ -790,30 +802,30 @@ let refill t sc =
                 end
             | _ -> None))
       | A_rsbb | A_vsbb -> (
-          let buffering =
-            match sc.sc_access with
-            | A_rsbb -> Dp_msg.B_rsbb
-            | A_vsbb | A_record -> Dp_msg.B_vsbb
-          in
           let reply =
             match sc.sc_scb with
             | None when not sc.sc_started ->
                 sc.sc_started <- true;
                 send t p.p_dp
-                  (Dp_msg.R_get_first
+                  (Dp_msg.R_subset_first
                      {
                        file = p.p_file;
                        tx = sc.sc_tx;
-                       buffering;
                        range;
-                       pred = (if sc.sc_access = A_vsbb then sc.sc_pred else None);
-                       proj = (if sc.sc_access = A_vsbb then sc.sc_proj else None);
-                       lock = sc.sc_lock;
+                       body =
+                         read_body ~access:sc.sc_access ~pred:sc.sc_pred
+                           ~proj:sc.sc_proj ~lock:sc.sc_lock;
                      })
             | Some scb ->
                 send t p.p_dp
-                  (Dp_msg.R_get_next
-                     { file = p.p_file; tx = sc.sc_tx; scb; after_key = sc.sc_last_key })
+                  (Dp_msg.R_subset_next
+                     {
+                       kind = Dp_msg.Sk_get;
+                       file = p.p_file;
+                       tx = sc.sc_tx;
+                       scb;
+                       after_key = sc.sc_last_key;
+                     })
             | None ->
                 (* SCB lost but scan started: treat as exhausted *)
                 Dp_msg.Rp_end
@@ -895,17 +907,15 @@ let par_issue_first t ps =
             ~cat:"fs.leg"
             ~attrs:[ ("partition", Trace.Int i) ]
             ("leg " ^ Dp.name pp.pp_part.p_dp);
-      let vsbb = ps.pr_access = A_vsbb in
       let req =
-        Dp_msg.R_get_first
+        Dp_msg.R_subset_first
           {
             file = pp.pp_part.p_file;
             tx = ps.pr_tx;
-            buffering = (if vsbb then Dp_msg.B_vsbb else Dp_msg.B_rsbb);
             range = pp.pp_range;
-            pred = (if vsbb then ps.pr_pred else None);
-            proj = (if vsbb then ps.pr_proj else None);
-            lock = ps.pr_lock;
+            body =
+              read_body ~access:ps.pr_access ~pred:ps.pr_pred ~proj:ps.pr_proj
+                ~lock:ps.pr_lock;
           }
       in
       Trace.attribute t.sim pp.pp_span (fun () ->
@@ -922,8 +932,14 @@ let par_process t ps pp reply =
       pp.pp_pending <-
         Some
           (send_nowait t pp.pp_part.p_dp
-             (Dp_msg.R_get_next
-                { file = pp.pp_part.p_file; tx = ps.pr_tx; scb; after_key = last_key }))
+             (Dp_msg.R_subset_next
+                {
+                  kind = Dp_msg.Sk_get;
+                  file = pp.pp_part.p_file;
+                  tx = ps.pr_tx;
+                  scb;
+                  after_key = last_key;
+                }))
     end
     else begin
       pp.pp_scb <- None;
@@ -1173,9 +1189,16 @@ let scan_next_batch ?(tick = true) t sc =
    fails, each sibling abandons its subset with CLOSE^SCB at its next
    reply (the failed partition's Disk Process has already dropped its
    SCB). Otherwise the partitions run one after another and the first
-   failure ends the request. The request runs under one [span] named
-   [span ^ " " ^ file]. *)
-let drive_chains t f ~range ~span ~attrs ~first ~next ~step =
+   failure ends the request. Each chain opens [body] over its piece of
+   [range]. The request runs under one [span] named [span ^ " " ^ file]. *)
+let drive_chains t f ~tx ~range ~body ~span ~attrs ~step =
+  let first p prange =
+    Dp_msg.R_subset_first { file = p.p_file; tx; range = prange; body }
+  in
+  let next p scb after_key =
+    Dp_msg.R_subset_next
+      { kind = Dp_msg.kind_of_subset body; file = p.p_file; tx; scb; after_key }
+  in
   let parts = Array.of_list (partition_ranges f range) in
   let par = fanout t && Array.length parts > 1 in
   let run (_ : Trace.h) =
@@ -1234,10 +1257,10 @@ let drive_chains t f ~range ~span ~attrs ~first ~next ~step =
     run
 
 (* UPDATE^SUBSET / DELETE^SUBSET chains: count the records processed *)
-let drive_subset t f ~range ~first ~next =
+let drive_subset t f ~tx ~range body =
   let total = ref 0 in
   let* () =
-    drive_chains t f ~range ~span:"subset" ~attrs:[] ~first ~next
+    drive_chains t f ~tx ~range ~body ~span:"subset" ~attrs:[]
       ~step:(fun _ reply ->
         classify ~ctx:"SUBSET request" reply (function
           | Dp_msg.Rp_progress { processed; last_key; more; scb } ->
@@ -1295,23 +1318,14 @@ let update_subset t f ~tx ~range ?pred assignments =
     via_keys t f ~tx ~range ~pred (fun key ->
         update_row_via_key t f ~tx ~key assignments)
   else
-    drive_subset t f ~range
-      ~first:(fun p prange ->
-        Dp_msg.R_update_subset_first
-          { file = p.p_file; tx; range = prange; pred; assignments })
-      ~next:(fun p scb after_key ->
-        Dp_msg.R_update_subset_next { file = p.p_file; tx; scb; after_key })
+    drive_subset t f ~tx ~range (Dp_msg.Cs_update { pred; assignments })
 
 let delete_subset t f ~tx ~range ?pred () =
   let* _schema = require_schema f in
   if f.indexes <> [] then
     via_keys t f ~tx ~range ~pred (fun key -> delete_row_via_key t f ~tx ~key)
   else
-    drive_subset t f ~range
-      ~first:(fun p prange ->
-        Dp_msg.R_delete_subset_first { file = p.p_file; tx; range = prange; pred })
-      ~next:(fun p scb after_key ->
-        Dp_msg.R_delete_subset_next { file = p.p_file; tx; scb; after_key })
+    drive_subset t f ~tx ~range (Dp_msg.Cs_delete { pred })
 
 (* one AGGREGATE^FIRST / AGGREGATE^NEXT chain per partition; intermediate
    replies carry no groups (the partials stay in the Disk Process SCB),
@@ -1322,13 +1336,10 @@ let aggregate t f ~tx ~range ?pred ~group_keys ~aggs ~lock () =
      file's partitions *)
   let per_part = Array.make (Array.length f.parts) [] in
   let* () =
-    drive_chains t f ~range ~span:"aggregate"
+    drive_chains t f ~tx ~range
+      ~body:(Dp_msg.Cs_agg { pred; group_keys; aggs; lock })
+      ~span:"aggregate"
       ~attrs:[ ("groups", Trace.Int (Array.length group_keys)) ]
-      ~first:(fun p prange ->
-        Dp_msg.R_agg_first
-          { file = p.p_file; tx; range = prange; pred; group_keys; aggs; lock })
-      ~next:(fun p scb after_key ->
-        Dp_msg.R_agg_next { file = p.p_file; tx; scb; after_key })
       ~step:(fun i reply ->
         classify ~ctx:"AGGREGATE request" reply (function
           | Dp_msg.Rp_agg { groups; last_key; more; scb } ->

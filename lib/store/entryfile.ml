@@ -11,7 +11,6 @@ module Errors = Nsql_util.Errors
 type t = {
   sim : Sim.t;
   cache : Cache.t;
-  name : string;
   block_size : int;
   mutable blocks : int array;
   mutable nblocks : int;
@@ -19,11 +18,10 @@ type t = {
   mutable count : int;
 }
 
-let create sim cache ~name =
+let create sim cache =
   {
     sim;
     cache;
-    name;
     block_size = Config.block_size;
     blocks = [||];
     nblocks = 0;

@@ -7,7 +7,7 @@
 
 type t
 
-val create : Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> name:string -> t
+val create : Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> t
 
 val record_count : t -> int
 

@@ -10,7 +10,6 @@ module Errors = Nsql_util.Errors
 type t = {
   sim : Sim.t;
   cache : Cache.t;
-  name : string;
   slot_size : int;
   slots_per_block : int;
   mutable blocks : int array;  (** i-th entry: disk block of slot group i *)
@@ -21,14 +20,13 @@ type t = {
 
 let physical_slot_size t = t.slot_size + 2
 
-let create sim cache ~name ~slot_size =
+let create sim cache ~slot_size =
   let bs = Config.block_size in
   if slot_size < 1 || slot_size + 2 > bs then
     invalid_arg "Relfile.create: bad slot size";
   {
     sim;
     cache;
-    name;
     slot_size;
     slots_per_block = bs / (slot_size + 2);
     blocks = [||];

@@ -6,10 +6,9 @@
 
 type t
 
-(** [create sim cache ~name ~slot_size] builds an empty relative file whose
+(** [create sim cache ~slot_size] builds an empty relative file whose
     slots hold at most [slot_size] record bytes. *)
-val create :
-  Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> name:string -> slot_size:int -> t
+val create : Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> slot_size:int -> t
 
 val slot_size : t -> int
 

@@ -58,29 +58,79 @@ let request_gen =
           (fun key record -> Dp_msg.R_insert { file = 0; tx = 2; key; record })
           key_gen (string_size (int_bound 64));
         map2
-          (fun r pred ->
-            Dp_msg.R_get_first
+          (fun range pred ->
+            Dp_msg.R_subset_first
               {
                 file = 1;
                 tx = 3;
-                buffering = Dp_msg.B_vsbb;
-                range = r;
-                pred = Some pred;
-                proj = Some [| 0; 2; 5 |];
-                lock = Dp_msg.L_none;
+                range;
+                body =
+                  Dp_msg.Cs_read
+                    {
+                      buffering = Dp_msg.B_vsbb;
+                      pred = Some pred;
+                      proj = Some [| 0; 2; 5 |];
+                      lock = Dp_msg.L_none;
+                    };
               })
           range expr_gen;
+        map
+          (fun range ->
+            Dp_msg.R_subset_first
+              {
+                file = 1;
+                tx = 3;
+                range;
+                body =
+                  Dp_msg.Cs_read
+                    { buffering = Dp_msg.B_rsbb; pred = None; proj = None;
+                      lock = Dp_msg.L_shared };
+              })
+          range;
         map2
-          (fun r pred ->
-            Dp_msg.R_update_subset_first
+          (fun range pred ->
+            Dp_msg.R_subset_first
               {
                 file = 2;
                 tx = 4;
-                range = r;
-                pred = Some pred;
-                assignments = [ { Expr.target = 1; source = pred } ];
+                range;
+                body =
+                  Dp_msg.Cs_update
+                    { pred = Some pred;
+                      assignments = [ { Expr.target = 1; source = pred } ] };
               })
           range expr_gen;
+        map2
+          (fun range pred ->
+            Dp_msg.R_subset_first
+              { file = 2; tx = 4; range; body = Dp_msg.Cs_delete { pred } })
+          range (opt expr_gen);
+        map3
+          (fun range pred arg ->
+            Dp_msg.R_subset_first
+              {
+                file = 5;
+                tx = 7;
+                range;
+                body =
+                  Dp_msg.Cs_agg
+                    {
+                      pred;
+                      group_keys = [| 0 |];
+                      aggs =
+                        [
+                          { ag_kind = Dp_msg.Agg_count_star; ag_arg = None };
+                          { ag_kind = Dp_msg.Agg_avg; ag_arg = Some arg };
+                        ];
+                      lock = Dp_msg.L_exclusive;
+                    };
+              })
+          range (opt expr_gen) expr_gen;
+        map3
+          (fun kind scb after_key ->
+            Dp_msg.R_subset_next { kind; file = 6; tx = 8; scb; after_key })
+          (oneofl Dp_msg.[ Sk_get; Sk_update; Sk_delete; Sk_agg ])
+          (int_bound 100_000) key_gen;
         map
           (fun rows -> Dp_msg.R_insert_block { file = 3; tx = 5; rows })
           (list_size (int_bound 6) (array_size (int_bound 4) value_gen));

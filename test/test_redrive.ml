@@ -5,7 +5,7 @@
      index-scan plumbing and the indexed-table fallbacks;
    - the Subset Control Block lifecycle: a set request that comes back
      blocked or failed leaves no SCB behind on its Disk Process, since no
-     requester ever re-drives such a chain;
+     requester ever re-drives such a chain, nor a NEXT of the wrong kind;
    - the chain driver's error path on a partitioned file, fan-out on and
      off: one failing partition fails the whole request, and every
      sibling's subset is abandoned and closed;
@@ -58,15 +58,8 @@ let watch_scbs n =
               in
               let file =
                 match req with
-                | Dp_msg.R_get_first { file; _ }
-                | Dp_msg.R_update_subset_first { file; _ }
-                | Dp_msg.R_delete_subset_first { file; _ }
-                | Dp_msg.R_agg_first { file; _ } ->
-                    Some file
-                | Dp_msg.R_get_next { file; scb; _ }
-                | Dp_msg.R_update_subset_next { file; scb; _ }
-                | Dp_msg.R_delete_subset_next { file; scb; _ }
-                | Dp_msg.R_agg_next { file; scb; _ } ->
+                | Dp_msg.R_subset_first { file; _ } -> Some file
+                | Dp_msg.R_subset_next { file; scb; _ } ->
                     note file scb;
                     Some file
                 | Dp_msg.R_close_scb _ ->
@@ -95,7 +88,9 @@ let assert_all_closed n w =
   List.iter
     (fun (i, file, scb) ->
       match
-        Dp.request n.dps.(i) (Dp_msg.R_get_next { file; tx = 0; scb; after_key = "" })
+        Dp.request n.dps.(i)
+          (Dp_msg.R_subset_next
+             { kind = Dp_msg.Sk_get; file; tx = 0; scb; after_key = "" })
       with
       | Dp_msg.Rp_error (Errors.Bad_request m)
         when String.equal m (Printf.sprintf "unknown SCB %d" scb) ->
@@ -161,6 +156,45 @@ let failed_update_subset_drops_scb () =
        (set_balance_to Expr.(Binop (Sub, float_ 1000., Field 1))));
   get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
   assert_all_closed n w
+
+(* A NEXT must continue a subset of its own kind: GET^NEXT naming an
+   UPDATE^SUBSET SCB is refused, and the refusal drops the SCB like any
+   other failed step. *)
+let next_of_wrong_kind_drops_scb () =
+  let n = node ~config:(Config.v ~dp_records_per_request:4 ()) () in
+  let file = create_accounts n in
+  load_accounts n file 20;
+  let dp = n.dps.(0) in
+  let dpfile = Option.get (Dp.file_id dp "ACCOUNT#p0") in
+  let tx = Tmf.begin_tx n.tmf in
+  let next kind scb =
+    Dp_msg.R_subset_next { kind; file = dpfile; tx; scb; after_key = "" }
+  in
+  let scb =
+    match
+      Dp.request dp
+        (Dp_msg.R_subset_first
+           {
+             file = dpfile;
+             tx;
+             range = full_range;
+             body =
+               Dp_msg.Cs_update
+                 { pred = None; assignments = set_balance_to Expr.(float_ 1.) };
+           })
+    with
+    | Dp_msg.Rp_progress { more = true; scb; _ } -> scb
+    | _ -> Alcotest.fail "UPDATE^SUBSET^FIRST: expected a re-drivable progress reply"
+  in
+  (match Dp.request dp (next Dp_msg.Sk_get scb) with
+  | Dp_msg.Rp_error (Errors.Bad_request _) -> ()
+  | _ -> Alcotest.fail "GET^NEXT on an UPDATE^SUBSET SCB was not refused");
+  (match Dp.request dp (next Dp_msg.Sk_update scb) with
+  | Dp_msg.Rp_error (Errors.Bad_request m)
+    when String.equal m (Printf.sprintf "unknown SCB %d" scb) ->
+      ()
+  | _ -> Alcotest.fail "the refused SCB is still open");
+  get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx)
 
 (* --- the chain driver's error path on 4 partitions ------------------------- *)
 
@@ -427,20 +461,25 @@ let agg_takeover_between_redrives () =
       | Dp_msg.Rp_agg { last_key; more = true; scb; _ } ->
           if k = takeover_after then get_ok ~ctx:"takeover" (Dp.takeover dp);
           drive (k + 1)
-            (Dp_msg.R_agg_next { file = dpfile; tx; scb; after_key = last_key })
+            (Dp_msg.R_subset_next
+               { kind = Dp_msg.Sk_agg; file = dpfile; tx; scb; after_key = last_key })
       | _ -> Alcotest.fail "AGGREGATE chain: unexpected reply"
     in
     let redrives, _, groups =
       drive 1
-        (Dp_msg.R_agg_first
+        (Dp_msg.R_subset_first
            {
              file = dpfile;
              tx;
              range = full_range;
-             pred = Some wide_pred;
-             group_keys = [| 1 |];
-             aggs;
-             lock = Dp_msg.L_none;
+             body =
+               Dp_msg.Cs_agg
+                 {
+                   pred = Some wide_pred;
+                   group_keys = [| 1 |];
+                   aggs;
+                   lock = Dp_msg.L_none;
+                 };
            })
     in
     get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
@@ -465,6 +504,8 @@ let suite =
         blocked_set_requests_drop_scb;
       Alcotest.test_case "failed UPDATE^SUBSET drops its SCB" `Quick
         failed_update_subset_drops_scb;
+      Alcotest.test_case "NEXT of the wrong kind drops its SCB" `Quick
+        next_of_wrong_kind_drops_scb;
       Alcotest.test_case "UPDATE, one partition fails (sequential)" `Quick
         (failing_partition_update ~fanout:false);
       Alcotest.test_case "UPDATE, one partition fails (fan-out)" `Quick

@@ -321,7 +321,7 @@ let btree_random_ops =
 
 let relfile_basics () =
   let sim, cache = setup () in
-  let f = Relfile.create sim cache ~name:"R" ~slot_size:100 in
+  let f = Relfile.create sim cache ~slot_size:100 in
   get_ok ~ctx:"w" (Relfile.write f ~slot:5 ~record:"fifth" ~lsn:1L);
   Alcotest.(check string) "read" "fifth" (get_ok ~ctx:"r" (Relfile.read f ~slot:5));
   (match Relfile.read f ~slot:4 with
@@ -342,7 +342,7 @@ let relfile_basics () =
 
 let relfile_many_slots () =
   let sim, cache = setup () in
-  let f = Relfile.create sim cache ~name:"R" ~slot_size:64 in
+  let f = Relfile.create sim cache ~slot_size:64 in
   for i = 0 to 499 do
     get_ok ~ctx:"w" (Relfile.write f ~slot:i ~record:(Printf.sprintf "s%d" i) ~lsn:1L)
   done;
@@ -356,7 +356,7 @@ let relfile_many_slots () =
 
 let entryfile_basics () =
   let sim, cache = setup () in
-  let f = Entryfile.create sim cache ~name:"E" in
+  let f = Entryfile.create sim cache in
   let a1 = get_ok ~ctx:"a" (Entryfile.append f ~record:"first" ~lsn:1L) in
   let a2 = get_ok ~ctx:"a" (Entryfile.append f ~record:"second" ~lsn:2L) in
   Alcotest.(check bool) "addresses ascend" true (a2 > a1);
@@ -368,7 +368,7 @@ let entryfile_basics () =
 
 let entryfile_iter_order () =
   let sim, cache = setup () in
-  let f = Entryfile.create sim cache ~name:"E" in
+  let f = Entryfile.create sim cache in
   let n = 300 in
   let addrs =
     List.init n (fun i ->
