@@ -21,7 +21,7 @@ type t = {
   mutable timer_pinned : bool;
   mutable last_commit_at : float;
   mutable ewma_interval_us : float;
-  mutable tail_image : Bytes.t;  (** in-memory image of the partial last block *)
+  mutable tail_image : string;  (** in-memory image of the partial last block *)
 }
 
 let create sim volume =
@@ -41,7 +41,7 @@ let create sim volume =
     timer_pinned = false;
     last_commit_at = 0.;
     ewma_interval_us = Config.group_commit_timer_us;
-    tail_image = Bytes.make Config.block_size '\x00';
+    tail_image = String.make Config.block_size '\x00';
   }
 
 let next_lsn t = t.next_lsn
@@ -68,7 +68,7 @@ let write_to_volume t data =
     Array.init nblocks (fun i ->
         let block = Bytes.make bs '\x00' in
         if i = 0 && offset > 0 then
-          Bytes.blit t.tail_image 0 block 0 offset;
+          Bytes.blit_string t.tail_image 0 block 0 offset;
         (* copy the slice of [data] that lands in this block *)
         let data_start = max 0 ((i * bs) - offset) in
         let block_start = if i = 0 then offset else 0 in
@@ -76,7 +76,8 @@ let write_to_volume t data =
           min (String.length data - data_start) (bs - block_start)
         in
         if len > 0 then Bytes.blit_string data data_start block block_start len;
-        Bytes.to_string block)
+        (* the volume keeps this image: [block] is never written again *)
+        Bytes.unsafe_to_string block)
   in
   (* make sure the volume is large enough *)
   let needed = first_block + nblocks in
@@ -97,7 +98,7 @@ let write_to_volume t data =
   (* remember the new tail image for the next flush *)
   let tail_idx = (t.write_pos - 1) / bs - first_block in
   if tail_idx >= 0 && tail_idx < nblocks then
-    t.tail_image <- Bytes.of_string images.(tail_idx)
+    t.tail_image <- images.(tail_idx)
 
 let flush t reason =
   if Buffer.length t.buffer > 0 then

@@ -219,11 +219,11 @@ let statement_kind = function
   | Ast.St_delete _ -> "delete"
 
 (* the statement span is the root of a statement's operator tree; [?sql]
-   carries the original text into the trace when the caller has it *)
+   renders the statement's text into the trace when the caller has it *)
 let exec_statement_traced ?sql s stmt =
   Trace.span s.node.sim ~cat:"stmt"
     ~attrs:(fun () ->
-      match sql with None -> [] | Some q -> [ ("sql", Trace.Str q) ])
+      match sql with None -> [] | Some q -> [ ("sql", Trace.Str (q ())) ])
     (statement_kind stmt)
     (fun _ -> exec_statement0 s stmt)
 
@@ -250,7 +250,60 @@ let exec_statement ?sql s stmt =
 
 let exec s sql =
   let* stmt = Parser.parse sql in
-  exec_statement ~sql s stmt
+  exec_statement ~sql:(fun () -> sql) s stmt
+
+type prepared = { p_sql : string; p_stmt : Ast.statement }
+
+let prepare sql =
+  let* stmt = Parser.parse sql in
+  Ok { p_sql = sql; p_stmt = stmt }
+
+(* [sql] with each [?] outside quotes and comments replaced by its value
+   as a literal would be written: the text a caller formatting the values
+   with [%d], [%f] and ['%s'] would have sent *)
+let render sql values =
+  if Array.length values = 0 then sql
+  else begin
+    let b = Buffer.create (String.length sql + 32) in
+    let n = String.length sql in
+    let k = ref 0 in
+    let rec go i ~quoted =
+      if i < n then
+        match sql.[i] with
+        | '\'' ->
+            Buffer.add_char b '\'';
+            go (i + 1) ~quoted:(not quoted)
+        | '-' when (not quoted) && i + 1 < n && sql.[i + 1] = '-' ->
+            let j = try String.index_from sql i '\n' with Not_found -> n in
+            Buffer.add_substring b sql i (j - i);
+            go j ~quoted
+        | '?' when not quoted ->
+            (match values.(!k) with
+            | Row.Null -> Buffer.add_string b "NULL"
+            | Row.Vint i -> Buffer.add_string b (string_of_int i)
+            | Row.Vfloat f -> Printf.bprintf b "%f" f
+            | Row.Vbool v -> Buffer.add_string b (if v then "TRUE" else "FALSE")
+            | Row.Vstr v ->
+                Buffer.add_char b '\'';
+                String.iter
+                  (fun c ->
+                    if c = '\'' then Buffer.add_char b c;
+                    Buffer.add_char b c)
+                  v;
+                Buffer.add_char b '\'');
+            incr k;
+            go (i + 1) ~quoted
+        | c ->
+            Buffer.add_char b c;
+            go (i + 1) ~quoted
+    in
+    go 0 ~quoted:false;
+    Buffer.contents b
+  end
+
+let execute s p values =
+  let* stmt = Ast.bind_params p.p_stmt values in
+  exec_statement ~sql:(fun () -> render p.p_sql values) s stmt
 
 let exec_exn s sql =
   match exec s sql with

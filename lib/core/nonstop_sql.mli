@@ -77,6 +77,29 @@ val session : node -> session
     each statement autocommits. *)
 val exec : session -> string -> (exec_result, Nsql_util.Errors.t) result
 
+(** {2 Prepared statements}
+
+    A statement may carry [?] parameter markers wherever a literal may
+    stand: in an expression, a VALUES list or an IN list (not in DDL).
+    [prepare] parses the text once; [execute] binds the values and then
+    plans and runs the statement as [exec] does. Every execute plans
+    afresh, so DDL run between the two (a new index, a dropped table) is
+    honoured. *)
+
+type prepared
+
+(** [prepare sql] parses one statement, markers and all. *)
+val prepare : string -> (prepared, Nsql_util.Errors.t) result
+
+(** [execute s p values] runs [p] with marker [i] bound to [values.(i)].
+    A value binds as the tree its [%d]/[%f]/quoted text would parse to at
+    that position (see {!Nsql_sql.Ast.bind_params}), so it runs exactly as
+    that text would, simulated costs included. [Bad_request] when the
+    number of values differs from the number of markers. *)
+val execute :
+  session -> prepared -> Row.value array ->
+  (exec_result, Nsql_util.Errors.t) result
+
 (** [exec_exn s sql] is [exec] for examples and tests. *)
 val exec_exn : session -> string -> exec_result
 

@@ -10,7 +10,9 @@ type t = {
   lat_key : string;  (** this volume's latency histogram, "disk:<name>" *)
   depth_key : string;  (** its depth-at-submission one, "diskq:<name>" *)
   mirrored : bool;
-  mutable data : bytes array;  (** one [bytes] of [block_size] per block *)
+  mutable data : string array;
+      (** each block's image as it was stored; blocks never written share
+          [zero_block] *)
   mutable nblocks : int;
   mutable last_block : int;  (** head position for sequential detection *)
   slots : float array;
@@ -83,15 +85,15 @@ let max_bulk_blocks t =
   let cfg = Sim.config t.sim in
   max 1 (cfg.Config.bulk_io_max_bytes / Config.block_size)
 
+let zero_block = String.make Config.block_size '\x00'
+
 let allocate t n =
   let first = t.nblocks in
   let needed = t.nblocks + n in
   if needed > Array.length t.data then begin
     let cap = max 64 (max needed (2 * Array.length t.data)) in
-    let bs = Config.block_size in
-    let data = Array.init cap (fun i ->
-        if i < t.nblocks then t.data.(i) else Bytes.make bs '\x00')
-    in
+    let data = Array.make cap zero_block in
+    Array.blit t.data 0 data 0 t.nblocks;
     t.data <- data
   end;
   t.nblocks <- needed;
@@ -177,8 +179,8 @@ let count_write t ~count ~behind =
   if behind then
     s.Stats.writebehind_writes <- s.Stats.writebehind_writes + ios
 
-let fetch t ~first ~count =
-  Array.init count (fun i -> Bytes.to_string t.data.(first + i))
+(* block images are immutable strings, so a fetch shares them *)
+let fetch t ~first ~count = Array.sub t.data first count
 
 let store t ~first data =
   Array.iteri
@@ -188,7 +190,7 @@ let store t ~first data =
         invalid_arg
           (Printf.sprintf "Disk(%s): block payload %d bytes, expected %d"
              t.name (String.length block) bs);
-      Bytes.blit_string block 0 t.data.(first + i) 0 bs)
+      t.data.(first + i) <- block)
     data
 
 let io_attrs t ~first ~count =

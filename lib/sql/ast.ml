@@ -1,9 +1,13 @@
+module Row = Nsql_row.Row
+module Errors = Nsql_util.Errors
+
 type literal =
   | L_int of int
   | L_float of float
   | L_string of string
   | L_bool of bool
   | L_null
+  | L_param of int
 
 type binop = Add | Sub | Mul | Div | Concat
 
@@ -32,7 +36,7 @@ type order_item = { o_expr : sexpr; o_desc : bool }
 
 type col_def = {
   cd_name : string;
-  cd_type : Nsql_row.Row.col_type;
+  cd_type : Row.col_type;
   cd_not_null : bool;
 }
 
@@ -78,6 +82,7 @@ let pp_literal ppf = function
   | L_string s -> Format.fprintf ppf "'%s'" s
   | L_bool b -> Format.pp_print_string ppf (if b then "TRUE" else "FALSE")
   | L_null -> Format.pp_print_string ppf "NULL"
+  | L_param _ -> Format.pp_print_string ppf "?"
 
 let binop_symbol = function
   | Add -> "+"
@@ -143,3 +148,79 @@ let rec has_agg = function
   | E_not a | E_is_null a | E_is_not_null a | E_like (a, _) | E_in (a, _) ->
       has_agg a
   | E_between (a, lo, hi) -> has_agg a || has_agg lo || has_agg hi
+
+(* A marker becomes the tree the parser builds for the value's text at
+   that position ([%d], [%f], a quoted string, NULL): in an expression a
+   negative number is [0 - |v|], as [parse_primary] builds a unary minus,
+   and in a VALUES or IN list it is a plain negative literal. *)
+let bind_params stmt values =
+  let n = Array.length values in
+  let markers = ref 0 in
+  let value i =
+    markers := max !markers (i + 1);
+    if i < n then values.(i) else Row.Null
+  in
+  let literal = function
+    | Row.Null -> L_null
+    | Row.Vint i -> L_int i
+    | Row.Vfloat f -> L_float f
+    | Row.Vbool b -> L_bool b
+    | Row.Vstr s -> L_string s
+  in
+  let lit = function L_param i -> literal (value i) | l -> l in
+  let neg l = E_binop (Sub, E_lit (L_int 0), E_lit l) in
+  let rec ex e =
+    match e with
+    | E_lit (L_param i) -> (
+        match value i with
+        | Row.Vint v when v < 0 -> neg (L_int (-v))
+        | Row.Vfloat f when Float.sign_bit f -> neg (L_float (Float.neg f))
+        | v -> E_lit (literal v))
+    | E_col _ | E_lit _ -> e
+    | E_binop (op, a, b) -> E_binop (op, ex a, ex b)
+    | E_cmp (op, a, b) -> E_cmp (op, ex a, ex b)
+    | E_and (a, b) -> E_and (ex a, ex b)
+    | E_or (a, b) -> E_or (ex a, ex b)
+    | E_not a -> E_not (ex a)
+    | E_is_null a -> E_is_null (ex a)
+    | E_is_not_null a -> E_is_not_null (ex a)
+    | E_like (a, p) -> E_like (ex a, p)
+    | E_between (a, lo, hi) -> E_between (ex a, ex lo, ex hi)
+    | E_in (a, ls) -> E_in (ex a, List.map lit ls)
+    | E_agg (k, a) -> E_agg (k, Option.map ex a)
+  in
+  let bound =
+    match stmt with
+    | St_insert i -> St_insert { i with i_values = List.map (List.map lit) i.i_values }
+    | St_select sel ->
+        St_select
+          {
+            sel with
+            sel_items =
+              List.map
+                (function S_star -> S_star | S_expr (e, a) -> S_expr (ex e, a))
+                sel.sel_items;
+            sel_where = Option.map ex sel.sel_where;
+            sel_group_by = List.map ex sel.sel_group_by;
+            sel_having = Option.map ex sel.sel_having;
+            sel_order_by =
+              List.map (fun o -> { o with o_expr = ex o.o_expr }) sel.sel_order_by;
+          }
+    | St_update u ->
+        St_update
+          {
+            u with
+            u_sets = List.map (fun (c, e) -> (c, ex e)) u.u_sets;
+            u_where = Option.map ex u.u_where;
+          }
+    | St_delete d -> St_delete { d with d_where = Option.map ex d.d_where }
+    | St_create_table _ | St_create_index _ | St_drop_table _ | St_begin
+    | St_commit | St_rollback ->
+        stmt
+  in
+  if !markers = n then Ok bound
+  else
+    Errors.fail
+      (Errors.Bad_request
+         (Printf.sprintf "statement has %d parameter marker(s), %d value(s) given"
+            !markers n))

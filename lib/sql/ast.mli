@@ -11,6 +11,7 @@ type literal =
   | L_string of string
   | L_bool of bool
   | L_null
+  | L_param of int  (** a [?] marker, numbered from 0 left to right *)
 
 type binop = Add | Sub | Mul | Div | Concat
 
@@ -88,3 +89,12 @@ val conjuncts : sexpr -> sexpr list
 
 (** [has_agg e] — does the expression contain an aggregate? *)
 val has_agg : sexpr -> bool
+
+(** [bind_params stmt values] replaces marker [i] with [values.(i)], as
+    the tree the parser builds for that value's text at that position: in
+    an expression a negative number becomes [E_binop (Sub, E_lit (L_int
+    0), E_lit |v|)], as a unary minus does; in a VALUES or IN list it
+    stays one negative literal. [Bad_request] when the number of values
+    differs from the number of markers. *)
+val bind_params :
+  statement -> Nsql_row.Row.value array -> (statement, Nsql_util.Errors.t) result

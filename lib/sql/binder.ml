@@ -55,11 +55,15 @@ let resolve env ~qualifier ~column =
   | _ :: _ -> fail (Errors.Name_error ("ambiguous column " ^ column))
 
 let lit_value = function
-  | L_int i -> Row.Vint i
-  | L_float f -> Row.Vfloat f
-  | L_string s -> Row.Vstr s
-  | L_bool b -> Row.Vbool b
-  | L_null -> Row.Null
+  | L_int i -> Ok (Row.Vint i)
+  | L_float f -> Ok (Row.Vfloat f)
+  | L_string s -> Ok (Row.Vstr s)
+  | L_bool b -> Ok (Row.Vbool b)
+  | L_null -> Ok Row.Null
+  | L_param i ->
+      fail
+        (Errors.Bad_request
+           (Printf.sprintf "parameter marker %d has no value" i))
 
 let cmp_op = function
   | Ast.Eq -> Expr.Eq
@@ -81,7 +85,9 @@ let rec bind env e =
   | E_col (qualifier, column) ->
       let* i = resolve env ~qualifier ~column in
       Ok (Expr.Field i)
-  | E_lit l -> Ok (Expr.Const (lit_value l))
+  | E_lit l ->
+      let* v = lit_value l in
+      Ok (Expr.Const v)
   | E_binop (op, a, b) ->
       let* a = bind env a in
       let* b = bind env b in
@@ -117,10 +123,11 @@ let rec bind env e =
       Ok (Expr.And (Expr.Cmp (Expr.Ge, a, lo), Expr.Cmp (Expr.Le, a, hi)))
   | E_in (a, ls) -> (
       let* a = bind env a in
-      match ls with
+      let* vs = Errors.list_map lit_value ls in
+      match vs with
       | [] -> Ok (Expr.Const (Row.Vbool false))
       | first :: rest ->
-          let eq l = Expr.Cmp (Expr.Eq, a, Expr.Const (lit_value l)) in
-          Ok (List.fold_left (fun acc l -> Expr.Or (acc, eq l)) (eq first) rest))
+          let eq v = Expr.Cmp (Expr.Eq, a, Expr.Const v) in
+          Ok (List.fold_left (fun acc v -> Expr.Or (acc, eq v)) (eq first) rest))
   | E_agg _ ->
       fail (Errors.Bad_request "aggregate not allowed in this context")

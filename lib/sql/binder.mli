@@ -27,8 +27,9 @@ val env_of_tables : (string * string option * Row.schema) list -> env
 (** [bind env e] lowers a surface expression (no aggregates allowed). *)
 val bind : env -> Ast.sexpr -> (Expr.t, Nsql_util.Errors.t) result
 
-(** [lit_value l] converts a literal. *)
-val lit_value : Ast.literal -> Row.value
+(** [lit_value l] converts a literal; an unbound [?] marker is a
+    [Bad_request]. *)
+val lit_value : Ast.literal -> (Row.value, Nsql_util.Errors.t) result
 
 (** Operator lowering, shared with the planner's aggregate rewriting. *)
 val cmp_op : Ast.cmp -> Expr.cmp

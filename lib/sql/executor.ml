@@ -391,15 +391,16 @@ let run_insert0 ctx (tbl : Catalog.table) ~cols values =
             (Errors.Type_error
                (Printf.sprintf "INSERT supplies %d values for %d columns"
                   (List.length literals) width))
-        else Ok (Array.of_list (List.map Binder.lit_value literals))
+        else
+          let* vs = Errors.list_map Binder.lit_value literals in
+          Ok (Array.of_list vs)
     | Some ps ->
         if List.length literals <> List.length ps then
           fail (Errors.Type_error "INSERT column/value count mismatch")
         else begin
           let row = Array.make width Row.Null in
-          List.iter2
-            (fun p l -> row.(p) <- Binder.lit_value l)
-            ps literals;
+          let* vs = Errors.list_map Binder.lit_value literals in
+          List.iter2 (fun p v -> row.(p) <- v) ps vs;
           Ok row
         end
   in

@@ -7,6 +7,7 @@ type token =
   | T_float of float
   | T_string of string
   | T_symbol of string
+  | T_param
   | T_eof
 
 let pp_token ppf = function
@@ -16,20 +17,25 @@ let pp_token ppf = function
   | T_float f -> Format.fprintf ppf "float %g" f
   | T_string s -> Format.fprintf ppf "string '%s'" s
   | T_symbol s -> Format.fprintf ppf "symbol %s" s
+  | T_param -> Format.pp_print_string ppf "parameter marker ?"
   | T_eof -> Format.pp_print_string ppf "<eof>"
 
+(* lowercase spelling -> the keyword, so a word is folded to lowercase
+   once and looked up by hash *)
 let keywords =
-  [
-    "SELECT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "INSERT"; "INTO"; "VALUES";
-    "UPDATE"; "SET"; "DELETE"; "CREATE"; "TABLE"; "INDEX"; "ON"; "PRIMARY";
-    "KEY"; "CHECK"; "NULL"; "IS"; "LIKE"; "BETWEEN"; "IN"; "AS"; "ORDER";
-    "GROUP"; "BY"; "HAVING"; "ASC"; "DESC"; "LIMIT"; "BEGIN"; "COMMIT";
-    "ROLLBACK"; "WORK"; "INT"; "INTEGER"; "FLOAT"; "REAL"; "DOUBLE"; "BOOL";
-    "BOOLEAN"; "CHAR"; "VARCHAR"; "TRUE"; "FALSE"; "COUNT"; "SUM"; "MIN";
-    "MAX"; "AVG"; "JOIN"; "INNER"; "PRECISION"; "UNIQUE"; "DISTINCT"; "DROP";
-  ]
-
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun k -> Hashtbl.replace tbl (String.lowercase_ascii k) k)
+    [
+      "SELECT"; "FROM"; "WHERE"; "AND"; "OR"; "NOT"; "INSERT"; "INTO"; "VALUES";
+      "UPDATE"; "SET"; "DELETE"; "CREATE"; "TABLE"; "INDEX"; "ON"; "PRIMARY";
+      "KEY"; "CHECK"; "NULL"; "IS"; "LIKE"; "BETWEEN"; "IN"; "AS"; "ORDER";
+      "GROUP"; "BY"; "HAVING"; "ASC"; "DESC"; "LIMIT"; "BEGIN"; "COMMIT";
+      "ROLLBACK"; "WORK"; "INT"; "INTEGER"; "FLOAT"; "REAL"; "DOUBLE"; "BOOL";
+      "BOOLEAN"; "CHAR"; "VARCHAR"; "TRUE"; "FALSE"; "COUNT"; "SUM"; "MIN";
+      "MAX"; "AVG"; "JOIN"; "INNER"; "PRECISION"; "UNIQUE"; "DISTINCT"; "DROP";
+    ];
+  tbl
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
@@ -51,9 +57,12 @@ let tokenize src =
     else if is_ident_start c then begin
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
-      let word = String.sub src start (!i - start) in
-      if is_keyword word then push (T_keyword (String.uppercase_ascii word))
-      else push (T_ident (String.lowercase_ascii word))
+      let word =
+        String.init (!i - start) (fun j -> Char.lowercase_ascii src.[start + j])
+      in
+      match Hashtbl.find_opt keywords word with
+      | Some k -> push (T_keyword k)
+      | None -> push (T_ident word)
     end
     else if is_digit c then begin
       let start = !i in
@@ -109,6 +118,9 @@ let tokenize src =
           | '(' | ')' | ',' | ';' | '=' | '<' | '>' | '+' | '-' | '*' | '/'
           | '.' ->
               push (T_symbol (String.make 1 c));
+              incr i
+          | '?' ->
+              push T_param;
               incr i
           | c -> error := Some (Printf.sprintf "unexpected character %C" c))
     end

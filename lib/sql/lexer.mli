@@ -8,6 +8,7 @@ type token =
   | T_float of float
   | T_string of string
   | T_symbol of string  (** punctuation and operators *)
+  | T_param  (** [?], a parameter marker *)
   | T_eof
 
 val pp_token : Format.formatter -> token -> unit

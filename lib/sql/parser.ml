@@ -5,7 +5,10 @@ open Ast
 
 exception Syntax of string
 
-type state = { mutable toks : Lexer.token list }
+type state = {
+  mutable toks : Lexer.token list;
+  mutable params : int;  (** [?] markers met so far *)
+}
 
 let peek st = match st.toks with [] -> Lexer.T_eof | t :: _ -> t
 
@@ -158,6 +161,9 @@ and parse_literal st =
   | Lexer.T_keyword "TRUE" -> L_bool true
   | Lexer.T_keyword "FALSE" -> L_bool false
   | Lexer.T_keyword "NULL" -> L_null
+  | Lexer.T_param ->
+      st.params <- st.params + 1;
+      L_param (st.params - 1)
   | Lexer.T_symbol "-" -> (
       match next st with
       | Lexer.T_int i -> L_int (-i)
@@ -184,7 +190,7 @@ and parse_multiplicative st =
 
 and parse_primary st =
   match peek st with
-  | Lexer.T_int _ | Lexer.T_float _ | Lexer.T_string _
+  | Lexer.T_int _ | Lexer.T_float _ | Lexer.T_string _ | Lexer.T_param
   | Lexer.T_keyword ("TRUE" | "FALSE" | "NULL") ->
       E_lit (parse_literal st)
   | Lexer.T_symbol "-" ->
@@ -268,7 +274,9 @@ let parse_create st =
       end
       else if accept_keyword st "CHECK" then begin
         expect_symbol st "(";
+        let markers = st.params in
         let e = parse_or st in
+        if st.params > markers then fail_at st "parameter marker in CREATE TABLE";
         expect_symbol st ")";
         check := Some e
       end
@@ -490,7 +498,7 @@ let with_tokens src f =
   match Lexer.tokenize src with
   | Error _ as e -> e
   | Ok toks -> (
-      let st = { toks } in
+      let st = { toks; params = 0 } in
       try Ok (f st)
       with Syntax msg -> Errors.fail (Errors.Parse_error msg))
 

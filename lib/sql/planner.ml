@@ -595,7 +595,9 @@ let plan_select cat ?access_override (stmt : Ast.select_stmt) =
           | E_agg (kind, arg) ->
               let* i = agg_index kind arg in
               Ok (Expr.Field (nkeys + i))
-          | E_lit l -> Ok (Expr.Const (Binder.lit_value l))
+          | E_lit l ->
+              let* v = Binder.lit_value l in
+              Ok (Expr.Const v)
           | E_col _ ->
               fail
                 (Errors.Bad_request

@@ -50,7 +50,7 @@ let encode ~block_size p =
     invalid_arg
       (Printf.sprintf "Page.encode: page of %d bytes exceeds block size %d" n
          block_size);
-  Codec.contents w ^ String.make (block_size - n) '\x00'
+  Codec.contents_padded w block_size
 
 let bad_tag tag =
   invalid_arg (Printf.sprintf "Page.decode: bad page type %d" tag)

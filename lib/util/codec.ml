@@ -45,6 +45,11 @@ let w_bytes b s =
 let written = Buffer.length
 let contents = Buffer.contents
 
+let contents_padded b n =
+  let s = Bytes.make n '\x00' in
+  Buffer.blit b 0 s 0 (Buffer.length b);
+  Bytes.unsafe_to_string s
+
 type reader = { src : string; mutable pos : int }
 
 let reader ?(pos = 0) src = { src; pos }

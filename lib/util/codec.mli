@@ -39,6 +39,10 @@ val w_raw : writer -> string -> unit
 val written : writer -> int
 val contents : writer -> string
 
+(** [contents_padded w n] is [contents w] followed by zero bytes up to
+    [n] bytes in all, built in one allocation. *)
+val contents_padded : writer -> int -> string
+
 (** {1 Reader} *)
 
 type reader

@@ -11,7 +11,19 @@ open Errors
 (* 100-byte filler keeps record sizes in the era-typical range *)
 let filler = String.make 96 'f'
 
-type sql_db = { s_accounts : int; s_tellers : int; s_branches : int; mutable s_hid : int }
+(* the transaction's statements, prepared once by [setup_sql] *)
+type sql_db = {
+  s_tellers : int;
+  s_branches : int;
+  mutable s_hid : int;
+  s_begin : N.prepared;
+  s_commit : N.prepared;
+  s_rollback : N.prepared;
+  s_account : N.prepared;
+  s_teller : N.prepared;
+  s_branch : N.prepared;
+  s_history : N.prepared;
+}
 
 let setup_sql node ~accounts ~tellers ~branches =
   let s = N.session node in
@@ -63,36 +75,54 @@ let setup_sql node ~accounts ~tellers ~branches =
     load "branch" branches (fun i ->
         [| Row.Vint i; Row.Vfloat 1000.; Row.Vstr filler |])
   in
-  Ok { s_accounts = accounts; s_tellers = tellers; s_branches = branches; s_hid = 0 }
+  let* s_begin = N.prepare "BEGIN WORK" in
+  let* s_commit = N.prepare "COMMIT WORK" in
+  let* s_rollback = N.prepare "ROLLBACK WORK" in
+  let* s_account = N.prepare "UPDATE account SET balance = balance + ? WHERE aid = ?" in
+  let* s_teller = N.prepare "UPDATE teller SET balance = balance + ? WHERE tid = ?" in
+  let* s_branch = N.prepare "UPDATE branch SET balance = balance + ? WHERE bid = ?" in
+  let* s_history =
+    N.prepare (Printf.sprintf "INSERT INTO history VALUES (?, ?, ?, ?, ?, '%s')" filler)
+  in
+  Ok
+    {
+      s_tellers = tellers;
+      s_branches = branches;
+      s_hid = 0;
+      s_begin;
+      s_commit;
+      s_rollback;
+      s_account;
+      s_teller;
+      s_branch;
+      s_history;
+    }
 
 let run_sql_tx db s ~aid ~delta =
   let tid = aid mod db.s_tellers in
   let bid = tid mod db.s_branches in
   let hid = db.s_hid in
   db.s_hid <- hid + 1;
+  (* the delta the statement text carried when it was formatted with %f *)
+  let d = Row.Vfloat (float_of_string (Printf.sprintf "%f" delta)) in
   let stmts =
     [
-      Printf.sprintf "UPDATE account SET balance = balance + %f WHERE aid = %d"
-        delta aid;
-      Printf.sprintf "UPDATE teller SET balance = balance + %f WHERE tid = %d"
-        delta tid;
-      Printf.sprintf "UPDATE branch SET balance = balance + %f WHERE bid = %d"
-        delta bid;
-      Printf.sprintf
-        "INSERT INTO history VALUES (%d, %d, %d, %d, %f, '%s')" hid aid tid bid
-        delta filler;
+      (db.s_account, [| d; Row.Vint aid |]);
+      (db.s_teller, [| d; Row.Vint tid |]);
+      (db.s_branch, [| d; Row.Vint bid |]);
+      (db.s_history, [| Row.Vint hid; Row.Vint aid; Row.Vint tid; Row.Vint bid; d |]);
     ]
   in
-  let* _ = N.exec s "BEGIN WORK" in
+  let* _ = N.execute s db.s_begin [||] in
   let rec go = function
     | [] ->
-        let* _ = N.exec s "COMMIT WORK" in
+        let* _ = N.execute s db.s_commit [||] in
         Ok ()
-    | sql :: rest -> (
-        match N.exec s sql with
+    | (p, values) :: rest -> (
+        match N.execute s p values with
         | Ok _ -> go rest
         | Error e ->
-            let* _ = N.exec s "ROLLBACK WORK" in
+            let* _ = N.execute s db.s_rollback [||] in
             Error e)
   in
   go stmts

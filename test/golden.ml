@@ -1,5 +1,5 @@
 (* Golden fingerprints: canonical strings of the full statistics vector
-   plus the final simulated clock of fixed workloads, in four groups:
+   plus the final simulated clock of fixed workloads, in five groups:
 
    - [scenarios], captured before the multi-queue disk rework (after the
      PR-10 stall/read_range accounting bugfixes): they pin the contract
@@ -13,7 +13,10 @@
    - the [golden_batch_*] digests of test_batch's fixed-seed runs,
      captured while the row-at-a-time pull engine still ran beside the
      batched executor and matched it on every seed. test_batch computes
-     and checks them.
+     and checks them;
+   - [golden_chaos_seeds], a digest over chaos seeds 0-40, captured while
+     DebitCredit still formatted and parsed its statements per
+     transaction. test_chaos checks it.
 
    No Alcotest in here: the module is also compiled standalone by the
    one-off capture driver that (re)generates the constants, so keep it a
@@ -128,6 +131,11 @@ let chaos ~seed () =
   ^ ";"
   ^ String.concat ";"
       (List.map (fun (k, n) -> Printf.sprintf "fault_%s=%d" k n) r.Chaos.r_faults)
+
+(* every chaos seed 0-40, fingerprinted as above and digested together *)
+let chaos_seeds_digest () =
+  Digest.to_hex
+    (Digest.string (String.concat "\n" (List.init 41 (fun seed -> chaos ~seed ()))))
 
 let scenarios =
   [
@@ -281,3 +289,8 @@ let golden_batch_dml = "8b7da7c3c2a94f773854d0c4e77c72d0"
 let golden_batch_dml_chaos = "e621b041b94fbce84566affce821c99b"
 let golden_batch_wisconsin = "45fe56b7f0a73db6fae9f78b4dc95892"
 let golden_batch_wisconsin_chaos = "0f2b10fd351fd857780fe21bae62980d"
+
+(* [chaos_seeds_digest ()], captured before DebitCredit's statements were
+   prepared once and bound per transaction: binding a value must cost
+   exactly what parsing its formatted text did. test_chaos checks it. *)
+let golden_chaos_seeds = "92bbe845b65d754d8e05464458c37302"

@@ -228,6 +228,13 @@ let qcheck_takeover_equivalence =
    later transfer on that account waits out) *)
 let takeover_in_ckpt_hop seed () = takeover_equivalence seed
 
+(* the SQL DebitCredit transactions of every seed run with negative
+   deltas; a value bound into a prepared statement must tick, lock and
+   message exactly as the formatted text it replaced *)
+let seeds_digest () =
+  Alcotest.(check string) "chaos seeds 0-40: fixed-seed digest"
+    Golden.golden_chaos_seeds (Golden.chaos_seeds_digest ())
+
 let suite =
   corpus_cases
   @ [
@@ -252,4 +259,5 @@ let suite =
         (takeover_in_ckpt_hop 354);
       Alcotest.test_case "takeover mid-checkpoint, seed 412035" `Quick
         (takeover_in_ckpt_hop 412035);
+      Alcotest.test_case "seeds 0-40 match the pinned digest" `Quick seeds_digest;
     ]

@@ -387,6 +387,35 @@ let invalid_depth_rejected () =
     (Invalid_argument "Disk($DATA): disk_queue_depth 0 < 1") (fun () ->
       ignore (Disk.create sim ~name:"$DATA"))
 
+(* the volume keeps the block images it is given; blocks allocated but
+   never written read as zeros, before and after the volume grows *)
+let blocks_survive_growth () =
+  let sim = Sim.create () in
+  let d = Disk.create sim ~name:"$DATA" in
+  let bs = Config.block_size in
+  let block c = String.make bs c in
+  let first = Disk.allocate d 3 in
+  Alcotest.(check int) "first block" 0 first;
+  Alcotest.(check (array string)) "unwritten blocks are zeros"
+    [| block '\x00'; block '\x00'; block '\x00' |]
+    (Disk.read_bulk d ~first:0 ~count:3);
+  Disk.write d 1 (block 'a');
+  Disk.write_bulk d ~first:2 [| block 'b' |];
+  let before = Disk.read d 1 in
+  (* past the first capacity, so the block array is reallocated *)
+  Alcotest.(check int) "grown from block 3" 3 (Disk.allocate d 200);
+  Alcotest.(check (array string)) "earlier contents kept"
+    [| block '\x00'; block 'a'; block 'b'; block '\x00' |]
+    (Disk.read_bulk d ~first:0 ~count:4);
+  Alcotest.(check string) "new block is zeros" (block '\x00') (Disk.read d 202);
+  Disk.write d 1 (block 'c');
+  Alcotest.(check string) "a rewrite leaves an earlier read alone" (block 'a') before;
+  Alcotest.(check string) "the rewrite is read back" (block 'c') (Disk.read d 1);
+  Alcotest.check_raises "short payload rejected"
+    (Invalid_argument
+       (Printf.sprintf "Disk($DATA): block payload 5 bytes, expected %d" bs))
+    (fun () -> Disk.write d 0 "short")
+
 let suite =
   golden_cases @ explicit_depth1_cases
   @ [
@@ -419,4 +448,6 @@ let suite =
         rowsets_identical_across_depths;
       Alcotest.test_case "invalid depth rejected" `Quick
         invalid_depth_rejected;
+      Alcotest.test_case "blocks survive growth, unwritten read as zeros"
+        `Quick blocks_survive_growth;
     ]

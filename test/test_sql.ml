@@ -63,6 +63,10 @@ let parser_accepts () =
       "COMMIT";
       "ROLLBACK WORK";
       "SELECT -salary FROM emp WHERE NOT (dept = 1 OR dept = 2)";
+      "SeLeCt Name FrOm Emp wHeRe DePt = 1";
+      "SELECT * FROM t WHERE a = ? AND b IN (?, -1) AND c BETWEEN ? AND -?";
+      "INSERT INTO t VALUES (?, ?), (3, ?)";
+      "UPDATE account SET balance = balance + ? WHERE aid = ?";
     ]
   in
   List.iter (fun sql -> ignore (parse_ok sql)) cases
@@ -388,6 +392,257 @@ let multi_partition_sql () =
   | [ [| Row.Vint 20 |] ] -> ()
   | _ -> Alcotest.fail "partitioned count wrong"
 
+(* --- prepared statements ----------------------------------------------- *)
+
+module Lexer = Nsql_sql.Lexer
+module Debitcredit = Nsql_workload.Debitcredit
+
+let fpr = Printf.sprintf
+
+(* a value as a literal the lexer reads back exactly *)
+let float_text f =
+  let t = fpr "%.17g" f in
+  if String.exists (fun c -> c = '.' || c = 'e') t then t else t ^ ".0"
+
+let quote s = "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+
+let inline = function
+  | Row.Null -> "NULL"
+  | Row.Vint i -> string_of_int i
+  | Row.Vfloat f -> float_text f
+  | Row.Vbool b -> if b then "TRUE" else "FALSE"
+  | Row.Vstr s -> quote s
+
+(* [sql] with every literal — a number with its unary minus, a string,
+   NULL, TRUE or FALSE — turned into a marker, except LIMIT's count and
+   the NULL of IS [NOT] NULL; the values come back in marker order *)
+let parameterize sql =
+  let toks = Errors.get_ok ~ctx:sql (Lexer.tokenize sql) in
+  let values = ref [] in
+  let param v =
+    values := v :: !values;
+    "?"
+  in
+  (* a minus is unary unless it follows an operand *)
+  let unary = function
+    | Some (Lexer.T_ident _ | Lexer.T_int _ | Lexer.T_float _ | Lexer.T_string _)
+    | Some (Lexer.T_symbol ")" | Lexer.T_param)
+    | Some (Lexer.T_keyword ("NULL" | "TRUE" | "FALSE")) ->
+        false
+    | _ -> true
+  in
+  let rec go prev acc = function
+    | [] | [ Lexer.T_eof ] -> String.concat " " (List.rev acc)
+    | Lexer.T_symbol "-" :: (Lexer.T_int i as t) :: rest when unary prev ->
+        go (Some t) (param (Row.Vint (-i)) :: acc) rest
+    | Lexer.T_symbol "-" :: (Lexer.T_float f as t) :: rest when unary prev ->
+        go (Some t) (param (Row.Vfloat (-.f)) :: acc) rest
+    | (Lexer.T_int i as t) :: rest -> (
+        match prev with
+        | Some (Lexer.T_keyword "LIMIT") -> go (Some t) (string_of_int i :: acc) rest
+        | _ -> go (Some t) (param (Row.Vint i) :: acc) rest)
+    | (Lexer.T_keyword "NULL" as t) :: rest
+      when prev = Some (Lexer.T_keyword "IS") || prev = Some (Lexer.T_keyword "NOT") ->
+        go (Some t) ("NULL" :: acc) rest
+    | t :: rest ->
+        let text =
+          match t with
+          | Lexer.T_float f -> param (Row.Vfloat f)
+          | Lexer.T_string v -> param (Row.Vstr v)
+          | Lexer.T_keyword "NULL" -> param Row.Null
+          | Lexer.T_keyword (("TRUE" | "FALSE") as b) -> param (Row.Vbool (b = "TRUE"))
+          | Lexer.T_ident x | Lexer.T_keyword x | Lexer.T_symbol x -> x
+          | Lexer.T_int _ | Lexer.T_param | Lexer.T_eof -> assert false
+        in
+        go (Some t) (text :: acc) rest
+  in
+  let template = go None [] toks in
+  (template, Array.of_list (List.rev !values))
+
+let result_text = function
+  | Ok (N.Rows rs) ->
+      String.concat "; " (List.map (Format.asprintf "%a" Row.pp_row) rs.rows)
+  | Ok (N.Affected n) -> fpr "%d affected" n
+  | Ok N.Done -> "done"
+  | Error e -> "error: " ^ Errors.to_string e
+
+(* values of every kind a marker takes: negative, zero and fractional
+   numbers (-0. included), strings holding quotes, NULL *)
+let number next =
+  match next 6 with
+  | 0 -> Row.Vint (next 400 - 200)
+  | 1 -> Row.Vfloat (float_of_int (next 2001 - 1000) /. 8.)
+  | 2 -> Row.Vfloat (-.float_of_int (next 300) -. 0.375)
+  | 3 -> if next 2 = 0 then Row.Vfloat 0. else Row.Vfloat (-0.)
+  | 4 -> Row.Null
+  | _ -> Row.Vint (-next 300)
+
+let text next = [| "it's"; "''"; ""; "touched"; "a'b'c"; "O'Neil's" |].(next 6)
+let string_or_null next = if next 5 = 0 then Row.Null else Row.Vstr (text next)
+
+(* test_batch's WHERE clause with one more conjunct over random values *)
+let where_with_values next =
+  let where, keep = Test_batch.random_where next in
+  let extra =
+    fpr "(unique1 + %s >= %s OR stringu1 <> %s OR unique3 IN (%s, %s) OR %s IS NULL)"
+      (inline (number next)) (inline (number next)) (inline (string_or_null next))
+      (inline (number next)) (inline (number next)) (inline (number next))
+  in
+  ((if where = "" then " WHERE " ^ extra else where ^ " AND " ^ extra), keep)
+
+let generated_statements next =
+  let select =
+    Test_batch.select_shape next ~where:(where_with_values next)
+      (next Test_batch.shapes)
+  in
+  [
+    select.Test_batch.sql;
+    fpr "UPDATE t SET unique3 = unique3 + %d, stringu1 = %s%s" (next 200 - 100)
+      (quote (text next)) (fst (where_with_values next));
+    fpr "INSERT INTO t VALUES (%d, %d, %s, %s)" (next 200 - 100) (10_000 + next 1000)
+      (String.concat ", " (List.init 11 (fun _ -> string_of_int (next 200 - 100))))
+      (String.concat ", " (List.init 3 (fun _ -> quote (text next))));
+    fpr "DELETE FROM t%s" (fst (where_with_values next));
+    Test_batch.dml_probe;
+  ]
+
+let prepared_equals_text =
+  QCheck.Test.make ~count:10
+    ~name:"prepared + bound values = text with the literals inlined"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let by_text = Test_batch.make_node ~chaos:false seed in
+      let by_prep = Test_batch.make_node ~chaos:false seed in
+      let ts = N.session by_text and ps = N.session by_prep in
+      List.iter
+        (fun sql ->
+          let template, values = parameterize sql in
+          let parsed = Parser.parse sql in
+          let bound =
+            Result.bind (Parser.parse template) (fun st -> Ast.bind_params st values)
+          in
+          if parsed <> bound then Alcotest.failf "%s: bound tree differs from %s" sql template;
+          let want = result_text (N.exec ts sql) in
+          let got =
+            result_text (Result.bind (N.prepare template) (fun p -> N.execute ps p values))
+          in
+          Alcotest.(check string) sql want got)
+        (generated_statements (Test_batch.prng seed));
+      Alcotest.(check string) "statistics and clock" (Golden.fingerprint by_text)
+        (Golden.fingerprint by_prep);
+      true)
+
+(* DebitCredit's prepared transaction on one node, the statements it
+   formatted and parsed before on a twin: negative, fractional and whole
+   deltas must cost the same, tick for tick *)
+let debitcredit_prepared_equals_text () =
+  let twin () =
+    let node = N.create_node ~volumes:2 () in
+    let db =
+      Errors.get_ok ~ctx:"setup"
+        (Debitcredit.setup_sql node ~accounts:40 ~tellers:4 ~branches:2)
+    in
+    (node, db, N.session node)
+  in
+  let by_prep, db, ps = twin () in
+  let by_text, db_text, ts = twin () in
+  List.iteri
+    (fun hid (aid, delta) ->
+      Errors.get_ok ~ctx:"prepared tx" (Debitcredit.run_sql_tx db ps ~aid ~delta);
+      let tid = aid mod 4 in
+      let bid = tid mod 2 in
+      List.iter
+        (fun sql -> ignore (N.exec_exn ts sql))
+        [
+          "BEGIN WORK";
+          fpr "UPDATE account SET balance = balance + %f WHERE aid = %d" delta aid;
+          fpr "UPDATE teller SET balance = balance + %f WHERE tid = %d" delta tid;
+          fpr "UPDATE branch SET balance = balance + %f WHERE bid = %d" delta bid;
+          fpr "INSERT INTO history VALUES (%d, %d, %d, %d, %f, '%s')" hid aid tid bid
+            delta (String.make 96 'f');
+          "COMMIT WORK";
+        ])
+    [ (3, -5.); (7, 12.5); (11, -0.125); (3, 0.); (39, -999.); (8, 1. /. 3.); (0, -2e-7) ];
+  let balances db s = Errors.get_ok ~ctx:"balances" (Debitcredit.sql_balances db s) in
+  Alcotest.(check (pair (float 0.) int)) "balances and history"
+    (balances db_text ts) (balances db ps);
+  Alcotest.(check string) "statistics and clock" (Golden.fingerprint by_text)
+    (Golden.fingerprint by_prep)
+
+(* every execute plans afresh: after CREATE INDEX the prepared SELECT
+   takes the index path, as the same text does *)
+let prepared_sees_ddl () =
+  let by_text, ts = setup () and by_prep, ps = setup () in
+  seed_emp ts;
+  seed_emp ps;
+  let text = "SELECT empno FROM emp WHERE dept = 2 AND salary > -0.5 ORDER BY empno" in
+  let p =
+    Errors.get_ok ~ctx:"prepare"
+      (N.prepare "SELECT empno FROM emp WHERE dept = ? AND salary > ? ORDER BY empno")
+  in
+  let same what =
+    let want = rows_of (N.exec_exn ts text) in
+    let got =
+      rows_of
+        (Errors.get_ok ~ctx:"execute" (N.execute ps p [| Row.Vint 2; Row.Vfloat (-0.5) |]))
+    in
+    Alcotest.(check (list int)) (what ^ ": rows") [ 2; 6; 10; 14; 18 ] (ints want);
+    Alcotest.(check (list int)) (what ^ ": prepared rows") (ints want) (ints got);
+    Alcotest.(check string) (what ^ ": statistics and clock")
+      (Golden.fingerprint by_text) (Golden.fingerprint by_prep)
+  in
+  same "before the index";
+  List.iter
+    (fun s -> ignore (N.exec_exn s "CREATE INDEX by_dept ON emp (dept)"))
+    [ ts; ps ];
+  Alcotest.(check bool) "the text now uses the index" true
+    (contains (Errors.get_ok ~ctx:"explain" (N.explain ts text)) "index by_dept");
+  same "after the index"
+
+let prepared_errors () =
+  let _node, s = setup () in
+  seed_emp s;
+  let bad_request what = function
+    | Error (Errors.Bad_request _) -> ()
+    | r -> Alcotest.failf "%s: %s" what (result_text r)
+  in
+  let p =
+    Errors.get_ok ~ctx:"prepare"
+      (N.prepare "SELECT name FROM emp WHERE dept = ? AND empno < ?")
+  in
+  List.iter
+    (fun values ->
+      bad_request (fpr "%d values for 2 markers" (Array.length values))
+        (N.execute s p values))
+    [ [||]; [| Row.Vint 1 |]; [| Row.Vint 1; Row.Vint 2; Row.Vint 3 |] ];
+  bad_request "unbound marker in a SELECT" (N.exec s "SELECT name FROM emp WHERE dept = ?");
+  bad_request "unbound marker in VALUES" (N.exec s "INSERT INTO emp VALUES (?, 'x', 1, 1.0)");
+  bad_request "unbound marker in IN" (N.exec s "SELECT name FROM emp WHERE dept IN (1, ?)");
+  List.iter
+    (fun sql ->
+      match N.prepare sql with
+      | Error (Errors.Parse_error _) -> ()
+      | Ok _ -> Alcotest.fail ("accepted: " ^ sql)
+      | Error e -> Alcotest.fail (sql ^ " -> wrong error " ^ Errors.to_string e))
+    [
+      "CREATE TABLE c (a INT PRIMARY KEY, CHECK (a > ?))";
+      "SELECT name FROM emp LIMIT ?";
+      "SELECT name FROM emp WHERE name LIKE ?";
+      "INSERT INTO emp VALUES (-?, 'x', 1, 1.0)";
+    ];
+  (* markers are numbered left to right, whatever the tree's shape *)
+  let where = function
+    | Ok (Ast.St_select { sel_where = Some w; _ }) -> Format.asprintf "%a" Ast.pp_sexpr w
+    | _ -> Alcotest.fail "not a SELECT with a WHERE"
+  in
+  let stmt =
+    Errors.get_ok ~ctx:"parse"
+      (Parser.parse "SELECT a FROM t JOIN u ON t.k = ? WHERE b IN (?, ?) AND c = ?")
+  in
+  Alcotest.(check string) "marker order" "(((b IN (?, ?)) AND (c = ?)) AND (t.k = ?))"
+    (where (Ok stmt));
+  Alcotest.(check string) "bound in order" "(((b IN (1, 2)) AND (c = 3)) AND (t.k = 0))"
+    (where (Ast.bind_params stmt [| Row.Vint 0; Row.Vint 1; Row.Vint 2; Row.Vint 3 |]))
 
 let suite =
   [
@@ -415,4 +670,9 @@ let suite =
     Alcotest.test_case "errors reported" `Quick errors_reported;
     Alcotest.test_case "access modes equivalent" `Quick access_modes_equivalent;
     Alcotest.test_case "partitioned table via SQL" `Quick multi_partition_sql;
+    QCheck_alcotest.to_alcotest prepared_equals_text;
+    Alcotest.test_case "prepared DebitCredit = text" `Quick
+      debitcredit_prepared_equals_text;
+    Alcotest.test_case "prepared SELECT re-plans after DDL" `Quick prepared_sees_ddl;
+    Alcotest.test_case "prepared statement errors" `Quick prepared_errors;
   ]
