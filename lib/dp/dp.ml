@@ -284,18 +284,32 @@ let entry_of f =
   | S_btree _ | S_rel _ ->
       Errors.fail (Errors.Bad_request "operation requires an entry-sequenced file")
 
+let sql_schema f ~what =
+  match f.f_schema with
+  | Some s -> Ok s
+  | None -> Errors.fail (Errors.Bad_request (what ^ " requires a SQL file"))
+
 let lock_of_mode = function
   | L_shared -> Some Lock.Shared
   | L_exclusive -> Some Lock.Exclusive
   | L_none -> None
 
-(* Acquire or report blockage. [Error] carries blockers. *)
-let try_lock t ~tx ~file resource mode =
-  match Lock.acquire t.locks ~tx ~file resource mode with
-  | Lock.Granted -> Ok ()
-  | Lock.Blocked blockers -> Error blockers
+(* the blocked answer of a request that holds no SCB *)
+let blocked ?(processed = 0) ?(last_key = "") blockers =
+  Rp_blocked { blockers; processed; last_key; scb = -1 }
 
-type 'a lock_result = Locked of 'a | Lock_wait of int list
+(* The lock-or-block step of every point request: [k] runs only once
+   [resource] is granted in [mode] (at once for [L_none]), and a denial
+   answers [Rp_blocked] with nothing applied — what lets the wait queue
+   re-dispatch a parked request whole (DESIGN.md §5e). READ^NEXT
+   reports its start key as [last_key]. *)
+let try_lock ?last_key t ~tx ~file resource mode k =
+  match lock_of_mode mode with
+  | None -> k ()
+  | Some mode -> (
+      match Lock.acquire t.locks ~tx ~file resource mode with
+      | Lock.Granted -> k ()
+      | Lock.Blocked blockers -> Ok (blocked ?last_key blockers))
 
 (* --- recovery-capable primitive mutations ------------------------------ *)
 
@@ -395,22 +409,11 @@ let validate_sql_row f row =
 let op_read t ~file ~tx ~key ~lock =
   let* f = find_file t file in
   let* b = btree_of f in
-  let locked =
-    match lock_of_mode lock with
-    | None -> Ok ()
-    | Some mode -> (
-        match try_lock t ~tx ~file (Lock.Record key) mode with
-        | Ok () -> Ok ()
-        | Error blockers -> Error blockers)
-  in
-  match locked with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () -> (
-      Sim.tick t.sim 15;
-      match Btree.lookup b key with
-      | Some record -> Ok (Rp_record { key; record })
-      | None -> Errors.fail (Errors.Not_found_key key))
+  try_lock t ~tx ~file (Lock.Record key) lock @@ fun () ->
+  Sim.tick t.sim 15;
+  match Btree.lookup b key with
+  | Some record -> Ok (Rp_record { key; record })
+  | None -> Errors.fail (Errors.Not_found_key key)
 
 let op_entry_read_next t ~file ~tx ~from_addr ~inclusive =
   ignore tx;
@@ -462,27 +465,14 @@ let op_read_next t ~file ~tx ~from_key ~inclusive ~lock ~sbb =
         Sim.tick t.sim (10 * List.length entries);
         Ok (Rp_block { entries; last_key; more; scb = -1 })
       end
-      else begin
-        let locked =
-          match lock_of_mode lock with
-          | None -> Ok ()
-          | Some mode -> (
-              match try_lock t ~tx ~file (Lock.Record key) mode with
-              | Ok () -> Ok ()
-              | Error blockers -> Error blockers)
-        in
-        match locked with
-        | Error blockers ->
-            Ok
-              (Rp_blocked
-                 { blockers; processed = 0; last_key = from_key; scb = -1 })
-        | Ok () ->
-            let s = Sim.stats t.sim in
-            s.Stats.records_read <- s.Stats.records_read + 1;
-            s.Stats.records_returned <- s.Stats.records_returned + 1;
-            Sim.tick t.sim 15;
-            Ok (Rp_record { key; record })
-      end
+      else
+        try_lock ~last_key:from_key t ~tx ~file (Lock.Record key) lock
+        @@ fun () ->
+        let s = Sim.stats t.sim in
+        s.Stats.records_read <- s.Stats.records_read + 1;
+        s.Stats.records_returned <- s.Stats.records_returned + 1;
+        Sim.tick t.sim 15;
+        Ok (Rp_record { key; record })
 
 (* whole-record writes to a SQL file must still satisfy its structure and
    CHECK constraint — the Disk Process enforces them regardless of which
@@ -501,58 +491,41 @@ let op_insert t ~file ~tx ~key ~record =
   let* () = require_tx t tx in
   let* f = find_file t file in
   let* () = check_sql_image f record in
-  match try_lock t ~tx ~file (Lock.Record key) Lock.Exclusive with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () ->
-      let* _lsn = do_insert t ~tx f ~key ~record in
-      register_undo_insert t ~tx f ~key;
-      Ok Rp_ok
+  try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
+  let* _lsn = do_insert t ~tx f ~key ~record in
+  register_undo_insert t ~tx f ~key;
+  Ok Rp_ok
 
 let op_update t ~file ~tx ~key ~record =
   let* () = require_tx t tx in
   let* f = find_file t file in
   let* () = check_sql_image f record in
-  match try_lock t ~tx ~file (Lock.Record key) Lock.Exclusive with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () ->
-      let* before = do_update_full t ~tx f ~key ~record in
-      register_undo_update t ~tx f ~key ~before;
-      Ok Rp_ok
+  try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
+  let* before = do_update_full t ~tx f ~key ~record in
+  register_undo_update t ~tx f ~key ~before;
+  Ok Rp_ok
 
 let op_delete t ~file ~tx ~key =
   let* () = require_tx t tx in
   let* f = find_file t file in
-  match try_lock t ~tx ~file (Lock.Record key) Lock.Exclusive with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () ->
-      let* image = do_delete t ~tx f ~key in
-      register_undo_delete t ~tx f ~key ~image;
-      Ok Rp_ok
+  try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
+  let* image = do_delete t ~tx f ~key in
+  register_undo_delete t ~tx f ~key ~image;
+  Ok Rp_ok
 
 let op_lock_file t ~file ~tx ~lock =
   let* _f = find_file t file in
-  match lock_of_mode lock with
-  | None -> Errors.fail (Errors.Bad_request "LOCKFILE with mode none")
-  | Some mode -> (
-      match try_lock t ~tx ~file Lock.File mode with
-      | Ok () -> Ok Rp_ok
-      | Error blockers ->
-          Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 }))
+  if lock = L_none then
+    Errors.fail (Errors.Bad_request "LOCKFILE with mode none")
+  else try_lock t ~tx ~file Lock.File lock (fun () -> Ok Rp_ok)
 
 (* --- relative / entry-sequenced operations -------------------------------- *)
 
 let op_lock_generic t ~file ~tx ~prefix ~lock =
   let* _f = find_file t file in
-  match lock_of_mode lock with
-  | None -> Errors.fail (Errors.Bad_request "LOCKGENERIC with mode none")
-  | Some mode -> (
-      match try_lock t ~tx ~file (Lock.Generic prefix) mode with
-      | Ok () -> Ok Rp_ok
-      | Error blockers ->
-          Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 }))
+  if lock = L_none then
+    Errors.fail (Errors.Bad_request "LOCKGENERIC with mode none")
+  else try_lock t ~tx ~file (Lock.Generic prefix) lock (fun () -> Ok Rp_ok)
 
 let rel_key slot = Keycode.of_int slot
 
@@ -567,81 +540,72 @@ let op_rel_write t ~file ~tx ~slot ~record =
   let* () = require_tx t tx in
   let* f = find_file t file in
   let* r = rel_of f in
-  match try_lock t ~tx ~file (Lock.Record (rel_key slot)) Lock.Exclusive with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () ->
-      let* () =
-        if String.length record > Relfile.slot_size r then
-          Errors.fail (Errors.Bad_request "record exceeds slot size")
-        else
-          match Relfile.read r ~slot with
-          | Ok _ -> Errors.fail (Errors.Duplicate_key (string_of_int slot))
-          | Error (Errors.Not_found_key _) -> Ok ()
-          | Error e -> Errors.fail e
-      in
-      let lsn =
-        audit t ~tx (Ar.Insert { file = f.f_id; key = rel_key slot; image = record })
-      in
-      let* () = Relfile.write r ~slot ~record ~lsn in
-      Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-          ignore
-            (audit t ~tx
-               (Ar.Delete { file = f.f_id; key = rel_key slot; image = record }));
-          match Relfile.delete r ~slot ~lsn with
-          | Ok _ -> ()
-          | Error err -> Errors.fatal ("Dp undo-rel-insert: " ^ Errors.to_string err));
-      Ok (Rp_slot slot)
+  try_lock t ~tx ~file (Lock.Record (rel_key slot)) L_exclusive @@ fun () ->
+  let* () =
+    if String.length record > Relfile.slot_size r then
+      Errors.fail (Errors.Bad_request "record exceeds slot size")
+    else
+      match Relfile.read r ~slot with
+      | Ok _ -> Errors.fail (Errors.Duplicate_key (string_of_int slot))
+      | Error (Errors.Not_found_key _) -> Ok ()
+      | Error e -> Errors.fail e
+  in
+  let lsn =
+    audit t ~tx (Ar.Insert { file = f.f_id; key = rel_key slot; image = record })
+  in
+  let* () = Relfile.write r ~slot ~record ~lsn in
+  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
+      ignore
+        (audit t ~tx
+           (Ar.Delete { file = f.f_id; key = rel_key slot; image = record }));
+      match Relfile.delete r ~slot ~lsn with
+      | Ok _ -> ()
+      | Error err -> Errors.fatal ("Dp undo-rel-insert: " ^ Errors.to_string err));
+  Ok (Rp_slot slot)
 
 let op_rel_rewrite t ~file ~tx ~slot ~record =
   let* () = require_tx t tx in
   let* f = find_file t file in
   let* r = rel_of f in
-  match try_lock t ~tx ~file (Lock.Record (rel_key slot)) Lock.Exclusive with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () ->
-      let* before = Relfile.read r ~slot in
-      let* () =
-        if String.length record > Relfile.slot_size r then
-          Errors.fail (Errors.Bad_request "record exceeds slot size")
-        else Ok ()
-      in
-      let lsn =
-        audit t ~tx
-          (Ar.Update_full { file = f.f_id; key = rel_key slot; before; after = record })
-      in
-      let* _old = Relfile.rewrite r ~slot ~record ~lsn in
-      Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-          ignore
-            (audit t ~tx
-               (Ar.Update_full
-                  { file = f.f_id; key = rel_key slot; before = record; after = before }));
-          match Relfile.rewrite r ~slot ~record:before ~lsn with
-          | Ok _ -> ()
-          | Error err -> Errors.fatal ("Dp undo-rel-rewrite: " ^ Errors.to_string err));
-      Ok Rp_ok
+  try_lock t ~tx ~file (Lock.Record (rel_key slot)) L_exclusive @@ fun () ->
+  let* before = Relfile.read r ~slot in
+  let* () =
+    if String.length record > Relfile.slot_size r then
+      Errors.fail (Errors.Bad_request "record exceeds slot size")
+    else Ok ()
+  in
+  let lsn =
+    audit t ~tx
+      (Ar.Update_full { file = f.f_id; key = rel_key slot; before; after = record })
+  in
+  let* _old = Relfile.rewrite r ~slot ~record ~lsn in
+  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
+      ignore
+        (audit t ~tx
+           (Ar.Update_full
+              { file = f.f_id; key = rel_key slot; before = record; after = before }));
+      match Relfile.rewrite r ~slot ~record:before ~lsn with
+      | Ok _ -> ()
+      | Error err -> Errors.fatal ("Dp undo-rel-rewrite: " ^ Errors.to_string err));
+  Ok Rp_ok
 
 let op_rel_delete t ~file ~tx ~slot =
   let* () = require_tx t tx in
   let* f = find_file t file in
   let* r = rel_of f in
-  match try_lock t ~tx ~file (Lock.Record (rel_key slot)) Lock.Exclusive with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () ->
-      let* image = Relfile.read r ~slot in
-      let lsn =
-        audit t ~tx (Ar.Delete { file = f.f_id; key = rel_key slot; image })
-      in
-      let* _old = Relfile.delete r ~slot ~lsn in
-      Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-          ignore
-            (audit t ~tx (Ar.Insert { file = f.f_id; key = rel_key slot; image }));
-          match Relfile.write r ~slot ~record:image ~lsn with
-          | Ok () -> ()
-          | Error err -> Errors.fatal ("Dp undo-rel-delete: " ^ Errors.to_string err));
-      Ok Rp_ok
+  try_lock t ~tx ~file (Lock.Record (rel_key slot)) L_exclusive @@ fun () ->
+  let* image = Relfile.read r ~slot in
+  let lsn =
+    audit t ~tx (Ar.Delete { file = f.f_id; key = rel_key slot; image })
+  in
+  let* _old = Relfile.delete r ~slot ~lsn in
+  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
+      ignore
+        (audit t ~tx (Ar.Insert { file = f.f_id; key = rel_key slot; image }));
+      match Relfile.write r ~slot ~record:image ~lsn with
+      | Ok () -> ()
+      | Error err -> Errors.fatal ("Dp undo-rel-delete: " ^ Errors.to_string err));
+  Ok Rp_ok
 
 let op_entry_append t ~file ~tx ~record =
   let* () = require_tx t tx in
@@ -649,26 +613,23 @@ let op_entry_append t ~file ~tx ~record =
   let* e = entry_of f in
   (* entry-sequenced inserts at EOF: serialize appenders via a generic
      lock on the EOF *)
-  match try_lock t ~tx ~file (Lock.Generic "EOF") Lock.Exclusive with
-  | Error blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-  | Ok () ->
-      let* () =
-        let bs = Config.block_size in
-        if String.length record + 2 > bs then
-          Errors.fail (Errors.Bad_request "record exceeds block size")
-        else Ok ()
-      in
-      let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key = ""; image = record }) in
-      let* addr = Entryfile.append e ~record ~lsn in
-      Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-          ignore
-            (audit t ~tx
-               (Ar.Delete { file = f.f_id; key = Keycode.of_int addr; image = record }));
-          match Entryfile.truncate_to e ~addr ~lsn with
-          | Ok () -> ()
-          | Error err -> Errors.fatal ("Dp undo-append: " ^ Errors.to_string err));
-      Ok (Rp_slot addr)
+  try_lock t ~tx ~file (Lock.Generic "EOF") L_exclusive @@ fun () ->
+  let* () =
+    let bs = Config.block_size in
+    if String.length record + 2 > bs then
+      Errors.fail (Errors.Bad_request "record exceeds block size")
+    else Ok ()
+  in
+  let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key = ""; image = record }) in
+  let* addr = Entryfile.append e ~record ~lsn in
+  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
+      ignore
+        (audit t ~tx
+           (Ar.Delete { file = f.f_id; key = Keycode.of_int addr; image = record }));
+      match Entryfile.truncate_to e ~addr ~lsn with
+      | Ok () -> ()
+      | Error err -> Errors.fatal ("Dp undo-append: " ^ Errors.to_string err));
+  Ok (Rp_slot addr)
 
 let op_entry_read t ~file ~tx ~addr =
   ignore tx;
@@ -893,15 +854,15 @@ let walk_scan t ~tx f b scb scb_id ~lock ~from_key ~one_block ~visit ~reply =
     match lock_of_mode lock with
     | Some mode
       when Keycode.compare_keys from_key last_key <= 0 && !examined > 0 ->
-        try_lock t ~tx ~file:f.f_id
+        Lock.acquire t.locks ~tx ~file:f.f_id
           (Lock.Range (from_key, Keycode.successor last_key))
           mode
-    | Some _ | None -> Ok ()
+    | Some _ | None -> Lock.Granted
   in
   match locked with
-  | Error blockers ->
+  | Lock.Blocked blockers ->
       Ok (Rp_blocked { blockers; processed = 0; last_key = from_key; scb = scb_id })
-  | Ok () -> reply ~last_key ~more:!more
+  | Lock.Granted -> reply ~last_key ~more:!more
 
 (* One GET^FIRST/GET^NEXT execution: fill a (virtual or real) block. *)
 let run_read_scan t ~tx f scb scb_id ~buffering ~pred ~proj ~lock ~from_key =
@@ -977,12 +938,7 @@ let run_agg_scan t ~tx f scb scb_id ~pred ~group_keys ~aggs ~lock ~from_key =
   match scb.scb_groups with
   | None -> Errors.fail (Errors.Internal "aggregate SCB without partials")
   | Some groups ->
-      let* schema =
-        match f.f_schema with
-        | Some sch -> Ok sch
-        | None ->
-            Errors.fail (Errors.Bad_request "AGGREGATE requires a SQL file")
-      in
+      let* schema = sql_schema f ~what:"AGGREGATE" in
       let fl = filter_of schema pred in
       (* one decode per record, in every field the predicate, the group
          key or an aggregate argument reads *)
@@ -1028,11 +984,7 @@ let run_write_scan t ~tx f scb scb_id ~pred ~action ~after_key =
   let s = Sim.stats t.sim in
   let* () = require_tx t tx in
   let* b = btree_of f in
-  let* schema =
-    match f.f_schema with
-    | Some sch -> Ok sch
-    | None -> Errors.fail (Errors.Bad_request "set update requires a SQL file")
-  in
+  let* schema = sql_schema f ~what:"set update" in
   let all_fields = Array.make (Array.length schema.Row.cols) true in
   let apply_one key v i =
     match action with
@@ -1090,8 +1042,8 @@ let run_write_scan t ~tx f scb scb_id ~pred ~action ~after_key =
           in
           if selected then begin
             (* per-record exclusive lock for set mutations *)
-            match try_lock t ~tx ~file:f.f_id (Lock.Record key) Lock.Exclusive with
-            | Error blockers ->
+            match Lock.acquire t.locks ~tx ~file:f.f_id (Lock.Record key) Lock.Exclusive with
+            | Lock.Blocked blockers ->
                 result :=
                   Some
                     (Rp_blocked
@@ -1102,7 +1054,7 @@ let run_write_scan t ~tx f scb scb_id ~pred ~action ~after_key =
                          scb = scb_id;
                        });
                 continue_ := false
-            | Ok () -> (
+            | Lock.Granted -> (
                 match apply_one key v i with
                 | Ok () ->
                     incr processed;
@@ -1158,31 +1110,18 @@ let run_subset t ~tx f scb id ~after_key =
 
 (* --- SQL row inserts --------------------------------------------------------- *)
 
-let insert_sql_row t ~tx f row =
-  let* schema =
-    match f.f_schema with
-    | Some s -> Ok s
-    | None -> Errors.fail (Errors.Bad_request "INSERT^ROW requires a SQL file")
-  in
-  let* () = Row.validate schema row in
-  let* () = check_constraint f row in
-  let key = Row.key_of_row schema row in
-  match try_lock t ~tx ~file:f.f_id (Lock.Record key) Lock.Exclusive with
-  | Error blockers -> Ok (Lock_wait blockers)
-  | Ok () ->
-      let record = Row.encode schema row in
-      let* _lsn = do_insert t ~tx f ~key ~record in
-      register_undo_insert t ~tx f ~key;
-      Ok (Locked key)
-
 let op_insert_row t ~file ~tx ~row =
   let* () = require_tx t tx in
   let* f = find_file t file in
-  let* r = insert_sql_row t ~tx f row in
-  match r with
-  | Locked _ -> Ok Rp_ok
-  | Lock_wait blockers ->
-      Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
+  let* schema = sql_schema f ~what:"INSERT^ROW" in
+  let* () = Row.validate schema row in
+  let* () = check_constraint f row in
+  let key = Row.key_of_row schema row in
+  try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
+  let record = Row.encode schema row in
+  let* _lsn = do_insert t ~tx f ~key ~record in
+  register_undo_insert t ~tx f ~key;
+  Ok Rp_ok
 
 (* Blocked sequential insert (the paper's future enhancement, E11): the
    whole target key range is locked by prior agreement, then the batch is
@@ -1190,11 +1129,7 @@ let op_insert_row t ~file ~tx ~row =
 let op_insert_block t ~file ~tx ~rows =
   let* () = require_tx t tx in
   let* f = find_file t file in
-  let* schema =
-    match f.f_schema with
-    | Some s -> Ok s
-    | None -> Errors.fail (Errors.Bad_request "INSERT^BLOCK requires a SQL file")
-  in
+  let* schema = sql_schema f ~what:"INSERT^BLOCK" in
   match rows with
   | [] -> Ok Rp_ok
   | _ :: _ ->
@@ -1203,25 +1138,20 @@ let op_insert_block t ~file ~tx ~rows =
       let hi = Keycode.successor (List.fold_left max (List.hd keys) keys) in
       (* the empty target range is locked before the batch lands, avoiding
          late-detected duplicate keys *)
-      (match try_lock t ~tx ~file (Lock.Range (lo, hi)) Lock.Exclusive with
-      | Error blockers ->
-          Ok (Rp_blocked { blockers; processed = 0; last_key = ""; scb = -1 })
-      | Ok () ->
-          let rec apply n = function
-            | [] ->
-                Ok
-                  (Rp_progress
-                     { processed = n; last_key = ""; more = false; scb = -1 })
-            | row :: rest ->
-                let* () = Row.validate schema row in
-                let* () = check_constraint f row in
-                let key = Row.key_of_row schema row in
-                let record = Row.encode schema row in
-                let* _lsn = do_insert t ~tx f ~key ~record in
-                register_undo_insert t ~tx f ~key;
-                apply (n + 1) rest
-          in
-          apply 0 rows)
+      try_lock t ~tx ~file (Lock.Range (lo, hi)) L_exclusive @@ fun () ->
+      let rec apply n = function
+        | [] ->
+            Ok (Rp_progress { processed = n; last_key = ""; more = false; scb = -1 })
+        | row :: rest ->
+            let* () = Row.validate schema row in
+            let* () = check_constraint f row in
+            let key = Row.key_of_row schema row in
+            let record = Row.encode schema row in
+            let* _lsn = do_insert t ~tx f ~key ~record in
+            register_undo_insert t ~tx f ~key;
+            apply (n + 1) rest
+      in
+      apply 0 rows
 
 (* A buffer of updates/deletes of specific records, applied under one
    message. Updates are audited field-compressed; the whole batch fails on
@@ -1229,16 +1159,12 @@ let op_insert_block t ~file ~tx ~rows =
 let op_apply_block t ~file ~tx ~ops =
   let* () = require_tx t tx in
   let* f = find_file t file in
-  let* schema =
-    match f.f_schema with
-    | Some s -> Ok s
-    | None -> Errors.fail (Errors.Bad_request "APPLY^BLOCK requires a SQL file")
-  in
+  let* schema = sql_schema f ~what:"APPLY^BLOCK" in
   let* b = btree_of f in
   let apply (key, op) =
-    match try_lock t ~tx ~file (Lock.Record key) Lock.Exclusive with
-    | Error blockers -> Error (`Blocked blockers)
-    | Ok () -> (
+    match Lock.acquire t.locks ~tx ~file (Lock.Record key) Lock.Exclusive with
+    | Lock.Blocked blockers -> Error (`Blocked blockers)
+    | Lock.Granted -> (
         match op with
         | Ob_delete -> (
             match do_delete t ~tx f ~key with
@@ -1272,13 +1198,18 @@ let op_apply_block t ~file ~tx ~ops =
     | op :: rest -> (
         match apply op with
         | Ok () -> go (n + 1) rest
-        | Error (`Blocked blockers) ->
-            Ok (Rp_blocked { blockers; processed = n; last_key = ""; scb = -1 })
+        | Error (`Blocked blockers) -> Ok (blocked ~processed:n blockers)
         | Error (`Err e) -> Error e)
   in
   go 0 ops
 
 (* --- DDL ----------------------------------------------------------------------- *)
+
+(* an empty structure of [kind]: file creation, and recovery's rebuild *)
+let new_structure t ~name = function
+  | K_key_sequenced -> S_btree (Btree.create t.sim t.cache ~name)
+  | K_relative slot_size -> S_rel (Relfile.create t.sim t.cache ~slot_size)
+  | K_entry_sequenced -> S_entry (Entryfile.create t.sim t.cache)
 
 let op_create_file t ~fname ~kind ~schema ~check =
   if Hashtbl.mem t.by_name fname then Errors.fail (Errors.File_exists fname)
@@ -1286,16 +1217,9 @@ let op_create_file t ~fname ~kind ~schema ~check =
     Errors.fail (Errors.Bad_request "CHECK constraint requires a schema")
   else begin
     let id = Tmf.allocate_file_id t.tmf in
-    let structure =
-      match kind with
-      | K_key_sequenced ->
-          S_btree (Btree.create t.sim t.cache ~name:fname)
-      | K_relative slot_size -> S_rel (Relfile.create t.sim t.cache ~slot_size)
-      | K_entry_sequenced -> S_entry (Entryfile.create t.sim t.cache)
-    in
     let f =
       { f_id = id; f_name = fname; f_kind = kind; f_schema = schema;
-        f_check = check; f_structure = structure }
+        f_check = check; f_structure = new_structure t ~name:fname kind }
     in
     Hashtbl.replace t.files id f;
     Hashtbl.replace t.by_name fname id;
@@ -1417,9 +1341,10 @@ let request t req =
    reply (a {!Msg.defer} deferral), records wait-for edges, and
    re-dispatches the request when a transaction finish releases locks.
    Only operations where [Rp_blocked] implies nothing was applied may park,
-   because the re-dispatch repeats the whole operation; subset scans and
-   apply-block batches carry partial progress (processed counts, SCB and
-   accumulator state) and keep the immediate-denial protocol. *)
+   because the re-dispatch repeats the whole operation: the point requests,
+   whose lock-or-block step [try_lock] runs nothing before the grant. Subset
+   scans and apply-block batches carry partial progress (processed counts,
+   SCB and accumulator state) and keep the immediate-denial protocol. *)
 let park_tx (req : request) =
   match req with
   | R_read { tx; _ } -> Some tx
@@ -1699,14 +1624,7 @@ let recover_with_gen t ~resolve =
   (* rebuild every structure empty (the file labels survive on disk), in
      file-id order: creation order decides cache/disk allocation *)
   List.iter
-    (fun (_, f) ->
-      let structure =
-        match f.f_kind with
-        | K_key_sequenced -> S_btree (Btree.create t.sim t.cache ~name:f.f_name)
-        | K_relative slot_size -> S_rel (Relfile.create t.sim t.cache ~slot_size)
-        | K_entry_sequenced -> S_entry (Entryfile.create t.sim t.cache)
-      in
-      f.f_structure <- structure)
+    (fun (_, f) -> f.f_structure <- new_structure t ~name:f.f_name f.f_kind)
     (Nsql_util.Tbl.sorted_bindings t.files);
   let apply body =
     let with_file file k =

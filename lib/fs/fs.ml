@@ -79,22 +79,8 @@ let send_nowait t dp req =
 
 let await_reply t c = decode_or_internal (Msg.await t.msys c)
 
-let record_count t f =
-  (* one RECORD^COUNT message per partition; overlapped when fan-out is on *)
-  let count_of = function Dp_msg.Rp_slot n -> n | _ -> 0 in
-  if fanout t then begin
-    let cs =
-      Array.map
-        (fun p -> send_nowait t p.p_dp (Dp_msg.R_record_count { file = p.p_file }))
-        f.parts
-    in
-    Array.fold_left (fun acc c -> acc + count_of (await_reply t c)) 0 cs
-  end
-  else
-    Array.fold_left
-      (fun acc p ->
-        acc + count_of (send t p.p_dp (Dp_msg.R_record_count { file = p.p_file })))
-      0 f.parts
+(* CLOSE^SCB: abandon a subset the Disk Process still holds open *)
+let close_scb t dp scb = ignore (send t dp (Dp_msg.R_close_scb { scb }))
 
 let blocked_error blockers =
   Errors.Lock_timeout
@@ -114,6 +100,22 @@ let classify ~ctx reply k =
       match k reply with
       | Some r -> r
       | None -> Error (Errors.Internal ("unexpected reply to " ^ ctx)))
+
+let record_count t f =
+  (* one RECORD^COUNT message per partition; overlapped when fan-out is on *)
+  let req p = Dp_msg.R_record_count { file = p.p_file } in
+  let replies =
+    if fanout t then
+      Array.map (await_reply t) (Array.map (fun p -> send_nowait t p.p_dp (req p)) f.parts)
+    else Array.map (fun p -> send t p.p_dp (req p)) f.parts
+  in
+  Array.fold_left
+    (fun acc reply ->
+      let* total = acc in
+      classify ~ctx:"RECORD^COUNT" reply (function
+        | Dp_msg.Rp_slot n -> Some (Ok (total + n))
+        | _ -> None))
+    (Ok 0) replies
 
 let expect_ok reply =
   classify ~ctx:"request" reply (function
@@ -177,6 +179,31 @@ let partition_ranges f (range : Expr.key_range) =
   done;
   !pieces
 
+(* --- subset chains ------------------------------------------------------------ *)
+
+(* The FIRST request opening [body] over one partition's piece of a range,
+   and the NEXT re-drive of that subset's SCB after [after_key]: the
+   blocking and the nowait scan and [drive_chains] send exactly these. *)
+let subset_first ~tx body (p, range) =
+  Dp_msg.R_subset_first { file = p.p_file; tx; range; body }
+
+let subset_next ~tx body p ~scb ~after_key =
+  Dp_msg.R_subset_next
+    { kind = Dp_msg.kind_of_subset body; file = p.p_file; tx; scb; after_key }
+
+(* Await the earliest of the completions [pending i] holds, [i < n] (ties
+   break to the lowest index — a pure function of simulated time):
+   [Some (i, reply)], or [None] when nothing is outstanding. The caller
+   clears slot [i]. *)
+let await_earliest t n pending =
+  match List.filter (fun i -> pending i <> None) (List.init n Fun.id) with
+  | [] -> None
+  | idxs ->
+      let which, payload =
+        Msg.await_any t.msys (List.map (fun i -> Option.get (pending i)) idxs)
+      in
+      Some (List.nth idxs which, decode_or_internal payload)
+
 (* --- file creation --------------------------------------------------------- *)
 
 let validate_partitions partitions =
@@ -197,9 +224,27 @@ let validate_partitions partitions =
         else fail (Errors.Invalid_argument_error "partition keys not ascending")
       end
 
-let build_index_meta (schema : Row.schema) spec =
+(* one file [fname#p<i>] of [kind] per partition, in partition order *)
+let create_parts t ~fname ~kind ~schema ~check partitions =
+  let* () = validate_partitions partitions in
+  let* parts =
+    Errors.list_map
+      (fun (i, ps) ->
+        let pname = Printf.sprintf "%s#p%d" fname i in
+        let* id =
+          expect_file
+            (send t ps.ps_dp
+               (Dp_msg.R_create_file { fname = pname; kind; schema; check }))
+        in
+        Ok { p_lo = ps.ps_lo; p_dp = ps.ps_dp; p_file = id })
+      (List.mapi (fun i ps -> (i, ps)) partitions)
+  in
+  Ok (Array.of_list parts)
+
+(* the index file [fname#ix_<name>] [spec] describes, created empty: its
+   rows are the index columns then the base key columns not among them *)
+let create_index t ~fname (schema : Row.schema) spec =
   let key_cols = Array.to_list schema.Row.key_cols in
-  let ix_cols = Array.of_list spec.is_cols in
   let extra = List.filter (fun k -> not (List.mem k spec.is_cols)) key_cols in
   let all = Array.of_list (spec.is_cols @ extra) in
   let cols = Array.map (fun i -> schema.Row.cols.(i)) all in
@@ -213,73 +258,36 @@ let build_index_meta (schema : Row.schema) spec =
     in
     go 0
   in
-  let ix_basekey_pos = Array.of_list (List.map pos_of key_cols) in
-  (ix_cols, all, ix_basekey_pos, ix_schema)
-
-let create_file t ~fname ~schema ?check ~partitions ~indexes () =
-  let* () = validate_partitions partitions in
-  let* parts =
-    Errors.list_map
-      (fun (i, ps) ->
-        let pname = Printf.sprintf "%s#p%d" fname i in
-        let reply =
-          send t ps.ps_dp
-            (Dp_msg.R_create_file
-               { fname = pname; kind = Dp_msg.K_key_sequenced; schema = Some schema; check })
-        in
-        let* id = expect_file reply in
-        Ok { p_lo = ps.ps_lo; p_dp = ps.ps_dp; p_file = id })
-      (List.mapi (fun i ps -> (i, ps)) partitions)
-  in
-  let* index_metas =
-    Errors.list_map
-      (fun spec ->
-        let ix_cols, ix_all_cols, ix_basekey_pos, ix_schema =
-          build_index_meta schema spec
-        in
-        let iname = Printf.sprintf "%s#ix_%s" fname spec.is_name in
-        let reply =
-          send t spec.is_dp
-            (Dp_msg.R_create_file
-               { fname = iname; kind = Dp_msg.K_key_sequenced; schema = Some ix_schema; check = None })
-        in
-        let* id = expect_file reply in
-        Ok
-          {
-            ix_name = spec.is_name;
-            ix_cols;
-            ix_all_cols;
-            ix_basekey_pos;
-            ix_schema;
-            ix_dp = spec.is_dp;
-            ix_file = id;
-          })
-      indexes
+  let iname = Printf.sprintf "%s#ix_%s" fname spec.is_name in
+  let* id =
+    expect_file
+      (send t spec.is_dp
+         (Dp_msg.R_create_file
+            { fname = iname; kind = Dp_msg.K_key_sequenced;
+              schema = Some ix_schema; check = None }))
   in
   Ok
     {
-      fname;
-      schema = Some schema;
-      kind = Dp_msg.K_key_sequenced;
-      parts = Array.of_list parts;
-      indexes = index_metas;
+      ix_name = spec.is_name;
+      ix_cols = Array.of_list spec.is_cols;
+      ix_all_cols = all;
+      ix_basekey_pos = Array.of_list (List.map pos_of key_cols);
+      ix_schema;
+      ix_dp = spec.is_dp;
+      ix_file = id;
     }
 
-let create_enscribe_file t ~fname ~kind ~partitions =
-  let* () = validate_partitions partitions in
+let create_file t ~fname ~schema ?check ~partitions ~indexes () =
+  let kind = Dp_msg.K_key_sequenced in
   let* parts =
-    Errors.list_map
-      (fun (i, ps) ->
-        let pname = Printf.sprintf "%s#p%d" fname i in
-        let reply =
-          send t ps.ps_dp
-            (Dp_msg.R_create_file { fname = pname; kind; schema = None; check = None })
-        in
-        let* id = expect_file reply in
-        Ok { p_lo = ps.ps_lo; p_dp = ps.ps_dp; p_file = id })
-      (List.mapi (fun i ps -> (i, ps)) partitions)
+    create_parts t ~fname ~kind ~schema:(Some schema) ~check partitions
   in
-  Ok { fname; schema = None; kind; parts = Array.of_list parts; indexes = [] }
+  let* indexes = Errors.list_map (create_index t ~fname schema) indexes in
+  Ok { fname; schema = Some schema; kind; parts; indexes }
+
+let create_enscribe_file t ~fname ~kind ~partitions =
+  let* parts = create_parts t ~fname ~kind ~schema:None ~check:None partitions in
+  Ok { fname; schema = None; kind; parts; indexes = [] }
 
 (* --- index helpers ------------------------------------------------------------ *)
 
@@ -296,10 +304,14 @@ let base_key_of_index_row f ix irow =
       in
       Row.key_of_values schema values
 
-let index_schema f ~index =
+let find_index f index =
   match List.find_opt (fun ix -> String.equal ix.ix_name index) f.indexes with
-  | Some ix -> Ok ix.ix_schema
+  | Some ix -> Ok ix
   | None -> fail (Errors.Name_error ("unknown index " ^ index))
+
+let index_schema f ~index =
+  let* ix = find_index f index in
+  Ok ix.ix_schema
 
 (* --- record-at-a-time operations ------------------------------------------------ *)
 
@@ -467,52 +479,45 @@ let delete_row_via_key t f ~tx ~key =
 
 let read_row_via_index t f ~tx ~index ~index_key:ikey_values =
   let* schema = require_schema f in
-  match List.find_opt (fun ix -> String.equal ix.ix_name index) f.indexes with
-  | None -> fail (Errors.Name_error ("unknown index " ^ index))
-  | Some ix -> (
-      let* prefix = Row.key_of_values ix.ix_schema ikey_values in
-      (* message 1: read the first matching index record *)
-      let reply =
-        send t ix.ix_dp
-          (Dp_msg.R_read_next
-             {
-               file = ix.ix_file;
-               tx;
-               from_key = prefix;
-               inclusive = true;
-               lock = Dp_msg.L_none;
-               sbb = false;
-             })
-      in
-      classify ~ctx:"index READ^NEXT" reply (function
-        | Dp_msg.Rp_end -> Some (Ok None)
-        | Dp_msg.Rp_record { key; record } ->
-            (* check the index record is within the prefix *)
-            let within =
-              String.length key >= String.length prefix
-              && String.equal (String.sub key 0 (String.length prefix)) prefix
-            in
-            ignore record;
-            Some
-              (if not within then Ok None
-               else begin
-                 let irow = Row.decode_exn ix.ix_schema record in
-                 let* base_key = base_key_of_index_row f ix irow in
-                 (* message 2: read the base record on its partition *)
-                 let* _k, base_record =
-                   expect_record
-                     (send t (route f base_key).p_dp
-                        (Dp_msg.R_read
-                           {
-                             file = (route f base_key).p_file;
-                             tx;
-                             key = base_key;
-                             lock = Dp_msg.L_none;
-                           }))
-                 in
-                 Ok (Some (Row.decode_exn schema base_record))
-               end)
-        | _ -> None))
+  let* ix = find_index f index in
+  let* prefix = Row.key_of_values ix.ix_schema ikey_values in
+  (* message 1: read the first matching index record *)
+  let reply =
+    send t ix.ix_dp
+      (Dp_msg.R_read_next
+         {
+           file = ix.ix_file;
+           tx;
+           from_key = prefix;
+           inclusive = true;
+           lock = Dp_msg.L_none;
+           sbb = false;
+         })
+  in
+  classify ~ctx:"index READ^NEXT" reply (function
+    | Dp_msg.Rp_end -> Some (Ok None)
+    | Dp_msg.Rp_record { key; record } ->
+        (* check the index record is within the prefix *)
+        let within =
+          String.length key >= String.length prefix
+          && String.equal (String.sub key 0 (String.length prefix)) prefix
+        in
+        Some
+          (if not within then Ok None
+           else begin
+             let irow = Row.decode_exn ix.ix_schema record in
+             let* base_key = base_key_of_index_row f ix irow in
+             (* message 2: read the base record on its partition *)
+             let p = route f base_key in
+             let* _k, base_record =
+               expect_record
+                 (send t p.p_dp
+                    (Dp_msg.R_read
+                       { file = p.p_file; tx; key = base_key; lock = Dp_msg.L_none }))
+             in
+             Ok (Some (Row.decode_exn schema base_record))
+           end)
+    | _ -> None)
 
 (* --- ENSCRIBE sequential read --------------------------------------------- *)
 
@@ -538,15 +543,7 @@ let read_next_raw t f ~tx ~from_key ~inclusive ~lock ~sbb =
         | _ -> None)
     end
   in
-  let start_part =
-    let rec go i =
-      if i + 1 < n && Keycode.compare_keys f.parts.(i + 1).p_lo from_key <= 0
-      then go (i + 1)
-      else i
-    in
-    go 0
-  in
-  try_part start_part from_key inclusive
+  try_part (route_index f from_key) from_key inclusive
 
 (* --- set-oriented scans -------------------------------------------------------------- *)
 
@@ -559,14 +556,53 @@ let access_name = function
 
 type scan_item = I_row of Row.row | I_entry of string * string
 
+(* client-side filtering for the record-at-a-time and RSBB paths *)
+let client_select ~schema ~pred ~proj key record =
+  match schema with
+  | None -> Some (I_entry (key, record))
+  | Some schema -> (
+      let row = Row.decode_exn schema record in
+      match pred with
+      | Some p when not (Expr.eval_pred row p) -> None
+      | _ -> (
+          match proj with
+          | Some fields -> Some (I_row (Row.project row fields))
+          | None -> Some (I_row row)))
+
+(* the subset a GET^FIRST opens: the predicate and projection travel only
+   under VSBB, an RSBB scan applies them client-side *)
+let read_body ~access ~pred ~proj ~lock =
+  let vsbb = access = A_vsbb in
+  Dp_msg.Cs_read
+    {
+      buffering = (if vsbb then Dp_msg.B_vsbb else Dp_msg.B_rsbb);
+      pred = (if vsbb then pred else None);
+      proj = (if vsbb then proj else None);
+      lock;
+    }
+
+(* One GET reply as (items, last key, more, SCB): a VSBB block's rows as
+   shipped, an RSBB block's entries through the client-side [select].
+   [Rp_end] is an empty last reply, whose SCB the Disk Process has
+   already dropped. *)
+let read_get select reply =
+  classify ~ctx:"GET" reply (function
+    | Dp_msg.Rp_end -> Some (Ok ([], "", false, -1))
+    | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
+        Some (Ok (List.map (fun r -> I_row r) rows, last_key, more, scb))
+    | Dp_msg.Rp_block { entries; last_key; more; scb } ->
+        let items = List.filter_map (fun (k, r) -> select k r) entries in
+        Some (Ok (items, last_key, more, scb))
+    | _ -> None)
+
 (* the blocking driver: one partition at a time, one outstanding request *)
 type seq_scan = {
   sc_file : file;
   sc_tx : int;
   sc_access : access;
-  sc_pred : Expr.t option;
-  sc_proj : int array option;
-  sc_lock : Dp_msg.lock_mode;
+  sc_lock : Dp_msg.lock_mode;  (** record-at-a-time READ^NEXT lock *)
+  sc_body : Dp_msg.subset;
+  sc_select : string -> string -> scan_item option;
   mutable sc_parts : (partition * Expr.key_range) list;  (** head = current *)
   mutable sc_scb : int option;
   mutable sc_last_key : string;
@@ -593,10 +629,8 @@ type par_part = {
 type par_scan = {
   pr_file : file;
   pr_tx : int;
-  pr_access : access;  (** [A_rsbb] or [A_vsbb] *)
-  pr_pred : Expr.t option;
-  pr_proj : int array option;
-  pr_lock : Dp_msg.lock_mode;
+  pr_body : Dp_msg.subset;
+  pr_select : string -> string -> scan_item option;
   pr_ordered : bool;
   pr_parts : par_part array;
   mutable pr_cur : int;  (** ordered: next partition to consume *)
@@ -639,16 +673,16 @@ let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
         (access_name access ^ " scan " ^ f.fname)
     else None
   in
+  let body = read_body ~access ~pred ~proj ~lock in
+  let select = client_select ~schema:f.schema ~pred ~proj in
   let driver =
     if par then
       Par
         {
           pr_file = f;
           pr_tx = tx;
-          pr_access = access;
-          pr_pred = pred;
-          pr_proj = proj;
-          pr_lock = lock;
+          pr_body = body;
+          pr_select = select;
           pr_ordered = ordered;
           pr_parts =
             Array.of_list
@@ -676,9 +710,9 @@ let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
           sc_file = f;
           sc_tx = tx;
           sc_access = access;
-          sc_pred = pred;
-          sc_proj = proj;
           sc_lock = lock;
+          sc_body = body;
+          sc_select = select;
           sc_parts = pieces;
           sc_scb = None;
           sc_last_key = "";
@@ -690,49 +724,24 @@ let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
   in
   { driver; popped = []; base_row = None }
 
-(* client-side filtering for the record-at-a-time and RSBB paths *)
-let client_select_gen ~schema ~pred ~proj key record =
-  match schema with
-  | None -> Some (I_entry (key, record))
-  | Some schema -> (
-      let row = Row.decode_exn schema record in
-      match pred with
-      | Some p when not (Expr.eval_pred row p) -> None
-      | _ -> (
-          match proj with
-          | Some fields -> Some (I_row (Row.project row fields))
-          | None -> Some (I_row row)))
-
-(* the subset a GET^FIRST opens: the predicate and projection travel only
-   under VSBB, an RSBB scan applies them client-side *)
-let read_body ~access ~pred ~proj ~lock =
-  let vsbb = access = A_vsbb in
-  Dp_msg.Cs_read
-    {
-      buffering = (if vsbb then Dp_msg.B_vsbb else Dp_msg.B_rsbb);
-      pred = (if vsbb then pred else None);
-      proj = (if vsbb then proj else None);
-      lock;
-    }
-
 (* --- sequential (blocking) scan driver ----------------------------------- *)
 
-let seq_close t sc =
+(* abandon the current partition's subset, if the scan holds its SCB *)
+let seq_drop_scb t sc =
   (match (sc.sc_scb, sc.sc_parts) with
-  | Some scb, (p, _) :: _ ->
-      Trace.attribute t.sim sc.sc_span (fun () ->
-          ignore (send t p.p_dp (Dp_msg.R_close_scb { scb })))
+  | Some scb, (p, _) :: _ -> close_scb t p.p_dp scb
   | _ -> ());
-  sc.sc_scb <- None;
+  sc.sc_scb <- None
+
+let seq_close t sc =
+  if sc.sc_scb <> None then
+    Trace.attribute t.sim sc.sc_span (fun () -> seq_drop_scb t sc);
   sc.sc_done <- true;
   Trace.finish t.sim sc.sc_span
 
 (* move to the next partition *)
 let advance_partition t sc =
-  (match (sc.sc_scb, sc.sc_parts) with
-  | Some scb, (p, _) :: _ -> ignore (send t p.p_dp (Dp_msg.R_close_scb { scb }))
-  | _ -> ());
-  sc.sc_scb <- None;
+  seq_drop_scb t sc;
   sc.sc_started <- false;
   sc.sc_last_key <- "";
   match sc.sc_parts with
@@ -740,10 +749,6 @@ let advance_partition t sc =
   | _ :: rest ->
       sc.sc_parts <- rest;
       if rest = [] then sc.sc_done <- true
-
-let client_select sc key record =
-  client_select_gen ~schema:sc.sc_file.schema ~pred:sc.sc_pred
-    ~proj:sc.sc_proj key record
 
 (* one reply buffer absorbed into the scan's item buffer = one
    executor-visible batch; counted at the absorb site so draining a scan
@@ -793,7 +798,7 @@ let refill t sc =
                 end
                 else begin
                   sc.sc_last_key <- key;
-                  (match client_select sc key record with
+                  (match sc.sc_select key record with
                   | Some item ->
                       sc.sc_buf <- [ item ];
                       note_batch t 1
@@ -801,56 +806,27 @@ let refill t sc =
                   Some (Ok ())
                 end
             | _ -> None))
-      | A_rsbb | A_vsbb -> (
+      | A_rsbb | A_vsbb ->
           let reply =
             match sc.sc_scb with
             | None when not sc.sc_started ->
                 sc.sc_started <- true;
-                send t p.p_dp
-                  (Dp_msg.R_subset_first
-                     {
-                       file = p.p_file;
-                       tx = sc.sc_tx;
-                       range;
-                       body =
-                         read_body ~access:sc.sc_access ~pred:sc.sc_pred
-                           ~proj:sc.sc_proj ~lock:sc.sc_lock;
-                     })
+                send t p.p_dp (subset_first ~tx:sc.sc_tx sc.sc_body (p, range))
             | Some scb ->
                 send t p.p_dp
-                  (Dp_msg.R_subset_next
-                     {
-                       kind = Dp_msg.Sk_get;
-                       file = p.p_file;
-                       tx = sc.sc_tx;
-                       scb;
-                       after_key = sc.sc_last_key;
-                     })
+                  (subset_next ~tx:sc.sc_tx sc.sc_body p ~scb
+                     ~after_key:sc.sc_last_key)
             | None ->
                 (* SCB lost but scan started: treat as exhausted *)
                 Dp_msg.Rp_end
           in
-          let absorb items ~last_key ~more ~scb =
-            sc.sc_scb <- (if more then Some scb else None);
-            sc.sc_last_key <- last_key;
-            sc.sc_buf <- items;
-            note_batch t (List.length items);
-            if not more then advance_partition t sc;
-            Some (Ok ())
-          in
-          classify ~ctx:"GET" reply (function
-            | Dp_msg.Rp_end ->
-                (* the Disk Process has already dropped the SCB *)
-                sc.sc_scb <- None;
-                advance_partition t sc;
-                Some (Ok ())
-            | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
-                absorb (List.map (fun r -> I_row r) rows) ~last_key ~more ~scb
-            | Dp_msg.Rp_block { entries; last_key; more; scb } ->
-                absorb
-                  (List.filter_map (fun (k, r) -> client_select sc k r) entries)
-                  ~last_key ~more ~scb
-            | _ -> None)))
+          let* items, last_key, more, scb = read_get sc.sc_select reply in
+          sc.sc_scb <- (if more then Some scb else None);
+          sc.sc_last_key <- last_key;
+          sc.sc_buf <- items;
+          note_batch t (List.length items);
+          if not more then advance_partition t sc;
+          Ok ())
 
 (* take everything currently buffered as one batch, refilling only when
    the buffer is empty. Draining item-by-item does nothing to the
@@ -907,63 +883,29 @@ let par_issue_first t ps =
             ~cat:"fs.leg"
             ~attrs:[ ("partition", Trace.Int i) ]
             ("leg " ^ Dp.name pp.pp_part.p_dp);
-      let req =
-        Dp_msg.R_subset_first
-          {
-            file = pp.pp_part.p_file;
-            tx = ps.pr_tx;
-            range = pp.pp_range;
-            body =
-              read_body ~access:ps.pr_access ~pred:ps.pr_pred ~proj:ps.pr_proj
-                ~lock:ps.pr_lock;
-          }
-      in
+      let req = subset_first ~tx:ps.pr_tx ps.pr_body (pp.pp_part, pp.pp_range) in
       Trace.attribute t.sim pp.pp_span (fun () ->
           pp.pp_pending <- Some (send_nowait t pp.pp_part.p_dp req)))
     ps.pr_parts
 
 (* fold one reply into the partition state; keep one re-drive outstanding *)
 let par_process t ps pp reply =
-  let absorb items ~last_key ~more ~scb =
-    par_absorb ps pp items;
-    note_batch t (List.length items);
-    if more then begin
-      pp.pp_scb <- Some scb;
-      pp.pp_pending <-
-        Some
-          (send_nowait t pp.pp_part.p_dp
-             (Dp_msg.R_subset_next
-                {
-                  kind = Dp_msg.Sk_get;
-                  file = pp.pp_part.p_file;
-                  tx = ps.pr_tx;
-                  scb;
-                  after_key = last_key;
-                }))
-    end
-    else begin
-      pp.pp_scb <- None;
-      pp.pp_done <- true
-    end;
-    Some (Ok ())
-  in
   Trace.attribute t.sim pp.pp_span @@ fun () ->
-  classify ~ctx:"GET" reply (function
-  | Dp_msg.Rp_end ->
-      pp.pp_scb <- None;
-      pp.pp_done <- true;
-      Some (Ok ())
-  | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
-      absorb (List.map (fun r -> I_row r) rows) ~last_key ~more ~scb
-  | Dp_msg.Rp_block { entries; last_key; more; scb } ->
-      absorb
-        (List.filter_map
-           (fun (k, r) ->
-             client_select_gen ~schema:ps.pr_file.schema ~pred:ps.pr_pred
-               ~proj:ps.pr_proj k r)
-           entries)
-        ~last_key ~more ~scb
-  | _ -> None)
+  let* items, last_key, more, scb = read_get ps.pr_select reply in
+  par_absorb ps pp items;
+  note_batch t (List.length items);
+  if more then begin
+    pp.pp_scb <- Some scb;
+    pp.pp_pending <-
+      Some
+        (send_nowait t pp.pp_part.p_dp
+           (subset_next ~tx:ps.pr_tx ps.pr_body pp.pp_part ~scb ~after_key:last_key))
+  end
+  else begin
+    pp.pp_scb <- None;
+    pp.pp_done <- true
+  end;
+  Ok ()
 
 (* drain every outstanding completion (charging its latency); called on
    error and on close so no completion is ever leaked *)
@@ -986,18 +928,13 @@ let par_quiesce t ps =
    break to the lowest partition index — pure function of simulated time)
    and fold its reply in; [Ok false] when nothing was outstanding *)
 let par_await_some t ps =
-  let idxs = ref [] in
-  Array.iteri
-    (fun i pp -> if pp.pp_pending <> None then idxs := i :: !idxs)
-    ps.pr_parts;
-  match List.rev !idxs with
-  | [] -> Ok false
-  | idxs -> (
-      let cs = List.map (fun i -> Option.get ps.pr_parts.(i).pp_pending) idxs in
-      let which, payload = Msg.await_any t.msys cs in
-      let pp = ps.pr_parts.(List.nth idxs which) in
+  let n = Array.length ps.pr_parts in
+  match await_earliest t n (fun i -> ps.pr_parts.(i).pp_pending) with
+  | None -> Ok false
+  | Some (i, reply) -> (
+      let pp = ps.pr_parts.(i) in
       pp.pp_pending <- None;
-      match par_process t ps pp (decode_or_internal payload) with
+      match par_process t ps pp reply with
       | Ok () -> Ok true
       | Error e ->
           par_quiesce t ps;
@@ -1081,8 +1018,7 @@ let close_scan t sc =
               | Some scb ->
                   pp.pp_scb <- None;
                   Trace.attribute t.sim pp.pp_span (fun () ->
-                      ignore
-                        (send t pp.pp_part.p_dp (Dp_msg.R_close_scb { scb })))
+                      close_scb t pp.pp_part.p_dp scb)
               | None -> ());
               Trace.finish t.sim pp.pp_span)
             ps.pr_parts);
@@ -1192,37 +1128,28 @@ let scan_next_batch ?(tick = true) t sc =
    failure ends the request. Each chain opens [body] over its piece of
    [range]. The request runs under one [span] named [span ^ " " ^ file]. *)
 let drive_chains t f ~tx ~range ~body ~span ~attrs ~step =
-  let first p prange =
-    Dp_msg.R_subset_first { file = p.p_file; tx; range = prange; body }
-  in
-  let next p scb after_key =
-    Dp_msg.R_subset_next
-      { kind = Dp_msg.kind_of_subset body; file = p.p_file; tx; scb; after_key }
-  in
   let parts = Array.of_list (partition_ranges f range) in
   let par = fanout t && Array.length parts > 1 in
+  let next p (scb, after_key) = subset_next ~tx body p ~scb ~after_key in
   let run (_ : Trace.h) =
     if par then begin
       let pending =
-        Array.map (fun (p, prange) -> Some (send_nowait t p.p_dp (first p prange))) parts
+        Array.map
+          (fun ((p, _) as part) -> Some (send_nowait t p.p_dp (subset_first ~tx body part)))
+          parts
       in
       let err = ref None in
       let rec loop () =
-        let idxs = ref [] in
-        Array.iteri (fun i c -> if c <> None then idxs := i :: !idxs) pending;
-        match List.rev !idxs with
-        | [] -> ()
-        | idxs ->
-            let cs = List.map (fun i -> Option.get pending.(i)) idxs in
-            let which, payload = Msg.await_any t.msys cs in
-            let i = List.nth idxs which in
+        match await_earliest t (Array.length parts) (Array.get pending) with
+        | None -> ()
+        | Some (i, reply) ->
             pending.(i) <- None;
             let p, _ = parts.(i) in
-            (match step i (decode_or_internal payload) with
-            | Ok (`Redrive (scb, last_key)) ->
+            (match step i reply with
+            | Ok (`Redrive (scb, after_key)) ->
                 if !err = None then
-                  pending.(i) <- Some (send_nowait t p.p_dp (next p scb last_key))
-                else ignore (send t p.p_dp (Dp_msg.R_close_scb { scb }))
+                  pending.(i) <- Some (send_nowait t p.p_dp (next p (scb, after_key)))
+                else close_scb t p.p_dp scb
             | Ok `Done -> ()
             | Error e -> if !err = None then err := Some e);
             loop ()
@@ -1234,14 +1161,14 @@ let drive_chains t f ~tx ~range ~body ~span ~attrs ~step =
       let rec per_partition i =
         if i >= Array.length parts then Ok ()
         else
-          let p, prange = parts.(i) in
+          let p, _ = parts.(i) in
           let rec drive req =
             let* outcome = step i (send t p.p_dp req) in
             match outcome with
-            | `Redrive (scb, last_key) -> drive (next p scb last_key)
+            | `Redrive redrive -> drive (next p redrive)
             | `Done -> per_partition (i + 1)
           in
-          drive (first p prange)
+          drive (subset_first ~tx body parts.(i))
       in
       per_partition 0
   in
@@ -1461,65 +1388,42 @@ let buffered_delete t b ~key = buffer_op t b key Dp_msg.Ob_delete
    qualifying entry, the cost structure of Figure 2. *)
 let open_index_scan t f ~tx ~index ~range ?pred ?proj ~lock () =
   let* schema = require_schema f in
-  match List.find_opt (fun ix -> String.equal ix.ix_name index) f.indexes with
-  | None -> fail (Errors.Name_error ("unknown index " ^ index))
-  | Some ix ->
-      let ix_file : file =
-        {
-          fname = f.fname ^ "#ix_" ^ index;
-          schema = Some ix.ix_schema;
-          kind = Dp_msg.K_key_sequenced;
-          parts = [| { p_lo = ""; p_dp = ix.ix_dp; p_file = ix.ix_file } |];
-          indexes = [];
-        }
-      in
-      let base_row irow =
-        let* base_key = base_key_of_index_row f ix irow in
-        let p = route f base_key in
-        let* _k, record =
-          expect_record
-            (send t p.p_dp (Dp_msg.R_read { file = p.p_file; tx; key = base_key; lock }))
-        in
-        let row = Row.decode_exn schema record in
-        Ok (match proj with Some fields -> Row.project row fields | None -> row)
-      in
-      let sc = open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock () in
-      Ok { sc with base_row = Some base_row }
+  let* ix = find_index f index in
+  let ix_file : file =
+    {
+      fname = f.fname ^ "#ix_" ^ index;
+      schema = Some ix.ix_schema;
+      kind = Dp_msg.K_key_sequenced;
+      parts = [| { p_lo = ""; p_dp = ix.ix_dp; p_file = ix.ix_file } |];
+      indexes = [];
+    }
+  in
+  let base_row irow =
+    let* base_key = base_key_of_index_row f ix irow in
+    let p = route f base_key in
+    let* _k, record =
+      expect_record
+        (send t p.p_dp (Dp_msg.R_read { file = p.p_file; tx; key = base_key; lock }))
+    in
+    let row = Row.decode_exn schema record in
+    Ok (match proj with Some fields -> Row.project row fields | None -> row)
+  in
+  let sc = open_scan t ix_file ~tx ~access:A_vsbb ~range ?pred ~lock () in
+  Ok { sc with base_row = Some base_row }
 
 (* --- online index creation ------------------------------------------------ *)
 
 let add_index t f ~tx spec =
   let* schema = require_schema f in
-  if List.exists (fun ix -> String.equal ix.ix_name spec.is_name) f.indexes
-  then fail (Errors.File_exists ("index " ^ spec.is_name))
+  if Result.is_ok (find_index f spec.is_name) then
+    fail (Errors.File_exists ("index " ^ spec.is_name))
   else begin
-    let ix_cols, ix_all_cols, ix_basekey_pos, ix_schema =
-      build_index_meta schema spec
-    in
-    let iname = Printf.sprintf "%s#ix_%s" f.fname spec.is_name in
-    let* id =
-      expect_file
-        (send t spec.is_dp
-           (Dp_msg.R_create_file
-              { fname = iname; kind = Dp_msg.K_key_sequenced;
-                schema = Some ix_schema; check = None }))
-    in
-    let ix =
-      {
-        ix_name = spec.is_name;
-        ix_cols;
-        ix_all_cols;
-        ix_basekey_pos;
-        ix_schema;
-        ix_dp = spec.is_dp;
-        ix_file = id;
-      }
-    in
+    let* ix = create_index t ~fname:f.fname schema spec in
     (* backfill: scan the base with VSBB projecting the index fields, ship
        the entries with blocked inserts *)
     let sc =
       open_scan t f ~tx ~access:A_vsbb ~range:Expr.full_range
-        ~proj:ix_all_cols ~lock:Dp_msg.L_shared ()
+        ~proj:ix.ix_all_cols ~lock:Dp_msg.L_shared ()
     in
     let batch = ref [] in
     let flush () =
@@ -1529,7 +1433,7 @@ let add_index t f ~tx spec =
           let rows = List.rev rows in
           batch := [];
           expect_applied ~ctx:"INSERT^BLOCK"
-            (send t spec.is_dp (Dp_msg.R_insert_block { file = id; tx; rows }))
+            (send t spec.is_dp (Dp_msg.R_insert_block { file = ix.ix_file; tx; rows }))
     in
     let rec fill () =
       let* row = scan_next t sc in

@@ -79,8 +79,9 @@ val index_names : file -> string list
 
 (** [record_count t file] sums the partitions' live record counts: one
     RECORD^COUNT message per partition, overlapped (nowait) when
-    {!Nsql_sim.Config.t.fs_fanout} is on. *)
-val record_count : t -> file -> int
+    {!Nsql_sim.Config.t.fs_fanout} is on. A partition's error reply is the
+    result's error, never a count of 0. *)
+val record_count : t -> file -> (int, Nsql_util.Errors.t) result
 
 (** {1 Record-at-a-time operations (ENSCRIBE-style)} *)
 

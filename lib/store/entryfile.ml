@@ -63,6 +63,10 @@ let append t ~record ~lsn =
     Ok ((logical * t.block_size) + off)
   end
 
+(* the length field of the record framed at [off], and the record *)
+let len_at data off = Char.code data.[off] lor (Char.code data.[off + 1] lsl 8)
+let record_of data off len = String.sub data (off + 2) (len - 1)
+
 let read t ~addr =
   let logical = addr / t.block_size and off = addr mod t.block_size in
   Sim.tick t.sim 5;
@@ -70,61 +74,51 @@ let read t ~addr =
     Errors.fail (Errors.Not_found_key (string_of_int addr))
   else begin
     let data = Cache.read t.cache t.blocks.(logical) in
-    let len = Char.code data.[off] lor (Char.code data.[off + 1] lsl 8) in
+    let len = len_at data off in
     if len = 0 then Errors.fail (Errors.Not_found_key (string_of_int addr))
-    else Ok (String.sub data (off + 2) (len - 1))
+    else Ok (record_of data off len)
   end
 
-let next_from t ~addr =
-  let rec try_block logical off =
+(* The one walk of the framing: from offset [off] of logical block
+   [logical], offer each record in address order to [visit addr data pos
+   len] (its bytes are [len - 1] from [pos + 2] of [data]) until [visit]
+   answers [Some]; [None] once the records run out. A block is read through
+   the cache once per pass, or, with [per_record], again before each next
+   record: the cache reads are what the walk is charged. *)
+let walk ?(per_record = false) t ~logical ~off visit =
+  let rec block logical off =
     if logical >= t.nblocks then None
-    else begin
-      let data = Cache.read t.cache t.blocks.(logical) in
-      let limit =
-        if logical = t.nblocks - 1 then t.tail_offset else t.block_size
-      in
-      (* walk the block's records to the first at or after [off] *)
-      let rec walk pos =
-        if pos + 2 > limit then try_block (logical + 1) 0
-        else begin
-          let len = Char.code data.[pos] lor (Char.code data.[pos + 1] lsl 8) in
-          if len = 0 then try_block (logical + 1) 0
-          else if pos >= off then
-            Some ((logical * t.block_size) + pos, String.sub data (pos + 2) (len - 1))
-          else walk (pos + 2 + len - 1)
-        end
-      in
-      walk 0
-    end
+    else scan logical (Cache.read t.cache t.blocks.(logical)) off
+  and scan logical data pos =
+    let limit = if logical = t.nblocks - 1 then t.tail_offset else t.block_size in
+    let len = if pos + 2 > limit then 0 else len_at data pos in
+    if len = 0 then block (logical + 1) 0
+    else
+      match visit ((logical * t.block_size) + pos) data pos len with
+      | Some _ as found -> found
+      | None ->
+          let next = pos + 1 + len in
+          if per_record then block logical next else scan logical data next
   in
-  if addr < 0 then try_block 0 0
-  else try_block (addr / t.block_size) (addr mod t.block_size)
+  block logical off
+
+let next_from t ~addr =
+  (* from the start of [addr]'s block: a record boundary is only known
+     by walking to it *)
+  walk t ~logical:(max addr 0 / t.block_size) ~off:0 (fun a data pos len ->
+      if a >= addr then Some (a, record_of data pos len) else None)
 
 let truncate_to t ~addr ~lsn =
   let logical = addr / t.block_size and off = addr mod t.block_size in
   if logical >= t.nblocks || (logical = t.nblocks - 1 && off >= t.tail_offset)
   then Errors.fail (Errors.Not_found_key (string_of_int addr))
   else begin
-    (* count the records being discarded *)
+    (* count the records being discarded (charged one cache read each) *)
     let discarded = ref 0 in
-    let rec count logical off =
-      if logical < t.nblocks then begin
-        let data = Cache.read t.cache t.blocks.(logical) in
-        let limit =
-          if logical = t.nblocks - 1 then t.tail_offset else t.block_size
-        in
-        if off + 2 > limit then count (logical + 1) 0
-        else begin
-          let len = Char.code data.[off] lor (Char.code data.[off + 1] lsl 8) in
-          if len = 0 then count (logical + 1) 0
-          else begin
-            incr discarded;
-            count logical (off + 2 + len - 1)
-          end
-        end
-      end
-    in
-    count logical off;
+    ignore
+      (walk ~per_record:true t ~logical ~off (fun _ _ _ _ ->
+           incr discarded;
+           None));
     (* zero the length marker at [addr]: everything after is unreachable *)
     let block = t.blocks.(logical) in
     let data = Bytes.of_string (Cache.read t.cache block) in
@@ -138,19 +132,7 @@ let truncate_to t ~addr ~lsn =
   end
 
 let iter t f =
-  for logical = 0 to t.nblocks - 1 do
-    let data = Cache.read t.cache t.blocks.(logical) in
-    let limit =
-      if logical = t.nblocks - 1 then t.tail_offset else t.block_size
-    in
-    let rec walk off =
-      if off + 2 <= limit then begin
-        let len = Char.code data.[off] lor (Char.code data.[off + 1] lsl 8) in
-        if len > 0 then begin
-          f ((logical * t.block_size) + off) (String.sub data (off + 2) (len - 1));
-          walk (off + 2 + len - 1)
-        end
-      end
-    in
-    walk 0
-  done
+  ignore
+    (walk t ~logical:0 ~off:0 (fun a data pos len ->
+         f a (record_of data pos len);
+         None))

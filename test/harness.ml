@@ -94,6 +94,10 @@ let in_tx n f =
 
 let full_range = Expr.full_range
 
+(* a file's live record count, failing the test on an error reply *)
+let record_count n file =
+  get_ok ~ctx:"record count" (Fs.record_count n.fs file)
+
 (* drain a scan into a list of rows *)
 let drain_scan n sc =
   let rec go acc =

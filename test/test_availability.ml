@@ -147,15 +147,15 @@ let entry_append_abort_undoes () =
   let tx = Tmf.begin_tx n.tmf in
   ignore (get_ok ~ctx:"a1" (Fs.append_entry n.fs file ~tx ~record:"doomed-1"));
   ignore (get_ok ~ctx:"a2" (Fs.append_entry n.fs file ~tx ~record:"doomed-2"));
-  Alcotest.(check int) "visible before abort" 3 (Fs.record_count n.fs file);
+  Alcotest.(check int) "visible before abort" 3 (record_count n file);
   get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
-  Alcotest.(check int) "appends rolled back" 1 (Fs.record_count n.fs file);
+  Alcotest.(check int) "appends rolled back" 1 (record_count n file);
   (* the file still works after the truncation *)
   in_tx n (fun tx ->
       let open Errors in
       let* _ = Fs.append_entry n.fs file ~tx ~record:"committed-2" in
       Ok ());
-  Alcotest.(check int) "append after undo" 2 (Fs.record_count n.fs file)
+  Alcotest.(check int) "append after undo" 2 (record_count n file)
 
 let suite =
   suite

@@ -337,7 +337,7 @@ let delete_subset_applies () =
           ())
   in
   Alcotest.(check int) "rows deleted" 30 deleted;
-  Alcotest.(check int) "remaining" 70 (Fs.record_count n.fs file)
+  Alcotest.(check int) "remaining" 70 (record_count n file)
 
 let abort_undoes_everything () =
   let n, file = setup_with_file () in
@@ -355,7 +355,7 @@ let abort_undoes_everything () =
           ()));
   get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
   (* everything back to the loaded state *)
-  Alcotest.(check int) "count restored" 40 (Fs.record_count n.fs file);
+  Alcotest.(check int) "count restored" 40 (record_count n file);
   in_tx n (fun tx ->
       let open Errors in
       let* record = Fs.read n.fs file ~tx ~key:(acct_key 7) ~lock:Dp_msg.L_none in
@@ -391,7 +391,7 @@ let crash_recovery_restores_committed () =
     (outcome.Nsql_tmf.Recovery.replayed >= 60);
   Alcotest.(check bool) "losers detected" true
     (outcome.Nsql_tmf.Recovery.losers >= 1);
-  Alcotest.(check int) "committed count restored" 60 (Fs.record_count n.fs file);
+  Alcotest.(check int) "committed count restored" 60 (record_count n file);
   (match Dp.check_invariants n.dps.(0) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -639,4 +639,133 @@ let suite =
         deadlock_aborts_youngest;
       Alcotest.test_case "crash flushes wait queue" `Quick
         crash_flushes_wait_queue;
+    ]
+
+(* --- a blocked point request applies nothing ------------------------- *)
+
+(* The wait queue re-dispatches a parked request whole, which is
+   only sound if a blocked point request has applied nothing. With
+   [dp_lock_wait] off the Disk Process answers [Rp_blocked] at once, so
+   every request kind that may park is sent against files another
+   transaction holds exclusively, and must come back blocked with no
+   progress, no SCB, no audit and no change to any file. *)
+let blocked_point_request_applies_nothing () =
+  let n = node () in
+  let dp = n.dps.(0) in
+  let create fname kind schema =
+    match
+      Dp.request dp (Dp_msg.R_create_file { fname; kind; schema; check = None })
+    with
+    | Dp_msg.Rp_file id -> id
+    | _ -> Alcotest.fail ("create " ^ fname)
+  in
+  let ks = create "KS" Dp_msg.K_key_sequenced (Some account_schema) in
+  let rel = create "REL" (Dp_msg.K_relative 80) None in
+  let ent = create "ENT" Dp_msg.K_entry_sequenced None in
+  let what = function
+    | Dp_msg.Rp_error e -> Errors.to_string e
+    | _ -> "unexpected reply"
+  in
+  let applied = function
+    | Dp_msg.Rp_ok | Dp_msg.Rp_slot _ -> ()
+    | r -> Alcotest.fail ("load: " ^ what r)
+  in
+  in_tx n (fun tx ->
+      for i = 0 to 4 do
+        applied
+          (Dp.request dp
+             (Dp_msg.R_insert_row
+                { file = ks; tx; row = account i (float_of_int i) "o" }));
+        applied
+          (Dp.request dp
+             (Dp_msg.R_rel_write
+                { file = rel; tx; slot = i; record = Printf.sprintf "r%d" i }));
+        applied
+          (Dp.request dp
+             (Dp_msg.R_entry_append { file = ent; tx; record = Printf.sprintf "e%d" i }))
+      done;
+      Ok ());
+  (* every record of the three files, read without locks *)
+  let contents () =
+    let rec walk file from_key inclusive acc =
+      match
+        Dp.request dp
+          (Dp_msg.R_read_next
+             { file; tx = 0; from_key; inclusive; lock = Dp_msg.L_none; sbb = false })
+      with
+      | Dp_msg.Rp_record { key; record } ->
+          walk file key false ((key, record) :: acc)
+      | Dp_msg.Rp_end -> List.rev acc
+      | r -> Alcotest.fail ("walk: " ^ what r)
+    in
+    let slots =
+      List.filter_map
+        (fun slot ->
+          match Dp.request dp (Dp_msg.R_rel_read { file = rel; tx = 0; slot }) with
+          | Dp_msg.Rp_record { key; record } -> Some (key, record)
+          | _ -> None)
+        (List.init 8 Fun.id)
+    in
+    (walk ks "" true [], slots, walk ent "" true [])
+  in
+  let before = contents () in
+  let holder = Tmf.begin_tx n.tmf in
+  List.iter
+    (fun file ->
+      match
+        Dp.request dp
+          (Dp_msg.R_lock_file { file; tx = holder; lock = Dp_msg.L_exclusive })
+      with
+      | Dp_msg.Rp_ok -> ()
+      | r -> Alcotest.fail ("holder LOCKFILE: " ^ what r))
+    [ ks; rel; ent ];
+  let tx = Tmf.begin_tx n.tmf in
+  let s = Sim.stats n.sim in
+  let audits0 = s.Stats.audit_records in
+  let from_key = acct_key 2 in
+  let rec_of i = Row.encode account_schema (account i 7. "new") in
+  let requests =
+    Dp_msg.
+      [
+        ("", R_read { file = ks; tx; key = acct_key 1; lock = L_shared });
+        ( from_key,
+          R_read_next
+            { file = ks; tx; from_key; inclusive = true; lock = L_shared; sbb = false } );
+        ("", R_insert { file = ks; tx; key = acct_key 9; record = rec_of 9 });
+        ("", R_update { file = ks; tx; key = acct_key 1; record = rec_of 1 });
+        ("", R_delete { file = ks; tx; key = acct_key 3 });
+        ("", R_lock_file { file = ks; tx; lock = L_shared });
+        ("", R_lock_generic { file = ks; tx; prefix = acct_key 4; lock = L_shared });
+        ("", R_rel_write { file = rel; tx; slot = 6; record = "new" });
+        ("", R_rel_rewrite { file = rel; tx; slot = 1; record = "new" });
+        ("", R_rel_delete { file = rel; tx; slot = 2 });
+        ("", R_entry_append { file = ent; tx; record = "new" });
+        ("", R_insert_row { file = ks; tx; row = account 10 1. "new" });
+        ( "",
+          R_insert_block
+            { file = ks; tx; rows = [ account 11 1. "a"; account 12 2. "b" ] } );
+      ]
+  in
+  Alcotest.(check int) "every parkable request kind" 13 (List.length requests);
+  List.iter
+    (fun (last, req) ->
+      let name = Dp_msg.tag req in
+      match Dp.request dp req with
+      | Dp_msg.Rp_blocked { blockers; processed; last_key; scb } ->
+          Alcotest.(check (list int)) (name ^ " blockers") [ holder ] blockers;
+          Alcotest.(check int) (name ^ " processed") 0 processed;
+          Alcotest.(check string) (name ^ " last key") last last_key;
+          Alcotest.(check int) (name ^ " scb") (-1) scb
+      | r -> Alcotest.fail (name ^ " not blocked: " ^ what r))
+    requests;
+  Alcotest.(check int) "nothing audited" 0 (s.Stats.audit_records - audits0);
+  Alcotest.(check bool) "no file changed" true (contents () = before);
+  get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
+  get_ok ~ctx:"commit holder" (Tmf.commit n.tmf ~tx:holder)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a blocked point request applies nothing" `Quick
+        blocked_point_request_applies_nothing;
     ]

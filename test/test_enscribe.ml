@@ -125,7 +125,7 @@ let entry_sequenced_history () =
       let* () = Enscribe.write h ~tx ~key:"" ~record:"event-1" in
       let* () = Enscribe.write h ~tx ~key:"" ~record:"event-2" in
       Ok ());
-  Alcotest.(check int) "two history records" 2 (Fs.record_count n.fs file)
+  Alcotest.(check int) "two history records" 2 (record_count n file)
 
 let suite =
   [

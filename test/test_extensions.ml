@@ -31,7 +31,7 @@ let apply_buffer_correct () =
           go (i + 1)
       in
       go 0);
-  Alcotest.(check int) "deletes applied" 20 (Fs.record_count n.fs file);
+  Alcotest.(check int) "deletes applied" 20 (record_count n file);
   in_tx n (fun tx ->
       let open Errors in
       let* r = Fs.read n.fs file ~tx ~key:(acct_key 6) ~lock:Dp_msg.L_none in
@@ -77,7 +77,7 @@ let apply_buffer_abort_undoes () =
   get_ok ~ctx:"del" (Fs.buffered_delete n.fs b ~key:(acct_key 2));
   get_ok ~ctx:"flush" (Fs.flush_apply_buffer n.fs b);
   get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
-  Alcotest.(check int) "all rows back" 10 (Fs.record_count n.fs file);
+  Alcotest.(check int) "all rows back" 10 (record_count n file);
   in_tx n (fun tx ->
       let open Errors in
       let* r = Fs.read n.fs file ~tx ~key:(acct_key 1) ~lock:Dp_msg.L_none in
@@ -220,7 +220,7 @@ let multi_volume_crash_recovery () =
   let o2 = Dp.recover n.dps.(1) in
   Alcotest.(check bool) "losers seen" true
     (o1.Nsql_tmf.Recovery.losers >= 1 && o2.Nsql_tmf.Recovery.losers >= 1);
-  Alcotest.(check int) "committed rows restored" 100 (Fs.record_count n.fs file);
+  Alcotest.(check int) "committed rows restored" 100 (record_count n file);
   in_tx n (fun tx2 ->
       let open Errors in
       let* r = Fs.read n.fs file ~tx:tx2 ~key:(acct_key 45) ~lock:Dp_msg.L_none in
@@ -288,7 +288,7 @@ let recovery_matches_model =
       Dp.crash n.dps.(0);
       ignore (Dp.recover n.dps.(0));
       (* committed state only *)
-      Fs.record_count n.fs file = Hashtbl.length model
+      record_count n file = Hashtbl.length model
       && Hashtbl.fold
            (fun k v acc ->
              acc
@@ -321,3 +321,27 @@ let suite =
       multi_volume_crash_recovery;
     QCheck_alcotest.to_alcotest recovery_matches_model;
   ]
+
+(* RECORD^COUNT: a partition answering an error fails the whole count
+   instead of counting that partition as empty, with fan-out on or off *)
+let record_count_surfaces_errors () =
+  List.iter
+    (fun fs_fanout ->
+      let n = node ~config:(Config.v ~fs_fanout ()) ~dps:2 () in
+      let file = create_accounts ~parts:2 ~split:5 n in
+      load_accounts n file 10;
+      Alcotest.(check int) "both partitions counted" 10 (record_count n file);
+      Msg.set_handler (Dp.endpoint n.dps.(1)) (fun _ ->
+          Dp_msg.encode_reply (Dp_msg.Rp_error (Errors.Io_error "volume down")));
+      match Fs.record_count n.fs file with
+      | Error (Errors.Io_error _) -> ()
+      | Ok count -> Alcotest.failf "partition error counted as %d rows" count
+      | Error e -> Alcotest.fail (Errors.to_string e))
+    [ true; false ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "record count surfaces a partition error" `Quick
+        record_count_surfaces_errors;
+    ]

@@ -198,7 +198,7 @@ let blocked_insert_fewer_messages () =
       in
       go 0);
   let blocked_msgs = s2.Stats.msgs_sent - before in
-  Alcotest.(check int) "rows all inserted" 100 (Fs.record_count n2.fs file_b);
+  Alcotest.(check int) "rows all inserted" 100 (record_count n2 file_b);
   Alcotest.(check bool)
     (Printf.sprintf "blocked %d << per-record %d" blocked_msgs per_record_msgs)
     true
