@@ -247,13 +247,6 @@ let find_file t id =
   | Some f -> Ok f
   | None -> Errors.fail (Errors.File_not_found (Printf.sprintf "#%d" id))
 
-let record_count t ~file =
-  match Hashtbl.find_opt t.files file with
-  | Some { f_structure = S_btree b; _ } -> Btree.record_count b
-  | Some { f_structure = S_rel r; _ } -> Relfile.record_count r
-  | Some { f_structure = S_entry e; _ } -> Entryfile.record_count e
-  | None -> 0
-
 (* --- small helpers ----------------------------------------------------- *)
 
 let ( let* ) = Errors.( let* )
@@ -271,18 +264,6 @@ let btree_of f =
   | S_btree b -> Ok b
   | S_rel _ | S_entry _ ->
       Errors.fail (Errors.Bad_request "operation requires a key-sequenced file")
-
-let rel_of f =
-  match f.f_structure with
-  | S_rel r -> Ok r
-  | S_btree _ | S_entry _ ->
-      Errors.fail (Errors.Bad_request "operation requires a relative file")
-
-let entry_of f =
-  match f.f_structure with
-  | S_entry e -> Ok e
-  | S_btree _ | S_rel _ ->
-      Errors.fail (Errors.Bad_request "operation requires an entry-sequenced file")
 
 let sql_schema f ~what =
   match f.f_schema with
@@ -311,6 +292,145 @@ let try_lock ?last_key t ~tx ~file resource mode k =
       | Lock.Granted -> k ()
       | Lock.Blocked blockers -> Ok (blocked ?last_key blockers))
 
+(* --- the record layer ------------------------------------------------------
+
+   A key addresses a record in every structure: a key-sequenced record by
+   its primary key, a relative record by [Keycode.of_int slot] and an entry
+   by [Keycode.of_int addr] — the keys the DP locks, audits and replies
+   with. Each primitive below is the only [match f.f_structure] for its
+   operation; the record requests, their undo and restart recovery all go
+   through them. An entry-sequenced file grows only at EOF (ENTRY^APPEND,
+   audited under the empty key) and loses a record only to the undo of
+   its append. *)
+
+(* the record number a relative or entry key encodes; only the key
+   [Keycode.of_int] builds is accepted, since locks compare keys as
+   strings and a second spelling of a number would slip past them *)
+let number_of key =
+  if String.length key <> 8 then
+    Errors.fail (Errors.Bad_request "malformed record number key")
+  else
+    let n = Keycode.read_int (Nsql_util.Codec.reader key) in
+    if n < 0 then Errors.fail (Errors.Bad_request "negative record number")
+    else if not (String.equal (Keycode.of_int n) key) then
+      Errors.fail (Errors.Bad_request "malformed record number key")
+    else Ok n
+
+let lookup f key =
+  match f.f_structure with
+  | S_btree b -> Ok (Btree.lookup b key)
+  | S_rel r ->
+      let* slot = number_of key in
+      Ok (Relfile.read r ~slot)
+  | S_entry e ->
+      let* addr = number_of key in
+      Ok (Entryfile.read e ~addr)
+
+let fits f ~key ~record =
+  match f.f_structure with
+  | S_btree b -> Btree.record_fits b ~key ~record
+  | S_rel r -> Relfile.fits r record
+  | S_entry e -> Entryfile.fits e record
+
+(* the key the record is stored at: an entry goes to EOF, whatever [key] *)
+let insert f ~key ~record ~lsn =
+  match f.f_structure with
+  | S_btree b ->
+      let* () = Btree.insert b ~key ~record ~lsn in
+      Ok key
+  | S_rel r ->
+      let* slot = number_of key in
+      let* () = Relfile.write r ~slot ~record ~lsn in
+      Ok key
+  | S_entry e ->
+      let* addr = Entryfile.append e ~record ~lsn in
+      Ok (Keycode.of_int addr)
+
+let replace f ~key ~record ~lsn =
+  match f.f_structure with
+  | S_btree b ->
+      let* _old = Btree.update b ~key ~record ~lsn in
+      Ok ()
+  | S_rel r ->
+      let* slot = number_of key in
+      let* _old = Relfile.rewrite r ~slot ~record ~lsn in
+      Ok ()
+  | S_entry _ ->
+      Errors.fail (Errors.Bad_request "entry-sequenced records are read-only")
+
+(* an entry is removed with everything appended after it *)
+let remove f ~key ~lsn =
+  match f.f_structure with
+  | S_btree b ->
+      let* _old = Btree.delete b ~key ~lsn in
+      Ok ()
+  | S_rel r ->
+      let* slot = number_of key in
+      let* _old = Relfile.delete r ~slot ~lsn in
+      Ok ()
+  | S_entry e ->
+      let* addr = number_of key in
+      Entryfile.truncate_to e ~addr ~lsn
+
+(* What READ^NEXT finds from its start key. *)
+type next =
+  | Next_end
+  | Next_record of { key : string; record : string; ticks : int }
+      (** one record; its reply costs [ticks] once its lock is granted *)
+  | Next_block of { entries : (string * string) list; last_key : string; more : bool }
+      (** SBB on a B-tree: the rest of the physical block, shipped unlocked *)
+
+(* the first record number a READ^NEXT from [from_key] may return *)
+let first_number from_key ~inclusive =
+  if String.equal from_key Keycode.low_value then Ok 0
+  else
+    let* n = number_of from_key in
+    Ok (if inclusive || n = max_int then n else n + 1)
+
+(* the records after [from_key] — from it when [inclusive] — in key order:
+   under SBB a B-tree ships the rest of the physical block, relative and
+   entry files one record per reply, like a record-at-a-time read *)
+let next_from t f ~from_key ~inclusive ~sbb =
+  let one ~ticks = function
+    | Some (n, record) -> Next_record { key = Keycode.of_int n; record; ticks }
+    | None -> Next_end
+  in
+  match f.f_structure with
+  | S_btree b -> (
+      let start = if inclusive then from_key else Keycode.successor from_key in
+      let cursor = Btree.seek b start in
+      match Btree.cursor_entry b cursor with
+      | None -> Ok Next_end
+      | Some (key, record) when not sbb -> Ok (Next_record { key; record; ticks = 15 })
+      | Some (key, _) ->
+          let this_block = Btree.cursor_block cursor in
+          let rec collect c acc last =
+            match Btree.cursor_entry b c with
+            | Some (k, r) when Btree.cursor_block c = this_block ->
+                collect (Btree.advance b c) ((k, r) :: acc) k
+            | Some _ | None ->
+                (List.rev acc, last, Btree.cursor_entry b c <> None)
+          in
+          let entries, last_key, more = collect cursor [] key in
+          Ok (Next_block { entries; last_key; more }))
+  | S_rel r ->
+      let* slot = first_number from_key ~inclusive in
+      Ok (one ~ticks:15 (Relfile.next_from r ~slot))
+  | S_entry e ->
+      let* addr = first_number from_key ~inclusive in
+      (* an entry read is charged before the walk, and nothing once locked *)
+      Sim.tick t.sim 10;
+      Ok (one ~ticks:0 (Entryfile.next_from e ~addr))
+
+let count f =
+  match f.f_structure with
+  | S_btree b -> Btree.record_count b
+  | S_rel r -> Relfile.record_count r
+  | S_entry e -> Entryfile.record_count e
+
+let record_count t ~file =
+  match Hashtbl.find_opt t.files file with Some f -> count f | None -> 0
+
 (* --- recovery-capable primitive mutations ------------------------------ *)
 
 (* All mutations funnel through these, so normal operation, undo, and
@@ -319,37 +439,37 @@ let try_lock ?last_key t ~tx ~file resource mode k =
    an operation that failed, or recovery would replay it. *)
 
 let do_insert t ~tx f ~key ~record =
-  let* b = btree_of f in
-  if Btree.lookup b key <> None then Errors.fail (Errors.Duplicate_key key)
-  else if not (Btree.record_fits b ~key ~record) then
+  let* present = lookup f key in
+  if present <> None then Errors.fail (Errors.Duplicate_key key)
+  else if not (fits f ~key ~record) then
     Errors.fail (Errors.Bad_request "record exceeds maximum size")
   else begin
     let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key; image = record }) in
-    match Btree.insert b ~key ~record ~lsn with
-    | Ok () -> Ok lsn
+    match insert f ~key ~record ~lsn with
+    | Ok _ -> Ok lsn
     | Error e -> Errors.fatal ("Dp.do_insert: audited insert failed: " ^ Errors.to_string e)
   end
 
 let do_delete t ~tx f ~key =
-  let* b = btree_of f in
-  match Btree.lookup b key with
+  let* present = lookup f key in
+  match present with
   | None -> Errors.fail (Errors.Not_found_key key)
   | Some image ->
       let lsn = audit t ~tx (Ar.Delete { file = f.f_id; key; image }) in
-      let* _old = Btree.delete b ~key ~lsn in
+      let* () = remove f ~key ~lsn in
       Ok image
 
 let do_update_full t ~tx f ~key ~record =
-  let* b = btree_of f in
-  match Btree.lookup b key with
+  let* present = lookup f key in
+  match present with
   | None -> Errors.fail (Errors.Not_found_key key)
-  | Some _ when not (Btree.record_fits b ~key ~record) ->
+  | Some _ when not (fits f ~key ~record) ->
       Errors.fail (Errors.Bad_request "record exceeds maximum size")
   | Some before ->
       let lsn =
         audit t ~tx (Ar.Update_full { file = f.f_id; key; before; after = record })
       in
-      let* _old = Btree.update b ~key ~record ~lsn in
+      let* () = replace f ~key ~record ~lsn in
       Ok before
 
 (* field-compressed update: audit only the touched fields *)
@@ -408,71 +528,35 @@ let validate_sql_row f row =
 
 let op_read t ~file ~tx ~key ~lock =
   let* f = find_file t file in
-  let* b = btree_of f in
   try_lock t ~tx ~file (Lock.Record key) lock @@ fun () ->
   Sim.tick t.sim 15;
-  match Btree.lookup b key with
+  let* record = lookup f key in
+  match record with
   | Some record -> Ok (Rp_record { key; record })
   | None -> Errors.fail (Errors.Not_found_key key)
 
-let op_entry_read_next t ~file ~tx ~from_addr ~inclusive =
-  ignore tx;
-  let* f = find_file t file in
-  let* e = entry_of f in
-  let start = if inclusive then from_addr else from_addr + 1 in
-  Sim.tick t.sim 10;
-  match Entryfile.next_from e ~addr:start with
-  | None -> Ok Rp_end
-  | Some (addr, record) ->
-      let st = Sim.stats t.sim in
-      st.Stats.records_read <- st.Stats.records_read + 1;
-      st.Stats.records_returned <- st.Stats.records_returned + 1;
-      Ok (Rp_record { key = Keycode.of_int addr; record })
-
 let op_read_next t ~file ~tx ~from_key ~inclusive ~lock ~sbb =
   let* f = find_file t file in
-  match f.f_structure with
-  | S_entry _ ->
-      (* entry-sequenced sequential read: addressed by record address *)
-      let from_addr =
-        if String.equal from_key "" then -1
-        else Keycode.read_int (Nsql_util.Codec.reader from_key)
-      in
-      op_entry_read_next t ~file ~tx ~from_addr ~inclusive
-  | S_rel _ | S_btree _ ->
-  let* b = btree_of f in
-  let start = if inclusive then from_key else Keycode.successor from_key in
-  let cursor = Btree.seek b start in
-  match Btree.cursor_entry b cursor with
-  | None -> Ok Rp_end
-  | Some (key, record) ->
-      if sbb then begin
-        (* real sequential block buffering: ship the rest of this physical
-           block in one reply; only file-level locking is effective *)
-        let this_block = Btree.cursor_block cursor in
-        let rec collect c acc last =
-          match Btree.cursor_entry b c with
-          | Some (k, r) when Btree.cursor_block c = this_block ->
-              collect (Btree.advance b c) ((k, r) :: acc) k
-          | Some _ | None ->
-              (List.rev acc, last, Btree.cursor_entry b c <> None)
-        in
-        let entries, last_key, more = collect cursor [] key in
-        let s = Sim.stats t.sim in
-        s.Stats.records_read <- s.Stats.records_read + List.length entries;
-        s.Stats.records_returned <-
-          s.Stats.records_returned + List.length entries;
-        Sim.tick t.sim (10 * List.length entries);
-        Ok (Rp_block { entries; last_key; more; scb = -1 })
-      end
-      else
-        try_lock ~last_key:from_key t ~tx ~file (Lock.Record key) lock
-        @@ fun () ->
-        let s = Sim.stats t.sim in
-        s.Stats.records_read <- s.Stats.records_read + 1;
-        s.Stats.records_returned <- s.Stats.records_returned + 1;
-        Sim.tick t.sim 15;
-        Ok (Rp_record { key; record })
+  let* next = next_from t f ~from_key ~inclusive ~sbb in
+  let returned n =
+    let s = Sim.stats t.sim in
+    s.Stats.records_read <- s.Stats.records_read + n;
+    s.Stats.records_returned <- s.Stats.records_returned + n
+  in
+  match next with
+  | Next_end -> Ok Rp_end
+  | Next_block { entries; last_key; more } ->
+      (* real sequential block buffering: only file-level locking is
+         effective *)
+      returned (List.length entries);
+      Sim.tick t.sim (10 * List.length entries);
+      Ok (Rp_block { entries; last_key; more; scb = -1 })
+  | Next_record { key; record; ticks } ->
+      try_lock ~last_key:from_key t ~tx ~file (Lock.Record key) lock
+      @@ fun () ->
+      returned 1;
+      Sim.tick t.sim ticks;
+      Ok (Rp_record { key; record })
 
 (* whole-record writes to a SQL file must still satisfy its structure and
    CHECK constraint — the Disk Process enforces them regardless of which
@@ -487,9 +571,20 @@ let check_sql_image f record =
           let* () = Row.validate schema row in
           check_constraint f row)
 
+(* An entry-sequenced file grows only by ENTRY^APPEND and never changes a
+   record in place, so no keyed write applies to it. *)
+let keyed_write f ~what =
+  match f.f_kind with
+  | K_entry_sequenced ->
+      Errors.fail
+        (Errors.Bad_request
+           (what ^ " on an entry-sequenced file: append-only, records read-only"))
+  | K_key_sequenced | K_relative _ -> Ok ()
+
 let op_insert t ~file ~tx ~key ~record =
   let* () = require_tx t tx in
   let* f = find_file t file in
+  let* () = keyed_write f ~what:"WRITE" in
   let* () = check_sql_image f record in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
   let* _lsn = do_insert t ~tx f ~key ~record in
@@ -499,6 +594,7 @@ let op_insert t ~file ~tx ~key ~record =
 let op_update t ~file ~tx ~key ~record =
   let* () = require_tx t tx in
   let* f = find_file t file in
+  let* () = keyed_write f ~what:"REWRITE" in
   let* () = check_sql_image f record in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
   let* before = do_update_full t ~tx f ~key ~record in
@@ -508,6 +604,7 @@ let op_update t ~file ~tx ~key ~record =
 let op_delete t ~file ~tx ~key =
   let* () = require_tx t tx in
   let* f = find_file t file in
+  let* () = keyed_write f ~what:"DELETE" in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
   let* image = do_delete t ~tx f ~key in
   register_undo_delete t ~tx f ~key ~image;
@@ -519,124 +616,36 @@ let op_lock_file t ~file ~tx ~lock =
     Errors.fail (Errors.Bad_request "LOCKFILE with mode none")
   else try_lock t ~tx ~file Lock.File lock (fun () -> Ok Rp_ok)
 
-(* --- relative / entry-sequenced operations -------------------------------- *)
-
 let op_lock_generic t ~file ~tx ~prefix ~lock =
   let* _f = find_file t file in
   if lock = L_none then
     Errors.fail (Errors.Bad_request "LOCKGENERIC with mode none")
   else try_lock t ~tx ~file (Lock.Generic prefix) lock (fun () -> Ok Rp_ok)
 
-let rel_key slot = Keycode.of_int slot
-
-let op_rel_read t ~file ~tx ~slot =
-  ignore tx;
-  let* f = find_file t file in
-  let* r = rel_of f in
-  let* record = Relfile.read r ~slot in
-  Ok (Rp_record { key = rel_key slot; record })
-
-let op_rel_write t ~file ~tx ~slot ~record =
-  let* () = require_tx t tx in
-  let* f = find_file t file in
-  let* r = rel_of f in
-  try_lock t ~tx ~file (Lock.Record (rel_key slot)) L_exclusive @@ fun () ->
-  let* () =
-    if String.length record > Relfile.slot_size r then
-      Errors.fail (Errors.Bad_request "record exceeds slot size")
-    else
-      match Relfile.read r ~slot with
-      | Ok _ -> Errors.fail (Errors.Duplicate_key (string_of_int slot))
-      | Error (Errors.Not_found_key _) -> Ok ()
-      | Error e -> Errors.fail e
-  in
-  let lsn =
-    audit t ~tx (Ar.Insert { file = f.f_id; key = rel_key slot; image = record })
-  in
-  let* () = Relfile.write r ~slot ~record ~lsn in
-  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-      ignore
-        (audit t ~tx
-           (Ar.Delete { file = f.f_id; key = rel_key slot; image = record }));
-      match Relfile.delete r ~slot ~lsn with
-      | Ok _ -> ()
-      | Error err -> Errors.fatal ("Dp undo-rel-insert: " ^ Errors.to_string err));
-  Ok (Rp_slot slot)
-
-let op_rel_rewrite t ~file ~tx ~slot ~record =
-  let* () = require_tx t tx in
-  let* f = find_file t file in
-  let* r = rel_of f in
-  try_lock t ~tx ~file (Lock.Record (rel_key slot)) L_exclusive @@ fun () ->
-  let* before = Relfile.read r ~slot in
-  let* () =
-    if String.length record > Relfile.slot_size r then
-      Errors.fail (Errors.Bad_request "record exceeds slot size")
-    else Ok ()
-  in
-  let lsn =
-    audit t ~tx
-      (Ar.Update_full { file = f.f_id; key = rel_key slot; before; after = record })
-  in
-  let* _old = Relfile.rewrite r ~slot ~record ~lsn in
-  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-      ignore
-        (audit t ~tx
-           (Ar.Update_full
-              { file = f.f_id; key = rel_key slot; before = record; after = before }));
-      match Relfile.rewrite r ~slot ~record:before ~lsn with
-      | Ok _ -> ()
-      | Error err -> Errors.fatal ("Dp undo-rel-rewrite: " ^ Errors.to_string err));
-  Ok Rp_ok
-
-let op_rel_delete t ~file ~tx ~slot =
-  let* () = require_tx t tx in
-  let* f = find_file t file in
-  let* r = rel_of f in
-  try_lock t ~tx ~file (Lock.Record (rel_key slot)) L_exclusive @@ fun () ->
-  let* image = Relfile.read r ~slot in
-  let lsn =
-    audit t ~tx (Ar.Delete { file = f.f_id; key = rel_key slot; image })
-  in
-  let* _old = Relfile.delete r ~slot ~lsn in
-  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-      ignore
-        (audit t ~tx (Ar.Insert { file = f.f_id; key = rel_key slot; image }));
-      match Relfile.write r ~slot ~record:image ~lsn with
-      | Ok () -> ()
-      | Error err -> Errors.fatal ("Dp undo-rel-delete: " ^ Errors.to_string err));
-  Ok Rp_ok
-
 let op_entry_append t ~file ~tx ~record =
   let* () = require_tx t tx in
   let* f = find_file t file in
-  let* e = entry_of f in
+  let* () =
+    if f.f_kind = K_entry_sequenced then Ok ()
+    else
+      Errors.fail (Errors.Bad_request "ENTRY^APPEND requires an entry-sequenced file")
+  in
   (* entry-sequenced inserts at EOF: serialize appenders via a generic
      lock on the EOF *)
   try_lock t ~tx ~file (Lock.Generic "EOF") L_exclusive @@ fun () ->
-  let* () =
-    let bs = Config.block_size in
-    if String.length record + 2 > bs then
-      Errors.fail (Errors.Bad_request "record exceeds block size")
-    else Ok ()
-  in
-  let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key = ""; image = record }) in
-  let* addr = Entryfile.append e ~record ~lsn in
-  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-      ignore
-        (audit t ~tx
-           (Ar.Delete { file = f.f_id; key = Keycode.of_int addr; image = record }));
-      match Entryfile.truncate_to e ~addr ~lsn with
-      | Ok () -> ()
-      | Error err -> Errors.fatal ("Dp undo-append: " ^ Errors.to_string err));
-  Ok (Rp_slot addr)
-
-let op_entry_read t ~file ~tx ~addr =
-  ignore tx;
-  let* f = find_file t file in
-  let* e = entry_of f in
-  let* record = Entryfile.read e ~addr in
-  Ok (Rp_record { key = Keycode.of_int addr; record })
+  if not (fits f ~key:"" ~record) then
+    Errors.fail (Errors.Bad_request "record exceeds block size")
+  else begin
+    let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key = ""; image = record }) in
+    let* key = insert f ~key:"" ~record ~lsn in
+    Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
+        ignore (audit t ~tx (Ar.Delete { file = f.f_id; key; image = record }));
+        match remove f ~key ~lsn with
+        | Ok () -> ()
+        | Error err -> Errors.fatal ("Dp undo-append: " ^ Errors.to_string err));
+    let* addr = number_of key in
+    Ok (Rp_slot addr)
+  end
 
 (* --- set-oriented scans ---------------------------------------------------- *)
 
@@ -1241,14 +1250,7 @@ let dispatch t req : (reply, Errors.t) result =
   | R_lock_file { file; tx; lock } -> op_lock_file t ~file ~tx ~lock
   | R_lock_generic { file; tx; prefix; lock } ->
       op_lock_generic t ~file ~tx ~prefix ~lock
-  | R_rel_read { file; tx; slot } -> op_rel_read t ~file ~tx ~slot
-  | R_rel_write { file; tx; slot; record } ->
-      op_rel_write t ~file ~tx ~slot ~record
-  | R_rel_rewrite { file; tx; slot; record } ->
-      op_rel_rewrite t ~file ~tx ~slot ~record
-  | R_rel_delete { file; tx; slot } -> op_rel_delete t ~file ~tx ~slot
   | R_entry_append { file; tx; record } -> op_entry_append t ~file ~tx ~record
-  | R_entry_read { file; tx; addr } -> op_entry_read t ~file ~tx ~addr
   | R_subset_first { file; tx; range; body } ->
       let* f = find_file t file in
       (* reject primary-key updates: the scan is keyed on them *)
@@ -1279,8 +1281,8 @@ let dispatch t req : (reply, Errors.t) result =
       drop_scb t scb;
       Ok Rp_ok
   | R_record_count { file } ->
-      let* _f = find_file t file in
-      Ok (Rp_slot (record_count t ~file))
+      let* f = find_file t file in
+      Ok (Rp_slot (count f))
 
 let run_request t req =
   match dispatch t req with Ok reply -> reply | Error e -> Rp_error e
@@ -1313,10 +1315,9 @@ let request_body t req =
           [ ("scb_reuse", Trace.Bool true); ("scb", Trace.Int scb) ]
       | R_subset_first { body = Cs_agg _; _ } -> [ ("agg_fold", Trace.Bool true) ]
       | R_create_file _ | R_read _ | R_read_next _ | R_insert _ | R_update _
-      | R_delete _ | R_lock_file _ | R_lock_generic _ | R_rel_read _
-      | R_rel_write _ | R_rel_rewrite _ | R_rel_delete _ | R_entry_append _
-      | R_entry_read _ | R_subset_first _ | R_insert_row _ | R_insert_block _
-      | R_apply_block _ | R_close_scb _ | R_record_count _ -> []))
+      | R_delete _ | R_lock_file _ | R_lock_generic _ | R_entry_append _
+      | R_subset_first _ | R_insert_row _ | R_insert_block _ | R_apply_block _
+      | R_close_scb _ | R_record_count _ -> []))
     (tag req)
     (fun _ -> run_request t req)
 
@@ -1354,14 +1355,11 @@ let park_tx (req : request) =
   | R_delete { tx; _ } -> Some tx
   | R_lock_file { tx; _ } -> Some tx
   | R_lock_generic { tx; _ } -> Some tx
-  | R_rel_write { tx; _ } -> Some tx
-  | R_rel_rewrite { tx; _ } -> Some tx
-  | R_rel_delete { tx; _ } -> Some tx
   | R_entry_append { tx; _ } -> Some tx
   | R_insert_row { tx; _ } -> Some tx
   | R_insert_block { tx; _ } -> Some tx
-  | R_create_file _ | R_rel_read _ | R_entry_read _ | R_subset_first _
-  | R_subset_next _ | R_apply_block _ | R_close_scb _ | R_record_count _ -> None
+  | R_create_file _ | R_subset_first _ | R_subset_next _ | R_apply_block _
+  | R_close_scb _ | R_record_count _ -> None
 
 let emit_wait_end t w ~outcome =
   Moncore.observe (Sim.moncore t.sim) "lock_wait"
@@ -1630,42 +1628,35 @@ let recover_with_gen t ~resolve =
     let with_file file k =
       match Hashtbl.find_opt t.files file with Some f -> k f | None -> ()
     in
+    (* leave [record] at [key], whatever the key held; an append's empty
+       key lands at EOF. A winner's image was stored once under the same
+       checks, so failing to store it again is a broken invariant. *)
+    let put f ~key ~record =
+      match replace f ~key ~record ~lsn:0L with
+      | Ok () -> ()
+      | Error _ -> (
+          match insert f ~key ~record ~lsn:0L with
+          | Ok _ -> ()
+          | Error e -> Errors.fatal ("Dp.recover: replay failed: " ^ Errors.to_string e))
+    in
     match body with
     | Ar.Insert { file; key; image } ->
-        with_file file (fun f ->
-            match f.f_structure with
-            | S_btree b -> Btree.upsert b ~key ~record:image ~lsn:0L
-            | S_rel r ->
-                let slot = Keycode.read_int (Nsql_util.Codec.reader key) in
-                Errors.swallow (Relfile.write r ~slot ~record:image ~lsn:0L)
-            | S_entry e -> Errors.swallow (Entryfile.append e ~record:image ~lsn:0L))
+        with_file file (fun f -> put f ~key ~record:image)
     | Ar.Delete { file; key; _ } ->
-        with_file file (fun f ->
-            match f.f_structure with
-            | S_btree b -> Errors.swallow (Btree.delete b ~key ~lsn:0L)
-            | S_rel r ->
-                let slot = Keycode.read_int (Nsql_util.Codec.reader key) in
-                Errors.swallow (Relfile.delete r ~slot ~lsn:0L)
-            | S_entry _ -> ())
+        with_file file (fun f -> Errors.swallow (remove f ~key ~lsn:0L))
     | Ar.Update_full { file; key; after; _ } ->
-        with_file file (fun f ->
-            match f.f_structure with
-            | S_btree b -> Btree.upsert b ~key ~record:after ~lsn:0L
-            | S_rel r ->
-                let slot = Keycode.read_int (Nsql_util.Codec.reader key) in
-                Errors.swallow (Relfile.rewrite r ~slot ~record:after ~lsn:0L)
-            | S_entry _ -> ())
+        with_file file (fun f -> put f ~key ~record:after)
     | Ar.Update_fields { file; key; fields } ->
         with_file file (fun f ->
-            match (f.f_structure, f.f_schema) with
-            | S_btree b, Some schema -> (
-                match Btree.lookup b key with
-                | Some record ->
+            match f.f_schema with
+            | Some schema -> (
+                match lookup f key with
+                | Ok (Some record) ->
                     let row = Row.decode_exn schema record in
                     List.iter (fun (i, _before, after) -> row.(i) <- after) fields;
-                    Btree.upsert b ~key ~record:(Row.encode schema row) ~lsn:0L
-                | None -> ())
-            | _ -> ())
+                    put f ~key ~record:(Row.encode schema row)
+                | Ok None | Error _ -> ())
+            | None -> ())
     | Ar.Begin_tx | Ar.Commit_tx | Ar.Abort_tx | Ar.Prepare_tx _ -> ()
   in
   Nsql_tmf.Recovery.rollforward_with (Tmf.trail t.tmf) ~resolve ~apply

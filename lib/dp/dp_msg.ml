@@ -227,12 +227,7 @@ type request =
   | R_delete of { file : int; tx : int; key : string }
   | R_lock_file of { file : int; tx : int; lock : lock_mode }
   | R_lock_generic of { file : int; tx : int; prefix : string; lock : lock_mode }
-  | R_rel_read of { file : int; tx : int; slot : int }
-  | R_rel_write of { file : int; tx : int; slot : int; record : string }
-  | R_rel_rewrite of { file : int; tx : int; slot : int; record : string }
-  | R_rel_delete of { file : int; tx : int; slot : int }
   | R_entry_append of { file : int; tx : int; record : string }
-  | R_entry_read of { file : int; tx : int; addr : int }
   | R_subset_first of { file : int; tx : int; range : Expr.key_range; body : subset }
   | R_subset_next of {
       kind : subset_kind;
@@ -286,12 +281,7 @@ let tag = function
   | R_delete _ -> "DELETE"
   | R_lock_file _ -> "LOCKFILE"
   | R_lock_generic _ -> "LOCKGENERIC"
-  | R_rel_read _ -> "REL^READ"
-  | R_rel_write _ -> "REL^WRITE"
-  | R_rel_rewrite _ -> "REL^REWRITE"
-  | R_rel_delete _ -> "REL^DELETE"
   | R_entry_append _ -> "ENTRY^APPEND"
-  | R_entry_read _ -> "ENTRY^READ"
   | R_subset_first { body = Cs_read { buffering = B_vsbb; _ }; _ } -> "GET^FIRST^VSBB"
   | R_subset_first { body = Cs_read { buffering = B_rsbb; _ }; _ } -> "GET^FIRST^RSBB"
   | R_subset_first { body = Cs_update _; _ } -> "UPDATE^SUBSET^FIRST"
@@ -308,14 +298,13 @@ let tag = function
   | R_record_count _ -> "RECORD^COUNT"
 
 let is_mutation = function
-  | R_insert _ | R_update _ | R_delete _ | R_rel_write _ | R_rel_rewrite _
-  | R_rel_delete _ | R_entry_append _ | R_insert_row _ | R_insert_block _
-  | R_apply_block _ | R_create_file _
+  | R_insert _ | R_update _ | R_delete _ | R_entry_append _ | R_insert_row _
+  | R_insert_block _ | R_apply_block _ | R_create_file _
   | R_subset_first { body = Cs_update _ | Cs_delete _; _ }
   | R_subset_next { kind = Sk_update | Sk_delete; _ } ->
       true
   | R_read _ | R_read_next _ | R_lock_file _ | R_lock_generic _
-  | R_close_scb _ | R_rel_read _ | R_entry_read _ | R_record_count _
+  | R_close_scb _ | R_record_count _
   | R_subset_first _ | R_subset_next _ ->
       false
 
@@ -624,38 +613,11 @@ let encode_request req =
       Codec.w_varint w tx;
       Codec.w_bytes w prefix;
       w_lock w lock
-  | R_rel_read { file; tx; slot } ->
-      Codec.w_u8 w 7;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w slot
-  | R_rel_write { file; tx; slot; record } ->
-      Codec.w_u8 w 8;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w slot;
-      Codec.w_bytes w record
-  | R_rel_rewrite { file; tx; slot; record } ->
-      Codec.w_u8 w 9;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w slot;
-      Codec.w_bytes w record
-  | R_rel_delete { file; tx; slot } ->
-      Codec.w_u8 w 10;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w slot
   | R_entry_append { file; tx; record } ->
       Codec.w_u8 w 11;
       Codec.w_varint w file;
       Codec.w_varint w tx;
       Codec.w_bytes w record
-  | R_entry_read { file; tx; addr } ->
-      Codec.w_u8 w 12;
-      Codec.w_varint w file;
-      Codec.w_varint w tx;
-      Codec.w_varint w addr
   | R_subset_first { file; tx; range; body } ->
       Codec.w_u8 w (first_tag (kind_of_subset body));
       Codec.w_varint w file;
@@ -751,38 +713,11 @@ let decode_request_exn payload =
       let tx = Codec.r_varint r in
       let lock = r_lock r in
       R_lock_file { file; tx; lock }
-  | 7 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let slot = Codec.r_varint r in
-      R_rel_read { file; tx; slot }
-  | 8 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let slot = Codec.r_varint r in
-      let record = Codec.r_bytes r in
-      R_rel_write { file; tx; slot; record }
-  | 9 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let slot = Codec.r_varint r in
-      let record = Codec.r_bytes r in
-      R_rel_rewrite { file; tx; slot; record }
-  | 10 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let slot = Codec.r_varint r in
-      R_rel_delete { file; tx; slot }
   | 11 ->
       let file = Codec.r_varint r in
       let tx = Codec.r_varint r in
       let record = Codec.r_bytes r in
       R_entry_append { file; tx; record }
-  | 12 ->
-      let file = Codec.r_varint r in
-      let tx = Codec.r_varint r in
-      let addr = Codec.r_varint r in
-      R_entry_read { file; tx; addr }
   | 13 -> r_subset_first r Sk_get
   | 14 -> r_subset_next r Sk_get
   | 15 -> r_subset_first r Sk_update

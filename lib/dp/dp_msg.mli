@@ -9,7 +9,13 @@
 
     {b The old, record-oriented ENSCRIBE interface}: point reads, single
     record inserts/updates/deletes, record-at-a-time sequential reads, and
-    real sequential block buffering ([R_read_next] with [sbb]).
+    real sequential block buffering ([R_read_next] with [sbb]). One
+    point-request set serves all three file structures, because a key
+    addresses a record in each: a key-sequenced record by its primary
+    key, a relative record by [Keycode.of_int slot] and an entry by
+    [Keycode.of_int addr]. An entry-sequenced file grows only by
+    [R_entry_append] (WRITE at EOF has no key) and its records are
+    read-only: [R_update] and [R_delete] on it answer [Bad_request].
 
     {b The new SQL interface}: set-oriented requests over a primary-key
     range. A subset's FIRST request ([R_subset_first]) ships its
@@ -173,12 +179,7 @@ type request =
   | R_delete of { file : int; tx : int; key : string }
   | R_lock_file of { file : int; tx : int; lock : lock_mode }
   | R_lock_generic of { file : int; tx : int; prefix : string; lock : lock_mode }
-  | R_rel_read of { file : int; tx : int; slot : int }
-  | R_rel_write of { file : int; tx : int; slot : int; record : string }
-  | R_rel_rewrite of { file : int; tx : int; slot : int; record : string }
-  | R_rel_delete of { file : int; tx : int; slot : int }
   | R_entry_append of { file : int; tx : int; record : string }
-  | R_entry_read of { file : int; tx : int; addr : int }
   | R_subset_first of { file : int; tx : int; range : Expr.key_range; body : subset }
       (** opens an SCB on [body] and runs its first step over [range] *)
   | R_subset_next of {
@@ -208,7 +209,7 @@ type reply =
   | Rp_file of int  (** created file id *)
   | Rp_record of { key : string; record : string }
   | Rp_row of Row.row  (** projected point read *)
-  | Rp_slot of int  (** relative slot / entry address *)
+  | Rp_slot of int  (** an appended entry's address, or a record count *)
   | Rp_block of {
       entries : (string * string) list;
       last_key : string;

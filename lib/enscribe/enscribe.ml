@@ -62,14 +62,7 @@ let readnext h ~tx ~lock =
             Ok (Some (key, record)))
   end
 
-let write h ~tx ~key ~record =
-  match Fs.file_kind h.file with
-  | Dp_msg.K_entry_sequenced ->
-      let open Errors in
-      let* _addr = Fs.append_entry h.fs h.file ~tx ~record in
-      Ok ()
-  | Dp_msg.K_key_sequenced | Dp_msg.K_relative _ ->
-      Fs.insert h.fs h.file ~tx ~key ~record
+let write h ~tx ~key ~record = Fs.insert h.fs h.file ~tx ~key ~record
 let rewrite h ~tx ~key ~record = Fs.update h.fs h.file ~tx ~key ~record
 let delete h ~tx ~key = Fs.delete h.fs h.file ~tx ~key
 

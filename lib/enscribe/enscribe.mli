@@ -11,7 +11,20 @@
     the caller must hold a file lock (see the paper: "no locking other
     than at the file level is effective when it is in use"); [readnext]
     enforces this by requiring that [lockfile] was called first when the
-    open is SBB. *)
+    open is SBB.
+
+    Every call serves every file kind, because a key addresses a record in
+    each: a key-sequenced record by its primary key, a relative record by
+    [Keycode.of_int slot], an entry-sequenced record by [Keycode.of_int
+    addr] (its byte address, assigned when [write] appends it). [readnext]
+    returns those keys. Under SBB a relative or entry-sequenced file ships
+    one record per reply, as without it; only a key-sequenced file ships a
+    block. ENSCRIBE defines no [rewrite] or [delete] on an entry-sequenced
+    file: both answer [Bad_request] and change nothing. A record number
+    key must be the one [Keycode.of_int] builds; any other 8-byte spelling
+    answers [Bad_request]. An append locks only the file's EOF, not the
+    new entry's key, so a [read] or [readnext] of an entry-sequenced file
+    can see another transaction's uncommitted append. *)
 
 module Fs = Nsql_fs.Fs
 module Dp_msg = Nsql_dp.Dp_msg
@@ -37,7 +50,8 @@ val readnext :
   handle -> tx:int -> lock:Dp_msg.lock_mode ->
   ((string * string) option, Nsql_util.Errors.t) result
 
-(** [write h ~tx ~key ~record] inserts a record. *)
+(** [write h ~tx ~key ~record] inserts a record; on an entry-sequenced
+    file it appends at EOF and [key] is not used. *)
 val write :
   handle -> tx:int -> key:string -> record:string ->
   (unit, Nsql_util.Errors.t) result

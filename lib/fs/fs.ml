@@ -42,7 +42,6 @@ let create sim msys ~my_processor = { sim; msys; my_processor }
 
 let file_name f = f.fname
 let file_schema f = f.schema
-let file_kind f = f.kind
 let partition_count f = Array.length f.parts
 let index_names f = List.map (fun ix -> ix.ix_name) f.indexes
 
@@ -320,20 +319,26 @@ let read t f ~tx ~key ~lock =
   let* _k, record = expect_record (send t p.p_dp (Dp_msg.R_read { file = p.p_file; tx; key; lock })) in
   Ok record
 
-let insert t f ~tx ~key ~record =
-  let p = route f key in
-  expect_ok (send t p.p_dp (Dp_msg.R_insert { file = p.p_file; tx; key; record }))
-
-let update t f ~tx ~key ~record =
-  let p = route f key in
-  expect_ok (send t p.p_dp (Dp_msg.R_update { file = p.p_file; tx; key; record }))
-
 let append_entry t f ~tx ~record =
   (* entry-sequenced files are unpartitioned: all appends go to EOF *)
   let p = f.parts.(0) in
   classify ~ctx:"ENTRY^APPEND"
     (send t p.p_dp (Dp_msg.R_entry_append { file = p.p_file; tx; record }))
     (function Dp_msg.Rp_slot addr -> Some (Ok addr) | _ -> None)
+
+let insert t f ~tx ~key ~record =
+  match f.kind with
+  | Dp_msg.K_entry_sequenced ->
+      (* WRITE to an entry-sequenced file appends; [key] is not used *)
+      let* _addr = append_entry t f ~tx ~record in
+      Ok ()
+  | Dp_msg.K_key_sequenced | Dp_msg.K_relative _ ->
+      let p = route f key in
+      expect_ok (send t p.p_dp (Dp_msg.R_insert { file = p.p_file; tx; key; record }))
+
+let update t f ~tx ~key ~record =
+  let p = route f key in
+  expect_ok (send t p.p_dp (Dp_msg.R_update { file = p.p_file; tx; key; record }))
 
 let delete t f ~tx ~key =
   let p = route f key in
@@ -370,38 +375,6 @@ let lock_generic t f ~tx ~prefix ~lock =
   let p = route f prefix in
   expect_ok
     (send t p.p_dp (Dp_msg.R_lock_generic { file = p.p_file; tx; prefix; lock }))
-
-(* relative and entry-sequenced files are unpartitioned: every request goes
-   through the first (only) partition, like [append_entry] *)
-
-let rel_read t f ~tx ~slot =
-  let p = f.parts.(0) in
-  let* _k, record =
-    expect_record (send t p.p_dp (Dp_msg.R_rel_read { file = p.p_file; tx; slot }))
-  in
-  Ok record
-
-let rel_write t f ~tx ~slot ~record =
-  let p = f.parts.(0) in
-  classify ~ctx:"REL^WRITE"
-    (send t p.p_dp (Dp_msg.R_rel_write { file = p.p_file; tx; slot; record }))
-    (function Dp_msg.Rp_slot s -> Some (Ok s) | _ -> None)
-
-let rel_rewrite t f ~tx ~slot ~record =
-  let p = f.parts.(0) in
-  expect_ok
-    (send t p.p_dp (Dp_msg.R_rel_rewrite { file = p.p_file; tx; slot; record }))
-
-let rel_delete t f ~tx ~slot =
-  let p = f.parts.(0) in
-  expect_ok (send t p.p_dp (Dp_msg.R_rel_delete { file = p.p_file; tx; slot }))
-
-let entry_read t f ~tx ~addr =
-  let p = f.parts.(0) in
-  let* _k, record =
-    expect_record (send t p.p_dp (Dp_msg.R_entry_read { file = p.p_file; tx; addr }))
-  in
-  Ok record
 
 (* --- SQL row operations ----------------------------------------------------------- *)
 

@@ -73,7 +73,6 @@ val create_enscribe_file :
 
 val file_name : file -> string
 val file_schema : file -> Row.schema option
-val file_kind : file -> Dp_msg.file_kind_spec
 val partition_count : file -> int
 val index_names : file -> string list
 
@@ -83,9 +82,19 @@ val index_names : file -> string list
     result's error, never a count of 0. *)
 val record_count : t -> file -> (int, Nsql_util.Errors.t) result
 
-(** {1 Record-at-a-time operations (ENSCRIBE-style)} *)
+(** {1 Record-at-a-time operations (ENSCRIBE-style)}
 
-(** [read t file ~tx ~key ~lock] reads one record by primary key. *)
+    These serve every file kind. A key addresses a record in each: a
+    key-sequenced record by its primary key, a relative record by
+    [Keycode.of_int slot] and an entry-sequenced record by
+    [Keycode.of_int addr], the address {!append_entry} answers. An
+    entry-sequenced file's records are read-only: {!update} and {!delete}
+    on one answer [Bad_request]. A record number key must be the one
+    [Keycode.of_int] builds; any other spelling answers [Bad_request]. An
+    append locks only the file's EOF, not the new entry's key, so a read
+    of an entry-sequenced file can see an uncommitted append. *)
+
+(** [read t file ~tx ~key ~lock] reads the record [key] addresses. *)
 val read :
   t -> file -> tx:int -> key:string -> lock:Dp_msg.lock_mode ->
   (string, Nsql_util.Errors.t) result
@@ -96,7 +105,8 @@ val read_row_via_index :
   t -> file -> tx:int -> index:string -> index_key:Row.value list ->
   (Row.row option, Nsql_util.Errors.t) result
 
-(** [insert t file ~tx ~key ~record] writes one (byte) record. *)
+(** [insert t file ~tx ~key ~record] writes one (byte) record at [key];
+    on an entry-sequenced file it appends at EOF and [key] is not used. *)
 val insert :
   t -> file -> tx:int -> key:string -> record:string ->
   (unit, Nsql_util.Errors.t) result
@@ -127,30 +137,6 @@ val lock_file :
 val lock_generic :
   t -> file -> tx:int -> prefix:string -> lock:Dp_msg.lock_mode ->
   (unit, Nsql_util.Errors.t) result
-
-(** [rel_read t file ~tx ~slot] reads one slot of a relative file. *)
-val rel_read :
-  t -> file -> tx:int -> slot:int -> (string, Nsql_util.Errors.t) result
-
-(** [rel_write t file ~tx ~slot ~record] writes an empty slot and returns
-    the slot number (ENSCRIBE REL^WRITE). *)
-val rel_write :
-  t -> file -> tx:int -> slot:int -> record:string ->
-  (int, Nsql_util.Errors.t) result
-
-(** [rel_rewrite t file ~tx ~slot ~record] overwrites an occupied slot. *)
-val rel_rewrite :
-  t -> file -> tx:int -> slot:int -> record:string ->
-  (unit, Nsql_util.Errors.t) result
-
-(** [rel_delete t file ~tx ~slot] empties a slot. *)
-val rel_delete :
-  t -> file -> tx:int -> slot:int -> (unit, Nsql_util.Errors.t) result
-
-(** [entry_read t file ~tx ~addr] reads the entry at [addr] of an
-    entry-sequenced file (addresses come from {!append_entry}). *)
-val entry_read :
-  t -> file -> tx:int -> addr:int -> (string, Nsql_util.Errors.t) result
 
 (** {1 SQL row operations (with index maintenance)} *)
 

@@ -110,7 +110,7 @@ let describe e =
     | Some l -> Printf.sprintf " (line %d)" l
     | None -> "")
 
-let entry_of_sexp s =
+let entry_from_sexp s =
   let field name fields =
     List.find_map
       (function
@@ -139,7 +139,7 @@ let load path =
   let len = in_channel_length ic in
   let src = really_input_string ic len in
   close_in ic;
-  try Ok (List.map entry_of_sexp (parse_sexps src)) with
+  try Ok (List.map entry_from_sexp (parse_sexps src)) with
   | Parse_error msg -> Error (path ^ ": " ^ msg)
   | Failure msg -> Error (path ^ ": " ^ msg)
 

@@ -1009,9 +1009,6 @@ let park_whitelist =
     "R_delete";
     "R_lock_file";
     "R_lock_generic";
-    "R_rel_write";
-    "R_rel_rewrite";
-    "R_rel_delete";
     "R_entry_append";
     "R_insert_row";
     "R_insert_block";

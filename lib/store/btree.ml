@@ -184,15 +184,6 @@ let update t ~key ~record ~lsn =
     Ok old
   end
 
-let upsert t ~key ~record ~lsn =
-  match update t ~key ~record ~lsn with
-  | Ok _ -> ()
-  | Error _ -> (
-      match insert t ~key ~record ~lsn with
-      | Ok () -> ()
-      | Error e ->
-          Errors.fatal ("Btree.upsert: " ^ Errors.to_string e))
-
 let delete t ~key ~lsn =
   let block, v, _path = find_leaf t key in
   let pos = Page.view_pos v key in

@@ -39,9 +39,6 @@ val insert :
 val update :
   t -> key:string -> record:string -> lsn:int64 -> (string, Nsql_util.Errors.t) result
 
-(** [upsert t ~key ~record ~lsn] inserts or replaces (recovery replay). *)
-val upsert : t -> key:string -> record:string -> lsn:int64 -> unit
-
 (** [delete t ~key ~lsn] removes a record and returns its old image.
     Fails with [Not_found_key] if absent. *)
 val delete : t -> key:string -> lsn:int64 -> (string, Nsql_util.Errors.t) result

@@ -42,9 +42,11 @@ let add_block t =
   t.nblocks <- t.nblocks + 1;
   t.tail_offset <- 0
 
+let fits t record = String.length record + 2 <= t.block_size
+
 let append t ~record ~lsn =
   let need = String.length record + 2 in
-  if need > t.block_size then
+  if not (fits t record) then
     Errors.fail (Errors.Bad_request "record exceeds block size")
   else begin
     if t.nblocks = 0 || t.tail_offset + need > t.block_size then add_block t;
@@ -66,18 +68,6 @@ let append t ~record ~lsn =
 (* the length field of the record framed at [off], and the record *)
 let len_at data off = Char.code data.[off] lor (Char.code data.[off + 1] lsl 8)
 let record_of data off len = String.sub data (off + 2) (len - 1)
-
-let read t ~addr =
-  let logical = addr / t.block_size and off = addr mod t.block_size in
-  Sim.tick t.sim 5;
-  if logical >= t.nblocks then
-    Errors.fail (Errors.Not_found_key (string_of_int addr))
-  else begin
-    let data = Cache.read t.cache t.blocks.(logical) in
-    let len = len_at data off in
-    if len = 0 then Errors.fail (Errors.Not_found_key (string_of_int addr))
-    else Ok (record_of data off len)
-  end
 
 (* The one walk of the framing: from offset [off] of logical block
    [logical], offer each record in address order to [visit addr data pos
@@ -107,6 +97,12 @@ let next_from t ~addr =
      by walking to it *)
   walk t ~logical:(max addr 0 / t.block_size) ~off:0 (fun a data pos len ->
       if a >= addr then Some (a, record_of data pos len) else None)
+
+let read t ~addr =
+  Sim.tick t.sim 5;
+  match next_from t ~addr with
+  | Some (a, record) when a = addr -> Some record
+  | Some _ | None -> None
 
 let truncate_to t ~addr ~lsn =
   let logical = addr / t.block_size and off = addr mod t.block_size in

@@ -11,11 +11,15 @@ val create : Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> t
 
 val record_count : t -> int
 
+(** [fits t record] — does [record] fit in a block? *)
+val fits : t -> string -> bool
+
 (** [append t ~record ~lsn] adds a record at EOF and returns its address. *)
 val append : t -> record:string -> lsn:int64 -> (int, Nsql_util.Errors.t) result
 
-(** [read t ~addr] fetches the record at [addr]. *)
-val read : t -> addr:int -> (string, Nsql_util.Errors.t) result
+(** [read t ~addr] is the record at [addr], [None] where no record
+    starts (past EOF, or inside another record). *)
+val read : t -> addr:int -> string option
 
 (** [next_from t ~addr] is the first record at or after address [addr],
     with its address — the sequential-read primitive. *)

@@ -35,7 +35,6 @@ let create sim cache ~slot_size =
     first_free_hint = 0;
   }
 
-let slot_size t = t.slot_size
 let slot_count t = t.nblocks * t.slots_per_block
 let record_count t = t.occupied
 
@@ -51,17 +50,20 @@ let ensure_block t group =
     t.nblocks <- t.nblocks + 1
   done
 
+let fits t record = String.length record <= t.slot_size
+
 let locate t slot = (slot / t.slots_per_block, slot mod t.slots_per_block)
+
+(* the record in slot [idx] of a block's [data] *)
+let slot_at t data idx =
+  let off = idx * physical_slot_size t in
+  let len = Char.code data.[off] lor (Char.code data.[off + 1] lsl 8) in
+  if len = 0 then None else Some (String.sub data (off + 2) (len - 1))
 
 let read_slot_raw t ~slot =
   let group, idx = locate t slot in
-  if group >= t.nblocks then None
-  else begin
-    let data = Cache.read t.cache t.blocks.(group) in
-    let off = idx * physical_slot_size t in
-    let len = Char.code data.[off] lor (Char.code data.[off + 1] lsl 8) in
-    if len = 0 then None else Some (String.sub data (off + 2) (len - 1))
-  end
+  if slot < 0 || group >= t.nblocks then None
+  else slot_at t (Cache.read t.cache t.blocks.(group)) idx
 
 let write_slot_raw t ~slot contents ~lsn =
   let group, idx = locate t slot in
@@ -82,7 +84,7 @@ let write_slot_raw t ~slot contents ~lsn =
   Sim.tick t.sim 8
 
 let write t ~slot ~record ~lsn =
-  if String.length record > t.slot_size then
+  if not (fits t record) then
     Errors.fail (Errors.Bad_request "record exceeds slot size")
   else if slot < 0 then Errors.fail (Errors.Bad_request "negative slot")
   else
@@ -94,7 +96,7 @@ let write t ~slot ~record ~lsn =
         Ok ()
 
 let rewrite t ~slot ~record ~lsn =
-  if String.length record > t.slot_size then
+  if not (fits t record) then
     Errors.fail (Errors.Bad_request "record exceeds slot size")
   else
     match read_slot_raw t ~slot with
@@ -105,9 +107,22 @@ let rewrite t ~slot ~record ~lsn =
 
 let read t ~slot =
   Sim.tick t.sim 5;
-  match read_slot_raw t ~slot with
-  | Some r -> Ok r
-  | None -> Errors.fail (Errors.Not_found_key (string_of_int slot))
+  read_slot_raw t ~slot
+
+let next_from t ~slot =
+  (* one cache read per block the search enters *)
+  let rec block group idx =
+    if group >= t.nblocks then None
+    else scan group (Cache.read t.cache t.blocks.(group)) idx
+  and scan group data idx =
+    if idx >= t.slots_per_block then block (group + 1) 0
+    else
+      match slot_at t data idx with
+      | Some record -> Some ((group * t.slots_per_block) + idx, record)
+      | None -> scan group data (idx + 1)
+  in
+  let group, idx = locate t (max slot 0) in
+  block group idx
 
 let delete t ~slot ~lsn =
   match read_slot_raw t ~slot with

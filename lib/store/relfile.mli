@@ -10,7 +10,8 @@ type t
     slots hold at most [slot_size] record bytes. *)
 val create : Nsql_sim.Sim.t -> Nsql_cache.Cache.t -> slot_size:int -> t
 
-val slot_size : t -> int
+(** [fits t record] — does [record] fit in a slot? *)
+val fits : t -> string -> bool
 
 (** [record_count t] is the number of occupied slots. *)
 val record_count : t -> int
@@ -26,8 +27,13 @@ val write :
 val rewrite :
   t -> slot:int -> record:string -> lsn:int64 -> (string, Nsql_util.Errors.t) result
 
-(** [read t ~slot] reads an occupied slot. *)
-val read : t -> slot:int -> (string, Nsql_util.Errors.t) result
+(** [read t ~slot] is the record in [slot], [None] for an empty or
+    nonexistent slot. *)
+val read : t -> slot:int -> string option
+
+(** [next_from t ~slot] is the first occupied slot at or after [slot],
+    with its record — the sequential-read primitive. *)
+val next_from : t -> slot:int -> (int * string) option
 
 (** [delete t ~slot ~lsn] empties a slot, returning the old image. *)
 val delete : t -> slot:int -> lsn:int64 -> (string, Nsql_util.Errors.t) result

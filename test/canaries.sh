@@ -6,8 +6,10 @@
 #   1. control: the groups pass on the unmutated copy;
 #   2. the substitution must change the file (else the canary is stale:
 #      point it at the moved code);
-#   3. every group must fail on the mutated copy;
-#   4. the file is restored before the next row.
+#   3. the mutated copy must build (a copy that does not compile fails
+#      every group without testing anything);
+#   4. every group must fail on the mutated copy;
+#   5. the file is restored before the next row.
 #
 # usage: test/canaries.sh [NAME...]   (no NAME: every row)
 # The copy holds the files git tracks or would track (a local run checks
@@ -49,6 +51,10 @@ canary() {
   perl -0pi -e "$subst" "$work/$file"
   if cmp -s "$work/$file.orig" "$work/$file"; then
     echo "$name: pattern not found in $file: the canary is stale, point it at the moved code"
+    ok=0
+  elif ! (cd "$work" && dune build --root . --display quiet test/test_main.exe \
+    >/dev/null 2>&1); then
+    echo "$name: the mutated $file does not build: fix the substitution"
     ok=0
   else
     for group in "${specs[@]}"; do
@@ -107,6 +113,12 @@ canary prepared-equivalence lib/sql/ast.ml sql,chaos \
 canary lock-or-block lib/dp/dp.ml dp \
   's/\| Lock\.Blocked blockers -> Ok \(blocked \?last_key blockers\)\)/| Lock.Blocked blockers ->\n          ignore (k ());\n          Ok (blocked ?last_key blockers))/' \
   "a denied point request that still applies its operation"
+
+# A key addresses a record in every file structure: the conformance
+# matrix must notice a relative file whose records cannot be found.
+canary record-kinds lib/dp/dp.ml conformance \
+  's/Ok \(Relfile\.read r ~slot\)/Ok (ignore (r, slot); None)/' \
+  "a relative lookup that answers not-found"
 
 if [ $failures -gt 0 ]; then
   echo "$failures canary row(s) failed"

@@ -678,8 +678,8 @@ let blocked_point_request_applies_nothing () =
                 { file = ks; tx; row = account i (float_of_int i) "o" }));
         applied
           (Dp.request dp
-             (Dp_msg.R_rel_write
-                { file = rel; tx; slot = i; record = Printf.sprintf "r%d" i }));
+             (Dp_msg.R_insert
+                { file = rel; tx; key = Keycode.of_int i; record = Printf.sprintf "r%d" i }));
         applied
           (Dp.request dp
              (Dp_msg.R_entry_append { file = ent; tx; record = Printf.sprintf "e%d" i }))
@@ -698,15 +698,7 @@ let blocked_point_request_applies_nothing () =
       | Dp_msg.Rp_end -> List.rev acc
       | r -> Alcotest.fail ("walk: " ^ what r)
     in
-    let slots =
-      List.filter_map
-        (fun slot ->
-          match Dp.request dp (Dp_msg.R_rel_read { file = rel; tx = 0; slot }) with
-          | Dp_msg.Rp_record { key; record } -> Some (key, record)
-          | _ -> None)
-        (List.init 8 Fun.id)
-    in
-    (walk ks "" true [], slots, walk ent "" true [])
+    (walk ks "" true [], walk rel "" true [], walk ent "" true [])
   in
   let before = contents () in
   let holder = Tmf.begin_tx n.tmf in
@@ -736,9 +728,9 @@ let blocked_point_request_applies_nothing () =
         ("", R_delete { file = ks; tx; key = acct_key 3 });
         ("", R_lock_file { file = ks; tx; lock = L_shared });
         ("", R_lock_generic { file = ks; tx; prefix = acct_key 4; lock = L_shared });
-        ("", R_rel_write { file = rel; tx; slot = 6; record = "new" });
-        ("", R_rel_rewrite { file = rel; tx; slot = 1; record = "new" });
-        ("", R_rel_delete { file = rel; tx; slot = 2 });
+        ("", R_insert { file = rel; tx; key = Keycode.of_int 6; record = "new" });
+        ("", R_update { file = rel; tx; key = Keycode.of_int 1; record = "new" });
+        ("", R_delete { file = rel; tx; key = Keycode.of_int 2 });
         ("", R_entry_append { file = ent; tx; record = "new" });
         ("", R_insert_row { file = ks; tx; row = account 10 1. "new" });
         ( "",

@@ -31,4 +31,5 @@ let () =
       ("diskq", Test_diskq.suite);
       ("redrive", Test_redrive.suite);
       ("groups", Test_groups.suite);
+      ("conformance", Test_conformance.suite);
     ]

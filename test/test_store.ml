@@ -323,10 +323,8 @@ let relfile_basics () =
   let sim, cache = setup () in
   let f = Relfile.create sim cache ~slot_size:100 in
   get_ok ~ctx:"w" (Relfile.write f ~slot:5 ~record:"fifth" ~lsn:1L);
-  Alcotest.(check string) "read" "fifth" (get_ok ~ctx:"r" (Relfile.read f ~slot:5));
-  (match Relfile.read f ~slot:4 with
-  | Error (Errors.Not_found_key _) -> ()
-  | _ -> Alcotest.fail "empty slot readable");
+  Alcotest.(check (option string)) "read" (Some "fifth") (Relfile.read f ~slot:5);
+  Alcotest.(check (option string)) "empty slot" None (Relfile.read f ~slot:4);
   (match Relfile.write f ~slot:5 ~record:"again" ~lsn:2L with
   | Error (Errors.Duplicate_key _) -> ()
   | _ -> Alcotest.fail "overwrite allowed");
@@ -335,9 +333,7 @@ let relfile_basics () =
   let slot = get_ok ~ctx:"app" (Relfile.append f ~record:"appended" ~lsn:4L) in
   Alcotest.(check int) "append fills lowest free" 0 slot;
   ignore (get_ok ~ctx:"del" (Relfile.delete f ~slot:5 ~lsn:5L));
-  (match Relfile.read f ~slot:5 with
-  | Error (Errors.Not_found_key _) -> ()
-  | _ -> Alcotest.fail "deleted slot readable");
+  Alcotest.(check (option string)) "deleted slot" None (Relfile.read f ~slot:5);
   Alcotest.(check int) "record count" 1 (Relfile.record_count f)
 
 let relfile_many_slots () =
@@ -350,7 +346,15 @@ let relfile_many_slots () =
   Relfile.iter f (fun slot r ->
       Alcotest.(check string) "slot content" (Printf.sprintf "s%d" slot) r;
       incr seen);
-  Alcotest.(check int) "iter sees all" 500 !seen
+  Alcotest.(check int) "iter sees all" 500 !seen;
+  (* the sequential-read primitive skips empty slots across blocks *)
+  for i = 1 to 498 do
+    ignore (get_ok ~ctx:"del" (Relfile.delete f ~slot:i ~lsn:2L))
+  done;
+  let next slot = Option.map fst (Relfile.next_from f ~slot) in
+  Alcotest.(check (option int)) "next from 1" (Some 499) (next 1);
+  Alcotest.(check (option int)) "next from 0" (Some 0) (next 0);
+  Alcotest.(check (option int)) "next past the end" None (next 500)
 
 (* --- entry-sequenced files ------------------------------------------------ *)
 
@@ -360,11 +364,16 @@ let entryfile_basics () =
   let a1 = get_ok ~ctx:"a" (Entryfile.append f ~record:"first" ~lsn:1L) in
   let a2 = get_ok ~ctx:"a" (Entryfile.append f ~record:"second" ~lsn:2L) in
   Alcotest.(check bool) "addresses ascend" true (a2 > a1);
-  Alcotest.(check string) "read 1" "first" (get_ok ~ctx:"r" (Entryfile.read f ~addr:a1));
-  Alcotest.(check string) "read 2" "second" (get_ok ~ctx:"r" (Entryfile.read f ~addr:a2));
-  match Entryfile.read f ~addr:99999 with
-  | Error (Errors.Not_found_key _) -> ()
-  | _ -> Alcotest.fail "bogus address readable"
+  Alcotest.(check (option string)) "read 1" (Some "first") (Entryfile.read f ~addr:a1);
+  Alcotest.(check (option string)) "read 2" (Some "second") (Entryfile.read f ~addr:a2);
+  Alcotest.(check (option string)) "bogus address" None (Entryfile.read f ~addr:99999);
+  Alcotest.(check (option string)) "inside a record" None
+    (Entryfile.read f ~addr:(a1 + 1));
+  (* truncated records' bytes stay in the block, past EOF *)
+  let a3 = get_ok ~ctx:"a" (Entryfile.append f ~record:"third" ~lsn:3L) in
+  get_ok ~ctx:"truncate" (Entryfile.truncate_to f ~addr:a2 ~lsn:4L);
+  Alcotest.(check (option string)) "truncated" None (Entryfile.read f ~addr:a2);
+  Alcotest.(check (option string)) "past EOF" None (Entryfile.read f ~addr:a3)
 
 let entryfile_iter_order () =
   let sim, cache = setup () in
