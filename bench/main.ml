@@ -1,11 +1,15 @@
 (* The experiment harness: regenerates every quantitative claim and figure
-   of the paper (experiments E1-E24 and the A1 ablation). Host-time
-   per-layer costs are measured by the repository benchmark (benchmark/).
+   of the paper (experiments E1-E24 and the A1 ablation). Every number it
+   prints is a simulation statistic, so a run repeats bit for bit.
+   Host-time costs are measured by the repository benchmark (benchmark/).
 
    Every experiment is one spec: an id, a title and the paper's claim,
-   which the runner prints as its heading, and a [run] that prints its
-   tables and emits its headline JSON records. World setup, measurement,
-   table rows and the --trace/--monitor observers are shared code.
+   which the runner prints as its heading, and a [run] that reports its
+   tables, text blocks and headline metrics through [table], [text] and
+   [emit]. Only the runner formats them: it prints them as markdown,
+   writes --json, and with --doc writes the same markdown into the
+   experiment's generated block of a file (EXPERIMENTS.md). World setup,
+   measurement and the --trace/--monitor observers are shared code.
 
    Run with: dune exec bench/main.exe
    Results are discussed against the paper in EXPERIMENTS.md. *)
@@ -17,7 +21,6 @@ module Config = Nsql_sim.Config
 module Disk = Nsql_disk.Disk
 module Cache = Nsql_cache.Cache
 module Row = Nsql_row.Row
-module Rowvec = Nsql_row.Rowvec
 module Expr = Nsql_expr.Expr
 module Fs = Nsql_fs.Fs
 module Dp = Nsql_dp.Dp
@@ -44,54 +47,102 @@ let fpr = Printf.sprintf
 type experiment = {
   id : string;
   title : string;
-  paper : string;
-      (** the claim under test; empty for host-time benchmarks, which print
-          their own banner instead of the heading *)
+  paper : string;  (** the claim under test *)
   run : unit -> unit;
 }
 
 let experiment id title paper run = { id; title; paper; run }
 
-(* --- machine-readable results ------------------------------------- *)
+(* --- what an experiment reports ------------------------------------ *)
 
-(* every experiment emits at least one headline datum; all values are
-   simulation statistics, so a given seed reproduces the file byte for
-   byte — which is what the CI smoke job diffs against its checked-in
-   expectation *)
-let json_records : (string * string * float) list ref = ref []
+(* a table (an optional caption, a header and rows of cells) or a block
+   of preformatted text, in the order the experiment reports them *)
+type part =
+  | Table of { caption : string; header : string list; rows : string list list }
+  | Text of string
 
-let emit id metric value = json_records := (id, metric, value) :: !json_records
-let emit_count id metric n = emit id metric (float_of_int n)
+(* the running experiment's parts and headline metrics, newest first *)
+let parts : part list ref = ref []
+let metrics : (string * float) list ref = ref []
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* a table with one row of cells [row_of x] per item [x] *)
+let table ?(caption = "") header row_of items =
+  parts := Table { caption; header; rows = List.map row_of items } :: !parts
 
-let write_json path =
-  let record (id, metric, v) =
-    fpr "  {\"id\": \"%s\", \"metric\": \"%s\", \"value\": %.6g}" id metric v
-  in
-  let body = String.concat ",\n" (List.rev_map record !json_records) in
-  write_file path (if body = "" then "[\n]\n" else "[\n" ^ body ^ "\n]\n")
+let rstrip l =
+  let n = ref (String.length l) in
+  while !n > 0 && l.[!n - 1] = ' ' do decr n done;
+  String.sub l 0 !n
 
-(* --- tables -------------------------------------------------------- *)
+(* preformatted text, kept without trailing blanks *)
+let text s =
+  let lines = List.map rstrip (String.split_on_char '\n' (String.trim s)) in
+  parts := Text (String.concat "\n" lines) :: !parts
 
-(* one table row: a negative width left-aligns its cell, a positive one
-   right-aligns it, and one space separates the columns; a table's
-   header and data rows share one width list *)
-let row widths cells =
-  List.iteri
-    (fun i (w, c) -> printf "%s%*s" (if i = 0 then "" else " ") w c)
-    (List.combine widths cells);
-  printf "@."
+(* a headline metric: printed after the experiment's tables, written to
+   --json, and the last table of its generated doc block *)
+let emit metric value = metrics := (metric, value) :: !metrics
+let emit_count metric n = emit metric (float_of_int n)
 
 let num = string_of_int
 let fixed digits x = fpr "%.*f" digits x
+let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
 (* a count ratio; the denominator is clamped to 1 so a zero count cannot
    make it infinite *)
 let ratio a b = float_of_int a /. float_of_int (max 1 b)
+
+(* --- formatting ----------------------------------------------------- *)
+
+(* a table in markdown, each column as wide as its widest cell and
+   right-aligned when every data cell starts with a digit *)
+let render_table ~caption ~header ~rows =
+  let digit c = c <> "" && c.[0] >= '0' && c.[0] <= '9' in
+  let layout =
+    List.mapi
+      (fun i h ->
+        let cells = List.map (fun r -> List.nth r i) rows in
+        let widest w c = max w (String.length c) in
+        ( List.fold_left widest (String.length h) cells,
+          cells <> [] && List.for_all digit cells ))
+      header
+  in
+  let line cells =
+    let padded =
+      List.map2
+        (fun c (w, right) ->
+          let pad = String.make (w - String.length c) ' ' in
+          if right then pad ^ c else c ^ pad)
+        cells layout
+    in
+    "| " ^ String.concat " | " padded ^ " |"
+  in
+  let rule (w, right) = String.make (w + 1) '-' ^ if right then ":" else "-" in
+  let rules = "|" ^ String.concat "|" (List.map rule layout) ^ "|" in
+  (if caption = "" then [] else [ caption; "" ])
+  @ (line header :: rules :: List.map line rows)
+  |> String.concat "\n"
+
+(* a metric value for reading: integral and large values in full, others
+   to six significant digits *)
+let value v =
+  if Float.is_integer v then fpr "%.0f" v
+  else if Float.abs v >= 1e5 then fpr "%.1f" v
+  else fpr "%.6g" v
+
+(* an experiment's parts followed by its metric table, as markdown
+   separated by blank lines: what the harness prints and what --doc
+   writes *)
+let render (parts, metrics) =
+  let part = function
+    | Table { caption; header; rows } -> render_table ~caption ~header ~rows
+    | Text s -> "```\n" ^ s ^ "\n```"
+  in
+  let rows = List.map (fun (m, v) -> [ m; value v ]) metrics in
+  let metric_table =
+    Table { caption = ""; header = [ "metric"; "value" ]; rows }
+  in
+  String.concat "\n\n" (List.map part (parts @ [ metric_table ]))
 
 (* --- worlds and measurement ---------------------------------------- *)
 
@@ -120,7 +171,7 @@ let create_file node ~fname ~schema ~indexes =
 let query s sql =
   match N.exec_exn s sql with N.Rows rs -> rs | _ -> assert false
 
-let table node name = get_ok ~ctx:"find" (N.Catalog.find (N.catalog node) name)
+let table_of node name = get_ok ~ctx:"find" (N.Catalog.find (N.catalog node) name)
 
 (* the contended DebitCredit transfer world of E20, E21, E23 and E24:
    conflicting requests park in the DP for up to 150 ms *)
@@ -151,14 +202,6 @@ let transfer_run ~accounts ~terminals ~txs_per_terminal =
   let t0 = Sim.now (N.sim node) in
   ignore (transfers db ~terminals ~txs_per_terminal);
   Sim.now (N.sim node) -. t0
-
-(* host CPU seconds for [reps] runs of [f] *)
-let host_time reps f =
-  let h0 = Sys.time () in
-  for _ = 1 to reps do
-    ignore (f ())
-  done;
-  Sys.time () -. h0
 
 (* the counter delta of [f 0] ... [f (n - 1)] on [node] *)
 let measure_each node n f =
@@ -212,7 +255,7 @@ let update_each_key node tbl ~rows source =
 let timed_scan ?config ?volumes ?partitions ?(access = Fs.A_vsbb)
     ?(proj = [| 0; 1 |]) rows =
   let node, _ = wisconsin_node ?config ?volumes ?partitions rows in
-  let fs = N.fs node and tbl = table node "t" in
+  let fs = N.fs node and tbl = table_of node "t" in
   let (), delta, elapsed =
     timed node (fun () ->
         in_tx node (fun tx ->
@@ -324,19 +367,15 @@ let e1_rsbb_vs_record =
   in
   let d_rec = scan false in
   let d_sbb = scan true in
-  let cols = [ -22; 10; 12; 14 ] in
-  row cols [ "interface"; "messages"; "reply bytes"; "msgs/record" ];
-  let line name { Stats.msgs_sent; msg_reply_bytes; _ } =
-    row cols
+  table
+    [ "interface"; "messages"; "reply bytes"; "msgs/record" ]
+    (fun (name, { Stats.msgs_sent; msg_reply_bytes; _ }) ->
       [
-        name; num msgs_sent; num msg_reply_bytes; fixed 2 (ratio msgs_sent rows);
-      ]
-  in
-  line "record-at-a-time" d_rec;
-  line "SBB (RSBB)" d_sbb;
-  let factor = ratio d_rec.Stats.msgs_sent d_sbb.Stats.msgs_sent in
-  printf "RSBB message factor: %.1fx (paper: ~3x at blocking factor 3)@." factor;
-  emit "e1" "rsbb_message_factor" factor
+        name; num msgs_sent; num msg_reply_bytes;
+        fixed 2 (ratio msgs_sent rows);
+      ])
+    [ ("record-at-a-time", d_rec); ("SBB (RSBB)", d_sbb) ];
+  emit "rsbb_message_factor" (ratio d_rec.Stats.msgs_sent d_sbb.Stats.msgs_sent)
 
 (* --- E2: VSBB on the Wisconsin queries ---------------------------- *)
 
@@ -348,31 +387,30 @@ let e2_vsbb_wisconsin =
   @@ fun () ->
   let rows = 2000 in
   let node, s = wisconsin_node ~name:"tenktup1" rows in
-  let cols = [ -4; -44; 8; 8; 8; 11; 11 ] in
-  row cols [ "id"; "query"; "rec"; "RSBB"; "VSBB"; "rec/RSBB"; "RSBB/VSBB" ];
-  let vsbb_total = ref 0 in
-  List.iter
-    (fun q ->
-      let cost mode =
-        N.set_access_mode s mode;
-        let _, delta =
-          N.measure node (fun () -> N.exec_exn s q.Wisconsin.q_sql)
-        in
-        delta.Stats.msgs_sent
-      in
-      let m_rec = cost (Some Fs.A_record) in
-      let m_rsbb = cost (Some Fs.A_rsbb) in
-      let m_vsbb = cost (Some Fs.A_vsbb) in
-      vsbb_total := !vsbb_total + m_vsbb;
-      row cols
-        [
-          q.Wisconsin.q_id; q.Wisconsin.q_desc; num m_rec; num m_rsbb;
-          num m_vsbb; fixed 1 (ratio m_rec m_rsbb) ^ "x";
-          fixed 1 (ratio m_rsbb m_vsbb) ^ "x";
-        ])
-    (Wisconsin.selection_queries ~table:"tenktup1" ~rows);
+  let cost q mode =
+    N.set_access_mode s (Some mode);
+    let _, delta = N.measure node (fun () -> N.exec_exn s q.Wisconsin.q_sql) in
+    delta.Stats.msgs_sent
+  in
+  let runs =
+    List.map
+      (fun q ->
+        let m_rec = cost q Fs.A_record in
+        let m_rsbb = cost q Fs.A_rsbb in
+        (q, m_rec, m_rsbb, cost q Fs.A_vsbb))
+      (Wisconsin.selection_queries ~table:"tenktup1" ~rows)
+  in
   N.set_access_mode s None;
-  emit_count "e2" "vsbb_messages_total" !vsbb_total
+  table
+    [ "id"; "query"; "rec"; "RSBB"; "VSBB"; "rec/RSBB"; "RSBB/VSBB" ]
+    (fun (q, m_rec, m_rsbb, m_vsbb) ->
+      [
+        q.Wisconsin.q_id; q.Wisconsin.q_desc; num m_rec; num m_rsbb;
+        num m_vsbb; fixed 1 (ratio m_rec m_rsbb) ^ "x";
+        fixed 1 (ratio m_rsbb m_vsbb) ^ "x";
+      ])
+    runs;
+  emit_count "vsbb_messages_total" (sum (fun (_, _, _, m) -> m) runs)
 
 (* --- E3: update at the data source -------------------------------- *)
 
@@ -388,7 +426,7 @@ let e3_update_subset =
       sql_node
         "CREATE TABLE account (acctno INT PRIMARY KEY, balance FLOAT NOT NULL)"
     in
-    load node (table node "account").N.Catalog.t_file ~capacity:100 ~rows
+    load node (table_of node "account").N.Catalog.t_file ~capacity:100 ~rows
       (fun i -> [| Row.Vint i; Row.Vfloat (float_of_int i) |]);
     (node, s)
   in
@@ -400,23 +438,21 @@ let e3_update_subset =
         | _ -> assert false)
   in
   let node2, _s2 = mk () in
-  let tbl = table node2 "account" in
+  let tbl = table_of node2 "account" in
   let (), d_rmw =
     N.measure node2 (fun () ->
         update_each_key node2 tbl ~rows
           Expr.(Binop (Mul, Field 1, float_ 1.07)))
   in
-  let cols = [ -28; 10; 12; 14 ] in
-  row cols [ "path"; "messages"; "req bytes"; "msgs/record" ];
-  let line name { Stats.msgs_sent; msg_req_bytes; _ } =
-    row cols
-      [ name; num msgs_sent; num msg_req_bytes; fixed 3 (ratio msgs_sent rows) ]
-  in
-  line "read + rewrite per record" d_rmw;
-  line "UPDATE^SUBSET (delegated)" d_sql;
-  let factor = ratio d_rmw.Stats.msgs_sent d_sql.Stats.msgs_sent in
-  printf "message factor: %.0fx@." factor;
-  emit "e3" "update_message_factor" factor
+  table
+    [ "path"; "messages"; "req bytes"; "msgs/record" ]
+    (fun (name, { Stats.msgs_sent; msg_req_bytes; _ }) ->
+      [ name; num msgs_sent; num msg_req_bytes; fixed 3 (ratio msgs_sent rows) ])
+    [
+      ("read + rewrite per record", d_rmw);
+      ("UPDATE^SUBSET (delegated)", d_sql);
+    ];
+  emit "update_message_factor" (ratio d_rmw.Stats.msgs_sent d_sql.Stats.msgs_sent)
 
 (* --- E4: field-compressed audit ----------------------------------- *)
 
@@ -444,7 +480,7 @@ let e4_audit_compression =
      buffer-full flushes — the frequency the paper says compression cuts *)
   let run_txs ~compressed =
     let node, s = mk () in
-    let tbl = table node "account" in
+    let tbl = table_of node "account" in
     N.measure node (fun () ->
         if compressed then begin
           ignore (N.exec_exn s "BEGIN WORK");
@@ -460,24 +496,18 @@ let e4_audit_compression =
   in
   let (), d_sql = run_txs ~compressed:true in
   let (), d_full = run_txs ~compressed:false in
-  let cols = [ -26; 12; 12; 18 ] in
-  row cols
-    [ "audit format"; "audit bytes"; "bytes/update"; "buffer-full flushes" ];
-  let line name { Stats.audit_bytes; audit_flush_full; _ } =
-    row cols
+  table
+    [ "audit format"; "audit bytes"; "bytes/update"; "buffer-full flushes" ]
+    (fun (name, { Stats.audit_bytes; audit_flush_full; _ }) ->
       [
         name; num audit_bytes; fixed 0 (ratio audit_bytes rows);
         num audit_flush_full;
-      ]
-  in
-  line "full-record images" d_full;
-  line "field-compressed (SQL)" d_sql;
-  let size = ratio d_full.Stats.audit_bytes d_sql.Stats.audit_bytes in
-  printf
-    "audit size ratio: %.1fx smaller; buffer-full flush ratio: %.1fx fewer@."
-    size
-    (ratio d_full.Stats.audit_flush_full d_sql.Stats.audit_flush_full);
-  emit "e4" "audit_size_ratio" size
+      ])
+    [ ("full-record images", d_full); ("field-compressed (SQL)", d_sql) ];
+  emit "audit_size_ratio"
+    (ratio d_full.Stats.audit_bytes d_sql.Stats.audit_bytes);
+  emit "flush_ratio"
+    (ratio d_full.Stats.audit_flush_full d_sql.Stats.audit_flush_full)
 
 (* --- E5: bulk I/O and pre-fetch ----------------------------------- *)
 
@@ -488,36 +518,41 @@ let e5_bulk_prefetch =
      allows cpu-bound processing ... in parallel with disk I/O's\""
   @@ fun () ->
   let rows = 2000 in
-  let run ~prefetch ~bulk_bytes =
+  let run (name, prefetch, bulk_bytes) =
     let config =
       Config.v ~dp_prefetch:prefetch ~bulk_io_max_bytes:bulk_bytes ()
     in
     let node, s = wisconsin_node ~config rows in
     (* cool the cache: GUARDIAN steals every frame (cleaning dirty ones) *)
     ignore (N.vm_pressure node 0 ~frames:max_int);
-    timed node (fun () ->
-        let r = query s "SELECT COUNT(*) FROM t" in
-        assert (r.rows = [ [| Row.Vint rows |] ]))
+    let (), d, t =
+      timed node (fun () ->
+          let r = query s "SELECT COUNT(*) FROM t" in
+          assert (r.rows = [ [| Row.Vint rows |] ]))
+    in
+    (name, d, t)
   in
-  let (), d_plain, t_plain = run ~prefetch:false ~bulk_bytes:4096 in
-  let (), d_bulk, t_bulk = run ~prefetch:true ~bulk_bytes:4096 in
-  let (), d_pre, t_pre = run ~prefetch:true ~bulk_bytes:(28 * 1024) in
-  let cols = [ -34; 8; 8; 10; 12 ] in
-  row cols [ "configuration"; "I/Os"; "blocks"; "blocks/IO"; "elapsed(ms)" ];
-  let line name { Stats.disk_reads; blocks_read; _ } t =
-    row cols
+  let runs =
+    List.map run
+      [
+        ("per-block reads (no pre-fetch)", false, 4096);
+        ("pre-fetch, 4 KB I/O limit", true, 4096);
+        ("pre-fetch, 28 KB bulk I/O", true, 28 * 1024);
+      ]
+  in
+  table
+    [ "configuration"; "I/Os"; "blocks"; "blocks/IO"; "elapsed(ms)" ]
+    (fun (name, { Stats.disk_reads; blocks_read; _ }, t) ->
       [
         name; num disk_reads; num blocks_read;
         fixed 2 (ratio blocks_read disk_reads); fixed 1 (t /. 1000.);
-      ]
-  in
-  line "per-block reads (no pre-fetch)" d_plain t_plain;
-  line "pre-fetch, 4 KB I/O limit" d_bulk t_bulk;
-  line "pre-fetch, 28 KB bulk I/O" d_pre t_pre;
-  let io_reduction = ratio d_plain.Stats.disk_reads d_pre.Stats.disk_reads in
-  printf "I/O count reduction: %.1fx; elapsed reduction: %.1fx@." io_reduction
-    (t_plain /. t_pre);
-  emit "e5" "io_reduction" io_reduction
+      ])
+    runs;
+  match runs with
+  | [ (_, d_plain, t_plain); _; (_, d_pre, t_pre) ] ->
+      emit "io_reduction" (ratio d_plain.Stats.disk_reads d_pre.Stats.disk_reads);
+      emit "elapsed_reduction" (t_plain /. t_pre)
+  | _ -> assert false
 
 (* --- E6: asynchronous write-behind -------------------------------- *)
 
@@ -535,14 +570,14 @@ let e6_write_behind =
     | _ -> assert false);
     node
   in
-  (* WAL check: before commit makes audit durable, write-behind refuses *)
+  (* WAL check: before commit makes audit durable, write-behind may only
+     write the blocks whose audit an earlier buffer-full flush made
+     durable *)
   let node, s = wisconsin_node 200 in
   ignore (N.exec_exn s "BEGIN WORK");
   ignore (N.exec_exn s "UPDATE t SET two = 1 - two");
   let premature = Dp.idle (N.dps node).(0) in
   ignore (N.exec_exn s "COMMIT WORK");
-  printf "blocks written behind before commit (WAL must forbid): %d@."
-    premature;
   let node_wb = prepare () in
   let dirty = Cache.dirty_count (Dp.cache (N.dps node_wb).(0)) in
   let _, d_wb =
@@ -553,17 +588,15 @@ let e6_write_behind =
     N.measure node_sync (fun () ->
         Cache.flush_all (Dp.cache (N.dps node_sync).(0)))
   in
-  printf "@.%d dirty blocks to clean after the subset update:@." dirty;
-  let cols = [ -30; 10; 12 ] in
-  row cols [ "mechanism"; "write I/Os"; "bulk writes" ];
-  let line name { Stats.disk_writes; bulk_writes; _ } =
-    row cols [ name; num disk_writes; num bulk_writes ]
-  in
-  line "synchronous per-block" d_sync;
-  line "write-behind (bulk strings)" d_wb;
-  let reduction = ratio d_sync.Stats.disk_writes d_wb.Stats.disk_writes in
-  printf "write I/O reduction: %.1fx@." reduction;
-  emit "e6" "write_io_reduction" reduction
+  table
+    ~caption:(fpr "%d dirty blocks to clean after the subset update:" dirty)
+    [ "mechanism"; "write I/Os"; "bulk writes" ]
+    (fun (name, { Stats.disk_writes; bulk_writes; _ }) ->
+      [ name; num disk_writes; num bulk_writes ])
+    [ ("synchronous per-block", d_sync); ("write-behind (bulk strings)", d_wb) ];
+  emit "write_io_reduction"
+    (ratio d_sync.Stats.disk_writes d_wb.Stats.disk_writes);
+  emit_count "written_before_commit" premature
 
 (* --- E7: group commit timers -------------------------------------- *)
 
@@ -626,29 +659,32 @@ let e7_group_commit =
     in
     (d, total_response /. float_of_int txs)
   in
-  let cols = [ -22; -12; 8; 12; 14 ] in
-  row cols [ "timer"; "tx rate"; "flushes"; "txs/flush"; "response(ms)" ];
-  let flushes_total = ref 0 in
-  List.iter
-    (fun (rate_name, interarrival_us) ->
-      List.iter
-        (fun (timer_name, timer) ->
-          let d, resp = run ~interarrival_us ~timer in
-          flushes_total := !flushes_total + d.Stats.audit_flushes;
-          row cols
-            [
-              timer_name; rate_name; num d.Stats.audit_flushes;
-              fixed 2 (ratio d.Stats.group_commit_txs d.Stats.audit_flushes);
-              fixed 2 (resp /. 1000.);
-            ])
-        [
-          ("timer 1 ms", Some 1_000.);
-          ("timer 10 ms", Some 10_000.);
-          ("timer 50 ms", Some 50_000.);
-          ("adaptive (Helland)", None);
-        ])
-    [ ("high (2k/s)", 500.); ("low (100/s)", 10_000.) ];
-  emit_count "e7" "audit_flushes_total" !flushes_total
+  let runs =
+    List.concat_map
+      (fun (rate_name, interarrival_us) ->
+        List.map
+          (fun (timer_name, timer) ->
+            let d, resp = run ~interarrival_us ~timer in
+            (timer_name, rate_name, d, resp))
+          [
+            ("timer 1 ms", Some 1_000.);
+            ("timer 10 ms", Some 10_000.);
+            ("timer 50 ms", Some 50_000.);
+            ("adaptive (Helland)", None);
+          ])
+      [ ("high (2k/s)", 500.); ("low (100/s)", 10_000.) ]
+  in
+  table
+    [ "timer"; "tx rate"; "flushes"; "txs/flush"; "response(ms)" ]
+    (fun (timer_name, rate_name, d, resp) ->
+      [
+        timer_name; rate_name; num d.Stats.audit_flushes;
+        fixed 2 (ratio d.Stats.group_commit_txs d.Stats.audit_flushes);
+        fixed 2 (resp /. 1000.);
+      ])
+    runs;
+  emit_count "audit_flushes_total"
+    (sum (fun (_, _, d, _) -> d.Stats.audit_flushes) runs)
 
 (* --- E8: DebitCredit, SQL vs ENSCRIBE ----------------------------- *)
 
@@ -674,32 +710,25 @@ let e8_debitcredit =
         Debitcredit.run_sql_tx db (N.session node))
   in
   let d_ens = run Debitcredit.setup_enscribe Debitcredit.run_enscribe_tx in
-  printf "per transaction (%d transactions):@." txs;
-  let cols = [ -14; 10; 12; 10; 12; 12 ] in
-  row cols
+  table
+    ~caption:(fpr "per transaction (%d transactions):" txs)
     [
       "interface"; "messages"; "msg bytes"; "disk I/Os"; "CPU ticks";
       "audit bytes";
-    ];
-  let line name (d : Stats.t) =
-    let f digits v = fixed digits (ratio v txs) in
-    row cols
+    ]
+    (fun (name, (d : Stats.t)) ->
+      let f digits v = fixed digits (ratio v txs) in
       [
         name; f 1 d.Stats.msgs_sent;
         f 0 (d.Stats.msg_req_bytes + d.Stats.msg_reply_bytes);
         f 2 (d.Stats.disk_reads + d.Stats.disk_writes); f 0 d.Stats.cpu_ticks;
         f 0 d.Stats.audit_bytes;
-      ]
-  in
-  line "ENSCRIBE" d_ens;
-  line "NonStop SQL" d_sql;
-  let msg_ratio = ratio d_sql.Stats.msgs_sent d_ens.Stats.msgs_sent in
-  printf
-    "SQL/ENSCRIBE: %.2fx messages, %.2fx CPU — comparable or better, as \
-     claimed@."
-    msg_ratio
-    (ratio d_sql.Stats.cpu_ticks d_ens.Stats.cpu_ticks);
-  emit "e8" "sql_enscribe_msg_ratio" msg_ratio
+      ])
+    [ ("ENSCRIBE", d_ens); ("NonStop SQL", d_sql) ];
+  emit "sql_enscribe_msg_ratio"
+    (ratio d_sql.Stats.msgs_sent d_ens.Stats.msgs_sent);
+  emit "sql_enscribe_cpu_ratio"
+    (ratio d_sql.Stats.cpu_ticks d_ens.Stats.cpu_ticks)
 
 (* --- E9: Figure 2 message trace ----------------------------------- *)
 
@@ -734,14 +763,12 @@ let e9_figure2_trace =
               ~index_key:[ Row.Vstr "cust-042" ]))
   in
   let trace = Trace.msg_spans spans in
-  (match found with
-  | Some r -> printf "row found: %a@." Row.pp_row r
-  | None -> printf "row not found!@.");
-  printf "message flow:@.";
-  List.iter (fun sp -> printf "  %a@." Trace.pp_msg_span sp) trace;
-  printf "FS-DP messages for the alternate-key read: %d (paper: 2)@."
-    (List.length trace);
-  emit_count "e9" "fs_dp_messages" (List.length trace)
+  let row = match found with Some r -> r | None -> failwith "E9: row not found" in
+  text
+    (String.concat "\n  "
+       (Format.asprintf "row found: %a@\nmessage flow:" Row.pp_row row
+       :: List.map (Format.asprintf "%a" Trace.pp_msg_span) trace));
+  emit_count "fs_dp_messages" (List.length trace)
 
 (* --- E10: continuation re-drive limits ---------------------------- *)
 
@@ -753,29 +780,31 @@ let e10_redrive =
      re-drive protocol is triggered.\""
   @@ fun () ->
   let rows = 2000 in
-  let cols = [ -24; 10; 12; 18 ] in
-  row cols [ "per-request limit"; "messages"; "re-drives"; "max records/msg" ];
-  let msgs_total = ref 0 in
-  List.iter
-    (fun limit ->
-      let config = Config.v ~dp_records_per_request:limit () in
-      let node, s = wisconsin_node ~config rows in
-      (* a selective predicate on a non-key column: the DP must examine
-         every record but returns almost none, so only the record limit
-         triggers re-drives *)
-      let _, delta =
-        N.measure node (fun () ->
-            let r = query s "SELECT unique2 FROM t WHERE unique1 = 1" in
-            assert (List.length r.rows = 1))
-      in
-      msgs_total := !msgs_total + delta.Stats.msgs_sent;
-      row cols
-        [
-          num limit; num delta.Stats.msgs_sent; num delta.Stats.redrives;
-          num (min limit rows);
-        ])
-    [ 64; 256; 1024; 4096 ];
-  emit_count "e10" "messages_total" !msgs_total
+  let runs =
+    List.map
+      (fun limit ->
+        let config = Config.v ~dp_records_per_request:limit () in
+        let node, s = wisconsin_node ~config rows in
+        (* a selective predicate on a non-key column: the DP must examine
+           every record but returns almost none, so only the record limit
+           triggers re-drives *)
+        let _, delta =
+          N.measure node (fun () ->
+              let r = query s "SELECT unique2 FROM t WHERE unique1 = 1" in
+              assert (List.length r.rows = 1))
+        in
+        (limit, delta))
+      [ 64; 256; 1024; 4096 ]
+  in
+  table
+    [ "per-request limit"; "messages"; "re-drives"; "max records/msg" ]
+    (fun (limit, d) ->
+      [
+        num limit; num d.Stats.msgs_sent; num d.Stats.redrives;
+        num (min limit rows);
+      ])
+    runs;
+  emit_count "messages_total" (sum (fun (_, d) -> d.Stats.msgs_sent) runs)
 
 (* --- E11: blocked sequential inserts (future-work extension) ------ *)
 
@@ -786,28 +815,30 @@ let e11_blocked_insert =
      reduced by the blocking factor\" (future enhancements)"
   @@ fun () ->
   let rows = 1000 in
-  let run capacity =
+  let run (name, capacity) =
     let node, _ =
       sql_node "CREATE TABLE t (k INT PRIMARY KEY, v CHAR(60) NOT NULL)"
     in
-    let tbl = table node "t" in
+    let tbl = table_of node "t" in
     let (), delta =
       N.measure node (fun () ->
           load node tbl.N.Catalog.t_file ?capacity ~rows (fun i ->
               [| Row.Vint i; Row.Vstr "v" |]))
     in
-    delta.Stats.msgs_sent
+    (name, delta.Stats.msgs_sent)
   in
-  let base = run None in
-  let cols = [ -26; 10; 14 ] in
-  row cols [ "interface"; "messages"; "msgs/insert" ];
-  row cols [ "INSERT^ROW per record"; num base; fixed 3 (ratio base rows) ];
-  List.iter
-    (fun cap ->
-      let m = run (Some cap) in
-      row cols [ fpr "INSERT^BLOCK of %d" cap; num m; fixed 3 (ratio m rows) ])
-    [ 10; 30; 100 ];
-  emit "e11" "msgs_per_insert_unblocked" (ratio base rows)
+  let runs =
+    List.map run
+      (("INSERT^ROW per record", None)
+      :: List.map
+           (fun cap -> (fpr "INSERT^BLOCK of %d" cap, Some cap))
+           [ 10; 30; 100 ])
+  in
+  table
+    [ "interface"; "messages"; "msgs/insert" ]
+    (fun (name, m) -> [ name; num m; fixed 3 (ratio m rows) ])
+    runs;
+  emit "msgs_per_insert_unblocked" (ratio (snd (List.hd runs)) rows)
 
 (* --- E12: virtual-block group locking ----------------------------- *)
 
@@ -820,16 +851,13 @@ let e12_vblock_locking =
   let rows = 1000 in
   let d_rec, _ = timed_scan ~access:Fs.A_record ~proj:[| 1 |] rows in
   let d_vsbb, _ = timed_scan ~access:Fs.A_vsbb ~proj:[| 1 |] rows in
-  let cols = [ -24; 14; 12 ] in
-  row cols [ "locking regime"; "lock requests"; "locks/row" ];
-  let line name { Stats.lock_requests; _ } =
-    row cols [ name; num lock_requests; fixed 3 (ratio lock_requests rows) ]
-  in
-  line "record locks" d_rec;
-  line "virtual-block group" d_vsbb;
-  let reduction = ratio d_rec.Stats.lock_requests d_vsbb.Stats.lock_requests in
-  printf "lock-acquisition reduction: %.0fx@." reduction;
-  emit "e12" "lock_reduction" reduction
+  table
+    [ "locking regime"; "lock requests"; "locks/row" ]
+    (fun (name, { Stats.lock_requests; _ }) ->
+      [ name; num lock_requests; fixed 3 (ratio lock_requests rows) ])
+    [ ("record locks", d_rec); ("virtual-block group", d_vsbb) ];
+  emit "lock_reduction"
+    (ratio d_rec.Stats.lock_requests d_vsbb.Stats.lock_requests)
 
 (* --- E13: distribution transparency over partitions --------------- *)
 
@@ -840,37 +868,38 @@ let e13_partitions =
      disk volumes\""
   @@ fun () ->
   let rows = 2000 in
-  let cols = [ -12; 10; 10; 12; 16 ] in
-  row cols
-    [ "partitions"; "messages"; "remote"; "result rows"; "rows/partition" ];
-  let msgs_total = ref 0 in
-  List.iter
-    (fun parts ->
-      let node, s = wisconsin_node ~volumes:4 ~partitions:parts rows in
-      let result, delta =
-        N.measure node (fun () ->
-            match
-              N.exec_exn s
-                "SELECT COUNT(*) FROM t WHERE unique1 >= 500 AND unique1 < 700"
-            with
-            | N.Rows { rows = [ [| Row.Vint n |] ]; _ } -> n
-            | _ -> assert false)
-      in
-      let per_part =
-        String.concat "/"
-          (List.init parts (fun i ->
-               let dp = (N.dps node).(i) in
-               let file = Option.get (Dp.file_id dp (fpr "t#p%d" i)) in
-               num (Dp.record_count dp ~file)))
-      in
-      msgs_total := !msgs_total + delta.Stats.msgs_sent;
-      row cols
-        [
-          num parts; num delta.Stats.msgs_sent; num delta.Stats.msgs_remote;
-          num result; per_part;
-        ])
-    [ 1; 2; 4 ];
-  emit_count "e13" "messages_total" !msgs_total
+  let runs =
+    List.map
+      (fun parts ->
+        let node, s = wisconsin_node ~volumes:4 ~partitions:parts rows in
+        let result, delta =
+          N.measure node (fun () ->
+              match
+                N.exec_exn s
+                  "SELECT COUNT(*) FROM t WHERE unique1 >= 500 AND unique1 < 700"
+              with
+              | N.Rows { rows = [ [| Row.Vint n |] ]; _ } -> n
+              | _ -> assert false)
+        in
+        let per_part =
+          String.concat "/"
+            (List.init parts (fun i ->
+                 let dp = (N.dps node).(i) in
+                 let file = Option.get (Dp.file_id dp (fpr "t#p%d" i)) in
+                 num (Dp.record_count dp ~file)))
+        in
+        (parts, delta, result, per_part))
+      [ 1; 2; 4 ]
+  in
+  table
+    [ "partitions"; "messages"; "remote"; "result rows"; "rows/partition" ]
+    (fun (parts, d, result, per_part) ->
+      [
+        num parts; num d.Stats.msgs_sent; num d.Stats.msgs_remote;
+        num result; per_part;
+      ])
+    runs;
+  emit_count "messages_total" (sum (fun (_, d, _, _) -> d.Stats.msgs_sent) runs)
 
 (* --- E14: buffered update/delete where current (future-work extension) *)
 
@@ -889,7 +918,7 @@ let e14_apply_block =
     let node, _ =
       sql_node "CREATE TABLE t (k INT PRIMARY KEY, v FLOAT NOT NULL)"
     in
-    let tbl = table node "t" in
+    let tbl = table_of node "t" in
     let fs = N.fs node and file = tbl.N.Catalog.t_file in
     load node file ~capacity:100 ~rows (fun i ->
         [| Row.Vint i; Row.Vfloat 1. |]);
@@ -949,19 +978,16 @@ let e14_apply_block =
     (delta.Stats.msgs_sent, !updated)
   in
   let base, n_updated = run None in
-  printf "cursor over %d rows, %d of them updated at the requester:@." rows
-    n_updated;
-  let cols = [ -30; 10; 16 ] in
-  row cols [ "interface"; "messages"; "msgs/updated row" ];
-  row cols
-    [ "read + UPDATE per record"; num base; fixed 3 (ratio base n_updated) ];
-  List.iter
-    (fun cap ->
-      let m, _ = run (Some cap) in
-      row cols
-        [ fpr "APPLY^BLOCK of %d" cap; num m; fixed 3 (ratio m n_updated) ])
-    [ 10; 50 ];
-  emit_count "e14" "messages_unbuffered" base
+  let buffered = List.map (fun cap -> (cap, fst (run (Some cap)))) [ 10; 50 ] in
+  table
+    ~caption:
+      (fpr "cursor over %d rows, %d of them updated at the requester:" rows
+         n_updated)
+    [ "interface"; "messages"; "msgs/updated row" ]
+    (fun (name, m) -> [ name; num m; fixed 3 (ratio m n_updated) ])
+    (("read + UPDATE per record", base)
+    :: List.map (fun (cap, m) -> (fpr "APPLY^BLOCK of %d" cap, m)) buffered);
+  emit_count "messages_unbuffered" base
 
 (* --- E15: remote requester — filtering at the source across the network *)
 
@@ -972,28 +998,30 @@ let e15_remote_requester =
      projected data is returned to a remote requester.\""
   @@ fun () ->
   let rows = 1000 in
-  let cols = [ -12; -18; 9; 12; 12 ] in
-  row cols [ "requester"; "interface"; "msgs"; "reply bytes"; "elapsed(ms)" ];
-  let msgs_total = ref 0 in
-  List.iter
-    (fun (where, remote) ->
-      List.iter
-        (fun (mode_name, mode) ->
-          let node, s = wisconsin_node ~remote_requester:remote rows in
-          N.set_access_mode s mode;
-          let _, d, t =
-            timed node (fun () ->
-                query s "SELECT unique1 FROM t WHERE tenpercent = 3")
-          in
-          msgs_total := !msgs_total + d.Stats.msgs_sent;
-          row cols
-            [
-              where; mode_name; num d.Stats.msgs_sent;
-              num d.Stats.msg_reply_bytes; fixed 1 (t /. 1000.);
-            ])
-        [ ("record-at-a-time", Some Fs.A_record); ("VSBB", Some Fs.A_vsbb) ])
-    [ ("local", false); ("remote node", true) ];
-  emit_count "e15" "messages_total" !msgs_total
+  let runs =
+    List.concat_map
+      (fun (where, remote) ->
+        List.map
+          (fun (mode_name, mode) ->
+            let node, s = wisconsin_node ~remote_requester:remote rows in
+            N.set_access_mode s (Some mode);
+            let _, d, t =
+              timed node (fun () ->
+                  query s "SELECT unique1 FROM t WHERE tenpercent = 3")
+            in
+            (where, mode_name, d, t))
+          [ ("record-at-a-time", Fs.A_record); ("VSBB", Fs.A_vsbb) ])
+      [ ("local", false); ("remote node", true) ]
+  in
+  table
+    [ "requester"; "interface"; "msgs"; "reply bytes"; "elapsed(ms)" ]
+    (fun (where, mode_name, d, t) ->
+      [
+        where; mode_name; num d.Stats.msgs_sent; num d.Stats.msg_reply_bytes;
+        fixed 1 (t /. 1000.);
+      ])
+    runs;
+  emit_count "messages_total" (sum (fun (_, _, d, _) -> d.Stats.msgs_sent) runs)
 
 (* --- E16: distributed transactions — the cost of network atomicity *)
 
@@ -1047,18 +1075,14 @@ let e16_distributed_tx =
            let* _ = bump f1 tx1 (i mod 100) (-1.) in
            Nsql_dtx.Dtx.commit dtx))
   in
-  printf "per transaction (%d two-update transactions):@." txs;
-  let cols = [ -28; 10; 12; 14 ] in
-  row cols [ "transaction kind"; "messages"; "internode"; "audit flushes" ];
-  let line name { Stats.msgs_sent; msgs_internode; audit_flushes; _ } =
-    let f v = fixed 1 (ratio v txs) in
-    row cols [ name; f msgs_sent; f msgs_internode; f audit_flushes ]
-  in
-  line "local (one node)" d_local;
-  line "network (2PC, two nodes)" d_dtx;
-  printf
-    "the atomicity premium: TMF^BEGIN + TMF^PREPARE + TMF^COMMIT messages      and one extra log force per branch@.";
-  emit "e16" "network_msgs_per_tx" (ratio d_dtx.Stats.msgs_sent txs)
+  table
+    ~caption:(fpr "per transaction (%d two-update transactions):" txs)
+    [ "transaction kind"; "messages"; "internode"; "audit flushes" ]
+    (fun (name, { Stats.msgs_sent; msgs_internode; audit_flushes; _ }) ->
+      let f v = fixed 1 (ratio v txs) in
+      [ name; f msgs_sent; f msgs_internode; f audit_flushes ])
+    [ ("local (one node)", d_local); ("network (2PC, two nodes)", d_dtx) ];
+  emit "network_msgs_per_tx" (ratio d_dtx.Stats.msgs_sent txs)
 
 (* --- E17: nowait fan-out across partitions ------------------------ *)
 
@@ -1077,28 +1101,22 @@ let e17_parallel_scan =
   in
   let d_seq, t_seq = run false in
   let d_par, t_par = run true in
-  printf "full scan of %d rows over %d partitions:@." rows parts;
-  let cols = [ -26; 10; 12; 12 ] in
-  row cols [ "driver"; "messages"; "reply bytes"; "elapsed(ms)" ];
-  let line name { Stats.msgs_sent; msg_reply_bytes; _ } t =
-    row cols
-      [ name; num msgs_sent; num msg_reply_bytes; fixed 1 (t /. 1000.) ]
-  in
-  line "sequential (one at a time)" d_seq t_seq;
-  line "nowait fan-out" d_par t_par;
-  let speedup = t_seq /. t_par in
-  printf
-    "elapsed reduction: %.1fx with identical message (%b) and byte (%b) \
-     counts — the fan-out pays only the slowest partition per round@."
-    speedup
-    (d_seq.Stats.msgs_sent = d_par.Stats.msgs_sent)
-    (d_seq.Stats.msg_reply_bytes = d_par.Stats.msg_reply_bytes);
+  table
+    ~caption:(fpr "full scan of %d rows over %d partitions:" rows parts)
+    [ "driver"; "messages"; "reply bytes"; "elapsed(ms)" ]
+    (fun (name, { Stats.msgs_sent; msg_reply_bytes; _ }, t) ->
+      [ name; num msgs_sent; num msg_reply_bytes; fixed 1 (t /. 1000.) ])
+    [
+      ("sequential (one at a time)", d_seq, t_seq);
+      ("nowait fan-out", d_par, t_par);
+    ];
+  (* the fan-out changes when latencies overlap, never what is sent *)
   assert (d_seq.Stats.msgs_sent = d_par.Stats.msgs_sent);
   assert (d_seq.Stats.msg_reply_bytes = d_par.Stats.msg_reply_bytes);
-  emit "e17" "elapsed_speedup" speedup;
-  emit_count "e17" "messages_fanout" d_par.Stats.msgs_sent;
-  emit_count "e17" "messages_sequential" d_seq.Stats.msgs_sent;
-  emit_count "e17" "reply_bytes_fanout" d_par.Stats.msg_reply_bytes
+  emit "elapsed_speedup" (t_seq /. t_par);
+  emit_count "messages_fanout" d_par.Stats.msgs_sent;
+  emit_count "messages_sequential" d_seq.Stats.msgs_sent;
+  emit_count "reply_bytes_fanout" d_par.Stats.msg_reply_bytes
 
 (* --- E18: aggregate pushdown to the Disk Process ------------------ *)
 
@@ -1123,24 +1141,23 @@ let e18_agg_pushdown =
   let r_client, d_client = run false in
   let r_push, d_push = run true in
   assert (r_client = r_push);
-  printf "%s@.  over %d rows in %d partitions (both return %a):@." sql rows
-    parts Row.pp_row r_push;
-  let cols = [ -28; 10; 12 ] in
-  row cols [ "evaluation"; "messages"; "reply bytes" ];
-  let line name { Stats.msgs_sent; msg_reply_bytes; _ } =
-    row cols [ name; num msgs_sent; num msg_reply_bytes ]
-  in
-  line "requester-side (VSBB scan)" d_client;
-  line "pushed to Disk Process" d_push;
-  let byte_ratio =
-    ratio d_client.Stats.msg_reply_bytes d_push.Stats.msg_reply_bytes
-  in
-  printf "reply-byte reduction: %.0fx; message reduction: %.1fx@." byte_ratio
-    (ratio d_client.Stats.msgs_sent d_push.Stats.msgs_sent);
-  emit "e18" "reply_byte_ratio" byte_ratio;
-  emit_count "e18" "reply_bytes_pushdown" d_push.Stats.msg_reply_bytes;
-  emit_count "e18" "reply_bytes_client" d_client.Stats.msg_reply_bytes;
-  emit_count "e18" "messages_pushdown" d_push.Stats.msgs_sent
+  table
+    ~caption:
+      (fpr "%s over %d rows in %d partitions (both return %s):" sql rows parts
+         (Format.asprintf "%a" Row.pp_row r_push))
+    [ "evaluation"; "messages"; "reply bytes" ]
+    (fun (name, { Stats.msgs_sent; msg_reply_bytes; _ }) ->
+      [ name; num msgs_sent; num msg_reply_bytes ])
+    [
+      ("requester-side (VSBB scan)", d_client);
+      ("pushed to Disk Process", d_push);
+    ];
+  emit "reply_byte_ratio"
+    (ratio d_client.Stats.msg_reply_bytes d_push.Stats.msg_reply_bytes);
+  emit_count "reply_bytes_pushdown" d_push.Stats.msg_reply_bytes;
+  emit_count "reply_bytes_client" d_client.Stats.msg_reply_bytes;
+  emit_count "messages_pushdown" d_push.Stats.msgs_sent;
+  emit "message_ratio" (ratio d_client.Stats.msgs_sent d_push.Stats.msgs_sent)
 
 (* --- A1 (ablation): VSBB reply-buffer size ------------------------ *)
 
@@ -1151,21 +1168,22 @@ let a1_vsbb_buffer =
      fewer re-drives but bigger replies and coarser group locks"
   @@ fun () ->
   let rows = 2000 in
-  let cols = [ -14; 10; 12; 14 ] in
-  row cols [ "buffer"; "messages"; "reply bytes"; "lock requests" ];
-  let msgs_total = ref 0 in
-  List.iter
-    (fun buf_bytes ->
-      let config = Config.v ~vsbb_buffer_bytes:buf_bytes () in
-      let delta, _ = timed_scan ~config rows in
-      msgs_total := !msgs_total + delta.Stats.msgs_sent;
-      row cols
-        [
-          fpr "%d B" buf_bytes; num delta.Stats.msgs_sent;
-          num delta.Stats.msg_reply_bytes; num delta.Stats.lock_requests;
-        ])
-    [ 1024; 4096; 16384 ];
-  emit_count "a1" "messages_total" !msgs_total
+  let runs =
+    List.map
+      (fun buf_bytes ->
+        let config = Config.v ~vsbb_buffer_bytes:buf_bytes () in
+        (buf_bytes, fst (timed_scan ~config rows)))
+      [ 1024; 4096; 16384 ]
+  in
+  table
+    [ "buffer"; "messages"; "reply bytes"; "lock requests" ]
+    (fun (buf_bytes, d) ->
+      [
+        fpr "%d B" buf_bytes; num d.Stats.msgs_sent;
+        num d.Stats.msg_reply_bytes; num d.Stats.lock_requests;
+      ])
+    runs;
+  emit_count "messages_total" (sum (fun (_, d) -> d.Stats.msgs_sent) runs)
 
 (* --- E19: span-profile attribution of the message-flow wins ------- *)
 
@@ -1181,53 +1199,47 @@ let e19_profile_attribution =
   let scan_traced mode =
     let config = Config.v ~fs_fanout:true () in
     let node, s = wisconsin_node ~config ~volumes:4 ~partitions:parts rows in
-    N.set_access_mode s mode;
+    N.set_access_mode s (Some mode);
     traced (N.sim node) (fun () ->
         N.measure node (fun () ->
             let r = query s "SELECT unique1, unique2 FROM t" in
             assert (List.length r.rows = rows)))
   in
-  let ((), delta), spans = scan_traced (Some Fs.A_vsbb) in
-  printf "%a@." (fun ppf l -> Trace.pp_profile ppf l) spans;
+  let ((), delta), spans = scan_traced Fs.A_vsbb in
+  text (Format.asprintf "%a" (fun ppf l -> Trace.pp_profile ppf l) spans);
   let legs =
     List.filter (fun sp -> sp.Tracer.sp_cat = "fs.leg") spans
   in
-  let cols = [ -18; 10; 12 ] in
-  row cols [ "partition leg"; "messages"; "records" ];
-  List.iter
+  table
+    [ "partition leg"; "messages"; "records" ]
     (fun leg ->
-      row cols
-        [
-          leg.Tracer.sp_name; num leg.Tracer.sp_stats.Stats.msgs_sent;
-          num leg.Tracer.sp_stats.Stats.records_read;
-        ])
+      [
+        leg.Tracer.sp_name; num leg.Tracer.sp_stats.Stats.msgs_sent;
+        num leg.Tracer.sp_stats.Stats.records_read;
+      ])
     legs;
-  let over_legs f =
-    List.fold_left (fun a l -> a + f l.Tracer.sp_stats) 0 legs
-  in
+  let over_legs f = sum (fun l -> f l.Tracer.sp_stats) legs in
   let leg_msgs = over_legs (fun d -> d.Stats.msgs_sent) in
-  let leg_recs = over_legs (fun d -> d.Stats.records_read) in
-  printf
-    "legs account for %d of %d statement messages and %d of %d records — \
-     the fan-out win is the overlap, not the message count@."
-    leg_msgs delta.Stats.msgs_sent leg_recs delta.Stats.records_read;
+  (* the legs tile the statement: the fan-out win is the overlap, not
+     the message count *)
   assert (List.length legs = parts);
-  assert (leg_recs = rows);
+  assert (leg_msgs = delta.Stats.msgs_sent);
+  assert (over_legs (fun d -> d.Stats.records_read) = rows);
   (* access-mode ratios, measured from the trace's message spans *)
   let msg_count mode =
     List.length (Trace.msg_spans (snd (scan_traced mode)))
   in
-  let m_rec = msg_count (Some Fs.A_record) in
-  let m_rsbb = msg_count (Some Fs.A_rsbb) in
-  let m_vsbb = msg_count (Some Fs.A_vsbb) in
-  printf
-    "messages per full scan (from msg spans): record=%d rsbb=%d vsbb=%d \
-     (%.0fx / %.1fx / 1x)@."
-    m_rec m_rsbb m_vsbb (ratio m_rec m_vsbb) (ratio m_rsbb m_vsbb);
-  emit_count "e19" "fanout_legs" (List.length legs);
-  emit_count "e19" "leg_messages" leg_msgs;
-  emit "e19" "record_vsbb_msg_ratio" (ratio m_rec m_vsbb);
-  emit "e19" "rsbb_vsbb_msg_ratio" (ratio m_rsbb m_vsbb)
+  let m_rec = msg_count Fs.A_record in
+  let m_rsbb = msg_count Fs.A_rsbb in
+  let m_vsbb = msg_count Fs.A_vsbb in
+  table ~caption:"messages per full scan, from the message spans:"
+    [ "access mode"; "messages"; "vs VSBB" ]
+    (fun (name, m) -> [ name; num m; fixed 1 (ratio m m_vsbb) ^ "x" ])
+    [ ("record-at-a-time", m_rec); ("RSBB", m_rsbb); ("VSBB", m_vsbb) ];
+  emit_count "fanout_legs" (List.length legs);
+  emit_count "leg_messages" leg_msgs;
+  emit "record_vsbb_msg_ratio" (ratio m_rec m_vsbb);
+  emit "rsbb_vsbb_msg_ratio" (ratio m_rsbb m_vsbb)
 
 (* --- E20: lock waiting under multi-terminal contention ------------ *)
 
@@ -1240,57 +1252,51 @@ let e20_contention =
   @@ fun () ->
   let txs_per_terminal = 10 in
   let accounts = 4 in
-  let cols = [ 9; 9; 9; 9; 9; 9; 10; 8 ] in
-  row cols
+  let row terminals =
+    let node, db = transfer_world ~accounts () in
+    let (rep, delta, elapsed_us), spans =
+      traced (N.sim node) (fun () ->
+          timed node (fun () -> transfers db ~terminals ~txs_per_terminal))
+    in
+    (* lock-wait time comes from the trace: the DP emits one
+       "lock_wait_end" instant per un-parked request, carrying the
+       queued duration and the outcome *)
+    let wait_us =
+      List.fold_left
+        (fun acc sp ->
+          match (sp.Tracer.sp_name, Trace.attr sp "wait_us") with
+          | "lock_wait_end", Some (Tracer.Float w) -> acc +. w
+          | _ -> acc)
+        0. spans
+    in
+    assert (
+      Float.abs (balance_sum db -. (1000. *. float_of_int accounts)) < 1e-6);
+    (* one terminal never conflicts with itself: waiting must be free *)
+    if terminals = 1 then begin
+      assert (delta.Stats.lock_waits = 0);
+      assert (delta.Stats.deadlocks = 0);
+      assert (rep.Debitcredit.x_retries = 0)
+    end;
+    let tps =
+      float_of_int rep.Debitcredit.x_committed /. (elapsed_us /. 1e6)
+    in
+    emit_count (fpr "lock_waits_%d" terminals) delta.Stats.lock_waits;
+    emit_count (fpr "deadlocks_%d" terminals) delta.Stats.deadlocks;
+    emit_count (fpr "retries_%d" terminals) rep.Debitcredit.x_retries;
+    emit (fpr "wait_ms_%d" terminals) (wait_us /. 1e3);
+    [
+      num terminals; num rep.Debitcredit.x_committed;
+      num delta.Stats.lock_waits; num delta.Stats.deadlocks;
+      num rep.Debitcredit.x_timeout_aborts; num rep.Debitcredit.x_retries;
+      fixed 2 (wait_us /. 1e3); fixed 0 tps;
+    ]
+  in
+  table
     [
       "terminals"; "committed"; "waits"; "deadlocks"; "timeouts"; "retries";
       "wait_ms"; "tps";
-    ];
-  List.iter
-    (fun terminals ->
-      let node, db = transfer_world ~accounts () in
-      let (rep, delta, elapsed_us), spans =
-        traced (N.sim node) (fun () ->
-            timed node (fun () -> transfers db ~terminals ~txs_per_terminal))
-      in
-      (* lock-wait time comes from the trace: the DP emits one
-         "lock_wait_end" instant per un-parked request, carrying the
-         queued duration and the outcome *)
-      let wait_us =
-        List.fold_left
-          (fun acc sp ->
-            match (sp.Tracer.sp_name, Trace.attr sp "wait_us") with
-            | "lock_wait_end", Some (Tracer.Float w) -> acc +. w
-            | _ -> acc)
-          0. spans
-      in
-      assert (
-        Float.abs (balance_sum db -. (1000. *. float_of_int accounts)) < 1e-6);
-      (* one terminal never conflicts with itself: waiting must be free *)
-      if terminals = 1 then begin
-        assert (delta.Stats.lock_waits = 0);
-        assert (delta.Stats.deadlocks = 0);
-        assert (rep.Debitcredit.x_retries = 0)
-      end;
-      let tps =
-        float_of_int rep.Debitcredit.x_committed /. (elapsed_us /. 1e6)
-      in
-      row cols
-        [
-          num terminals; num rep.Debitcredit.x_committed;
-          num delta.Stats.lock_waits; num delta.Stats.deadlocks;
-          num rep.Debitcredit.x_timeout_aborts; num rep.Debitcredit.x_retries;
-          fixed 2 (wait_us /. 1e3); fixed 0 tps;
-        ];
-      emit_count "e20" (fpr "lock_waits_%d" terminals) delta.Stats.lock_waits;
-      emit_count "e20" (fpr "deadlocks_%d" terminals) delta.Stats.deadlocks;
-      emit_count "e20" (fpr "retries_%d" terminals) rep.Debitcredit.x_retries;
-      emit "e20" (fpr "wait_ms_%d" terminals) (wait_us /. 1e3))
-    [ 1; 2; 4; 8 ];
-  printf
-    "@.every conflict parks on the owning Disk Process's FIFO queue; the \
-     reply is withheld until release or budget expiry — no requester-side \
-     polling messages@."
+    ]
+    row [ 1; 2; 4; 8 ]
 
 (* --- E21: process-pair takeover under live traffic ---------------- *)
 
@@ -1306,10 +1312,8 @@ let e21_takeover =
      elapsed time locates the virtual-time midpoint of the real run, and
      its throughput is the dip's reference *)
   let base_elapsed = transfer_run ~accounts ~terminals ~txs_per_terminal in
-  (* [transfers] has checked that every transfer committed *)
-  let base_tps =
-    float_of_int (terminals * txs_per_terminal) /. base_elapsed *. 1e6
-  in
+  (* transactions per second of [n] commits in [us] *)
+  let tps n us = float_of_int n /. us *. 1e6 in
   let node, db = transfer_world ~accounts () in
   let sim = N.sim node in
   (* oracle mirror plus a commit timestamp stream, so throughput can be
@@ -1345,35 +1349,14 @@ let e21_takeover =
      once, none abandoned — [transfers] checks both *)
   assert (delta.Stats.takeovers = 1);
   let before, after = List.partition (fun t -> t < takeover_at) !commit_times in
-  let before_n = List.length before and after_n = List.length after in
-  let tps_before = float_of_int before_n /. (takeover_at -. t0) *. 1e6 in
-  let tps_after =
-    float_of_int after_n /. (t0 +. elapsed_us -. takeover_at) *. 1e6
-  in
-  let cols = [ 10; 9; 12; 9; 10; 10; 9 ] in
-  row cols
-    [
-      "committed"; "takeovers"; "latency_us"; "base_tps"; "tps_before";
-      "tps_after"; "slowdown";
-    ];
-  row cols
-    [
-      num rep.Debitcredit.x_committed; num delta.Stats.takeovers;
-      fixed 1 !takeover_latency;
-      fixed 1 base_tps; fixed 1 tps_before; fixed 1 tps_after;
-      fixed 2 (elapsed_us /. base_elapsed) ^ "x";
-    ];
-  printf
-    "@.the dip is the takeover latency plus re-driven lock waits; with the \
-     replica maintained by the checkpoint stream, no transaction is denied \
-     and no committed work is lost@.";
-  emit_count "e21" "committed" rep.Debitcredit.x_committed;
-  emit "e21" "takeover_latency_us" !takeover_latency;
-  emit "e21" "tps_base" base_tps;
-  emit "e21" "tps_before" tps_before;
-  emit "e21" "tps_after" tps_after;
-  emit "e21" "slowdown" (elapsed_us /. base_elapsed);
-  emit_count "e21" "lock_waits" delta.Stats.lock_waits
+  emit_count "committed" rep.Debitcredit.x_committed;
+  emit "takeover_latency_us" !takeover_latency;
+  (* [transfers] has checked that every transfer of both runs committed *)
+  emit "tps_base" (tps (terminals * txs_per_terminal) base_elapsed);
+  emit "tps_before" (tps (List.length before) (takeover_at -. t0));
+  emit "tps_after" (tps (List.length after) (t0 +. elapsed_us -. takeover_at));
+  emit "slowdown" (elapsed_us /. base_elapsed);
+  emit_count "lock_waits" delta.Stats.lock_waits
 
 (* --- E22: push-based batched executor ----------------------------- *)
 
@@ -1390,17 +1373,12 @@ let e22_batched_executor =
     "SELECT onepercent, COUNT(*), SUM(unique1), MIN(unique2) FROM t GROUP \
      BY onepercent"
   in
-  let reps = 25 in
   let node, s = wisconsin_node rows in
   (* first execution warms the cache and keeps the rowset for the check *)
   let first = query s sql in
   let (), d_bat = N.measure node (fun () -> ignore (N.exec_exn s sql)) in
   (* one traced run for the per-operator span profile *)
   let (), sp_bat = traced (N.sim node) (fun () -> ignore (N.exec_exn s sql)) in
-  (* host-CPU throughput over repeated executions of the same query *)
-  let rps_bat =
-    float_of_int (reps * rows) /. host_time reps (fun () -> N.exec_exn s sql)
-  in
   (* the answer itself: 100 groups whose counts cover every row and whose
      SUM(unique1) values add up to 0 + 1 + ... + 9999 *)
   let column i =
@@ -1412,206 +1390,26 @@ let e22_batched_executor =
   assert (column 1 = rows);
   assert (column 2 = rows * (rows - 1) / 2);
   (* the operator chain, from the planner's descriptor API *)
-  printf "operator chain (planner descriptors):@.";
-  let chain_node, _ = wisconsin_node 8 in
-  (match Nsql_sql.Parser.parse sql with
-  | Ok (Nsql_sql.Ast.St_select stmt) -> (
-      match Nsql_sql.Planner.plan_select (N.catalog chain_node) stmt with
-      | Ok plan ->
-          List.iter
-            (fun od -> printf "  %a@." Nsql_sql.Planner.pp_op_desc od)
-            (Nsql_sql.Planner.operators plan)
-      | Error _ -> assert false)
-  | _ -> assert false);
-  printf "@.per-operator span profile:@.%a@."
-    (Trace.pp_profile ~cats:[ "op" ]) sp_bat;
-  let rows_per_batch = ratio d_bat.Stats.exec_rows d_bat.Stats.exec_batches in
-  let cols = [ -22; 10; 12; 10; 12 ] in
-  row cols [ "engine"; "messages"; "reply bytes"; "batches"; "records/s" ];
-  row cols
-    [
-      "batched"; num d_bat.Stats.msgs_sent; num d_bat.Stats.msg_reply_bytes;
-      num d_bat.Stats.exec_batches; fixed 0 rps_bat;
-    ];
-  printf
-    "@.%.1f rows per batch; the end-to-end figure is dominated by the \
-     simulated storage stack below the executor@."
-    rows_per_batch;
-  (* --- operator-pipeline throughput --------------------------------- *)
-  (* The refactor's target is the per-record cost inside the executor's
-     operator chain, so measure exactly that: the same
-     filter→project→aggregate pipeline over the same materialized scan
-     output (the real VSBB reply batches), once with the per-row list
-     shapes of the retired pull engine and once with the executor's array
-     loops. The storage stack is out of the picture; every simulated
-     charge the engines make (5 ticks per grouped row, 2 per emitted row)
-     stays in. *)
-  let filter_pred = Expr.(Cmp (Ge, Field 1, int_ 0)) in
-  let key_exprs = [ Expr.Field 6 ] in
-  let key0 = Expr.Field 6 in
-  let specs =
-    List.map Nsql_sql.Planner.dp_agg_spec
-      Nsql_sql.Ast.
-        [
-          (A_count_star, None);
-          (A_sum, Some (Expr.Field 0));
-          (A_min, Some (Expr.Field 1));
-        ]
+  let ops =
+    match Nsql_sql.Parser.parse sql with
+    | Ok (Nsql_sql.Ast.St_select stmt) ->
+        Nsql_sql.Planner.operators
+          (get_ok ~ctx:"e22 plan"
+             (Nsql_sql.Planner.plan_select (N.catalog node) stmt))
+    | _ -> assert false
   in
-  let proj_exprs = [ Expr.Field 0; Expr.Field 1; Expr.Field 2; Expr.Field 3 ] in
-  let finish spec acc = Dp_msg.finish_acc spec.Dp_msg.ag_kind acc in
-  let feeds = List.map Dp_msg.feeder specs in
-  (* the retired pull engine's shapes: a [scan_next]-style pop per row (tick,
-     result boxing, cons) into a materialized list, then list phases with
-     one closure call, key encode and cons per row *)
-  let pull_pipeline sim rows =
-    let buf = ref rows in
-    let next () =
-      match !buf with
-      | [] -> Ok None
-      | r :: tl ->
-          buf := tl;
-          Sim.tick sim 3;
-          Ok (Some r)
-    in
-    let rec drain acc =
-      match next () with
-      | Ok (Some r) -> drain (r :: acc)
-      | Ok None -> List.rev acc
-      | Error _ -> assert false
-    in
-    let rows = drain [] in
-    let rows = List.filter (fun r -> Expr.eval_pred r filter_pred) rows in
-    let table = Hashtbl.create 64 in
-    let order = ref [] in
-    List.iter
-      (fun row ->
-        Sim.tick sim 5;
-        let keys = List.map (fun k -> Expr.eval row k) key_exprs in
-        let kenc =
-          let w = Nsql_util.Codec.writer () in
-          Row.encode_values w (Array.of_list keys);
-          Nsql_util.Codec.contents w
-        in
-        let accs =
-          match Hashtbl.find_opt table kenc with
-          | Some (_, a) -> a
-          | None ->
-              let a = List.map (fun _ -> Dp_msg.fresh_acc ()) specs in
-              Hashtbl.replace table kenc (keys, a);
-              order := kenc :: !order;
-              a
-        in
-        List.iter2 (fun f acc -> f acc row) feeds accs)
-      rows;
-    let grouped =
-      List.rev_map
-        (fun kenc ->
-          let keys, accs = Hashtbl.find table kenc in
-          Array.of_list (keys @ List.map2 finish specs accs))
-        !order
-    in
-    let out =
-      List.map
-        (fun row ->
-          Array.of_list (List.map (fun e -> Expr.eval row e) proj_exprs))
-        grouped
-    in
-    Sim.tick sim (2 * List.length out);
-    out
-  in
-  (* the executor's shapes: array loops, aggregated ticks, and the shared
-     group table, which keys a non-float row by value with no encode *)
-  let proj_arr = Array.of_list proj_exprs in
-  let batched_pipeline sim batches =
-    (* [scan_next_batch]-style take: each reply buffer is surrendered
-       whole, one aggregated tick per batch *)
-    List.iter (fun b -> Sim.tick sim (3 * Array.length b)) batches;
-    let batches =
-      List.filter_map
-        (fun b ->
-          let b = Rowvec.filter (fun r -> Expr.eval_pred r filter_pred) b in
-          if Array.length b = 0 then None else Some b)
-        batches
-    in
-    let table = Dp_msg.Groups.create ~keyless:false specs in
-    List.iter
-      (fun batch ->
-        let n = Array.length batch in
-        if n > 0 then Sim.tick sim (5 * n);
-        for i = 0 to n - 1 do
-          let row = batch.(i) in
-          let accs = Dp_msg.Groups.find_or_add table [| Expr.eval row key0 |] in
-          List.iter2 (fun f acc -> f acc row) feeds accs
-        done)
-      batches;
-    let grouped = Rowvec.of_list (Dp_msg.Groups.rows table) in
-    let out =
-      Rowvec.map (fun row -> Array.map (fun e -> Expr.eval row e) proj_arr)
-        grouped
-    in
-    Sim.tick sim (2 * Array.length out);
-    out
-  in
-  (* materialize the real reply batches once, off the clock *)
-  let feed_node, _ = wisconsin_node rows in
-  let tbl = table feed_node "t" in
-  let batches =
-    in_tx feed_node (fun tx ->
-        let fs = N.fs feed_node in
-        let sc =
-          Fs.open_scan fs tbl.N.Catalog.t_file ~tx ~access:Fs.A_vsbb
-            ~range:Expr.full_range ~lock:Dp_msg.L_shared ()
-        in
-        let rec go acc =
-          match Fs.scan_next_batch fs sc with
-          | Ok (Some b) -> go (b :: acc)
-          | Ok None -> Ok (List.rev acc)
-          | Error _ as e -> e
-        in
-        Fun.protect ~finally:(fun () -> Fs.close_scan fs sc) (fun () -> go []))
-  in
-  let row_list = List.concat_map Array.to_list batches in
-  (* same answer from both shapes before timing anything *)
-  let check_pull = pull_pipeline (Sim.create ()) row_list in
-  let check_bat = batched_pipeline (Sim.create ()) batches in
-  assert (check_pull = Array.to_list check_bat);
-  (* interleave the two shapes in alternating blocks so load and GC
-     drift hit both equally; Sys.time is CPU time, immune to wall noise *)
-  let blocks = 10 and reps = 40 in
-  let t_pull = ref 0. and t_bat = ref 0. in
-  let sim_pull = Sim.create () and sim_bat = Sim.create () in
-  Gc.compact ();
-  for _ = 1 to blocks do
-    let h_pull = host_time reps (fun () -> pull_pipeline sim_pull row_list) in
-    let h_bat = host_time reps (fun () -> batched_pipeline sim_bat batches) in
-    t_pull := !t_pull +. h_pull;
-    t_bat := !t_bat +. h_bat
-  done;
-  let total = float_of_int (blocks * reps * rows) in
-  let pipe_pull = total /. !t_pull in
-  let pipe_bat = total /. !t_bat in
-  let pipe_speedup = pipe_bat /. pipe_pull in
-  printf
-    "@.operator pipeline over the materialized reply batches \
-     (scan-drain→filter→project→aggregate, %d rows):@."
-    rows;
-  let cols = [ -22; 14 ] in
-  row cols [ "shape"; "records/s" ];
-  row cols [ "per-row (pull)"; fixed 0 pipe_pull ];
-  row cols [ "batched"; fixed 0 pipe_bat ];
-  printf "operator-pipeline speedup: %.2fx records/s@." pipe_speedup;
-  (* regression floor: kept below the ~2x typically measured so host
-     variance cannot flake the smoke job, but low enough to catch a
-     batched path that has fallen back to per-row work *)
-  assert (pipe_speedup >= 1.5);
-  (* host-dependent throughput is printed, not emitted: the smoke diff
-     compares the JSON byte-for-byte, so only deterministic values go in *)
-  emit_count "e22" "messages" d_bat.Stats.msgs_sent;
-  emit_count "e22" "reply_bytes" d_bat.Stats.msg_reply_bytes;
-  emit_count "e22" "batches" d_bat.Stats.exec_batches;
-  emit_count "e22" "batch_rows" d_bat.Stats.exec_rows;
-  emit "e22" "rows_per_batch" rows_per_batch
+  text
+    (String.concat "\n  "
+       ("operator chain (planner descriptors):"
+       :: List.map (Format.asprintf "%a" Nsql_sql.Planner.pp_op_desc) ops));
+  text
+    (Format.asprintf "per-operator span profile:@\n%a"
+       (Trace.pp_profile ~cats:[ "op" ]) sp_bat);
+  emit_count "messages" d_bat.Stats.msgs_sent;
+  emit_count "reply_bytes" d_bat.Stats.msg_reply_bytes;
+  emit_count "batches" d_bat.Stats.exec_batches;
+  emit_count "batch_rows" d_bat.Stats.exec_rows;
+  emit "rows_per_batch" (ratio d_bat.Stats.exec_rows d_bat.Stats.exec_batches)
 
 (* --- E23: the resource monitor — latency percentiles and utilization *)
 
@@ -1635,33 +1433,22 @@ let e23_monitor =
   in
   let mc = Sim.moncore sim in
   let cats, total = tiled_cats sim in
-  printf "%a@." Monitor.pp_report sim;
+  text (Format.asprintf "%a" Monitor.pp_report sim);
   let h = hist mc "transfer" in
   let q p = Hist.quantile h p in
-  printf
-    "terminal-perceived transfer latency: n=%d p50=%.1f p95=%.1f p99=%.1f \
-     max=%.1f (us)@."
-    (Hist.count h) (q 0.5) (q 0.95) (q 0.99) (Hist.max_value h);
   let busy = Moncore.busy_snapshot mc in
-  let dp_util = busy.(Moncore.res_index Moncore.R_dp) /. elapsed in
-  let await_share = cats.(Moncore.cat_index Moncore.C_await) /. total in
   (* DP-side queue time of parked requests: the terminal spends the same
      interval in await (overlapped), which is why C_await dominates *)
   let lw = hist mc "lock_wait" in
-  printf
-    "DP utilization %.2f (%d volumes); awaiting-completion share %.2f; \
-     lock-wait queue time p50=%.1f p95=%.1f (us, n=%d)@."
-    dp_util 2 await_share (Hist.quantile lw 0.5) (Hist.quantile lw 0.95)
-    (Hist.count lw);
-  emit "e23" "transfer_p50_us" (q 0.5);
-  emit "e23" "transfer_p95_us" (q 0.95);
-  emit "e23" "transfer_p99_us" (q 0.99);
-  emit "e23" "transfer_max_us" (Hist.max_value h);
-  emit "e23" "dp_util" dp_util;
-  emit "e23" "await_share" await_share;
-  emit "e23" "lock_wait_p50_us" (Hist.quantile lw 0.5);
-  emit "e23" "lock_wait_p95_us" (Hist.quantile lw 0.95);
-  emit_count "e23" "lock_wait_n" (Hist.count lw);
+  emit "transfer_p50_us" (q 0.5);
+  emit "transfer_p95_us" (q 0.95);
+  emit "transfer_p99_us" (q 0.99);
+  emit "transfer_max_us" (Hist.max_value h);
+  emit "dp_util" (busy.(Moncore.res_index Moncore.R_dp) /. elapsed);
+  emit "await_share" (cats.(Moncore.cat_index Moncore.C_await) /. total);
+  emit "lock_wait_p50_us" (Hist.quantile lw 0.5);
+  emit "lock_wait_p95_us" (Hist.quantile lw 0.95);
+  emit_count "lock_wait_n" (Hist.count lw);
   (* --- part B: the E21 takeover dip as a sampled transient ------------ *)
   let base_elapsed = transfer_run ~accounts ~terminals ~txs_per_terminal in
   let node, db = transfer_world ~accounts () in
@@ -1693,22 +1480,23 @@ let e23_monitor =
       slices
     |> Option.value ~default:(n - 1)
   in
-  printf
-    "@.takeover at %.0fus falls in slice %d of %d (50ms slices; window \
-     around it shown):@."
-    takeover_at tko_slice n;
-  let cols = [ 7; 10; 10; 8; 12 ] in
-  row cols [ "slice"; "t(ms)"; "msgs"; "parked"; "ckpt bytes" ];
-  for i = max 1 (tko_slice - 5) to min (n - 1) (tko_slice + 5) do
-    row cols
+  table
+    ~caption:
+      (fpr
+         "takeover at %.0fus falls in slice %d of %d (50ms slices; window \
+          around it shown):"
+         takeover_at tko_slice n)
+    [ "slice"; "t(ms)"; "msgs"; "parked"; "ckpt bytes" ]
+    (fun i ->
       [
-        fpr "%6d%s" i (if i = tko_slice then "*" else " ");
+        fpr "%d%s" i (if i = tko_slice then "*" else " ");
         fixed 1 (slices.(i).Moncore.sl_start /. 1000.);
         num (delta_of i msg_i);
         num slices.(i).Moncore.sl_gauges.(parked_i);
         num (delta_of i ckpt_i);
-      ]
-  done;
+      ])
+    (let first = max 1 (tko_slice - 5) in
+     List.init (min (n - 1) (tko_slice + 5) - first + 1) (( + ) first));
   (* the dip: message throughput in the takeover window drops below the
      steady-state peak while the replay's checkpoint traffic lands *)
   let dip_msgs =
@@ -1720,18 +1508,12 @@ let e23_monitor =
     if i < tko_slice || i > tko_slice + 1 then
       steady_msgs := max !steady_msgs (delta_of i msg_i)
   done;
-  let max_parked =
-    Array.fold_left (fun m s -> max m s.Moncore.sl_gauges.(parked_i)) 0 slices
-  in
-  printf
-    "dip: %d msgs in the takeover window vs %d at the steady peak; max \
-     parked waiters %d@."
-    dip_msgs !steady_msgs max_parked;
   assert (dip_msgs < !steady_msgs);
-  emit_count "e23" "tko_slices" n;
-  emit_count "e23" "tko_dip_msgs" dip_msgs;
-  emit_count "e23" "tko_steady_msgs" !steady_msgs;
-  emit_count "e23" "tko_max_parked" max_parked
+  emit_count "tko_slices" n;
+  emit_count "tko_dip_msgs" dip_msgs;
+  emit_count "tko_steady_msgs" !steady_msgs;
+  emit_count "tko_max_parked"
+    (Array.fold_left (fun m s -> max m s.Moncore.sl_gauges.(parked_i)) 0 slices)
 
 (* --- E24: multi-queue disk — IOPS and scan throughput vs queue depth *)
 
@@ -1774,29 +1556,25 @@ let e24_disk_queue =
       Hist.quantile lh 0.5,
       Hist.quantile lh 0.95 )
   in
-  printf
-    "raw device, %d scattered single-block reads pumped at depth \
-     (per-volume submit→complete latency from the monitor):@."
-    ios;
-  let cols = [ -8; 10; 12; 14; 14 ] in
-  row cols [ "depth"; "IOPS"; "queue p95"; "latency p50"; "latency p95" ];
-  let iops_by_depth =
-    List.map
-      (fun depth ->
-        let rate, q95, l50, l95 = iops depth in
-        row cols
-          [
-            num depth; fixed 0 rate; fixed 1 q95; fixed 1 l50 ^ "us";
-            fixed 1 l95 ^ "us";
-          ];
-        (depth, rate))
-      depths
-  in
-  let iops1 = List.assoc 1 iops_by_depth in
-  let iops8 = List.assoc 8 iops_by_depth in
+  let iops_runs = List.map (fun d -> (d, iops d)) depths in
+  table
+    ~caption:
+      (fpr
+         "raw device, %d scattered single-block reads pumped at depth \
+          (per-volume submit→complete latency from the monitor):"
+         ios)
+    [ "depth"; "IOPS"; "queue p95"; "latency p50"; "latency p95" ]
+    (fun (depth, (rate, q95, l50, l95)) ->
+      [
+        num depth; fixed 0 rate; fixed 1 q95; fixed 1 l50 ^ "us";
+        fixed 1 l95 ^ "us";
+      ])
+    iops_runs;
+  let iops_at d = match List.assoc d iops_runs with rate, _, _, _ -> rate in
+  let iops1 = iops_at 1 and iops8 = iops_at 8 in
   (* queueing cannot make the device slower, and 8 channels over seeks
      dominated by positioning time must overlap substantially *)
-  List.iter (fun (_, r) -> assert (r >= iops1)) iops_by_depth;
+  List.iter (fun d -> assert (iops_at d >= iops1)) depths;
   assert (iops8 /. iops1 >= 1.5);
   (* --- part B: cold Wisconsin scan-drain throughput ------------------- *)
   (* the DP's deep read-ahead keeps [depth * bulk] blocks in flight
@@ -1821,21 +1599,20 @@ let e24_disk_queue =
   in
   let runs = List.map (fun d -> (d, scan d)) depths in
   let e1, rowset1, disk1 = List.assoc 1 runs in
-  printf
-    "@.cold scan drain, %d-row Wisconsin table (%s), deep read-ahead at \
-     depth:@."
-    rows sql;
-  let cols = [ -8; 14; 10; 14 ] in
-  row cols [ "depth"; "elapsed"; "speedup"; "C_disk time" ];
-  List.iter
+  table
+    ~caption:
+      (fpr
+         "cold scan drain, %d-row Wisconsin table (%s), deep read-ahead at \
+          depth:"
+         rows sql)
+    [ "depth"; "elapsed"; "speedup"; "C_disk time" ]
     (fun (d, (e, rowset, disk_us)) ->
       assert (rowset = rowset1);
       assert (e <= e1);
-      row cols
-        [
-          num d; fixed 1 e ^ "us"; fixed 2 (e1 /. e) ^ "x";
-          fixed 1 disk_us ^ "us";
-        ])
+      [
+        num d; fixed 1 e ^ "us"; fixed 2 (e1 /. e) ^ "x";
+        fixed 1 disk_us ^ "us";
+      ])
     runs;
   let e8, _, disk8 = List.assoc 8 runs in
   (* the acceptance gate: ≥1.5x at depth 8, identical rowsets (checked
@@ -1843,29 +1620,18 @@ let e24_disk_queue =
   assert (e1 /. e8 >= 1.5);
   assert (disk8 < disk1);
   (* --- part C: DebitCredit under a deep queue ------------------------- *)
-  (* OLTP rides the same device model: the money must still conserve *)
-  let tx_check depth =
-    let _, db = transfer_world ~disk_queue_depth:depth ~accounts:8 () in
-    let rep = transfers db ~terminals:4 ~txs_per_terminal:25 in
-    let total = balance_sum db in
-    (* conservation: transfers move money between accounts, never create
-       or destroy it — 8 accounts seeded at 1000.0 each *)
-    assert (total = 8. *. 1000.);
-    rep.Debitcredit.x_committed
-  in
-  let c1 = tx_check 1 and c8 = tx_check 8 in
-  printf
-    "@.DebitCredit at depth 1 and 8: %d and %d transfers committed, \
-     account balances conserved at both depths@."
-    c1 c8;
-  (* deterministic sim values only (the smoke diff is byte-for-byte) *)
-  emit "e24" "iops_depth1" iops1;
-  emit "e24" "iops_depth8" iops8;
+  (* OLTP rides the same device model: every transfer commits and the
+     money is conserved — 8 accounts seeded at 1000.0 each *)
   List.iter
-    (fun (d, (e, _, _)) ->
-      emit "e24" (fpr "scan_depth%d_us" d) e)
-    runs;
-  emit "e24" "scan_speedup_d8" (e1 /. e8)
+    (fun depth ->
+      let _, db = transfer_world ~disk_queue_depth:depth ~accounts:8 () in
+      ignore (transfers db ~terminals:4 ~txs_per_terminal:25);
+      assert (balance_sum db = 8. *. 1000.))
+    [ 1; 8 ];
+  emit "iops_depth1" iops1;
+  emit "iops_depth8" iops8;
+  List.iter (fun (d, (e, _, _)) -> emit (fpr "scan_depth%d_us" d) e) runs;
+  emit "scan_speedup_d8" (e1 /. e8)
 
 (* --- the experiment registry and command line --------------------- *)
 
@@ -1883,7 +1649,7 @@ let registry =
 let usage () =
   prerr_endline
     "usage: main.exe [--list] [--only e1,e17,...] [--json results.json] \
-     [--trace DIR] [--monitor DIR]\n\
+     [--doc EXPERIMENTS.md] [--trace DIR] [--monitor DIR]\n\
      experiment ids: e1-e24, a1 (--list for descriptions)";
   exit 2
 
@@ -1894,13 +1660,19 @@ let ensure_dir dir =
     exit 2
   end
 
-(* Run one experiment under its heading. --trace enables span collection,
-   and --monitor the resource monitor, on every simulation world the
-   experiment creates (via the creation hooks); afterwards each writes one
-   export per experiment: Chrome trace-event JSON, and the monitor JSON.
-   Observation never perturbs the simulation, so results are identical
-   with and without the flags, and the exports themselves are
-   byte-identical across runs (CI diffs them). *)
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+(* Run one experiment under its heading and print what it reported; its
+   parts and metrics are returned for --json and --doc. --trace enables
+   span collection, and --monitor the resource monitor, on every
+   simulation world the experiment creates (via the creation hooks);
+   afterwards each writes one export per experiment: Chrome trace-event
+   JSON, and the monitor JSON. Observation never perturbs the simulation,
+   so results are identical with and without the flags, and the exports
+   themselves are byte-identical across runs (CI diffs them). *)
 let run_experiment ~trace_dir ~monitor_dir e =
   let tracers = ref [] and moncores = ref [] in
   if trace_dir <> None then
@@ -1915,16 +1687,17 @@ let run_experiment ~trace_dir ~monitor_dir e =
         (fun mc ->
           Moncore.set_enabled mc ~now:0. true;
           moncores := mc :: !moncores);
+  parts := [];
+  metrics := [];
+  printf "@.==== %s: %s ====@." (String.uppercase_ascii e.id) e.title;
+  printf "paper: %s@.@." e.paper;
   Fun.protect
     ~finally:(fun () ->
       Tracer.creation_hook := None;
       Moncore.creation_hook := None)
-    (fun () ->
-      if e.paper <> "" then begin
-        printf "@.==== %s: %s ====@." (String.uppercase_ascii e.id) e.title;
-        printf "paper: %s@.@." e.paper
-      end;
-      e.run ());
+    e.run;
+  let result = (List.rev !parts, List.rev !metrics) in
+  printf "%s@." (render result);
   Option.iter
     (fun dir ->
       let path = Filename.concat dir (e.id ^ ".monitor.json") in
@@ -1947,10 +1720,50 @@ let run_experiment ~trace_dir ~monitor_dir e =
       printf "trace written to %s (%d worlds, %d spans)@." path
         (List.length spans)
         (List.fold_left (fun a l -> a + List.length l) 0 spans))
-    trace_dir
+    trace_dir;
+  (e, result)
+
+(* one {id, metric, value} record per headline metric, in run order *)
+let write_json path results =
+  let record id (metric, v) =
+    fpr "  {\"id\": \"%s\", \"metric\": \"%s\", \"value\": %.6g}" id metric v
+  in
+  let body =
+    String.concat ",\n"
+      (List.concat_map (fun (e, (_, ms)) -> List.map (record e.id) ms) results)
+  in
+  write_file path (if body = "" then "[\n]\n" else "[\n" ^ body ^ "\n]\n")
+
+(* the index of the first [sub] in [s] at or after [from], if any *)
+let rec find_sub s sub from =
+  if from + String.length sub > String.length s then None
+  else if String.sub s from (String.length sub) = sub then Some from
+  else find_sub s sub (from + 1)
+
+(* rewrite, in the markdown file [path], each experiment's block between
+   "<!-- bench:ID -->" and "<!-- /bench:ID -->" with its rendered result;
+   every experiment run must have its block *)
+let write_doc path results =
+  let splice doc (e, result) =
+    let opening = fpr "<!-- bench:%s -->" e.id in
+    let closing = fpr "<!-- /bench:%s -->" e.id in
+    let body =
+      Option.map (( + ) (String.length opening)) (find_sub doc opening 0)
+    in
+    match (body, Option.bind body (find_sub doc closing)) with
+    | Some body, Some j ->
+        String.sub doc 0 body ^ "\n\n" ^ render result ^ "\n\n"
+        ^ String.sub doc j (String.length doc - j)
+    | _ ->
+        prerr_endline (fpr "%s has no %s ... %s block" path opening closing);
+        exit 2
+  in
+  let doc = In_channel.with_open_bin path In_channel.input_all in
+  write_file path (List.fold_left splice doc results)
 
 let () =
   let json_path = ref None in
+  let doc_path = ref None in
   let trace_dir = ref None in
   let monitor_dir = ref None in
   let only = ref None in
@@ -1962,6 +1775,9 @@ let () =
         parse_args rest
     | "--json" :: path :: rest ->
         json_path := Some path;
+        parse_args rest
+    | "--doc" :: path :: rest ->
+        doc_path := Some path;
         parse_args rest
     | "--trace" :: dir :: rest ->
         trace_dir := Some dir;
@@ -2002,12 +1818,19 @@ let () =
      paper-vs-measured discussion)@.";
   Option.iter ensure_dir !trace_dir;
   Option.iter ensure_dir !monitor_dir;
-  List.iter
-    (run_experiment ~trace_dir:!trace_dir ~monitor_dir:!monitor_dir)
-    chosen;
-  (match !json_path with
-  | None -> ()
-  | Some path ->
-      write_json path;
-      printf "@.machine-readable results written to %s@." path);
+  let results =
+    List.map
+      (run_experiment ~trace_dir:!trace_dir ~monitor_dir:!monitor_dir)
+      chosen
+  in
+  Option.iter
+    (fun path ->
+      write_json path results;
+      printf "machine-readable results written to %s@." path)
+    !json_path;
+  Option.iter
+    (fun path ->
+      write_doc path results;
+      printf "generated blocks written to %s@." path)
+    !doc_path;
   printf "@.all experiments complete.@."
