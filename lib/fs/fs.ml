@@ -45,9 +45,6 @@ let file_schema f = f.schema
 let partition_count f = Array.length f.parts
 let index_names f = List.map (fun ix -> ix.ix_name) f.indexes
 
-(* nowait fan-out across partitions, unless configured off for A/B runs *)
-let fanout t = (Sim.config t.sim).Config.fs_fanout
-
 (* --- messaging --------------------------------------------------------- *)
 
 let decode_or_internal reply_payload =
@@ -87,56 +84,33 @@ let blocked_error blockers =
        (String.concat "; " (List.map string_of_int blockers)))
 
 (* Every reply path surfaces protocol errors and lock denials the same
-   way, so the shared arms live in this one classifier. [k] matches only
-   the success shapes of the operation (returning [None] for anything
-   else) and [ctx] names the operation for the unexpected-reply
+   way, so the shared arms live in this one classifier: a reply path
+   matches the success shapes of its operation and hands any other reply
+   here, with [ctx] naming the operation for the unexpected-reply
    diagnostic. *)
-let classify ~ctx reply k =
-  match reply with
+let refuse ~ctx = function
   | Dp_msg.Rp_error e -> Error e
   | Dp_msg.Rp_blocked { blockers; _ } -> Error (blocked_error blockers)
-  | reply -> (
-      match k reply with
-      | Some r -> r
-      | None -> Error (Errors.Internal ("unexpected reply to " ^ ctx)))
+  | _ -> Error (Errors.Internal ("unexpected reply to " ^ ctx))
 
-let record_count t f =
-  (* one RECORD^COUNT message per partition; overlapped when fan-out is on *)
-  let req p = Dp_msg.R_record_count { file = p.p_file } in
-  let replies =
-    if fanout t then
-      Array.map (await_reply t) (Array.map (fun p -> send_nowait t p.p_dp (req p)) f.parts)
-    else Array.map (fun p -> send t p.p_dp (req p)) f.parts
-  in
-  Array.fold_left
-    (fun acc reply ->
-      let* total = acc in
-      classify ~ctx:"RECORD^COUNT" reply (function
-        | Dp_msg.Rp_slot n -> Some (Ok (total + n))
-        | _ -> None))
-    (Ok 0) replies
-
-let expect_ok reply =
-  classify ~ctx:"request" reply (function
-    | Dp_msg.Rp_ok -> Some (Ok ())
-    | _ -> None)
+let expect_ok = function
+  | Dp_msg.Rp_ok -> Ok ()
+  | reply -> refuse ~ctx:"request" reply
 
 (* blocked (batched) requests acknowledge with either OK or a progress
    report; both mean the whole batch was applied *)
-let expect_applied ~ctx reply =
-  classify ~ctx reply (function
-    | Dp_msg.Rp_progress _ | Dp_msg.Rp_ok -> Some (Ok ())
-    | _ -> None)
+let expect_applied ~ctx = function
+  | Dp_msg.Rp_progress _ | Dp_msg.Rp_ok -> Ok ()
+  | reply -> refuse ~ctx reply
 
 let expect_file = function
   | Dp_msg.Rp_file id -> Ok id
   | Dp_msg.Rp_error e -> Error e
   | _ -> Error (Errors.Internal "unexpected reply to CREATE^FILE")
 
-let expect_record reply =
-  classify ~ctx:"READ" reply (function
-    | Dp_msg.Rp_record { key; record } -> Some (Ok (key, record))
-    | _ -> None)
+let expect_record = function
+  | Dp_msg.Rp_record { key; record } -> Ok (key, record)
+  | reply -> refuse ~ctx:"READ" reply
 
 (* --- partition routing --------------------------------------------------- *)
 
@@ -164,44 +138,265 @@ let by_partition f key_of items =
   |> List.filter (fun (_, xs) -> xs <> [])
   |> List.sort (fun (a, _) (b, _) -> Int.compare a.p_file b.p_file)
 
-(* clip [range] to each partition; returns the non-empty pieces in order *)
-let partition_ranges f (range : Expr.key_range) =
+(* --- the partition fan ---------------------------------------------------- *)
+
+(* Every multi-partition request runs as a fan of chains, one per
+   partition its key range overlaps. A chain sends the FIRST request its
+   caller supplies, then whatever the caller's [step] makes of each reply:
+   [Redrive] with the next request (a NEXT after the last key, while the
+   Disk Process keeps the subset in its SCB) or [Done].
+
+   The transport is chosen once, when the fan opens. Blocking drives one
+   chain at a time with waited sends, and a re-drive goes out only at the
+   next [pull], when the consumer next asks for rows. Overlapped keeps
+   one nowait request outstanding per chain, re-drives as soon as a reply
+   is folded in, and takes replies earliest first. Each chain's requests
+   and their bytes are the same under both; only their timing differs.
+
+   One abandon policy serves every caller: on the first failure, in
+   completion order, the fan stops re-driving, awaits every outstanding
+   reply and closes each subset a Disk Process still holds. The failed
+   chain needs no CLOSE^SCB, since its Disk Process dropped the SCB with
+   the failed reply. The fan stays failed: every later pull returns the
+   same error. A scan closed before its end runs the same path. *)
+
+type redrive = Redrive of Dp_msg.request | Done
+
+type chain = {
+  c_index : int;  (** position in the fan: partition (= key) order *)
+  c_part : partition;
+  c_range : Expr.key_range;  (** the range's piece within [c_part] *)
+  mutable c_next : redrive;  (** [Redrive req]: [req] goes out at the next pull *)
+  mutable c_pending : Msg.completion option;  (** overlapped: in flight *)
+  mutable c_scb : int;  (** the SCB its Disk Process still holds, or -1 *)
+  mutable c_leg : Trace.h;
+      (** a scan's overlapped leg span; its counter deltas are attributed
+          per interaction (issue, re-drive, close), never by window diff,
+          since sibling legs interleave inside the scan's extent *)
+}
+
+type fan = {
+  chains : chain array;
+  overlap : bool;
+  legs : bool;  (** open a leg span per overlapped chain *)
+  step : chain -> Dp_msg.reply -> (redrive, Errors.t) result;
+  mutable cur : int;  (** blocking: the chain being driven *)
+  mutable failed : Errors.t option;
+}
+
+(* Chain [k] of the [m] that [range] spans from partition [a] on, opened
+   by [first p piece] over the range clipped to its partition. *)
+let new_chain f (range : Expr.key_range) ~first ~a ~m k =
+  let p = f.parts.(a + k) in
+  let piece =
+    if m = 1 then range
+    else
+      Expr.
+        {
+          lo = (if k = 0 then range.lo else p.p_lo);
+          hi = (if k = m - 1 then range.hi else f.parts.(a + k + 1).p_lo);
+        }
+  in
+  {
+    c_index = k;
+    c_part = p;
+    c_range = piece;
+    c_next = Redrive (first p piece);
+    c_pending = None;
+    c_scb = -1;
+    c_leg = None;
+  }
+
+(* The fan over [range]: one chain per partition the range overlaps, a
+   run of adjacent partitions from the one holding its low key. Overlapped
+   when fan-out is on and there is more than one chain, unless the caller
+   asks for [serial] chains. *)
+let open_fan t f (range : Expr.key_range) ?(serial = false) ?(legs = false)
+    ~first ~step () =
   let n = Array.length f.parts in
-  let pieces = ref [] in
-  for i = n - 1 downto 0 do
-    let p = f.parts.(i) in
-    let p_hi = if i + 1 < n then f.parts.(i + 1).p_lo else Keycode.high_value in
-    let lo = if Keycode.compare_keys range.Expr.lo p.p_lo > 0 then range.Expr.lo else p.p_lo in
-    let hi = if Keycode.compare_keys range.Expr.hi p_hi < 0 then range.Expr.hi else p_hi in
-    if Keycode.compare_keys lo hi < 0 then
-      pieces := (p, Expr.{ lo; hi }) :: !pieces
+  let a = route_index f range.lo in
+  let b = ref a in
+  while !b + 1 < n && Keycode.compare_keys f.parts.(!b + 1).p_lo range.hi < 0 do
+    incr b
   done;
-  !pieces
+  let m = if Keycode.compare_keys range.lo range.hi < 0 then !b - a + 1 else 0 in
+  (* built without a closure: a one-chain fan is the DebitCredit hot path *)
+  let chains =
+    if m = 0 then [||] else Array.make m (new_chain f range ~first ~a ~m 0)
+  in
+  for k = 1 to m - 1 do
+    chains.(k) <- new_chain f range ~first ~a ~m k
+  done;
+  {
+    chains;
+    (* the one reader of [fs_fanout]: A/B runs compare both transports *)
+    overlap = (not serial) && m > 1 && (Sim.config t.sim).Config.fs_fanout;
+    legs;
+    step;
+    cur = 0;
+    failed = None;
+  }
+
+(* The SCB a reply leaves open: a set reply with more to come. A Disk
+   Process drops the SCB of a last, blocked or failed reply itself; an
+   [Rp_end] keeps its SCB but ends the chain (DESIGN.md §5c). *)
+let held_scb = function
+  | Dp_msg.Rp_vblock { more = true; scb; _ }
+  | Dp_msg.Rp_block { more = true; scb; _ }
+  | Dp_msg.Rp_progress { more = true; scb; _ }
+  | Dp_msg.Rp_agg { more = true; scb; _ } ->
+      scb
+  | _ -> -1
+
+let finished c =
+  match (c.c_next, c.c_pending) with Done, None -> true | _ -> false
+
+(* Await the earliest outstanding reply (ties break to the lowest chain, a
+   pure function of simulated time); [None] when nothing is in flight. *)
+let await_earliest t chains =
+  match List.filter (fun c -> c.c_pending <> None) (Array.to_list chains) with
+  | [] -> None
+  | live ->
+      let which, payload =
+        Msg.await_any t.msys (List.map (fun c -> Option.get c.c_pending) live)
+      in
+      let c = List.nth live which in
+      c.c_pending <- None;
+      Some (c, decode_or_internal payload)
+
+(* Stop the fan: nothing more goes out, every outstanding reply is
+   awaited, each subset a Disk Process still holds is closed and each leg
+   span finished. *)
+let abandon t fan =
+  let chains = fan.chains in
+  for i = 0 to Array.length chains - 1 do
+    let c = chains.(i) in
+    c.c_next <- Done;
+    match c.c_pending with
+    | None -> ()
+    | Some p ->
+        c.c_pending <- None;
+        c.c_scb <- held_scb (await_reply t p)
+  done;
+  for i = 0 to Array.length chains - 1 do
+    let c = chains.(i) in
+    let scb = c.c_scb in
+    if scb >= 0 then begin
+      c.c_scb <- -1;
+      Trace.attribute t.sim c.c_leg (fun () -> close_scb t c.c_part.p_dp scb)
+    end;
+    Trace.finish t.sim c.c_leg
+  done
+
+(* Fold one reply of chain [c] in through the caller's step: a re-drive
+   goes out now when overlapped, else at the next pull. *)
+let fold t fan c reply =
+  let* next = fan.step c reply in
+  (match next with
+  | Redrive req when fan.overlap ->
+      c.c_pending <- Some (send_nowait t c.c_part.p_dp req)
+  | Redrive _ -> c.c_next <- next
+  | Done -> ());
+  Ok ()
+
+let settle t fan c reply =
+  c.c_scb <- held_scb reply;
+  (* no attribute closure for a chain without a leg: this is the
+     DebitCredit hot path *)
+  let outcome =
+    match c.c_leg with
+    | None -> fold t fan c reply
+    | Some _ -> Trace.attribute t.sim c.c_leg (fun () -> fold t fan c reply)
+  in
+  match outcome with
+  | Ok () -> Ok true
+  | Error e ->
+      c.c_scb <- -1;
+      fan.failed <- Some e;
+      abandon t fan;
+      Error e
+
+(* One reply folded in: [Ok true] after progress, [Ok false] once every
+   chain is finished, and the fan's error once it has failed. *)
+let rec pull t fan =
+  match fan.failed with
+  | Some e -> Error e
+  | None when fan.overlap -> (
+      (* the first pull issues every chain's FIRST *)
+      for i = 0 to Array.length fan.chains - 1 do
+        let c = fan.chains.(i) in
+        match c.c_next with
+        | Done -> ()
+        | Redrive req ->
+            c.c_next <- Done;
+            (* a leg nests under the span whose attribute window the pull
+               runs in: the scan's *)
+            if fan.legs && Trace.enabled t.sim then
+              c.c_leg <-
+                Trace.begin_span t.sim ~push:false ~tid:(i + 1) ~cat:"fs.leg"
+                  ~attrs:[ ("partition", Trace.Int i) ]
+                  ("leg " ^ Dp.name c.c_part.p_dp);
+            Trace.attribute t.sim c.c_leg (fun () ->
+                c.c_pending <- Some (send_nowait t c.c_part.p_dp req))
+      done;
+      match await_earliest t fan.chains with
+      | None -> Ok false
+      | Some (c, reply) -> settle t fan c reply)
+  | None -> (
+      if fan.cur >= Array.length fan.chains then Ok false
+      else
+        let c = fan.chains.(fan.cur) in
+        match c.c_next with
+        | Done ->
+            fan.cur <- fan.cur + 1;
+            pull t fan
+        | Redrive req ->
+            c.c_next <- Done;
+            settle t fan c (send t c.c_part.p_dp req))
+
+(* drive every chain to its end *)
+let rec run t fan =
+  let* progressed = pull t fan in
+  if progressed then run t fan else Ok ()
+
+(* one RECORD^COUNT per partition *)
+let record_count t f =
+  let total = ref 0 in
+  let* () =
+    run t
+      (open_fan t f Expr.full_range
+         ~first:(fun p _ -> Dp_msg.R_record_count { file = p.p_file })
+         ~step:(fun _ -> function
+           | Dp_msg.Rp_slot n ->
+               total := !total + n;
+               Ok Done
+           | reply -> refuse ~ctx:"RECORD^COUNT" reply)
+         ())
+  in
+  Ok !total
 
 (* --- subset chains ------------------------------------------------------------ *)
 
 (* The FIRST request opening [body] over one partition's piece of a range,
-   and the NEXT re-drive of that subset's SCB after [after_key]: the
-   blocking and the nowait scan and [drive_chains] send exactly these. *)
-let subset_first ~tx body (p, range) =
+   and the step that follows a reply with the NEXT re-drive of its SCB
+   after [after_key] while the subset has [more]: every subset chain sends
+   exactly these. *)
+let subset_first ~tx body p range =
   Dp_msg.R_subset_first { file = p.p_file; tx; range; body }
 
-let subset_next ~tx body p ~scb ~after_key =
-  Dp_msg.R_subset_next
-    { kind = Dp_msg.kind_of_subset body; file = p.p_file; tx; scb; after_key }
-
-(* Await the earliest of the completions [pending i] holds, [i < n] (ties
-   break to the lowest index — a pure function of simulated time):
-   [Some (i, reply)], or [None] when nothing is outstanding. The caller
-   clears slot [i]. *)
-let await_earliest t n pending =
-  match List.filter (fun i -> pending i <> None) (List.init n Fun.id) with
-  | [] -> None
-  | idxs ->
-      let which, payload =
-        Msg.await_any t.msys (List.map (fun i -> Option.get (pending i)) idxs)
-      in
-      Some (List.nth idxs which, decode_or_internal payload)
+let continue_subset ~tx body c ~more ~scb ~after_key =
+  if not more then Ok Done
+  else
+    Ok
+      (Redrive
+         (Dp_msg.R_subset_next
+            {
+              kind = Dp_msg.kind_of_subset body;
+              file = c.c_part.p_file;
+              tx;
+              scb;
+              after_key;
+            }))
 
 (* --- file creation --------------------------------------------------------- *)
 
@@ -322,9 +517,9 @@ let read t f ~tx ~key ~lock =
 let append_entry t f ~tx ~record =
   (* entry-sequenced files are unpartitioned: all appends go to EOF *)
   let p = f.parts.(0) in
-  classify ~ctx:"ENTRY^APPEND"
-    (send t p.p_dp (Dp_msg.R_entry_append { file = p.p_file; tx; record }))
-    (function Dp_msg.Rp_slot addr -> Some (Ok addr) | _ -> None)
+  match send t p.p_dp (Dp_msg.R_entry_append { file = p.p_file; tx; record }) with
+  | Dp_msg.Rp_slot addr -> Ok addr
+  | reply -> refuse ~ctx:"ENTRY^APPEND" reply
 
 let insert t f ~tx ~key ~record =
   match f.kind with
@@ -345,31 +540,13 @@ let delete t f ~tx ~key =
   expect_ok (send t p.p_dp (Dp_msg.R_delete { file = p.p_file; tx; key }))
 
 let lock_file t f ~tx ~lock =
-  if fanout t && Array.length f.parts > 1 then begin
-    (* overlap the per-partition LOCKFILE round trips; every completion is
-       awaited (first failing partition wins, in partition order) *)
-    let cs =
-      Array.map
-        (fun p -> send_nowait t p.p_dp (Dp_msg.R_lock_file { file = p.p_file; tx; lock }))
-        f.parts
-    in
-    Array.fold_left
-      (fun acc c ->
-        let reply = await_reply t c in
-        match acc with Error _ -> acc | Ok () -> expect_ok reply)
-      (Ok ()) cs
-  end
-  else
-    let rec go i =
-      if i >= Array.length f.parts then Ok ()
-      else
-        let p = f.parts.(i) in
-        let* () =
-          expect_ok (send t p.p_dp (Dp_msg.R_lock_file { file = p.p_file; tx; lock }))
-        in
-        go (i + 1)
-    in
-    go 0
+  run t
+    (open_fan t f Expr.full_range
+       ~first:(fun p _ -> Dp_msg.R_lock_file { file = p.p_file; tx; lock })
+       ~step:(fun _ reply ->
+         let* () = expect_ok reply in
+         Ok Done)
+       ())
 
 let lock_generic t f ~tx ~prefix ~lock =
   let p = route f prefix in
@@ -467,30 +644,29 @@ let read_row_via_index t f ~tx ~index ~index_key:ikey_values =
            sbb = false;
          })
   in
-  classify ~ctx:"index READ^NEXT" reply (function
-    | Dp_msg.Rp_end -> Some (Ok None)
-    | Dp_msg.Rp_record { key; record } ->
-        (* check the index record is within the prefix *)
-        let within =
-          String.length key >= String.length prefix
-          && String.equal (String.sub key 0 (String.length prefix)) prefix
+  match reply with
+  | Dp_msg.Rp_end -> Ok None
+  | Dp_msg.Rp_record { key; record } ->
+      (* check the index record is within the prefix *)
+      let within =
+        String.length key >= String.length prefix
+        && String.equal (String.sub key 0 (String.length prefix)) prefix
+      in
+      if not within then Ok None
+      else begin
+        let irow = Row.decode_exn ix.ix_schema record in
+        let* base_key = base_key_of_index_row f ix irow in
+        (* message 2: read the base record on its partition *)
+        let p = route f base_key in
+        let* _k, base_record =
+          expect_record
+            (send t p.p_dp
+               (Dp_msg.R_read
+                  { file = p.p_file; tx; key = base_key; lock = Dp_msg.L_none }))
         in
-        Some
-          (if not within then Ok None
-           else begin
-             let irow = Row.decode_exn ix.ix_schema record in
-             let* base_key = base_key_of_index_row f ix irow in
-             (* message 2: read the base record on its partition *)
-             let p = route f base_key in
-             let* _k, base_record =
-               expect_record
-                 (send t p.p_dp
-                    (Dp_msg.R_read
-                       { file = p.p_file; tx; key = base_key; lock = Dp_msg.L_none }))
-             in
-             Ok (Some (Row.decode_exn schema base_record))
-           end)
-    | _ -> None)
+        Ok (Some (Row.decode_exn schema base_record))
+      end
+  | reply -> refuse ~ctx:"index READ^NEXT" reply
 
 (* --- ENSCRIBE sequential read --------------------------------------------- *)
 
@@ -505,15 +681,13 @@ let read_next_raw t f ~tx ~from_key ~inclusive ~lock ~sbb =
         send t p.p_dp
           (Dp_msg.R_read_next { file = p.p_file; tx; from_key; inclusive; lock; sbb })
       in
-      classify ~ctx:"READ^NEXT" reply (function
-        | Dp_msg.Rp_end ->
-            (* this partition is exhausted: continue in the next one *)
-            Some
-              (if i + 1 < n then try_part (i + 1) f.parts.(i + 1).p_lo true
-               else Ok [])
-        | Dp_msg.Rp_record { key; record } -> Some (Ok [ (key, record) ])
-        | Dp_msg.Rp_block { entries; _ } -> Some (Ok entries)
-        | _ -> None)
+      match reply with
+      | Dp_msg.Rp_end ->
+          (* this partition is exhausted: continue in the next one *)
+          if i + 1 < n then try_part (i + 1) f.parts.(i + 1).p_lo true else Ok []
+      | Dp_msg.Rp_record { key; record } -> Ok [ (key, record) ]
+      | Dp_msg.Rp_block { entries; _ } -> Ok entries
+      | reply -> refuse ~ctx:"READ^NEXT" reply
     end
   in
   try_part (route_index f from_key) from_key inclusive
@@ -554,174 +728,21 @@ let read_body ~access ~pred ~proj ~lock =
       lock;
     }
 
-(* One GET reply as (items, last key, more, SCB): a VSBB block's rows as
-   shipped, an RSBB block's entries through the client-side [select].
-   [Rp_end] is an empty last reply, whose SCB the Disk Process has
-   already dropped. *)
-let read_get select reply =
-  classify ~ctx:"GET" reply (function
-    | Dp_msg.Rp_end -> Some (Ok ([], "", false, -1))
-    | Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
-        Some (Ok (List.map (fun r -> I_row r) rows, last_key, more, scb))
-    | Dp_msg.Rp_block { entries; last_key; more; scb } ->
-        let items = List.filter_map (fun (k, r) -> select k r) entries in
-        Some (Ok (items, last_key, more, scb))
-    | _ -> None)
-
-(* the blocking driver: one partition at a time, one outstanding request *)
-type seq_scan = {
-  sc_file : file;
-  sc_tx : int;
-  sc_access : access;
-  sc_lock : Dp_msg.lock_mode;  (** record-at-a-time READ^NEXT lock *)
-  sc_body : Dp_msg.subset;
-  sc_select : string -> string -> scan_item option;
-  mutable sc_parts : (partition * Expr.key_range) list;  (** head = current *)
-  mutable sc_scb : int option;
-  mutable sc_last_key : string;
-  mutable sc_started : bool;  (** GET^FIRST already sent in this partition *)
-  mutable sc_buf : scan_item list;
-  mutable sc_done : bool;
-  sc_span : Trace.h;  (** scan-lifetime span, finished at close *)
-}
-
-(* the nowait driver: every partition keeps one outstanding re-drive *)
-type par_part = {
-  pp_part : partition;
-  pp_range : Expr.key_range;
-  mutable pp_scb : int option;
-  mutable pp_pending : Msg.completion option;
-  mutable pp_chunks : scan_item list list;  (** whole replies, newest first *)
-  mutable pp_done : bool;  (** partition exhausted on the DP side *)
-  mutable pp_span : Trace.h;
-      (** fan-out leg span; its counter deltas are attributed per
-          interaction (issue, re-drive, close), never by window diff —
-          sibling legs interleave inside the scan's extent *)
-}
-
-type par_scan = {
-  pr_file : file;
-  pr_tx : int;
-  pr_body : Dp_msg.subset;
-  pr_select : string -> string -> scan_item option;
-  pr_ordered : bool;
-  pr_parts : par_part array;
-  mutable pr_cur : int;  (** ordered: next partition to consume *)
-  mutable pr_chunks : scan_item list list;
-      (** unordered: whole replies in arrival order, newest first *)
-  mutable pr_started : bool;
-  mutable pr_dead : bool;  (** closed or failed: yield nothing more *)
-  pr_span : Trace.h;
-}
-
-type driver = Seq of seq_scan | Par of par_scan
-
 type scan = {
-  driver : driver;
+  sc_file : file;
+  sc_fan : fan;
+  sc_span : Trace.h;  (** scan-lifetime span, finished at close *)
+  sc_ordered : bool;
+  sc_bufs : scan_item list list array;
+      (** whole replies not yet taken, newest first: one buffer per chain
+          when ordered (partition order is key order), else one arrival
+          queue *)
+  mutable sc_cur : int;  (** ordered: the chain being consumed *)
   mutable popped : scan_item list;
-      (** taken from the driver, not yet handed out by [scan_next] *)
+      (** taken from the buffers, not yet handed out by [scan_next] *)
   base_row : (Row.row -> (Row.row, Errors.t) result) option;
       (** an index scan's resolver: index row to base row, one point READ *)
 }
-
-let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
-  let pieces = partition_ranges f range in
-  (* the record-at-a-time path stays blocking: it is the old-interface
-     baseline, and its lock acquisition is inherently one-at-a-time *)
-  let par = fanout t && access <> A_record && List.length pieces > 1 in
-  (* [push:false]: a scan handle outlives this call, so its span must not
-     sit on the open-span stack between interactions — scan_next,
-     scan_next_batch and close_scan bracket each interaction in an
-     attribute window instead *)
-  let sp =
-    if Trace.enabled t.sim then
-      Trace.begin_span t.sim ~push:false ~cat:"fs"
-        ~attrs:
-          [
-            ("file", Trace.Str f.fname);
-            ("access", Trace.Str (access_name access));
-            ("partitions", Trace.Int (List.length pieces));
-            ("parallel", Trace.Bool par);
-          ]
-        (access_name access ^ " scan " ^ f.fname)
-    else None
-  in
-  let body = read_body ~access ~pred ~proj ~lock in
-  let select = client_select ~schema:f.schema ~pred ~proj in
-  let driver =
-    if par then
-      Par
-        {
-          pr_file = f;
-          pr_tx = tx;
-          pr_body = body;
-          pr_select = select;
-          pr_ordered = ordered;
-          pr_parts =
-            Array.of_list
-              (List.map
-                 (fun (p, r) ->
-                   {
-                     pp_part = p;
-                     pp_range = r;
-                     pp_scb = None;
-                     pp_pending = None;
-                     pp_chunks = [];
-                     pp_done = false;
-                     pp_span = None;
-                   })
-                 pieces);
-          pr_cur = 0;
-          pr_chunks = [];
-          pr_started = false;
-          pr_dead = false;
-          pr_span = sp;
-        }
-    else
-      Seq
-        {
-          sc_file = f;
-          sc_tx = tx;
-          sc_access = access;
-          sc_lock = lock;
-          sc_body = body;
-          sc_select = select;
-          sc_parts = pieces;
-          sc_scb = None;
-          sc_last_key = "";
-          sc_started = false;
-          sc_buf = [];
-          sc_done = false;
-          sc_span = sp;
-        }
-  in
-  { driver; popped = []; base_row = None }
-
-(* --- sequential (blocking) scan driver ----------------------------------- *)
-
-(* abandon the current partition's subset, if the scan holds its SCB *)
-let seq_drop_scb t sc =
-  (match (sc.sc_scb, sc.sc_parts) with
-  | Some scb, (p, _) :: _ -> close_scb t p.p_dp scb
-  | _ -> ());
-  sc.sc_scb <- None
-
-let seq_close t sc =
-  if sc.sc_scb <> None then
-    Trace.attribute t.sim sc.sc_span (fun () -> seq_drop_scb t sc);
-  sc.sc_done <- true;
-  Trace.finish t.sim sc.sc_span
-
-(* move to the next partition *)
-let advance_partition t sc =
-  seq_drop_scb t sc;
-  sc.sc_started <- false;
-  sc.sc_last_key <- "";
-  match sc.sc_parts with
-  | [] -> sc.sc_done <- true
-  | _ :: rest ->
-      sc.sc_parts <- rest;
-      if rest = [] then sc.sc_done <- true
 
 (* one reply buffer absorbed into the scan's item buffer = one
    executor-visible batch; counted at the absorb site so draining a scan
@@ -734,269 +755,141 @@ let note_batch t n =
     s.Stats.exec_rows <- s.Stats.exec_rows + n
   end
 
-(* one FS-DP interaction to refill the buffer; true if the scan may continue *)
-let refill t sc =
-  match sc.sc_parts with
-  | [] ->
-      sc.sc_done <- true;
-      Ok ()
-  | (p, range) :: _ -> (
-      match sc.sc_access with
-      | A_record -> (
-          let from_key, inclusive =
-            if sc.sc_started then (sc.sc_last_key, false)
-            else (range.Expr.lo, true)
-          in
-          sc.sc_started <- true;
-          let reply =
-            send t p.p_dp
-              (Dp_msg.R_read_next
-                 {
-                   file = p.p_file;
-                   tx = sc.sc_tx;
-                   from_key;
-                   inclusive;
-                   lock = sc.sc_lock;
-                   sbb = false;
-                 })
-          in
-          classify ~ctx:"READ^NEXT" reply (function
-            | Dp_msg.Rp_end ->
-                advance_partition t sc;
-                Some (Ok ())
-            | Dp_msg.Rp_record { key; record } ->
-                if Keycode.compare_keys key range.Expr.hi >= 0 then begin
-                  advance_partition t sc;
-                  Some (Ok ())
-                end
-                else begin
-                  sc.sc_last_key <- key;
-                  (match sc.sc_select key record with
-                  | Some item ->
-                      sc.sc_buf <- [ item ];
-                      note_batch t 1
-                  | None -> ());
-                  Some (Ok ())
-                end
-            | _ -> None))
-      | A_rsbb | A_vsbb ->
-          let reply =
-            match sc.sc_scb with
-            | None when not sc.sc_started ->
-                sc.sc_started <- true;
-                send t p.p_dp (subset_first ~tx:sc.sc_tx sc.sc_body (p, range))
-            | Some scb ->
-                send t p.p_dp
-                  (subset_next ~tx:sc.sc_tx sc.sc_body p ~scb
-                     ~after_key:sc.sc_last_key)
-            | None ->
-                (* SCB lost but scan started: treat as exhausted *)
-                Dp_msg.Rp_end
-          in
-          let* items, last_key, more, scb = read_get sc.sc_select reply in
-          sc.sc_scb <- (if more then Some scb else None);
-          sc.sc_last_key <- last_key;
-          sc.sc_buf <- items;
-          note_batch t (List.length items);
-          if not more then advance_partition t sc;
-          Ok ())
+(* a reply's items into chain [c]'s buffer, or the arrival queue *)
+let absorb t bufs ~ordered c items =
+  if items <> [] then begin
+    let slot = if ordered then c.c_index else 0 in
+    bufs.(slot) <- items :: bufs.(slot);
+    note_batch t (List.length items)
+  end
 
-(* take everything currently buffered as one batch, refilling only when
-   the buffer is empty. Draining item-by-item does nothing to the
-   simulation between pops (the pops are pure), so one aggregated
-   [Sim.tick (3n)] fires the same events at the same times as n
-   interleaved [Sim.tick 3]s — popping row by row and taking the batch
-   are observationally identical. [tick:false] hands the rows over uncharged:
-   the caller owes [Sim.tick 3] per row *before* any per-row message, which
-   keeps message send times exact for consumers that interleave sends with
-   consumption (index base reads, keyed fallbacks, [scan_next]'s pops). *)
-let rec seq_next_items ~tick t sc =
-  match sc.sc_buf with
-  | _ :: _ as items ->
-      sc.sc_buf <- [];
+let read_next ~tx ~lock p ~from_key ~inclusive =
+  Dp_msg.R_read_next { file = p.p_file; tx; from_key; inclusive; lock; sbb = false }
+
+(* A scan is a fan of GET chains (READ^NEXT under [A_record]) with the
+   scan's buffers on top. The record-at-a-time chains stay blocking: they
+   are the old-interface baseline, and their lock acquisition is
+   inherently one at a time. *)
+let open_scan t f ~tx ~access ~range ?pred ?proj ?(ordered = true) ~lock () =
+  let body = read_body ~access ~pred ~proj ~lock in
+  let select = client_select ~schema:f.schema ~pred ~proj in
+  (* chains never outnumber the file's partitions *)
+  let bufs = Array.make (if ordered then Array.length f.parts else 1) [] in
+  let first p (piece : Expr.key_range) =
+    match access with
+    | A_record -> read_next ~tx ~lock p ~from_key:piece.lo ~inclusive:true
+    | A_rsbb | A_vsbb -> subset_first ~tx body p piece
+  in
+  (* a READ^NEXT chain ends at its piece's end; a GET reply brings a VSBB
+     block's rows as shipped or an RSBB block's entries through the
+     client-side [select], and [Rp_end] is an empty last reply *)
+  let step c reply =
+    match (access, reply) with
+    | A_record, Dp_msg.Rp_record { key; record } ->
+        if Keycode.compare_keys key c.c_range.Expr.hi >= 0 then Ok Done
+        else begin
+          (match select key record with
+          | Some item -> absorb t bufs ~ordered c [ item ]
+          | None -> ());
+          Ok (Redrive (read_next ~tx ~lock c.c_part ~from_key:key ~inclusive:false))
+        end
+    | _, Dp_msg.Rp_end -> Ok Done
+    | A_record, reply -> refuse ~ctx:"READ^NEXT" reply
+    | _, Dp_msg.Rp_vblock { rows; last_key; more; scb } ->
+        absorb t bufs ~ordered c (List.map (fun r -> I_row r) rows);
+        continue_subset ~tx body c ~more ~scb ~after_key:last_key
+    | _, Dp_msg.Rp_block { entries; last_key; more; scb } ->
+        absorb t bufs ~ordered c
+          (List.filter_map (fun (k, r) -> select k r) entries);
+        continue_subset ~tx body c ~more ~scb ~after_key:last_key
+    | _, reply -> refuse ~ctx:"GET" reply
+  in
+  let fan =
+    open_fan t f range ~serial:(access = A_record) ~legs:true ~first ~step ()
+  in
+  (* [push:false]: a scan handle outlives this call, so its span must not
+     sit on the open-span stack between interactions — scan_next,
+     scan_next_batch and close_scan bracket each interaction in an
+     attribute window instead, and the fan's leg spans nest under it *)
+  let sp =
+    if Trace.enabled t.sim then
+      Trace.begin_span t.sim ~push:false ~cat:"fs"
+        ~attrs:
+          [
+            ("file", Trace.Str f.fname);
+            ("access", Trace.Str (access_name access));
+            ("partitions", Trace.Int (Array.length fan.chains));
+            ("parallel", Trace.Bool fan.overlap);
+          ]
+        (access_name access ^ " scan " ^ f.fname)
+    else None
+  in
+  {
+    sc_file = f;
+    sc_fan = fan;
+    sc_span = sp;
+    sc_ordered = ordered;
+    sc_bufs = bufs;
+    sc_cur = 0;
+    popped = [];
+    base_row = None;
+  }
+
+(* Take everything buffered in the scan's current slot as one batch,
+   pulling the fan only while nothing is buffered. Draining item-by-item
+   does nothing to the simulation between pops (the pops are pure), so
+   one aggregated [Sim.tick (3n)] fires the same events at the same
+   times as n interleaved [Sim.tick 3]s — popping row by row and taking
+   the batch are observationally identical. [tick:false] hands the rows
+   over uncharged: the caller owes [Sim.tick 3] per row *before* any
+   per-row message, which keeps message send times exact for consumers
+   that interleave sends with consumption (index base reads, keyed
+   fallbacks, [scan_next]'s pops). *)
+let rec next_items ~tick t sc =
+  let fan = sc.sc_fan in
+  let slot = if sc.sc_ordered then sc.sc_cur else 0 in
+  let live = slot < Array.length fan.chains in
+  match fan.failed with
+  | Some e ->
+      (* what other chains buffered before the failure stays unread *)
+      Error e
+  | None when live && sc.sc_bufs.(slot) <> [] ->
+      let items =
+        match sc.sc_bufs.(slot) with
+        | [ items ] -> items
+        | chunks -> List.concat (List.rev chunks)
+      in
+      sc.sc_bufs.(slot) <- [];
       if tick then Sim.tick t.sim (3 * List.length items);
       Ok (Some items)
-  | [] ->
-      if sc.sc_done then Ok None
-      else
-        let* () = refill t sc in
-        if sc.sc_buf = [] && sc.sc_done then Ok None
-        else seq_next_items ~tick t sc
-
-(* --- parallel (nowait) scan driver ---------------------------------------- *)
-
-(* drain a partition's (or an unordered scan's) buffer in arrival order *)
-let pp_take_all pp =
-  let items = List.concat (List.rev pp.pp_chunks) in
-  pp.pp_chunks <- [];
-  items
-
-let pr_take_all ps =
-  let items = List.concat (List.rev ps.pr_chunks) in
-  ps.pr_chunks <- [];
-  items
-
-(* ordered scans buffer per partition (ranges are disjoint and ascending,
-   so partition order IS key order); unordered scans queue arrivals *)
-let par_absorb ps pp items =
-  match items with
-  | [] -> ()
-  | items ->
-      if ps.pr_ordered then pp.pp_chunks <- items :: pp.pp_chunks
-      else ps.pr_chunks <- items :: ps.pr_chunks
-
-(* launch: one GET^FIRST^VSBB (or RSBB) per partition, all overlapped *)
-let par_issue_first t ps =
-  ps.pr_started <- true;
-  Array.iteri
-    (fun i pp ->
-      if Trace.enabled t.sim then
-        pp.pp_span <-
-          Trace.begin_span t.sim ~parent:ps.pr_span ~push:false ~tid:(i + 1)
-            ~cat:"fs.leg"
-            ~attrs:[ ("partition", Trace.Int i) ]
-            ("leg " ^ Dp.name pp.pp_part.p_dp);
-      let req = subset_first ~tx:ps.pr_tx ps.pr_body (pp.pp_part, pp.pp_range) in
-      Trace.attribute t.sim pp.pp_span (fun () ->
-          pp.pp_pending <- Some (send_nowait t pp.pp_part.p_dp req)))
-    ps.pr_parts
-
-(* fold one reply into the partition state; keep one re-drive outstanding *)
-let par_process t ps pp reply =
-  Trace.attribute t.sim pp.pp_span @@ fun () ->
-  let* items, last_key, more, scb = read_get ps.pr_select reply in
-  par_absorb ps pp items;
-  note_batch t (List.length items);
-  if more then begin
-    pp.pp_scb <- Some scb;
-    pp.pp_pending <-
-      Some
-        (send_nowait t pp.pp_part.p_dp
-           (subset_next ~tx:ps.pr_tx ps.pr_body pp.pp_part ~scb ~after_key:last_key))
-  end
-  else begin
-    pp.pp_scb <- None;
-    pp.pp_done <- true
-  end;
-  Ok ()
-
-(* drain every outstanding completion (charging its latency); called on
-   error and on close so no completion is ever leaked *)
-let par_quiesce t ps =
-  Array.iter
-    (fun pp ->
-      match pp.pp_pending with
-      | None -> ()
-      | Some c ->
-          pp.pp_pending <- None;
-          (match await_reply t c with
-          | Dp_msg.Rp_vblock { more; scb; _ } | Dp_msg.Rp_block { more; scb; _ } ->
-              pp.pp_scb <- (if more then Some scb else None)
-          | Dp_msg.Rp_blocked { scb; _ } when scb >= 0 -> pp.pp_scb <- Some scb
-          | _ -> pp.pp_scb <- None);
-          pp.pp_done <- true)
-    ps.pr_parts
-
-(* await the earliest outstanding completion across ALL partitions (ties
-   break to the lowest partition index — pure function of simulated time)
-   and fold its reply in; [Ok false] when nothing was outstanding *)
-let par_await_some t ps =
-  let n = Array.length ps.pr_parts in
-  match await_earliest t n (fun i -> ps.pr_parts.(i).pp_pending) with
-  | None -> Ok false
-  | Some (i, reply) -> (
-      let pp = ps.pr_parts.(i) in
-      pp.pp_pending <- None;
-      match par_process t ps pp reply with
-      | Ok () -> Ok true
-      | Error e ->
-          par_quiesce t ps;
-          ps.pr_dead <- true;
-          Error e)
-
-(* surrender the next non-empty buffer whole, awaiting replies only while
-   nothing is buffered (see [seq_next_items] for the tick-equivalence
-   argument) *)
-let rec par_next_items ~tick t ps =
-  if ps.pr_dead then Ok None
-  else begin
-    if not ps.pr_started then par_issue_first t ps;
-    if ps.pr_ordered then begin
-      if ps.pr_cur >= Array.length ps.pr_parts then Ok None
-      else begin
-        let pp = ps.pr_parts.(ps.pr_cur) in
-        match pp_take_all pp with
-        | _ :: _ as items ->
-            if tick then Sim.tick t.sim (3 * List.length items);
-            Ok (Some items)
-        | [] ->
-            if pp.pp_done && pp.pp_pending = None then begin
-              ps.pr_cur <- ps.pr_cur + 1;
-              par_next_items ~tick t ps
-            end
-            else
-              let* progressed = par_await_some t ps in
-              if progressed then par_next_items ~tick t ps else Ok None
-      end
-    end
-    else begin
-      match pr_take_all ps with
-      | _ :: _ as items ->
-          if tick then Sim.tick t.sim (3 * List.length items);
-          Ok (Some items)
-      | [] ->
-          let all_done =
-            Array.for_all (fun pp -> pp.pp_done && pp.pp_pending = None) ps.pr_parts
-          in
-          if all_done then Ok None
-          else
-            let* progressed = par_await_some t ps in
-            if progressed then par_next_items ~tick t ps else Ok None
-    end
-  end
+  | None when live && sc.sc_ordered && finished fan.chains.(slot) ->
+      sc.sc_cur <- slot + 1;
+      next_items ~tick t sc
+  | None ->
+      let* progressed = pull t fan in
+      if progressed then next_items ~tick t sc else Ok None
 
 (* --- common scan interface -------------------------------------------------- *)
 
-(* every interaction runs inside an attribute window on the scan's span:
+(* Every interaction runs inside an attribute window on the scan's span:
    children begun here nest under it and its counter delta accumulates
    exactly over scan work, not whatever the caller does while holding the
-   handle open *)
-let scan_span sc = match sc.driver with Seq sc -> sc.sc_span | Par ps -> ps.pr_span
-
-let scan_file sc = match sc.driver with Seq sc -> sc.sc_file | Par ps -> ps.pr_file
+   handle open. *)
 
 (* everything the scan holds: what [scan_next] has not popped yet, else
-   the driver's next buffer *)
+   the next buffer *)
 let take_items ~tick t sc =
   match sc.popped with
   | _ :: _ as items ->
       sc.popped <- [];
       if tick then Sim.tick t.sim (3 * List.length items);
       Ok (Some items)
-  | [] -> (
-      match sc.driver with
-      | Seq s -> seq_next_items ~tick t s
-      | Par ps -> par_next_items ~tick t ps)
+  | [] -> next_items ~tick t sc
 
 let close_scan t sc =
   sc.popped <- [];
-  match sc.driver with
-  | Seq sc -> seq_close t sc
-  | Par ps ->
-      Trace.attribute t.sim ps.pr_span (fun () ->
-          par_quiesce t ps;
-          Array.iter
-            (fun pp ->
-              (match pp.pp_scb with
-              | Some scb ->
-                  pp.pp_scb <- None;
-                  Trace.attribute t.sim pp.pp_span (fun () ->
-                      close_scb t pp.pp_part.p_dp scb)
-              | None -> ());
-              Trace.finish t.sim pp.pp_span)
-            ps.pr_parts);
-      Trace.finish t.sim ps.pr_span;
-      ps.pr_dead <- true
+  Trace.attribute t.sim sc.sc_span (fun () -> abandon t sc.sc_fan);
+  Trace.finish t.sim sc.sc_span
 
 (* one row per call, popped from the batch stream: a buffer is taken
    uncharged and each pop charges its [Sim.tick 3] — the same events at
@@ -1005,7 +898,7 @@ let close_scan t sc =
    the scan span's attribute window. *)
 let scan_next t sc =
   let* item =
-    Trace.attribute t.sim (scan_span sc) (fun () ->
+    Trace.attribute t.sim sc.sc_span (fun () ->
         let* () =
           if sc.popped <> [] then Ok ()
           else
@@ -1025,7 +918,7 @@ let scan_next t sc =
     | None -> Ok None
     | Some (I_row row) -> Ok (Some row)
     | Some (I_entry (_, record)) -> (
-        match (scan_file sc).schema with
+        match sc.sc_file.schema with
         | Some schema -> Ok (Some (Row.decode_exn schema record))
         | None -> Error (Errors.Bad_request "scan_next on schema-less file"))
   in
@@ -1041,11 +934,11 @@ let scan_next t sc =
    charge [Sim.tick 3] per row before any per-row message it sends, so the
    message timeline stays byte-identical to popping row by row. *)
 let take_rows ~tick t sc =
-  let* items = Trace.attribute t.sim (scan_span sc) (fun () -> take_items ~tick t sc) in
+  let* items = Trace.attribute t.sim sc.sc_span (fun () -> take_items ~tick t sc) in
   match items with
   | None -> Ok None
   | Some items -> (
-      match (scan_file sc).schema with
+      match sc.sc_file.schema with
       | Some schema ->
           Ok
             (Some
@@ -1089,84 +982,32 @@ let scan_next_batch ?(tick = true) t sc =
 
 (* --- set-oriented update / delete / aggregate ----------------------------- *)
 
-(* The one FIRST/NEXT chain driver behind every set request a Disk
-   Process runs under its own SCB: UPDATE^SUBSET, DELETE^SUBSET and
-   AGGREGATE. [step i reply] folds partition [i]'s reply in and says
-   whether its chain re-drives ([`Redrive (scb, last_key)]) or is finished
-   ([`Done]). Under fan-out every partition keeps one re-drive outstanding
-   and replies fold in earliest-completion order; once one partition
-   fails, each sibling abandons its subset with CLOSE^SCB at its next
-   reply (the failed partition's Disk Process has already dropped its
-   SCB). Otherwise the partitions run one after another and the first
-   failure ends the request. Each chain opens [body] over its piece of
-   [range]. The request runs under one [span] named [span ^ " " ^ file]. *)
+(* The set requests a Disk Process runs under its own SCB — UPDATE^SUBSET,
+   DELETE^SUBSET and AGGREGATE — as one fan of chains opening [body] over
+   the pieces of [range], under one span named [span ^ " " ^ file]. *)
 let drive_chains t f ~tx ~range ~body ~span ~attrs ~step =
-  let parts = Array.of_list (partition_ranges f range) in
-  let par = fanout t && Array.length parts > 1 in
-  let next p (scb, after_key) = subset_next ~tx body p ~scb ~after_key in
-  let run (_ : Trace.h) =
-    if par then begin
-      let pending =
-        Array.map
-          (fun ((p, _) as part) -> Some (send_nowait t p.p_dp (subset_first ~tx body part)))
-          parts
-      in
-      let err = ref None in
-      let rec loop () =
-        match await_earliest t (Array.length parts) (Array.get pending) with
-        | None -> ()
-        | Some (i, reply) ->
-            pending.(i) <- None;
-            let p, _ = parts.(i) in
-            (match step i reply with
-            | Ok (`Redrive (scb, after_key)) ->
-                if !err = None then
-                  pending.(i) <- Some (send_nowait t p.p_dp (next p (scb, after_key)))
-                else close_scb t p.p_dp scb
-            | Ok `Done -> ()
-            | Error e -> if !err = None then err := Some e);
-            loop ()
-      in
-      loop ();
-      match !err with Some e -> Error e | None -> Ok ()
-    end
-    else
-      let rec per_partition i =
-        if i >= Array.length parts then Ok ()
-        else
-          let p, _ = parts.(i) in
-          let rec drive req =
-            let* outcome = step i (send t p.p_dp req) in
-            match outcome with
-            | `Redrive redrive -> drive (next p redrive)
-            | `Done -> per_partition (i + 1)
-          in
-          drive (subset_first ~tx body parts.(i))
-      in
-      per_partition 0
-  in
+  let fan = open_fan t f range ~first:(subset_first ~tx body) ~step () in
   Trace.span t.sim ~cat:"fs"
     ~attrs:(fun () ->
       [
         ("file", Trace.Str f.fname);
-        ("partitions", Trace.Int (Array.length parts));
-        ("parallel", Trace.Bool par);
+        ("partitions", Trace.Int (Array.length fan.chains));
+        ("parallel", Trace.Bool fan.overlap);
       ]
       @ attrs)
     (span ^ " " ^ f.fname)
-    run
+    (fun _ -> run t fan)
 
 (* UPDATE^SUBSET / DELETE^SUBSET chains: count the records processed *)
 let drive_subset t f ~tx ~range body =
   let total = ref 0 in
   let* () =
     drive_chains t f ~tx ~range ~body ~span:"subset" ~attrs:[]
-      ~step:(fun _ reply ->
-        classify ~ctx:"SUBSET request" reply (function
-          | Dp_msg.Rp_progress { processed; last_key; more; scb } ->
-              total := !total + processed;
-              Some (Ok (if more then `Redrive (scb, last_key) else `Done))
-          | _ -> None))
+      ~step:(fun c -> function
+        | Dp_msg.Rp_progress { processed; last_key; more; scb } ->
+            total := !total + processed;
+            continue_subset ~tx body c ~more ~scb ~after_key:last_key
+        | reply -> refuse ~ctx:"SUBSET request" reply)
   in
   Ok !total
 
@@ -1200,7 +1041,7 @@ let via_keys t f ~tx ~range ~pred per_key =
         in
         apply 0
   in
-  (* close on every exit — errors and raises out of the driver (a
+  (* close on every exit — errors and raises out of the scan (a
      malformed record decode) must not leave the scan (or its span) open *)
   Fun.protect ~finally:(fun () -> close_scan t sc) (fun () -> go 0)
 
@@ -1235,20 +1076,15 @@ let aggregate t f ~tx ~range ?pred ~group_keys ~aggs ~lock () =
   (* indexed by the range's partition pieces, which never outnumber the
      file's partitions *)
   let per_part = Array.make (Array.length f.parts) [] in
+  let body = Dp_msg.Cs_agg { pred; group_keys; aggs; lock } in
   let* () =
-    drive_chains t f ~tx ~range
-      ~body:(Dp_msg.Cs_agg { pred; group_keys; aggs; lock })
-      ~span:"aggregate"
+    drive_chains t f ~tx ~range ~body ~span:"aggregate"
       ~attrs:[ ("groups", Trace.Int (Array.length group_keys)) ]
-      ~step:(fun i reply ->
-        classify ~ctx:"AGGREGATE request" reply (function
-          | Dp_msg.Rp_agg { groups; last_key; more; scb } ->
-              if more then Some (Ok (`Redrive (scb, last_key)))
-              else begin
-                per_part.(i) <- groups;
-                Some (Ok `Done)
-              end
-          | _ -> None))
+      ~step:(fun c -> function
+        | Dp_msg.Rp_agg { groups; last_key; more; scb } ->
+            if not more then per_part.(c.c_index) <- groups;
+            continue_subset ~tx body c ~more ~scb ~after_key:last_key
+        | reply -> refuse ~ctx:"AGGREGATE request" reply)
   in
   (* merge in partition (= key) order, whatever order the chains finished
      in; a group whose rows straddle a partition boundary merges

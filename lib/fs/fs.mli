@@ -78,8 +78,10 @@ val index_names : file -> string list
 
 (** [record_count t file] sums the partitions' live record counts: one
     RECORD^COUNT message per partition, overlapped (nowait) when
-    {!Nsql_sim.Config.t.fs_fanout} is on. A partition's error reply is the
-    result's error, never a count of 0. *)
+    {!Nsql_sim.Config.t.fs_fanout} is on. Fan-out changes only the timing:
+    the sends, their order and their bytes are the same. A partition's
+    error reply (the first in completion order) is the result's error,
+    never a count of 0. *)
 val record_count : t -> file -> (int, Nsql_util.Errors.t) result
 
 (** {1 Record-at-a-time operations (ENSCRIBE-style)}
@@ -127,7 +129,9 @@ val delete :
   t -> file -> tx:int -> key:string -> (unit, Nsql_util.Errors.t) result
 
 (** [lock_file t file ~tx ~lock] locks every partition of the file; the
-    per-partition round trips are overlapped under fan-out. *)
+    per-partition round trips are overlapped under fan-out, which changes
+    only their timing: the sends, their order and their bytes are the
+    same. *)
 val lock_file :
   t -> file -> tx:int -> lock:Dp_msg.lock_mode ->
   (unit, Nsql_util.Errors.t) result
@@ -192,14 +196,16 @@ type scan
     When the range spans several partitions and
     {!Nsql_sim.Config.t.fs_fanout} is on, the block-buffered scans drive
     every partition with overlapped (nowait) requests, one outstanding
-    re-drive per partition: per-partition message sequences — and thus
-    message and byte counts — are identical to the blocking driver, but
-    the elapsed time of requests in flight together is the max of their
-    latencies, not the sum. [ordered] (default [true]) merges partitions
-    in key order (partition ranges are disjoint and ascending, so this
-    buffers not-yet-current partitions locally); [ordered:false] yields
-    rows in completion order — earliest simulated completion first, ties
-    to the lowest partition — which is still deterministic. *)
+    re-drive per partition. Fan-out changes only the timing: each
+    partition's requests and their bytes are the same as without it, and
+    so are message and byte counts, but the elapsed time of requests in
+    flight together is the max of their latencies, not the sum. A scan
+    that fails stays failed: every later pull returns the same error.
+    [ordered] (default [true]) merges partitions in key order (partition
+    ranges are disjoint and ascending, so this buffers not-yet-current
+    partitions locally); [ordered:false] yields rows in completion order
+    — earliest simulated completion first, ties to the lowest partition —
+    which is still deterministic. *)
 val open_scan :
   t ->
   file ->
@@ -239,8 +245,9 @@ val scan_next : t -> scan -> (Row.row option, Nsql_util.Errors.t) result
 val scan_next_batch :
   ?tick:bool -> t -> scan -> (Row.row array option, Nsql_util.Errors.t) result
 
-(** [close_scan t scan] releases the scan's SCBs and finishes its trace
-    span. Idempotent. *)
+(** [close_scan t scan] awaits the scan's outstanding replies, releases
+    the SCBs its Disk Processes still hold and finishes its trace spans.
+    Idempotent. *)
 val close_scan : t -> scan -> unit
 
 (** [update_subset t file ~tx ~range ?pred assignments] delegates a
@@ -263,11 +270,12 @@ val delete_subset :
     [aggregate t file ~tx ~range ?pred ~group_keys ~aggs ~lock ()]
     evaluates grouped aggregates at the data source: one
     AGGREGATE^FIRST / AGGREGATE^NEXT re-drive chain per partition
-    (overlapped under fan-out), each final reply carrying one accumulator
-    per (group, aggregate) instead of the qualifying rows. Partition
-    results are merged, in partition order, into one
-    {!Dp_msg.Groups.t} — groups whose rows straddle a partition boundary
-    merge exactly. [group_keys] must be a prefix of the file's
+    (overlapped under fan-out, which changes only the timing: each
+    partition's requests and their bytes are the same), each final reply
+    carrying one accumulator per (group, aggregate) instead of the
+    qualifying rows. Partition results are merged, in partition order,
+    into one {!Dp_msg.Groups.t} — groups whose rows straddle a partition
+    boundary merge exactly. [group_keys] must be a prefix of the file's
     primary-key columns (the planner's legality rule), which makes
     first-seen order equal key order, so the group order is identical to
     a client-side scan's. *)

@@ -153,7 +153,7 @@ let call_effects ~m ~fname =
   | "send_nowait" -> of_list [ Opens_completion ]
   | "open_scan" -> of_list [ Opens_scan ]
   | "open_subset" -> of_list [ Opens_scan ]
-  | "close_scan" | "seq_close" -> of_list [ Closes_scan ]
+  | "close_scan" -> of_list [ Closes_scan ]
   | _ -> empty
 
 (* the modules whose own definitions *are* the primitives: seed their node
@@ -173,7 +173,7 @@ let intrinsic_of_key key =
   | "Lock.acquire" | "Lock.try_lock" -> of_list [ Acquires_lock ]
   | "Msg.send_nowait" -> of_list [ Opens_completion ]
   | "Fs.open_scan" -> of_list [ Opens_scan ]
-  | "Fs.close_scan" | "Fs.seq_close" -> of_list [ Closes_scan ]
+  | "Fs.close_scan" -> of_list [ Closes_scan ]
   | _ -> empty
 
 let path_split path =

@@ -554,7 +554,7 @@ let build_ctx parsed =
 (* One rule for every open/close-paired handle in the system:
 
      handle               opener            paired close
-     scan (SCB + span)    open_scan         close_scan / seq_close
+     scan (SCB + span)    open_scan         close_scan
                           open_index_scan
      trace span           begin_span        Trace.finish
      nowait completion    send_nowait       Msg.await / Msg.await_any
@@ -602,7 +602,7 @@ let kind_close = function
   | K_diskio -> "Disk.complete"
 
 let closer_names = function
-  | K_scan -> [ "close_scan"; "seq_close" ]
+  | K_scan -> [ "close_scan" ]
   | K_span -> [ "finish" ]
   | K_completion -> [ "await"; "await_any" ]
   | K_deferral -> [ "resolve" ]

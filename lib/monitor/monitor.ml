@@ -53,9 +53,11 @@ let sparkline ?(width = 32) h =
 
 let us_str us = Format.asprintf "%a" pp_us us
 
-let pp_hist_line ppf (name, h) =
-  Format.fprintf ppf "  %-10s n=%-6d p50=%-9s p95=%-9s p99=%-9s max=%-9s %s"
-    name (Hist.count h)
+(* [width]: the report's longest histogram name (at least 10), so the
+   per-volume names keep every row's columns in line *)
+let pp_hist_line ~width ppf (name, h) =
+  Format.fprintf ppf "  %-*s n=%-6d p50=%-9s p95=%-9s p99=%-9s max=%-9s %s"
+    width name (Hist.count h)
     (us_str (Hist.quantile h 0.5))
     (us_str (Hist.quantile h 0.95))
     (us_str (Hist.quantile h 0.99))
@@ -102,7 +104,12 @@ let pp_report ppf sim =
     | [] -> ()
     | hs ->
         Format.fprintf ppf "latency histograms:@.";
-        List.iter (fun nh -> Format.fprintf ppf "%a@." pp_hist_line nh) hs);
+        let width =
+          List.fold_left (fun w (name, _) -> max w (String.length name)) 10 hs
+        in
+        List.iter
+          (fun nh -> Format.fprintf ppf "%a@." (pp_hist_line ~width) nh)
+          hs);
     (* statements aggregated by name, heaviest first *)
     let stmts = Moncore.stmts mc in
     if stmts <> [] then begin

@@ -120,6 +120,13 @@ canary record-kinds lib/dp/dp.ml conformance \
   's/Ok \(Relfile\.read r ~slot\)/Ok (ignore (r, slot); None)/' \
   "a relative lookup that answers not-found"
 
+# Every multi-partition request abandons its chains through the fan's one
+# path, which closes each subset a Disk Process still holds (redrive: the
+# fan-out failure tests count sibling CLOSE^SCBs and watch every SCB).
+canary fan-abandon lib/fs/fs.ml redrive \
+  's/if scb >= 0 then begin/if false then begin/' \
+  "a fan that never closes an abandoned subset"
+
 if [ $failures -gt 0 ]; then
   echo "$failures canary row(s) failed"
   exit 1

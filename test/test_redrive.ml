@@ -1,16 +1,17 @@
 (* The continuation re-drive engines on both sides of the FS-DP interface:
 
    - golden fingerprints (statistics vector, clock, result and trace
-     digests) pinning the sequential chain and scan drivers, the
+     digests) pinning the blocking fan under set requests and scans, the
      index-scan plumbing and the indexed-table fallbacks;
    - the Subset Control Block lifecycle: a set request that comes back
      blocked or failed leaves no SCB behind on its Disk Process, since no
      requester ever re-drives such a chain, nor a NEXT of the wrong kind;
-   - the chain driver's error path on a partitioned file, fan-out on and
-     off: one failing partition fails the whole request, and every
-     sibling's subset is abandoned and closed;
-   - an index scan closed before its stream ends releases its SCB and
-     finishes its span, like any other scan handle;
+   - the partition fan's error path on a partitioned file, fan-out on and
+     off: one failing partition fails the whole request, every sibling's
+     subset is abandoned and closed, no CLOSE^SCB names a subset its Disk
+     Process already dropped, and a failed scan stays failed;
+   - a scan closed before its stream ends (an index scan, a fan-out scan)
+     releases its SCBs and finishes its spans, like any other scan handle;
    - a grouped AGGREGATE's partials survive a takeover between two
      re-drives, rebuilt on the backup from the checkpoint stream. *)
 
@@ -36,15 +37,17 @@ let golden_cases =
 
 (* Wrap every Disk Process handler and remember each SCB named on the wire
    — by a re-drive request or by a reply that carries one — together with
-   the Disk Process (by index) and file it belongs to. Also counts the
-   CLOSE^SCB requests a requester sends. *)
+   the Disk Process (by index) and file it belongs to. Also remembers
+   (Disk Process, SCB) for each CLOSE^SCB a requester sends and for each
+   blocked reply. *)
 type watch = {
   mutable scbs : (int * int * int) list;
-  mutable closes : int;
+  mutable closed : (int * int) list;
+  mutable blocked : (int * int) list;
 }
 
 let watch_scbs n =
-  let w = { scbs = []; closes = 0 } in
+  let w = { scbs = []; closed = []; blocked = [] } in
   Array.iteri
     (fun i dp ->
       Msg.set_handler (Dp.endpoint dp) (fun payload ->
@@ -62,12 +65,15 @@ let watch_scbs n =
                 | Dp_msg.R_subset_next { file; scb; _ } ->
                     note file scb;
                     Some file
-                | Dp_msg.R_close_scb _ ->
-                    w.closes <- w.closes + 1;
+                | Dp_msg.R_close_scb { scb } ->
+                    w.closed <- (i, scb) :: w.closed;
                     None
                 | _ -> None
               in
               match (file, Dp_msg.decode_reply reply) with
+              | Some file, Ok (Dp_msg.Rp_blocked { scb; _ }) when scb >= 0 ->
+                  w.blocked <- (i, scb) :: w.blocked;
+                  note file scb
               | ( Some file,
                   Ok
                     ( Dp_msg.Rp_blocked { scb; _ }
@@ -196,7 +202,7 @@ let next_of_wrong_kind_drops_scb () =
   | _ -> Alcotest.fail "the refused SCB is still open");
   get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx)
 
-(* --- the chain driver's error path on 4 partitions ------------------------- *)
+(* --- the fan's error path on 4 partitions ---------------------------------- *)
 
 (* accounts 0..39 over four partitions of ten, one per Disk Process, with a
    3-record budget so that every partition's chain re-drives *)
@@ -222,7 +228,7 @@ let failing_partition_update ~fanout () =
   get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
   if fanout then
     Alcotest.(check bool) "siblings' subsets abandoned with CLOSE^SCB" true
-      (w.closes > 0);
+      (w.closed <> []);
   assert_all_closed n w
 
 let blocked_partition_aggregate ~fanout () =
@@ -240,7 +246,118 @@ let blocked_partition_aggregate ~fanout () =
   get_ok ~ctx:"commit A" (Tmf.commit n.tmf ~tx:tx_a);
   if fanout then
     Alcotest.(check bool) "siblings' subsets abandoned with CLOSE^SCB" true
-      (w.closes > 0);
+      (w.closed <> []);
+  assert_all_closed n w
+
+(* --- the fan's abandon path on a scan ----------------------------------------- *)
+
+(* Tx A holds account 1, so a locking VSBB scan fails at partition 0. The
+   error is the scan's last word: every later pull answers the same
+   error, without resuming at partition 1 or reporting a clean end. *)
+let failed_scan_stays_failed ~fanout () =
+  let n, file = partitioned ~fanout ~check:None in
+  let tx_a = Tmf.begin_tx n.tmf in
+  ignore
+    (get_ok ~ctx:"lock record 1"
+       (Fs.read n.fs file ~tx:tx_a ~key:(acct_key 1) ~lock:Dp_msg.L_exclusive));
+  let tx_b = Tmf.begin_tx n.tmf in
+  let sc =
+    Fs.open_scan n.fs file ~tx:tx_b ~access:Fs.A_vsbb ~range:full_range
+      ~lock:Dp_msg.L_shared ()
+  in
+  let first =
+    match Fs.scan_next n.fs sc with
+    | Error e when is_lock_timeout e -> Errors.to_string e
+    | Error e ->
+        Alcotest.failf "first pull: unexpected error %s" (Errors.to_string e)
+    | Ok _ -> Alcotest.fail "first pull: the scan read past a locked record"
+  in
+  let same what = function
+    | Error e -> Alcotest.(check string) what first (Errors.to_string e)
+    | Ok _ -> Alcotest.failf "%s: the failed scan answered again" what
+  in
+  same "second pull" (Fs.scan_next n.fs sc);
+  same "third pull" (Fs.scan_next n.fs sc);
+  same "batch pull" (Fs.scan_next_batch n.fs sc);
+  Fs.close_scan n.fs sc;
+  get_ok ~ctx:"abort B" (Tmf.abort n.tmf ~tx:tx_b);
+  get_ok ~ctx:"commit A" (Tmf.commit n.tmf ~tx:tx_a)
+
+(* Accounts 15 and 25 are locked, so the chains of partitions 1 and 2
+   come back blocked mid-subset. A Disk Process drops the SCB of a
+   blocked reply itself, so no CLOSE^SCB may name one, while every other
+   subset still open when the scan fails is closed. *)
+let blocked_scan_closes_no_dropped_scb ~fanout () =
+  let n, file = partitioned ~fanout ~check:None in
+  let w = watch_scbs n in
+  let tx_a = Tmf.begin_tx n.tmf in
+  List.iter
+    (fun k ->
+      ignore
+        (get_ok ~ctx:"lock a record"
+           (Fs.read n.fs file ~tx:tx_a ~key:(acct_key k) ~lock:Dp_msg.L_exclusive)))
+    [ 15; 25 ];
+  let tx_b = Tmf.begin_tx n.tmf in
+  let sc =
+    Fs.open_scan n.fs file ~tx:tx_b ~access:Fs.A_vsbb ~range:full_range
+      ~lock:Dp_msg.L_shared ()
+  in
+  let rec drain () =
+    match Fs.scan_next n.fs sc with
+    | Ok (Some _) -> drain ()
+    | Ok None -> Alcotest.fail "the scan read past a locked record"
+    | Error e when is_lock_timeout e -> ()
+    | Error e -> Alcotest.failf "unexpected error %s" (Errors.to_string e)
+  in
+  drain ();
+  Fs.close_scan n.fs sc;
+  get_ok ~ctx:"abort B" (Tmf.abort n.tmf ~tx:tx_b);
+  get_ok ~ctx:"commit A" (Tmf.commit n.tmf ~tx:tx_a);
+  Alcotest.(check bool) "a chain came back blocked" true (w.blocked <> []);
+  List.iter
+    (fun (i, scb) ->
+      if List.mem (i, scb) w.blocked then
+        Alcotest.failf
+          "CLOSE^SCB %d on %s names a subset dropped at its blocked reply" scb
+          (Dp.name n.dps.(i)))
+    w.closed;
+  assert_all_closed n w
+
+(* One batch of a 4-partition fan-out scan, then close. Every chain has a
+   request in flight when the batch is taken, and each partition's ten
+   records take four 3-record replies, so all four chains still hold a
+   subset after their outstanding reply: the close awaits those replies
+   and sends one CLOSE^SCB per partition, inside its leg span. *)
+let abandoned_fanout_scan () =
+  let n, file = partitioned ~fanout:true ~check:None in
+  let w = watch_scbs n in
+  Trace.set_enabled n.sim true;
+  let tx = Tmf.begin_tx n.tmf in
+  let sc =
+    Fs.open_scan n.fs file ~tx ~access:Fs.A_vsbb ~range:full_range
+      ~lock:Dp_msg.L_none ()
+  in
+  (match get_ok ~ctx:"one batch" (Fs.scan_next_batch n.fs sc) with
+  | Some rows ->
+      Alcotest.(check bool) "the batch has rows" true (Array.length rows > 0)
+  | None -> Alcotest.fail "the scan yielded nothing");
+  Alcotest.(check int) "no CLOSE^SCB before the close" 0
+    (List.length w.closed);
+  Fs.close_scan n.fs sc;
+  Alcotest.(check int) "one CLOSE^SCB per partition" 4
+    (List.length w.closed);
+  Alcotest.(check int) "on four Disk Processes" 4
+    (List.length (List.sort_uniq compare (List.map fst w.closed)));
+  get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
+  let spans = Trace.take n.sim in
+  Trace.set_enabled n.sim false;
+  let legs = List.filter (fun sp -> String.equal sp.Tracer.sp_cat "fs.leg") spans in
+  Alcotest.(check int) "four leg spans" 4 (List.length legs);
+  List.iter
+    (fun sp ->
+      Alcotest.(check bool) (sp.Tracer.sp_name ^ " finished") false
+        sp.Tracer.sp_open)
+    legs;
   assert_all_closed n w
 
 (* --- an abandoned index scan ------------------------------------------------ *)
@@ -272,7 +389,7 @@ let abandoned_index_scan ~fanout () =
   | None -> Alcotest.fail "the index scan yielded nothing");
   Alcotest.(check int) "one index subset open" 1 (List.length w.scbs);
   Fs.close_scan n.fs sc;
-  Alcotest.(check int) "abandoned with CLOSE^SCB" 1 w.closes;
+  Alcotest.(check int) "abandoned with CLOSE^SCB" 1 (List.length w.closed);
   get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
   let spans = Trace.take n.sim in
   Trace.set_enabled n.sim false;
@@ -514,6 +631,16 @@ let suite =
         (blocked_partition_aggregate ~fanout:false);
       Alcotest.test_case "aggregate, one partition blocked (fan-out)" `Quick
         (blocked_partition_aggregate ~fanout:true);
+      Alcotest.test_case "a failed scan stays failed (sequential)" `Quick
+        (failed_scan_stays_failed ~fanout:false);
+      Alcotest.test_case "a failed scan stays failed (fan-out)" `Quick
+        (failed_scan_stays_failed ~fanout:true);
+      Alcotest.test_case "blocked scan closes no dropped SCB (sequential)" `Quick
+        (blocked_scan_closes_no_dropped_scb ~fanout:false);
+      Alcotest.test_case "blocked scan closes no dropped SCB (fan-out)" `Quick
+        (blocked_scan_closes_no_dropped_scb ~fanout:true);
+      Alcotest.test_case "abandoned fan-out scan closes every subset" `Quick
+        abandoned_fanout_scan;
       Alcotest.test_case "abandoned index scan frees its SCB (sequential)"
         `Quick (abandoned_index_scan ~fanout:false);
       Alcotest.test_case "abandoned index scan frees its SCB (fan-out)" `Quick
