@@ -14,6 +14,9 @@ type t = {
   mutable last_staged_lsn : int64;
   mutable durable_lsn : int64;
   mutable write_pos : int;  (** byte offset of the durable trail's end *)
+  mutable appended : int;  (** byte offset of the staged trail's end *)
+  mutable flushing : (int * string) list;
+      (** offset and bytes of each flush whose write is under way *)
   mutable pending : (int * int64) list;  (** (tx, commit lsn) awaiting flush *)
   mutable timer_armed : bool;
   mutable timer_due : float;
@@ -21,7 +24,6 @@ type t = {
   mutable timer_pinned : bool;
   mutable last_commit_at : float;
   mutable ewma_interval_us : float;
-  mutable tail_image : string;  (** in-memory image of the partial last block *)
 }
 
 let create sim volume =
@@ -34,6 +36,8 @@ let create sim volume =
     last_staged_lsn = 0L;
     durable_lsn = 0L;
     write_pos = 0;
+    appended = 0;
+    flushing = [];
     pending = [];
     timer_armed = false;
     timer_due = 0.;
@@ -41,7 +45,6 @@ let create sim volume =
     timer_pinned = false;
     last_commit_at = 0.;
     ewma_interval_us = Config.group_commit_timer_us;
-    tail_image = String.make Config.block_size '\x00';
   }
 
 let next_lsn t = t.next_lsn
@@ -62,13 +65,13 @@ let write_to_volume t data =
   let offset = t.write_pos mod bs in
   let total = offset + String.length data in
   let nblocks = (total + bs - 1) / bs in
-  (* the partial head block's image is kept in memory between flushes (the
-     audit Disk Process never re-reads its own tail) *)
+  (* the partial head block is completed from the image the volume was
+     last given (the audit Disk Process never reads its own tail back) *)
   let images =
     Array.init nblocks (fun i ->
         let block = Bytes.make bs '\x00' in
         if i = 0 && offset > 0 then
-          Bytes.blit_string t.tail_image 0 block 0 offset;
+          Bytes.blit_string (Disk.peek t.volume first_block) 0 block 0 offset;
         (* copy the slice of [data] that lands in this block *)
         let data_start = max 0 ((i * bs) - offset) in
         let block_start = if i = 0 then offset else 0 in
@@ -94,11 +97,7 @@ let write_to_volume t data =
     end
   in
   write_chunks 0;
-  t.write_pos <- t.write_pos + String.length data;
-  (* remember the new tail image for the next flush *)
-  let tail_idx = (t.write_pos - 1) / bs - first_block in
-  if tail_idx >= 0 && tail_idx < nblocks then
-    t.tail_image <- images.(tail_idx)
+  t.write_pos <- t.write_pos + String.length data
 
 let flush t reason =
   if Buffer.length t.buffer > 0 then
@@ -123,8 +122,11 @@ let flush t reason =
             s.Stats.audit_flush_timer <- s.Stats.audit_flush_timer + 1
         | Flush_force -> ());
         let data = Buffer.contents t.buffer in
+        let flushed = (t.appended - String.length data, data) in
         Buffer.clear t.buffer;
+        t.flushing <- flushed :: t.flushing;
         write_to_volume t data;
+        t.flushing <- List.filter (fun f -> f != flushed) t.flushing;
         t.durable_lsn <- t.last_staged_lsn;
         (* the flush commits every pending transaction whose commit record is
            now durable: one I/O, a group of commits *)
@@ -145,6 +147,7 @@ let append t ~tx body =
   let record = Audit_record.{ lsn; tx; body } in
   let encoded = Audit_record.encode record in
   Buffer.add_string t.buffer encoded;
+  t.appended <- t.appended + String.length encoded;
   t.last_staged_lsn <- lsn;
   let s = Sim.stats t.sim in
   s.Stats.audit_records <- s.Stats.audit_records + 1;
@@ -213,6 +216,34 @@ let await_durable t lsn =
     end
     else force t lsn
   done
+
+let end_pos t = t.appended
+
+(* A record is read from the bytes that hold it: the buffer, a flush whose
+   write is under way (the volume holds its blocks only once they are
+   submitted), or the volume's blocks. *)
+let read_at t pos =
+  let bs = Config.block_size in
+  let staged = t.appended - Buffer.length t.buffer in
+  (* a string holding the [len] bytes from [pos], and their offset in it *)
+  let slice len =
+    let in_flush (at, data) = pos >= at && pos < at + String.length data in
+    if pos >= staged then (Buffer.sub t.buffer (pos - staged) len, 0)
+    else
+      match List.find_opt in_flush t.flushing with
+      | Some (at, data) -> (data, pos - at)
+      | None ->
+          let first = pos / bs in
+          let block i = Disk.peek t.volume (first + i) in
+          let n = ((pos + len - 1) / bs) - first + 1 in
+          let s = if n = 1 then block 0 else String.concat "" (List.init n block) in
+          (s, pos - (first * bs))
+  in
+  let reader len =
+    let s, off = slice len in
+    Nsql_util.Codec.reader ~pos:off s
+  in
+  Audit_record.decode (reader (4 + Nsql_util.Codec.r_u32 (reader 4)))
 
 let read_durable t =
   let bs = Config.block_size in

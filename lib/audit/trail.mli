@@ -48,6 +48,13 @@ val request_commit : t -> tx:int -> int64 -> unit
     (the group-commit wait). *)
 val await_durable : t -> int64 -> unit
 
+(** [end_pos t] is the stream position at which the next record starts. *)
+val end_pos : t -> int
+
+(** [read_at t pos] is the record at stream position [pos], durable or
+    staged, read without I/O: how backout reads a transaction's records. *)
+val read_at : t -> int -> Audit_record.t
+
 (** [read_durable t] reads back every durable record from the volume, in
     LSN order — the restart-recovery scan. *)
 val read_durable : t -> Audit_record.t list

@@ -413,7 +413,7 @@ let apply_crashes ctx crashes ~abort =
   List.iter
     (fun (node, volume) -> N.crash_volume ctx.cx_nodes.(node) volume)
     crashes;
-  (* the crash dropped the volume's undo actions; the open transaction can
+  (* the crash dropped the volume's records from the open transaction; it can
      now abort cleanly on the surviving volumes before rollforward *)
   abort ();
   List.iter (fun (node, volume) -> recover_one ctx node volume) crashes
@@ -1202,11 +1202,10 @@ let cl_transfer_2pc_fault ctx env prng ~src ~dst ~a ~b ~delta ~commit
              "2PC resolution mismatch: coordinator decided %s but trail says %s"
              (if commit then "commit" else "abort")
              (if resolved then "commit" else "abort"));
-      (match Tmf.state tmf_dst ~tx:tx_dst with
-      | Some (Tmf.Active | Tmf.Prepared) ->
-          if resolved then ignore (Tmf.commit tmf_dst ~tx:tx_dst)
-          else ignore (Tmf.abort tmf_dst ~tx:tx_dst)
-      | _ -> ());
+      if Tmf.in_flight tmf_dst ~tx:tx_dst then
+        ignore
+          (if resolved then Tmf.commit tmf_dst ~tx:tx_dst
+           else Tmf.abort tmf_dst ~tx:tx_dst);
       if commit then committed ctx view else aborted ctx
 
 let cl_transfer ctx env prng =

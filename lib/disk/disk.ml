@@ -270,6 +270,8 @@ let complete t io =
   Trace.finish t.sim io.io_span;
   blocks
 
+let peek t i = t.data.(i)
+
 let read_bulk t ~first ~count =
   let io = submit_read t ~first ~count in
   complete t io

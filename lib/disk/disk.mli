@@ -42,6 +42,9 @@ val allocate : t -> int -> int
 (** [read t i] synchronously reads block [i]. *)
 val read : t -> int -> string
 
+(** [peek t i] is block [i]'s image, read without I/O. *)
+val peek : t -> int -> string
+
 (** [read_bulk t ~first ~count] synchronously reads [count] consecutive
     blocks as one I/O. [count] must not exceed [max_bulk_blocks]. *)
 val read_bulk : t -> first:int -> count:int -> string array

@@ -102,12 +102,13 @@ type t = {
 
 (* [handler] is defined at the bottom of this file (it needs the whole
    dispatch machinery); [create] wires the endpoint through this cell, and
-   [pump_cell] lets the lock-release hook reach the wait-queue pump the
-   same way. *)
+   [pump_cell] lets the lock-release hook reach the wait-queue pump, and
+   [undo_cell] TMF's backout reach [undo], the same way. *)
 let handler_cell : (t -> string -> string) ref =
   ref (fun _ _ -> assert false)
 
 let pump_cell : (t -> unit) ref = ref (fun _ -> ())
+let undo_cell : (t -> Ar.t -> unit) ref = ref (fun _ _ -> ())
 
 (* --- process-pair checkpointing ---------------------------------------- *)
 
@@ -227,11 +228,13 @@ let create sim msys tmf ~name ~processor ?backup () =
     Msg.set_checkpoint_receiver endpoint (Some (fun payload -> apply_ckpt t payload));
   (* two-phase locking: locks drop at transaction finish, then the wait
      queue is pumped — freed resources may grant parked requests *)
-  Tmf.register_resource_manager tmf ~on_finish:(fun tx ->
+  Tmf.register_resource_manager tmf ~volume:name
+    ~on_finish:(fun tx ->
       let held = Lock.held locks ~tx in
       Lock.release_all locks ~tx;
       if held > 0 then ckpt_emit t [ Ck_release { tx } ];
-      !pump_cell t);
+      !pump_cell t)
+    ~undo:(fun r -> !undo_cell t r);
   Msg.set_handler endpoint (fun payload -> !handler_cell t payload);
   t
 
@@ -251,7 +254,7 @@ let find_file t id =
 
 let ( let* ) = Errors.( let* )
 
-let audit t ~tx body = Trail.append (Tmf.trail t.tmf) ~tx body
+let audit t ~tx body = Tmf.log t.tmf ~volume:t.dp_name ~tx body
 
 let require_tx t tx =
   if tx <= 0 then Errors.fail Errors.No_transaction
@@ -431,81 +434,6 @@ let count f =
 let record_count t ~file =
   match Hashtbl.find_opt t.files file with Some f -> count f | None -> 0
 
-(* --- recovery-capable primitive mutations ------------------------------ *)
-
-(* All mutations funnel through these, so normal operation, undo, and
-   replay behave identically. Each validates that the operation will
-   succeed, then audits, then applies: an audit record must never describe
-   an operation that failed, or recovery would replay it. *)
-
-let do_insert t ~tx f ~key ~record =
-  let* present = lookup f key in
-  if present <> None then Errors.fail (Errors.Duplicate_key key)
-  else if not (fits f ~key ~record) then
-    Errors.fail (Errors.Bad_request "record exceeds maximum size")
-  else begin
-    let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key; image = record }) in
-    match insert f ~key ~record ~lsn with
-    | Ok _ -> Ok lsn
-    | Error e -> Errors.fatal ("Dp.do_insert: audited insert failed: " ^ Errors.to_string e)
-  end
-
-let do_delete t ~tx f ~key =
-  let* present = lookup f key in
-  match present with
-  | None -> Errors.fail (Errors.Not_found_key key)
-  | Some image ->
-      let lsn = audit t ~tx (Ar.Delete { file = f.f_id; key; image }) in
-      let* () = remove f ~key ~lsn in
-      Ok image
-
-let do_update_full t ~tx f ~key ~record =
-  let* present = lookup f key in
-  match present with
-  | None -> Errors.fail (Errors.Not_found_key key)
-  | Some _ when not (fits f ~key ~record) ->
-      Errors.fail (Errors.Bad_request "record exceeds maximum size")
-  | Some before ->
-      let lsn =
-        audit t ~tx (Ar.Update_full { file = f.f_id; key; before; after = record })
-      in
-      let* () = replace f ~key ~record ~lsn in
-      Ok before
-
-(* field-compressed update: audit only the touched fields *)
-let do_update_fields t ~tx f ~key ~before_row ~after_row ~targets schema =
-  let* b = btree_of f in
-  let record = Row.encode schema after_row in
-  if not (Btree.record_fits b ~key ~record) then
-    Errors.fail (Errors.Bad_request "record exceeds maximum size")
-  else begin
-    let fields =
-      List.map (fun i -> (i, before_row.(i), after_row.(i))) targets
-    in
-    let lsn = audit t ~tx (Ar.Update_fields { file = f.f_id; key; fields }) in
-    let* _old = Btree.update b ~key ~record ~lsn in
-    Ok ()
-  end
-
-(* undo closures registered with TMF; they re-audit (compensation) *)
-let register_undo_insert t ~tx f ~key =
-  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-      match do_delete t ~tx f ~key with
-      | Ok _ -> ()
-      | Error e -> Errors.fatal ("Dp undo-insert: " ^ Errors.to_string e))
-
-let register_undo_delete t ~tx f ~key ~image =
-  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-      match do_insert t ~tx f ~key ~record:image with
-      | Ok _ -> ()
-      | Error e -> Errors.fatal ("Dp undo-delete: " ^ Errors.to_string e))
-
-let register_undo_update t ~tx f ~key ~before =
-  Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-      match do_update_full t ~tx f ~key ~record:before with
-      | Ok _ -> ()
-      | Error e -> Errors.fatal ("Dp undo-update: " ^ Errors.to_string e))
-
 (* --- constraint checking ------------------------------------------------- *)
 
 let check_constraint f row =
@@ -519,10 +447,119 @@ let check_constraint f row =
              (Format.asprintf "CHECK %a rejected row %a" Expr.pp check
                 Row.pp_row row))
 
-let validate_sql_row f row =
-  match f.f_schema with
-  | None -> Ok ()
-  | Some schema -> Row.validate schema row
+(* --- recovery-capable primitive mutations ------------------------------ *)
+
+(* All mutations funnel through these, so normal operation, backout, and
+   replay behave identically. Each validates that the operation will
+   succeed, then audits, then applies: an audit record must never describe
+   an operation that failed, or recovery would replay it and backout undo
+   it. Once audited, failing to apply is a broken invariant. *)
+
+let applied what = function
+  | Ok x -> x
+  | Error e -> Errors.fatal ("Dp." ^ what ^ ": " ^ Errors.to_string e)
+
+let do_insert t ~tx f ~key ~record =
+  let* present = lookup f key in
+  if present <> None then Errors.fail (Errors.Duplicate_key key)
+  else if not (fits f ~key ~record) then
+    Errors.fail (Errors.Bad_request "record exceeds maximum size")
+  else begin
+    let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key; image = record }) in
+    ignore (applied "do_insert" (insert f ~key ~record ~lsn) : string);
+    Ok ()
+  end
+
+let do_delete t ~tx f ~key =
+  let* present = lookup f key in
+  match present with
+  | None -> Errors.fail (Errors.Not_found_key key)
+  | Some image ->
+      let lsn = audit t ~tx (Ar.Delete { file = f.f_id; key; image }) in
+      Ok (applied "do_delete" (remove f ~key ~lsn))
+
+(* replace the record [before] at [key], already looked up, by [record] *)
+let replace_image t ~tx f ~key ~before ~record =
+  if not (fits f ~key ~record) then
+    Errors.fail (Errors.Bad_request "record exceeds maximum size")
+  else begin
+    let lsn =
+      audit t ~tx (Ar.Update_full { file = f.f_id; key; before; after = record })
+    in
+    Ok (applied "replace_image" (replace f ~key ~record ~lsn))
+  end
+
+let do_update_full t ~tx f ~key ~record =
+  let* present = lookup f key in
+  match present with
+  | None -> Errors.fail (Errors.Not_found_key key)
+  | Some before -> replace_image t ~tx f ~key ~before ~record
+
+(* field-compressed update of [row], the record at [key]: the assignments'
+   result is checked, and only the touched fields are audited *)
+let do_update_fields t ~tx f ~key schema row assignments =
+  let* b = btree_of f in
+  let after_row = Expr.apply_assignments row assignments in
+  let* () = Row.validate schema after_row in
+  let* () = check_constraint f after_row in
+  let record = Row.encode schema after_row in
+  if not (Btree.record_fits b ~key ~record) then
+    Errors.fail (Errors.Bad_request "record exceeds maximum size")
+  else begin
+    let fields =
+      List.map (fun { Expr.target = i; _ } -> (i, row.(i), after_row.(i))) assignments
+    in
+    let lsn = audit t ~tx (Ar.Update_fields { file = f.f_id; key; fields }) in
+    ignore (applied "do_update_fields" (Btree.update b ~key ~record ~lsn) : string);
+    Ok ()
+  end
+
+(* [key]'s current image, and that image with each of a field-compressed
+   record's [fields] set to the value [pick] chooses: how replay and
+   backout apply one *)
+let with_fields f ~key fields pick =
+  match (f.f_schema, lookup f key) with
+  | Some schema, Ok (Some current) ->
+      let row = Row.decode_exn schema current in
+      List.iter (fun field -> let i, v = pick field in row.(i) <- v) fields;
+      Some (current, Row.encode schema row)
+  | (Some _ | None), _ -> None
+
+(* The backout of one of the transaction's own records, newest first: the
+   inverse of restart replay's [apply], audited as a compensation like any
+   mutation. Two-phase locking still holds every record the transaction
+   changed, so the current row is the record's after-image, and SQL images
+   are canonical ([check_sql_image]): setting an [Update_fields] record's
+   before-values rebuilds the old image byte for byte. An append, audited
+   under the empty key, is still the file's last record, since
+   ENTRY^APPEND holds "EOF" until the transaction ends; it is truncated
+   with the append's own LSN. *)
+let undo t (r : Ar.t) =
+  let tx = r.Ar.tx in
+  let on id = applied "undo" (find_file t id) in
+  applied "undo"
+    (match r.Ar.body with
+    | Ar.Insert { file; key; image } -> (
+        let f = on file in
+        match f.f_structure with
+        | S_entry e -> (
+            match Entryfile.last_addr e ~record:image with
+            | None -> Errors.fail (Errors.Internal "no append to undo")
+            | Some addr ->
+                let key = Keycode.of_int addr in
+                ignore (audit t ~tx (Ar.Delete { file; key; image }));
+                remove f ~key ~lsn:r.Ar.lsn)
+        | S_btree _ | S_rel _ -> do_delete t ~tx f ~key)
+    | Ar.Delete { file; key; image } -> do_insert t ~tx (on file) ~key ~record:image
+    | Ar.Update_full { file; key; before; _ } ->
+        do_update_full t ~tx (on file) ~key ~record:before
+    | Ar.Update_fields { file; key; fields } -> (
+        let f = on file in
+        match with_fields f ~key fields (fun (i, before, _) -> (i, before)) with
+        | Some (before, record) -> replace_image t ~tx f ~key ~before ~record
+        | None -> Errors.fail (Errors.Internal "no row to undo"))
+    | Ar.Begin_tx | Ar.Commit_tx | Ar.Abort_tx | Ar.Prepare_tx _ ->
+        Errors.fail (Errors.Internal "not a data record"))
 
 (* --- point / record operations ------------------------------------------- *)
 
@@ -560,16 +597,18 @@ let op_read_next t ~file ~tx ~from_key ~inclusive ~lock ~sbb =
 
 (* whole-record writes to a SQL file must still satisfy its structure and
    CHECK constraint — the Disk Process enforces them regardless of which
-   interface carried the record *)
+   interface carried the record. The image must also be the one
+   [Row.encode] writes for its row: backout of a field-compressed update
+   and restart replay both rebuild images by re-encoding. *)
 let check_sql_image f record =
   match f.f_schema with
   | None -> Ok ()
   | Some schema -> (
       match Row.decode schema record with
-      | Error _ -> Errors.fail (Errors.Bad_request "malformed record image")
-      | Ok row ->
+      | Ok row when String.equal (Row.encode schema row) record ->
           let* () = Row.validate schema row in
-          check_constraint f row)
+          check_constraint f row
+      | Ok _ | Error _ -> Errors.fail (Errors.Bad_request "malformed record image"))
 
 (* An entry-sequenced file grows only by ENTRY^APPEND and never changes a
    record in place, so no keyed write applies to it. *)
@@ -587,8 +626,7 @@ let op_insert t ~file ~tx ~key ~record =
   let* () = keyed_write f ~what:"WRITE" in
   let* () = check_sql_image f record in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
-  let* _lsn = do_insert t ~tx f ~key ~record in
-  register_undo_insert t ~tx f ~key;
+  let* () = do_insert t ~tx f ~key ~record in
   Ok Rp_ok
 
 let op_update t ~file ~tx ~key ~record =
@@ -597,8 +635,7 @@ let op_update t ~file ~tx ~key ~record =
   let* () = keyed_write f ~what:"REWRITE" in
   let* () = check_sql_image f record in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
-  let* before = do_update_full t ~tx f ~key ~record in
-  register_undo_update t ~tx f ~key ~before;
+  let* () = do_update_full t ~tx f ~key ~record in
   Ok Rp_ok
 
 let op_delete t ~file ~tx ~key =
@@ -606,8 +643,7 @@ let op_delete t ~file ~tx ~key =
   let* f = find_file t file in
   let* () = keyed_write f ~what:"DELETE" in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
-  let* image = do_delete t ~tx f ~key in
-  register_undo_delete t ~tx f ~key ~image;
+  let* () = do_delete t ~tx f ~key in
   Ok Rp_ok
 
 let op_lock_file t ~file ~tx ~lock =
@@ -637,12 +673,7 @@ let op_entry_append t ~file ~tx ~record =
     Errors.fail (Errors.Bad_request "record exceeds block size")
   else begin
     let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key = ""; image = record }) in
-    let* key = insert f ~key:"" ~record ~lsn in
-    Tmf.register_undo t.tmf ~tx ~owner:t.dp_name (fun () ->
-        ignore (audit t ~tx (Ar.Delete { file = f.f_id; key; image = record }));
-        match remove f ~key ~lsn with
-        | Ok () -> ()
-        | Error err -> Errors.fatal ("Dp undo-append: " ^ Errors.to_string err));
+    let key = applied "op_entry_append" (insert f ~key:"" ~record ~lsn) in
     let* addr = number_of key in
     Ok (Rp_slot addr)
   end
@@ -998,25 +1029,13 @@ let run_write_scan t ~tx f scb scb_id ~pred ~action ~after_key =
   let apply_one key v i =
     match action with
     | `Update assignments ->
-        let row = decode_entry schema all_fields v i in
-        let after_row = Expr.apply_assignments row assignments in
         Sim.tick t.sim
           (List.fold_left
              (fun acc a -> acc + (2 * Expr.size a.Expr.source))
              0 assignments);
-        let* () = validate_sql_row f after_row in
-        let* () = check_constraint f after_row in
-        let targets = List.map (fun a -> a.Expr.target) assignments in
-        let* () =
-          do_update_fields t ~tx f ~key ~before_row:row ~after_row ~targets
-            schema
-        in
-        register_undo_update t ~tx f ~key ~before:(Page.view_record v i);
-        Ok ()
-    | `Delete ->
-        let* image = do_delete t ~tx f ~key in
-        register_undo_delete t ~tx f ~key ~image;
-        Ok ()
+        do_update_fields t ~tx f ~key schema (decode_entry schema all_fields v i)
+          assignments
+    | `Delete -> do_delete t ~tx f ~key
   in
   let fl = filter_of schema pred in
   let ticks0 = s.Stats.cpu_ticks in
@@ -1128,8 +1147,7 @@ let op_insert_row t ~file ~tx ~row =
   let key = Row.key_of_row schema row in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
   let record = Row.encode schema row in
-  let* _lsn = do_insert t ~tx f ~key ~record in
-  register_undo_insert t ~tx f ~key;
+  let* () = do_insert t ~tx f ~key ~record in
   Ok Rp_ok
 
 (* Blocked sequential insert (the paper's future enhancement, E11): the
@@ -1156,8 +1174,7 @@ let op_insert_block t ~file ~tx ~rows =
             let* () = check_constraint f row in
             let key = Row.key_of_row schema row in
             let record = Row.encode schema row in
-            let* _lsn = do_insert t ~tx f ~key ~record in
-            register_undo_insert t ~tx f ~key;
+            let* () = do_insert t ~tx f ~key ~record in
             apply (n + 1) rest
       in
       apply 0 rows
@@ -1173,34 +1190,17 @@ let op_apply_block t ~file ~tx ~ops =
   let apply (key, op) =
     match Lock.acquire t.locks ~tx ~file (Lock.Record key) Lock.Exclusive with
     | Lock.Blocked blockers -> Error (`Blocked blockers)
-    | Lock.Granted -> (
-        match op with
-        | Ob_delete -> (
-            match do_delete t ~tx f ~key with
-            | Ok image ->
-                register_undo_delete t ~tx f ~key ~image;
-                Ok ()
-            | Error e -> Error (`Err e))
-        | Ob_update assignments -> (
-            match Btree.lookup b key with
-            | None -> Error (`Err (Errors.Not_found_key key))
-            | Some record -> (
-                let row = Row.decode_exn schema record in
-                let after_row = Expr.apply_assignments row assignments in
-                let checked =
-                  let* () = validate_sql_row f after_row in
-                  let* () = check_constraint f after_row in
-                  let targets =
-                    List.map (fun a -> a.Expr.target) assignments
-                  in
-                  let* () =
-                    do_update_fields t ~tx f ~key ~before_row:row ~after_row
-                      ~targets schema
-                  in
-                  register_undo_update t ~tx f ~key ~before:record;
-                  Ok ()
-                in
-                match checked with Ok () -> Ok () | Error e -> Error (`Err e))))
+    | Lock.Granted ->
+        Result.map_error
+          (fun e -> `Err e)
+          (match op with
+          | Ob_delete -> do_delete t ~tx f ~key
+          | Ob_update assignments -> (
+              match Btree.lookup b key with
+              | None -> Errors.fail (Errors.Not_found_key key)
+              | Some record ->
+                  do_update_fields t ~tx f ~key schema (Row.decode_exn schema record)
+                    assignments))
   in
   let rec go n = function
     | [] -> Ok (Rp_progress { processed = n; last_key = ""; more = false; scb = -1 })
@@ -1613,10 +1613,10 @@ let crash t =
              (Rp_error (Errors.Io_error (t.dp_name ^ ": disk process crashed"))))
       end)
     parked;
-  (* in-flight transactions lose their compensations against this volume:
-     restart recovery treats them as losers here, and the transactions can
-     still abort cleanly on surviving volumes *)
-  Tmf.forget_owner t.tmf ~owner:t.dp_name
+  (* in-flight transactions lose their records on this volume: restart
+     recovery treats them as losers here, and the transactions can still
+     abort cleanly on surviving volumes *)
+  Tmf.volume_lost t.tmf ~volume:t.dp_name
 
 let recover_with_gen t ~resolve =
   (* rebuild every structure empty (the file labels survive on disk), in
@@ -1648,14 +1648,8 @@ let recover_with_gen t ~resolve =
         with_file file (fun f -> put f ~key ~record:after)
     | Ar.Update_fields { file; key; fields } ->
         with_file file (fun f ->
-            match f.f_schema with
-            | Some schema -> (
-                match lookup f key with
-                | Ok (Some record) ->
-                    let row = Row.decode_exn schema record in
-                    List.iter (fun (i, _before, after) -> row.(i) <- after) fields;
-                    put f ~key ~record:(Row.encode schema row)
-                | Ok None | Error _ -> ())
+            match with_fields f ~key fields (fun (i, _, after) -> (i, after)) with
+            | Some (_, record) -> put f ~key ~record
             | None -> ())
     | Ar.Begin_tx | Ar.Commit_tx | Ar.Abort_tx | Ar.Prepare_tx _ -> ()
   in
@@ -1681,3 +1675,4 @@ let check_invariants t =
 
 let () = handler_cell := handler
 let () = pump_cell := pump
+let () = undo_cell := undo

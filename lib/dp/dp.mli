@@ -11,7 +11,7 @@
     - {b lock management}: file / record / generic locks, plus virtual-block
       group locks for VSBB scans;
     - {b transaction support}: every mutation appends a TMF audit record
-      (field-compressed for SQL set updates), registers its logical undo,
+      (field-compressed for SQL set updates), from which abort backs it out,
       and checkpoints to the backup process of the pair.
 
     Requests arrive as {!Dp_msg.request} messages through the message

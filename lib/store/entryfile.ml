@@ -4,17 +4,19 @@ module Cache = Nsql_cache.Cache
 module Disk = Nsql_disk.Disk
 module Errors = Nsql_util.Errors
 
-(* Record framing inside a block: [u16 length+1 | bytes]. A length field of
-   0 means the rest of the block is unused (the appender moved to a fresh
-   block). The address of a record is logical_block * block_size + offset. *)
+(* Record framing inside a block: [u16 length+1 | bytes], up to the
+   block's end offset (the appender moved to a fresh block, or the records
+   after it were truncated). The address of a record is logical_block *
+   block_size + offset. *)
+
+type block = { id : int; mutable fill : int  (** end offset *) }
 
 type t = {
   sim : Sim.t;
   cache : Cache.t;
   block_size : int;
-  mutable blocks : int array;
+  mutable blocks : block array;
   mutable nblocks : int;
-  mutable tail_offset : int;  (** next free byte in the last block *)
   mutable count : int;
 }
 
@@ -25,22 +27,20 @@ let create sim cache =
     block_size = Config.block_size;
     blocks = [||];
     nblocks = 0;
-    tail_offset = 0;
     count = 0;
   }
 
 let record_count t = t.count
 
 let add_block t =
-  let block = Disk.allocate (Cache.disk t.cache) 1 in
+  let id = Disk.allocate (Cache.disk t.cache) 1 in
   if t.nblocks >= Array.length t.blocks then begin
-    let grown = Array.make (max 16 (2 * Array.length t.blocks)) (-1) in
+    let grown = Array.make (max 16 (2 * Array.length t.blocks)) { id; fill = 0 } in
     Array.blit t.blocks 0 grown 0 t.nblocks;
     t.blocks <- grown
   end;
-  t.blocks.(t.nblocks) <- block;
-  t.nblocks <- t.nblocks + 1;
-  t.tail_offset <- 0
+  t.blocks.(t.nblocks) <- { id; fill = 0 };
+  t.nblocks <- t.nblocks + 1
 
 let fits t record = String.length record + 2 <= t.block_size
 
@@ -49,17 +49,18 @@ let append t ~record ~lsn =
   if not (fits t record) then
     Errors.fail (Errors.Bad_request "record exceeds block size")
   else begin
-    if t.nblocks = 0 || t.tail_offset + need > t.block_size then add_block t;
+    if t.nblocks = 0 || t.blocks.(t.nblocks - 1).fill + need > t.block_size then
+      add_block t;
     let logical = t.nblocks - 1 in
     let block = t.blocks.(logical) in
-    let data = Bytes.of_string (Cache.read t.cache block) in
-    let off = t.tail_offset in
+    let data = Bytes.of_string (Cache.read t.cache block.id) in
+    let off = block.fill in
     let len = String.length record + 1 in
     Bytes.set data off (Char.chr (len land 0xff));
     Bytes.set data (off + 1) (Char.chr (len lsr 8));
     Bytes.blit_string record 0 data (off + 2) (String.length record);
-    Cache.write t.cache block (Bytes.to_string data) ~lsn;
-    t.tail_offset <- off + need;
+    Cache.write t.cache block.id (Bytes.to_string data) ~lsn;
+    block.fill <- off + need;
     t.count <- t.count + 1;
     Sim.tick t.sim 8;
     Ok ((logical * t.block_size) + off)
@@ -78,10 +79,9 @@ let record_of data off len = String.sub data (off + 2) (len - 1)
 let walk ?(per_record = false) t ~logical ~off visit =
   let rec block logical off =
     if logical >= t.nblocks then None
-    else scan logical (Cache.read t.cache t.blocks.(logical)) off
+    else scan logical (Cache.read t.cache t.blocks.(logical).id) off
   and scan logical data pos =
-    let limit = if logical = t.nblocks - 1 then t.tail_offset else t.block_size in
-    let len = if pos + 2 > limit then 0 else len_at data pos in
+    let len = if pos + 2 > t.blocks.(logical).fill then 0 else len_at data pos in
     if len = 0 then block (logical + 1) 0
     else
       match visit ((logical * t.block_size) + pos) data pos len with
@@ -106,8 +106,8 @@ let read t ~addr =
 
 let truncate_to t ~addr ~lsn =
   let logical = addr / t.block_size and off = addr mod t.block_size in
-  if logical >= t.nblocks || (logical = t.nblocks - 1 && off >= t.tail_offset)
-  then Errors.fail (Errors.Not_found_key (string_of_int addr))
+  if logical >= t.nblocks || off >= t.blocks.(logical).fill then
+    Errors.fail (Errors.Not_found_key (string_of_int addr))
   else begin
     (* count the records being discarded (charged one cache read each) *)
     let discarded = ref 0 in
@@ -117,15 +117,25 @@ let truncate_to t ~addr ~lsn =
            None));
     (* zero the length marker at [addr]: everything after is unreachable *)
     let block = t.blocks.(logical) in
-    let data = Bytes.of_string (Cache.read t.cache block) in
+    let data = Bytes.of_string (Cache.read t.cache block.id) in
     Bytes.set data off '\x00';
     Bytes.set data (off + 1) '\x00';
-    Cache.write t.cache block (Bytes.to_string data) ~lsn;
+    Cache.write t.cache block.id (Bytes.to_string data) ~lsn;
     t.nblocks <- logical + 1;
-    t.tail_offset <- off;
+    block.fill <- off;
     t.count <- t.count - !discarded;
     Ok ()
   end
+
+let last_addr t ~record =
+  let rec from logical =
+    if logical < 0 then None
+    else
+      let fill = t.blocks.(logical).fill in
+      if fill = 0 then from (logical - 1)
+      else Some ((logical * t.block_size) + fill - String.length record - 2)
+  in
+  from (t.nblocks - 1)
 
 let iter t f =
   ignore

@@ -30,5 +30,9 @@ val next_from : t -> addr:int -> (int * string) option
     within a transaction they can only be compensated back-to-front). *)
 val truncate_to : t -> addr:int -> lsn:int64 -> (unit, Nsql_util.Errors.t) result
 
+(** [last_addr t ~record] is the address of the last record, which must be
+    [record] ([None] if the file is empty), found without I/O. *)
+val last_addr : t -> record:string -> int option
+
 (** [iter t f] applies [f addr record] in insertion order. *)
 val iter : t -> (int -> string -> unit) -> unit

@@ -4,24 +4,29 @@ module Trail = Nsql_audit.Trail
 module Ar = Nsql_audit.Audit_record
 module Errors = Nsql_util.Errors
 
-type tx_state = Active | Prepared | Committed | Aborted
+let ( let* ) = Errors.( let* )
 
-(* Undo actions are tagged with the resource manager (volume) that
-   registered them: when that volume crashes, its actions become
-   meaningless (the volume's state is rebuilt from the audit trail, where
-   an unfinished transaction is a loser) and must be forgotten so the
-   transaction can still abort cleanly on the surviving volumes. *)
-type undo_entry = { u_owner : string option; u_act : unit -> unit }
+type tx_state = Active | Prepared
 
-type tx_entry = { mutable tx_state : tx_state; mutable undo : undo_entry list }
+(* a resource manager: the Disk Process of one volume *)
+type rm = { volume : string; on_finish : int -> unit; undo : Ar.t -> unit }
+
+(* an in-flight transaction: [records] are the volume and trail position of
+   each of its data records, newest first; [lost] is set once a crashed
+   volume took some of them *)
+type tx_entry = {
+  mutable tx_state : tx_state;
+  mutable records : (string * int) list;
+  mutable lost : bool;
+}
 
 type t = {
   sim : Sim.t;
   trail : Trail.t;
   mutable next_tx : int;
   mutable next_file_id : int;
-  table : (int, tx_entry) Hashtbl.t;
-  mutable on_finish : (int -> unit) list;
+  table : (int, tx_entry) Hashtbl.t;  (** in-flight transactions *)
+  mutable rms : rm list;
 }
 
 let create sim trail =
@@ -31,7 +36,7 @@ let create sim trail =
     next_tx = 1;
     next_file_id = 0;
     table = Hashtbl.create 64;
-    on_finish = [];
+    rms = [];
   }
 
 let allocate_file_id t =
@@ -41,44 +46,47 @@ let allocate_file_id t =
 
 let trail t = t.trail
 
-let register_resource_manager t ~on_finish =
-  t.on_finish <- on_finish :: t.on_finish
+let register_resource_manager t ~volume ~on_finish ~undo =
+  t.rms <- { volume; on_finish; undo } :: t.rms
 
 let begin_tx t =
   let tx = t.next_tx in
   t.next_tx <- tx + 1;
-  Hashtbl.replace t.table tx { tx_state = Active; undo = [] };
+  Hashtbl.replace t.table tx { tx_state = Active; records = []; lost = false };
   ignore (Trail.append t.trail ~tx Ar.Begin_tx);
   let s = Sim.stats t.sim in
   s.Stats.tx_begun <- s.Stats.tx_begun + 1;
   Sim.tick t.sim 20;
   tx
 
-let state t ~tx =
-  match Hashtbl.find_opt t.table tx with
-  | Some e -> Some e.tx_state
-  | None -> None
+let in_flight t ~tx = Hashtbl.mem t.table tx
 
 let is_active t ~tx =
-  match state t ~tx with Some Active -> true | Some _ | None -> false
-
-let register_undo t ~tx ?owner undo =
   match Hashtbl.find_opt t.table tx with
-  | Some e when e.tx_state = Active ->
-      e.undo <- { u_owner = owner; u_act = undo } :: e.undo
-  | Some _ | None -> invalid_arg "Tmf.register_undo: transaction not active"
+  | Some { tx_state = Active; _ } -> true
+  | Some { tx_state = Prepared; _ } | None -> false
 
-let forget_owner t ~owner =
+let log t ~volume ~tx body =
+  let pos = Trail.end_pos t.trail in
+  let lsn = Trail.append t.trail ~tx body in
+  (match Hashtbl.find_opt t.table tx with
+  | Some e -> e.records <- (volume, pos) :: e.records
+  | None -> Errors.fatal "Tmf.log: transaction not in flight");
+  lsn
+
+let volume_lost t ~volume =
+  let elsewhere (v, _) = not (String.equal v volume) in
   List.iter
     (fun (_, e) ->
-      match e.tx_state with
-      | Active | Prepared ->
-          e.undo <-
-            List.filter (fun u -> u.u_owner <> Some owner) e.undo
-      | Committed | Aborted -> ())
+      if not (List.for_all elsewhere e.records) then begin
+        e.records <- List.filter elsewhere e.records;
+        e.lost <- true
+      end)
     (Nsql_util.Tbl.sorted_bindings t.table)
 
-let finish t tx = List.iter (fun f -> f tx) t.on_finish
+let finish t tx =
+  Hashtbl.remove t.table tx;
+  List.iter (fun rm -> rm.on_finish tx) t.rms
 
 let prepare t ~tx ~coordinator_node ~coordinator_tx =
   match Hashtbl.find_opt t.table tx with
@@ -93,39 +101,44 @@ let prepare t ~tx ~coordinator_node ~coordinator_tx =
       Ok ()
   | Some _ | None -> Errors.fail Errors.No_transaction
 
-let commit t ~tx =
+(* Back out the transaction's records newest first, each read back from
+   the trail and handed to the manager of its volume (the compensations it
+   logs are dropped with the rest), then write ABORT. *)
+let abort t ~tx =
   match Hashtbl.find_opt t.table tx with
-  | None | Some { tx_state = Committed | Aborted; _ } ->
-      Errors.fail Errors.No_transaction
+  | None -> Errors.fail Errors.No_transaction
   | Some e ->
-      (* a read-only transaction logged no work: no COMMIT record and no
-         group-commit wait are needed (two-phase locks still release) *)
-      if e.undo <> [] || e.tx_state = Prepared then begin
-        let lsn = Trail.append t.trail ~tx Ar.Commit_tx in
-        Trail.request_commit t.trail ~tx lsn;
-        Trail.await_durable t.trail lsn
-      end;
-      e.tx_state <- Committed;
-      e.undo <- [];
+      List.iter
+        (fun (volume, pos) ->
+          (List.find (fun rm -> String.equal rm.volume volume) t.rms).undo
+            (Trail.read_at t.trail pos))
+        e.records;
+      ignore (Trail.append t.trail ~tx Ar.Abort_tx);
       let s = Sim.stats t.sim in
-      s.Stats.tx_committed <- s.Stats.tx_committed + 1;
+      s.Stats.tx_aborted <- s.Stats.tx_aborted + 1;
       finish t tx;
       Sim.tick t.sim 20;
       Ok ()
 
-let abort t ~tx =
+let commit t ~tx =
   match Hashtbl.find_opt t.table tx with
-  | None | Some { tx_state = Committed | Aborted; _ } ->
-      Errors.fail Errors.No_transaction
+  | None -> Errors.fail Errors.No_transaction
+  | Some { tx_state = Active; lost = true; _ } ->
+      (* a COMMIT would make a later restart replay, on the crashed volume,
+         the records that its recovery already dropped *)
+      let* () = abort t ~tx in
+      Errors.fail (Errors.Tx_aborted (Printf.sprintf "tx %d lost a volume" tx))
   | Some e ->
-      (* undo in reverse registration order; actions were pushed, so the
-         list is already newest-first *)
-      List.iter (fun u -> u.u_act ()) e.undo;
-      e.undo <- [];
-      ignore (Trail.append t.trail ~tx Ar.Abort_tx);
-      e.tx_state <- Aborted;
+      (* a read-only transaction holds no data record: no COMMIT record
+         and no group-commit wait are needed (two-phase locks still
+         release) *)
+      if e.records <> [] || e.tx_state = Prepared then begin
+        let lsn = Trail.append t.trail ~tx Ar.Commit_tx in
+        Trail.request_commit t.trail ~tx lsn;
+        Trail.await_durable t.trail lsn
+      end;
       let s = Sim.stats t.sim in
-      s.Stats.tx_aborted <- s.Stats.tx_aborted + 1;
+      s.Stats.tx_committed <- s.Stats.tx_committed + 1;
       finish t tx;
       Sim.tick t.sim 20;
       Ok ()

@@ -2,28 +2,32 @@
 
     Coordinates transactions across the Disk Processes of a node: assigns
     transaction identifiers, writes BEGIN/COMMIT/ABORT audit records to the
-    shared audit trail, performs group-commit waits, and drives undo on
+    shared audit trail, performs group-commit waits, and drives backout on
     abort.
 
-    Resource managers (Disk Processes) register two callbacks:
-    - an {e on-finish} hook, called with the transaction id after commit or
-      abort — this is where two-phase locking releases its locks;
-    - per-operation {e undo actions}, registered as work is done and run in
-      reverse order on abort (logical compensation).
-
-    Restart recovery is in {!Recovery}. *)
+    Each Disk Process registers as the resource manager of its volume with
+    an {e on-finish} hook (where two-phase locking releases its locks) and
+    an {e undo} function, the inverse of restart replay. Every data record
+    a transaction writes goes through {!log}; abort reads those records
+    back from the trail, newest first, and hands each to the manager of
+    the volume holding its file. Restart recovery is in {!Recovery}. *)
 
 type t
-
-type tx_state = Active | Prepared | Committed | Aborted
 
 val create : Nsql_sim.Sim.t -> Nsql_audit.Trail.t -> t
 
 val trail : t -> Nsql_audit.Trail.t
 
-(** [register_resource_manager t ~on_finish] adds a participant whose
-    [on_finish] runs at every transaction completion. *)
-val register_resource_manager : t -> on_finish:(int -> unit) -> unit
+(** [register_resource_manager t ~volume ~on_finish ~undo] adds the
+    manager of [volume]: [on_finish] runs at every transaction completion,
+    and [undo] backs out a data record of one of its files, auditing the
+    compensation. *)
+val register_resource_manager :
+  t ->
+  volume:string ->
+  on_finish:(int -> unit) ->
+  undo:(Nsql_audit.Audit_record.t -> unit) ->
+  unit
 
 (** [begin_tx t] starts a transaction and returns its id. *)
 val begin_tx : t -> int
@@ -33,24 +37,27 @@ val begin_tx : t -> int
     node's Disk Processes. *)
 val allocate_file_id : t -> int
 
-(** [state t ~tx] is the transaction's state, if known. *)
-val state : t -> tx:int -> tx_state option
+(** [in_flight t ~tx] is true from [begin_tx] until [tx] commits or
+    aborts. *)
+val in_flight : t -> tx:int -> bool
 
-(** [is_active t ~tx] is true for in-flight transactions. *)
+(** [is_active t ~tx] is true for an in-flight transaction that is not
+    prepared. *)
 val is_active : t -> tx:int -> bool
 
-(** [register_undo t ~tx ?owner undo] pushes a compensation action.
-    [owner] names the resource manager (volume) whose state the action
-    compensates — see {!forget_owner}. *)
-val register_undo : t -> tx:int -> ?owner:string -> (unit -> unit) -> unit
+(** [log t ~volume ~tx body] appends the data record [body] of the
+    in-flight transaction [tx], a change to a file on [volume], to the
+    trail and returns its LSN. The record is what restart replays and what
+    {!abort} backs out, so it is logged only for a change that is then
+    applied. *)
+val log : t -> volume:string -> tx:int -> Nsql_audit.Audit_record.body -> int64
 
-(** [forget_owner t ~owner] drops, from every in-flight (active or
-    prepared) transaction, the undo actions registered by [owner]. Called
-    when that volume crashes: its volatile state is gone, and restart
+(** [volume_lost t ~volume] drops, from every in-flight transaction, the
+    records logged for [volume]. Called when that volume crashes: restart
     recovery will treat the unfinished transactions as losers there, so
-    running their compensations would double-undo. The transactions can
-    then still abort cleanly on the surviving volumes. *)
-val forget_owner : t -> owner:string -> unit
+    backing the records out would double-undo. The transactions can still
+    abort cleanly on the surviving volumes. *)
+val volume_lost : t -> volume:string -> unit
 
 (** [prepare t ~tx ~coordinator_node ~coordinator_tx] makes the
     transaction a ready branch of a network transaction: its PREPARE
@@ -61,12 +68,14 @@ val prepare :
   (unit, Nsql_util.Errors.t) result
 
 (** [commit t ~tx] writes the COMMIT record, waits for group commit
-    durability, then releases the participants. Also commits a prepared
-    branch when the coordinator's decision arrives. *)
+    durability, then releases the participants; a transaction that logged
+    no data record skips both. Also commits a prepared branch when the
+    coordinator's decision arrives. An active transaction that lost
+    records to {!volume_lost} is aborted instead, answering [Tx_aborted]. *)
 val commit : t -> tx:int -> (unit, Nsql_util.Errors.t) result
 
-(** [abort t ~tx] runs the undo actions in reverse, writes the ABORT
-    record, and releases the participants. *)
+(** [abort t ~tx] backs the transaction's records out, newest first,
+    writes the ABORT record, and releases the participants. *)
 val abort : t -> tx:int -> (unit, Nsql_util.Errors.t) result
 
 (** [run t f] wraps [f] in a transaction: commits on [Ok], aborts on

@@ -200,9 +200,10 @@ let pp_profile ?(cats = profile_cats) ppf (spans : Tracer.span list) =
   let in_order l = List.rev l in
   let rec render depth sp =
     let label = String.make (2 * depth) ' ' ^ sp.sp_name in
-    Format.fprintf ppf "%-44s %10.1f us %a@," label
-      (sp.sp_end -. sp.sp_start)
-      pp_span_counters sp.sp_stats;
+    (* a second blank sets counters off; a span without any ends there *)
+    let counters = Format.asprintf "%a" pp_span_counters sp.sp_stats in
+    Format.fprintf ppf "%-44s %10.1f us%s@," label (sp.sp_end -. sp.sp_start)
+      (if counters = "" then "" else " " ^ counters);
     List.iter (render (depth + 1))
       (in_order (Option.value ~default:[] (Hashtbl.find_opt children sp.sp_id)))
   in

@@ -48,7 +48,7 @@ val list_map : ('a -> ('b, t) result) -> 'a list -> ('b list, t) result
 val get_ok : ctx:string -> ('a, t) result -> 'a
 
 (** Unrecoverable invariant violation in a protocol path: an audited
-    operation failed to apply, an undo action could not compensate, or an
+    operation failed to apply, a backout could not compensate a record, or an
     abort could not complete. Distinct from [Failure] so callers cannot
     confuse a corruption signal with an ordinary error message. *)
 exception Fatal of string

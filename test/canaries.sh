@@ -127,6 +127,13 @@ canary fan-abandon lib/fs/fs.ml redrive \
   's/if scb >= 0 then begin/if false then begin/' \
   "a fan that never closes an abandoned subset"
 
+# Abort backs a transaction out from its own records, newest first: a
+# field updated twice and appends of different lengths come back only in
+# that order.
+canary backout-order lib/tmf/tmf.ml backout \
+  's/\(Trail\.read_at t\.trail pos\)\)(\s*)e\.records;/(Trail.read_at t.trail pos))$1(List.rev e.records);/' \
+  "a backout that walks the records oldest first"
+
 if [ $failures -gt 0 ]; then
   echo "$failures canary row(s) failed"
   exit 1

@@ -125,13 +125,24 @@ let read_back_large () =
   (* spans many blocks and several flushes with partial-block rewrite *)
   let _sim, trail = setup () in
   let n = 500 in
-  for i = 1 to n do
-    let lsn =
-      Trail.append trail ~tx:i
-        (Ar.Insert { file = 0; key = Printf.sprintf "key-%04d" i; image = String.make 50 'v' })
-    in
-    if i mod 37 = 0 then Trail.force trail lsn
-  done;
+  let positions =
+    List.init n (fun i ->
+        let i = i + 1 in
+        let pos = Trail.end_pos trail in
+        let lsn =
+          Trail.append trail ~tx:i
+            (Ar.Insert { file = 0; key = Printf.sprintf "key-%04d" i; image = String.make 50 'v' })
+        in
+        if i mod 37 = 0 then Trail.force trail lsn;
+        pos)
+  in
+  (* each record by its position: flushed ones, some straddling blocks,
+     and the staged tail *)
+  List.iteri
+    (fun i pos ->
+      let r = Trail.read_at trail pos in
+      Alcotest.(check int64) "read at its position" (Int64.of_int (i + 1)) r.Ar.lsn)
+    positions;
   Trail.force trail (Int64.of_int n);
   let read = Trail.read_durable trail in
   Alcotest.(check int) "all read back" n (List.length read);

@@ -32,4 +32,5 @@ let () =
       ("redrive", Test_redrive.suite);
       ("groups", Test_groups.suite);
       ("conformance", Test_conformance.suite);
+      ("backout", Test_backout.suite);
     ]

@@ -221,6 +221,30 @@ let span_bracket () =
         (sp.Tracer.sp_end -. sp.Tracer.sp_start)
   | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
 
+(* a profile line ends with its span's counters, and a span with none
+   (E19's [emit], E22's [group]) ends at its duration, with no trailing
+   blank *)
+let profile_lines () =
+  let sim = Sim.create () in
+  Trace.set_enabled sim true;
+  let op name ~msgs us =
+    Trace.span sim ~cat:"op" ~attrs:(fun () -> []) name (fun _ ->
+        let s = Sim.stats sim in
+        s.Stats.msgs_sent <- s.Stats.msgs_sent + msgs;
+        Sim.charge sim ~cat:Moncore.C_other us)
+  in
+  op "emit" ~msgs:0 2.5;
+  op "scan" ~msgs:2 1.;
+  let text =
+    Format.asprintf "%a" (fun ppf l -> Trace.pp_profile ppf l) (Trace.take sim)
+  in
+  Alcotest.(check (list string)) "one line per span"
+    [
+      "emit                                                2.5 us";
+      "scan                                                1.0 us  msgs=2";
+    ]
+    (List.filter (fun l -> l <> "") (String.split_on_char '\n' text))
+
 let suite =
   [
     Alcotest.test_case "tracing is observation-free" `Quick zero_perturbation;
@@ -232,4 +256,6 @@ let suite =
     Alcotest.test_case "Stats.pp renders every field" `Quick stats_pp_complete;
     Alcotest.test_case "the span bracket finishes on every exit" `Quick
       span_bracket;
+    Alcotest.test_case "a profile line ends at its last counter" `Quick
+      profile_lines;
   ]
