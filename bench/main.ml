@@ -636,7 +636,8 @@ let e7_group_commit =
            (Nsql_audit.Audit_record.Insert
               { file = 0; key = "k"; image = update_image }));
       let lsn = Trail.append trail ~tx Nsql_audit.Audit_record.Commit_tx in
-      Trail.request_commit trail ~tx lsn;
+      (* open arrivals: another commit is always on its way *)
+      Trail.request_commit trail ~tx ~alone:false lsn;
       let requested_at = Sim.now sim in
       completions := (lsn, requested_at, ref None) :: !completions;
       note_durable ()
@@ -1225,9 +1226,13 @@ let e19_profile_attribution =
   assert (List.length legs = parts);
   assert (leg_msgs = delta.Stats.msgs_sent);
   assert (over_legs (fun d -> d.Stats.records_read) = rows);
-  (* access-mode ratios, measured from the trace's message spans *)
+  (* access-mode ratios, measured from the trace's FS-DP message spans
+     (the msg spans also hold each DP's checkpoints to its backup) *)
   let msg_count mode =
-    List.length (Trace.msg_spans (snd (scan_traced mode)))
+    List.length
+      (List.filter
+         (fun sp -> sp.Tracer.sp_name <> "checkpoint")
+         (Trace.msg_spans (snd (scan_traced mode))))
   in
   let m_rec = msg_count Fs.A_record in
   let m_rsbb = msg_count Fs.A_rsbb in

@@ -191,22 +191,25 @@ let arm_timer t =
     let due = Sim.now t.sim +. t.timer_us in
     t.timer_due <- due;
     Sim.schedule t.sim ~at:due (fun () ->
-        (* the timer may have been logically disarmed by an earlier flush *)
-        if t.timer_armed && t.pending <> [] then flush t Flush_timer)
+        (* a flush since may have disarmed this timer, and a later commit
+           armed another: the event acts only for its own arm *)
+        if t.timer_armed && Float.equal t.timer_due due && t.pending <> [] then
+          flush t Flush_timer)
   end
 
-let request_commit t ~tx lsn =
+let request_commit t ~tx ~alone lsn =
   adapt_timer t;
   if Int64.compare lsn t.durable_lsn > 0 then begin
     t.pending <- (tx, lsn) :: t.pending;
-    arm_timer t
+    (* no other transaction could join the group: waiting buys nothing *)
+    if alone then flush t Flush_force else arm_timer t
   end
 
 let await_durable t lsn =
   let guard = ref 0 in
   while Int64.compare t.durable_lsn lsn < 0 do
     incr guard;
-    if !guard > 1000 then failwith "Trail.await_durable: stuck";
+    if !guard > 1000 then Nsql_util.Errors.fatal "Trail.await_durable: stuck";
     if t.timer_armed then begin
       (* group-commit: idle until the timer pops *)
       Sim.wait_until t.sim ~cat:Nsql_sim.Moncore.C_await t.timer_due;

@@ -40,9 +40,12 @@ val durable_lsn : t -> int64
     (write-ahead-log servicing for the cache manager). *)
 val force : t -> int64 -> unit
 
-(** [request_commit t ~tx lsn] registers a commit waiting on [lsn] and arms
-    the group-commit timer if no flush is otherwise scheduled. *)
-val request_commit : t -> tx:int -> int64 -> unit
+(** [request_commit t ~tx ~alone lsn] registers a commit waiting on [lsn]
+    and feeds its arrival to the timer's adaptation. [alone] says that no
+    other transaction is in flight, so none could join the commit's group:
+    the trail then flushes at once. Otherwise it arms the group-commit
+    timer if no timer is armed. *)
+val request_commit : t -> tx:int -> alone:bool -> int64 -> unit
 
 (** [await_durable t lsn] advances simulated time until [lsn] is durable
     (the group-commit wait). *)

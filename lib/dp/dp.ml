@@ -533,7 +533,9 @@ let with_fields f ~key fields pick =
    before-values rebuilds the old image byte for byte. An append, audited
    under the empty key, is still the file's last record, since
    ENTRY^APPEND holds "EOF" until the transaction ends; it is truncated
-   with the append's own LSN. *)
+   under its compensation's LSN, as [do_delete] removes a record, so the
+   WAL rule keeps the truncated block off disk until the compensation is
+   durable. *)
 let undo t (r : Ar.t) =
   let tx = r.Ar.tx in
   let on id = applied "undo" (find_file t id) in
@@ -547,8 +549,8 @@ let undo t (r : Ar.t) =
             | None -> Errors.fail (Errors.Internal "no append to undo")
             | Some addr ->
                 let key = Keycode.of_int addr in
-                ignore (audit t ~tx (Ar.Delete { file; key; image }));
-                remove f ~key ~lsn:r.Ar.lsn)
+                let lsn = audit t ~tx (Ar.Delete { file; key; image }) in
+                remove f ~key ~lsn)
         | S_btree _ | S_rel _ -> do_delete t ~tx f ~key)
     | Ar.Delete { file; key; image } -> do_insert t ~tx (on file) ~key ~record:image
     | Ar.Update_full { file; key; before; _ } ->

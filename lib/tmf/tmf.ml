@@ -88,19 +88,6 @@ let finish t tx =
   Hashtbl.remove t.table tx;
   List.iter (fun rm -> rm.on_finish tx) t.rms
 
-let prepare t ~tx ~coordinator_node ~coordinator_tx =
-  match Hashtbl.find_opt t.table tx with
-  | Some ({ tx_state = Active; _ } as e) ->
-      let lsn =
-        Trail.append t.trail ~tx (Ar.Prepare_tx { coordinator_node; coordinator_tx })
-      in
-      (* a branch must be durable-ready before it answers the coordinator *)
-      Trail.force t.trail lsn;
-      e.tx_state <- Prepared;
-      Sim.tick t.sim 20;
-      Ok ()
-  | Some _ | None -> Errors.fail Errors.No_transaction
-
 (* Back out the transaction's records newest first, each read back from
    the trail and handed to the manager of its volume (the compensations it
    logs are dropped with the rest), then write ABORT. *)
@@ -120,21 +107,38 @@ let abort t ~tx =
       Sim.tick t.sim 20;
       Ok ()
 
+(* a COMMIT or PREPARE would make a later restart replay, on the crashed
+   volume, the records that its recovery already dropped *)
+let abort_lost t ~tx =
+  let* () = abort t ~tx in
+  Errors.fail (Errors.Tx_aborted (Printf.sprintf "tx %d lost a volume" tx))
+
+let prepare t ~tx ~coordinator_node ~coordinator_tx =
+  match Hashtbl.find_opt t.table tx with
+  | Some { tx_state = Active; lost = true; _ } -> abort_lost t ~tx
+  | Some ({ tx_state = Active; _ } as e) ->
+      let lsn =
+        Trail.append t.trail ~tx (Ar.Prepare_tx { coordinator_node; coordinator_tx })
+      in
+      (* a branch must be durable-ready before it answers the coordinator *)
+      Trail.force t.trail lsn;
+      e.tx_state <- Prepared;
+      Sim.tick t.sim 20;
+      Ok ()
+  | Some _ | None -> Errors.fail Errors.No_transaction
+
 let commit t ~tx =
   match Hashtbl.find_opt t.table tx with
   | None -> Errors.fail Errors.No_transaction
-  | Some { tx_state = Active; lost = true; _ } ->
-      (* a COMMIT would make a later restart replay, on the crashed volume,
-         the records that its recovery already dropped *)
-      let* () = abort t ~tx in
-      Errors.fail (Errors.Tx_aborted (Printf.sprintf "tx %d lost a volume" tx))
+  | Some { tx_state = Active; lost = true; _ } -> abort_lost t ~tx
   | Some e ->
       (* a read-only transaction holds no data record: no COMMIT record
          and no group-commit wait are needed (two-phase locks still
          release) *)
       if e.records <> [] || e.tx_state = Prepared then begin
         let lsn = Trail.append t.trail ~tx Ar.Commit_tx in
-        Trail.request_commit t.trail ~tx lsn;
+        (* the table holds only in-flight transactions, this one included *)
+        Trail.request_commit t.trail ~tx ~alone:(Hashtbl.length t.table = 1) lsn;
         Trail.await_durable t.trail lsn
       end;
       let s = Sim.stats t.sim in

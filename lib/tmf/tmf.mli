@@ -62,14 +62,18 @@ val volume_lost : t -> volume:string -> unit
 (** [prepare t ~tx ~coordinator_node ~coordinator_tx] makes the
     transaction a ready branch of a network transaction: its PREPARE
     record is forced to the trail and its locks are retained until the
-    coordinator's decision arrives. No further work is accepted. *)
+    coordinator's decision arrives. No further work is accepted. A branch
+    that lost records to {!volume_lost} is aborted instead, answering
+    [Tx_aborted], as {!commit} does. *)
 val prepare :
   t -> tx:int -> coordinator_node:int -> coordinator_tx:int ->
   (unit, Nsql_util.Errors.t) result
 
 (** [commit t ~tx] writes the COMMIT record, waits for group commit
     durability, then releases the participants; a transaction that logged
-    no data record skips both. Also commits a prepared branch when the
+    no data record skips both. A commit with no other transaction in
+    flight flushes the trail at once: no group could form, so the timer
+    would only add its wait. Also commits a prepared branch when the
     coordinator's decision arrives. An active transaction that lost
     records to {!volume_lost} is aborted instead, answering [Tx_aborted]. *)
 val commit : t -> tx:int -> (unit, Nsql_util.Errors.t) result

@@ -134,6 +134,19 @@ canary backout-order lib/tmf/tmf.ml backout \
   's/\(Trail\.read_at t\.trail pos\)\)(\s*)e\.records;/(Trail.read_at t.trail pos))$1(List.rev e.records);/' \
   "a backout that walks the records oldest first"
 
+# A commit with no other transaction in flight flushes the trail at once
+# (audit 10 times a lone commit against a pinned 50 ms timer).
+canary lone-commit lib/tmf/tmf.ml "audit 10" \
+  's/~alone:\(Hashtbl\.length t\.table = 1\)/~alone:false/' \
+  "a lone commit that waits out the group-commit timer"
+
+# A timer event acts only for its own arm: a flush leaves the disarmed
+# timer's event in the heap (audit 9 arms a second timer before the first
+# one's due time).
+canary stale-timer lib/audit/trail.ml "audit 9" \
+  's/ && Float\.equal t\.timer_due due//' \
+  "a stale timer event that flushes a later group early"
+
 if [ $failures -gt 0 ]; then
   echo "$failures canary row(s) failed"
   exit 1

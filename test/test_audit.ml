@@ -1,5 +1,6 @@
-(* Tests of audit records (incl. field compression) and the audit trail
-   (group commit, timers, WAL force, read-back). *)
+(* Tests of audit records (incl. field compression), the audit trail
+   (group commit, timers, WAL force, read-back) and TMF's choice between
+   a group-commit wait and an immediate flush. *)
 
 module Sim = Nsql_sim.Sim
 module Moncore = Nsql_sim.Moncore
@@ -9,6 +10,7 @@ module Disk = Nsql_disk.Disk
 module Row = Nsql_row.Row
 module Ar = Nsql_audit.Audit_record
 module Trail = Nsql_audit.Trail
+module Tmf = Nsql_tmf.Tmf
 
 let setup ?config () =
   let sim = Sim.create ?config () in
@@ -172,7 +174,7 @@ let group_commit_batches () =
       (fun tx ->
         ignore (Trail.append trail ~tx Ar.Begin_tx);
         let lsn = Trail.append trail ~tx Ar.Commit_tx in
-        Trail.request_commit trail ~tx lsn;
+        Trail.request_commit trail ~tx ~alone:false lsn;
         lsn)
       [ 1; 2; 3; 4; 5 ]
   in
@@ -188,12 +190,65 @@ let group_commit_waits_timer () =
   ignore (Trail.append trail ~tx:1 Ar.Begin_tx);
   let lsn = Trail.append trail ~tx:1 Ar.Commit_tx in
   let t0 = Sim.now sim in
-  Trail.request_commit trail ~tx:1 lsn;
+  Trail.request_commit trail ~tx:1 ~alone:false lsn;
   Trail.await_durable trail lsn;
   let waited = Sim.now sim -. t0 in
   Alcotest.(check bool)
     (Printf.sprintf "wait %.0fus >= timer" waited)
     true (waited >= 10_000.)
+
+(* A flush disarms the timer but leaves its event in the heap. A group
+   armed after the flush waits for its own timer: the old event, firing
+   first, must not flush it early. *)
+let stale_timer_event () =
+  let sim, trail = setup () in
+  let timer = 100_000. in
+  Trail.set_timer_us trail timer;
+  let commit tx =
+    let lsn = Trail.append trail ~tx Ar.Commit_tx in
+    Trail.request_commit trail ~tx ~alone:false lsn;
+    lsn
+  in
+  let a = commit 1 in
+  let a_due = Sim.now sim +. timer in
+  Trail.force trail a;
+  let b = commit 2 in
+  let b_due = Sim.now sim +. timer in
+  Alcotest.(check bool) "B's timer is armed before A's is due" true
+    (b_due -. timer < a_due);
+  Sim.charge sim ~cat:Moncore.C_other (a_due +. 1. -. Sim.now sim);
+  Alcotest.(check bool) "B's timer is not due" true (Sim.now sim < b_due);
+  Alcotest.(check bool) "B is not flushed by A's timer" true
+    (Int64.compare (Trail.durable_lsn trail) b < 0);
+  Trail.await_durable trail b;
+  Alcotest.(check bool) "B waits for its own timer" true (Sim.now sim >= b_due);
+  Alcotest.(check int) "one timer flush" 1 (Sim.stats sim).Stats.audit_flush_timer
+
+(* With no other transaction in flight no group can form: the commit
+   flushes the trail at once. Beside an open transaction it waits out the
+   timer for the group to fill. *)
+let lone_commit_flushes () =
+  let sim, trail = setup () in
+  let tmf = Tmf.create sim trail in
+  Trail.set_timer_us trail 50_000.;
+  let s = Sim.stats sim in
+  let commit tx =
+    ignore (Tmf.log tmf ~volume:"$DATA" ~tx (Ar.Insert { file = 0; key = "k"; image = "i" }));
+    let t0 = Sim.now sim in
+    Nsql_util.Errors.get_ok ~ctx:"commit" (Tmf.commit tmf ~tx);
+    Sim.now sim -. t0
+  in
+  let lone = commit (Tmf.begin_tx tmf) in
+  Alcotest.(check bool) (Printf.sprintf "lone commit took %.0fus" lone) true
+    (lone < 50_000.);
+  Alcotest.(check int) "no timer flush" 0 s.Stats.audit_flush_timer;
+  let tx = Tmf.begin_tx tmf in
+  let other = Tmf.begin_tx tmf in
+  let grouped = commit tx in
+  Alcotest.(check bool) (Printf.sprintf "grouped commit took %.0fus" grouped) true
+    (grouped >= 50_000.);
+  Alcotest.(check int) "one timer flush" 1 s.Stats.audit_flush_timer;
+  Nsql_util.Errors.get_ok ~ctx:"abort" (Tmf.abort tmf ~tx:other)
 
 let adaptive_timer_tracks_rate () =
   let sim, trail = setup () in
@@ -201,14 +256,14 @@ let adaptive_timer_tracks_rate () =
   for tx = 1 to 50 do
     Sim.charge sim ~cat:Moncore.C_other 100.;
     let lsn = Trail.append trail ~tx Ar.Commit_tx in
-    Trail.request_commit trail ~tx lsn
+    Trail.request_commit trail ~tx ~alone:false lsn
   done;
   let fast_timer = Trail.current_timer_us trail in
   (* slow commits: timer should grow *)
   for tx = 51 to 70 do
     Sim.charge sim ~cat:Moncore.C_other 40_000.;
     let lsn = Trail.append trail ~tx Ar.Commit_tx in
-    Trail.request_commit trail ~tx lsn
+    Trail.request_commit trail ~tx ~alone:false lsn
   done;
   let slow_timer = Trail.current_timer_us trail in
   Alcotest.(check bool)
@@ -229,4 +284,7 @@ let suite =
     Alcotest.test_case "commit waits for timer" `Quick group_commit_waits_timer;
     Alcotest.test_case "adaptive timer tracks rate" `Quick
       adaptive_timer_tracks_rate;
+    Alcotest.test_case "a stale timer event leaves a later group" `Quick
+      stale_timer_event;
+    Alcotest.test_case "a lone commit flushes at once" `Quick lone_commit_flushes;
   ]

@@ -1,8 +1,9 @@
 (* Backout: abort undoes a transaction from its own audit records, newest
    first, on whichever volume still holds them. Field-compressed updates
    come back byte for byte, appends are truncated from the end of an
-   entry-sequenced file, a crashed volume's records are skipped, and a
-   transaction that lost a volume cannot commit. *)
+   entry-sequenced file under their compensation's LSN, a crashed
+   volume's records are skipped, and a transaction that lost a volume
+   can neither commit nor prepare. *)
 
 open Harness
 module Dp_msg = Nsql_dp.Dp_msg
@@ -147,6 +148,27 @@ let entry_abort_across_blocks () =
     [ record 'a'; record 'b'; "h"; String.make 3000 'i' ] (entries n file);
   Alcotest.(check int) "record count" 4 (record_count n file)
 
+(* the truncation that backs an append out is stamped with its
+   compensation's LSN: cleaning the truncated block forces the trail
+   through the compensation, though the append itself is durable *)
+let entry_truncation_forces_compensation () =
+  let n = node () in
+  let file =
+    get_ok ~ctx:"create"
+      (Fs.create_enscribe_file n.fs ~fname:"HIST" ~kind:Dp_msg.K_entry_sequenced
+         ~partitions:[ Fs.{ ps_lo = ""; ps_dp = n.dps.(0) } ])
+  in
+  let tx = Tmf.begin_tx n.tmf in
+  append_all n file ~tx [ "appended" ];
+  Trail.force n.trail (Int64.pred (Trail.next_lsn n.trail));
+  let compensation = Trail.next_lsn n.trail in
+  get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
+  Alcotest.(check bool) "the compensation is staged, not durable" true
+    (Int64.compare (Trail.durable_lsn n.trail) compensation < 0);
+  Nsql_cache.Cache.flush_all (Dp.cache n.dps.(0));
+  Alcotest.(check bool) "cleaning the block forced the compensation" true
+    (Int64.compare (Trail.durable_lsn n.trail) compensation >= 0)
+
 (* --- a crashed volume's records are skipped ----------------------------- *)
 
 (* accounts below 1000 live on $DATA1, the rest on $DATA2 *)
@@ -189,17 +211,18 @@ let abort_after_volume_crash () =
     | Row.Vfloat f -> f
     | _ -> nan)
 
-(* committing would write COMMIT for records the recovered volume already
-   dropped, and a second restart would replay them there *)
-let lost_volume_cannot_commit () =
+(* committing, or preparing to, would write COMMIT or PREPARE for records
+   the recovered volume already dropped, and a second restart would replay
+   them there *)
+let lost_volume_cannot_finish finish () =
   let n, file = two_volumes () in
   let tx = Tmf.begin_tx n.tmf in
   get_ok ~ctx:"insert 10" (Fs.insert_row n.fs file ~tx (account 10 1. "lost"));
   get_ok ~ctx:"insert 1010" (Fs.insert_row n.fs file ~tx (account 1010 1. "survivor"));
   crash_and_recover n 0;
-  (match Tmf.commit n.tmf ~tx with
+  (match finish n.tmf ~tx with
   | Error (Errors.Tx_aborted _) -> ()
-  | Ok () -> Alcotest.fail "a transaction that lost a volume committed"
+  | Ok () -> Alcotest.fail "a transaction that lost a volume went on"
   | Error e -> Alcotest.fail (Errors.to_string e));
   Alcotest.(check bool) "no longer active" false (Tmf.is_active n.tmf ~tx);
   Alcotest.(check bool) "survivor backed out" true (absent n file (acct_key 1010));
@@ -307,9 +330,14 @@ let suite =
     QCheck_alcotest.to_alcotest update_fields_backout;
     Alcotest.test_case "entry appends across a block boundary abort" `Quick
       entry_abort_across_blocks;
+    Alcotest.test_case "an append's truncation carries its compensation's LSN"
+      `Quick entry_truncation_forces_compensation;
     Alcotest.test_case "abort after a volume crash" `Quick abort_after_volume_crash;
     Alcotest.test_case "a transaction that lost a volume cannot commit" `Quick
-      lost_volume_cannot_commit;
+      (lost_volume_cannot_finish Tmf.commit);
+    Alcotest.test_case "a branch that lost a volume cannot prepare" `Quick
+      (lost_volume_cannot_finish (fun tmf ~tx ->
+           Tmf.prepare tmf ~tx ~coordinator_node:1 ~coordinator_tx:1));
     Alcotest.test_case "records logged during an audit flush back out" `Quick
       log_during_flush;
     Alcotest.test_case "SQL files accept only canonical images" `Quick
