@@ -637,7 +637,7 @@ let e7_group_commit =
               { file = 0; key = "k"; image = update_image }));
       let lsn = Trail.append trail ~tx Nsql_audit.Audit_record.Commit_tx in
       (* open arrivals: another commit is always on its way *)
-      Trail.request_commit trail ~tx ~alone:false lsn;
+      Trail.request_commit trail ~can_grow:true lsn;
       let requested_at = Sim.now sim in
       completions := (lsn, requested_at, ref None) :: !completions;
       note_durable ()

@@ -17,7 +17,8 @@ type t = {
   mutable appended : int;  (** byte offset of the staged trail's end *)
   mutable flushing : (int * string) list;
       (** offset and bytes of each flush whose write is under way *)
-  mutable pending : (int * int64) list;  (** (tx, commit lsn) awaiting flush *)
+  mutable pending : (int64 * (unit -> unit)) list;
+      (** commit lsn awaiting flush, and what runs once it is durable *)
   mutable timer_armed : bool;
   mutable timer_due : float;
   mutable timer_us : float;
@@ -132,14 +133,16 @@ let flush t reason =
            now durable: one I/O, a group of commits *)
         let committed, still_waiting =
           List.partition
-            (fun (_, lsn) -> Int64.compare lsn t.durable_lsn <= 0)
+            (fun (lsn, _) -> Int64.compare lsn t.durable_lsn <= 0)
             t.pending
         in
         s.Stats.group_commit_txs <-
           s.Stats.group_commit_txs + List.length committed;
         t.pending <- still_waiting;
         if t.pending = [] then t.timer_armed <- false;
-        Trace.add_attr sp "group_commits" (Trace.Int (List.length committed)))
+        Trace.add_attr sp "group_commits" (Trace.Int (List.length committed));
+        (* oldest commit first *)
+        List.iter (fun (_, on_durable) -> on_durable ()) (List.rev committed))
 
 let append t ~tx body =
   let lsn = t.next_lsn in
@@ -185,25 +188,28 @@ let adapt_timer t =
         (Float.max min_timer_us (target_batch *. t.ewma_interval_us))
   end
 
-let arm_timer t =
-  if not t.timer_armed then begin
-    t.timer_armed <- true;
-    let due = Sim.now t.sim +. t.timer_us in
-    t.timer_due <- due;
-    Sim.schedule t.sim ~at:due (fun () ->
-        (* a flush since may have disarmed this timer, and a later commit
-           armed another: the event acts only for its own arm *)
-        if t.timer_armed && Float.equal t.timer_due due && t.pending <> [] then
-          flush t Flush_timer)
-  end
+let arm t ~due reason =
+  t.timer_armed <- true;
+  t.timer_due <- due;
+  Sim.schedule t.sim ~at:due (fun () ->
+      (* a flush since may have disarmed this timer, and a later commit or
+         a closed group armed another: the event acts only for its own arm *)
+      if t.timer_armed && Float.equal t.timer_due due && t.pending <> [] then
+        flush t reason)
 
-let request_commit t ~tx ~alone lsn =
+let request_commit t ~can_grow ?(on_durable = ignore) lsn =
   adapt_timer t;
   if Int64.compare lsn t.durable_lsn > 0 then begin
-    t.pending <- (tx, lsn) :: t.pending;
-    (* no other transaction could join the group: waiting buys nothing *)
-    if alone then flush t Flush_force else arm_timer t
+    t.pending <- (lsn, on_durable) :: t.pending;
+    (* no transaction that could still join the group: waiting buys nothing *)
+    if not can_grow then flush t Flush_force
+    else if not t.timer_armed then
+      arm t ~due:(Sim.now t.sim +. t.timer_us) Flush_timer
   end
+  else on_durable ()
+
+let close_group t =
+  if t.pending <> [] then arm t ~due:(Sim.now t.sim) Flush_force
 
 let await_durable t lsn =
   let guard = ref 0 in

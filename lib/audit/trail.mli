@@ -40,12 +40,21 @@ val durable_lsn : t -> int64
     (write-ahead-log servicing for the cache manager). *)
 val force : t -> int64 -> unit
 
-(** [request_commit t ~tx ~alone lsn] registers a commit waiting on [lsn]
-    and feeds its arrival to the timer's adaptation. [alone] says that no
-    other transaction is in flight, so none could join the commit's group:
-    the trail then flushes at once. Otherwise it arms the group-commit
-    timer if no timer is armed. *)
-val request_commit : t -> tx:int -> alone:bool -> int64 -> unit
+(** [request_commit t ~can_grow ?on_durable lsn] registers a commit
+    waiting on [lsn], feeds its arrival to the timer's adaptation, and
+    runs [on_durable] at the flush that makes [lsn] durable (at once if it
+    already is). [can_grow] says whether some in-flight transaction could
+    still bring its commit to this group. If none could, the trail
+    flushes at once; otherwise it arms the group-commit timer if no timer
+    is armed. *)
+val request_commit :
+  t -> can_grow:bool -> ?on_durable:(unit -> unit) -> int64 -> unit
+
+(** [close_group t] says that no transaction can join the pending group
+    any more: if commits are pending, the trail flushes them at the
+    current simulated time, through an event that re-arms the timer (the
+    earlier arm's event then does nothing). *)
+val close_group : t -> unit
 
 (** [await_durable t lsn] advances simulated time until [lsn] is durable
     (the group-commit wait). *)

@@ -1377,9 +1377,19 @@ let emit_wait_end t w ~outcome =
         ]
       "lock_wait_end"
 
+(* Every waiter that joins or leaves the queue goes through these two,
+   which keep the parked gauge and TMF's count of running transactions. *)
+let parked t w =
+  Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked 1;
+  Tmf.park t.tmf ~tx:w.w_tx
+
+let unparked t w =
+  Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked (-1);
+  Tmf.unpark t.tmf ~tx:w.w_tx
+
 let remove_waiter t w =
   t.waiters <- List.filter (fun w' -> w' != w) t.waiters;
-  Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked (-1);
+  unparked t w;
   Lock.Waitgraph.clear_waiting t.waitgraph ~tx:w.w_tx;
   ckpt_emit t [ Ck_unpark { tx = w.w_tx } ]
 
@@ -1447,7 +1457,7 @@ let park t req ~tx ~blockers ~payload =
         }
       in
       t.waiters <- t.waiters @ [ w ];
-      Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked 1;
+      parked t w;
       ckpt_emit t [ Ck_park { tx; payload } ];
       let s = Sim.stats t.sim in
       s.Stats.lock_waits <- s.Stats.lock_waits + 1;
@@ -1558,12 +1568,14 @@ let takeover t =
       (* waiter records survive by reference: the withheld deferrals and
          the already-scheduled wait-budget timeouts stay valid, so FIFO
          order and remaining budgets carry across the takeover *)
-      let old_parked = List.length t.waiters in
+      List.iter (unparked t) t.waiters;
       t.waiters <-
         List.filter (fun w -> not (Msg.resolved w.w_deferral)) rp.rp_parked;
-      Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked
-        (List.length t.waiters - old_parked);
-      List.iter (fun _ -> incr items) t.waiters;
+      List.iter
+        (fun w ->
+          parked t w;
+          incr items)
+        t.waiters;
       (* the new primary has no backup: stop consuming checkpoints *)
       Msg.set_checkpoint_receiver t.endpoint None;
       t.replica <- None;
@@ -1602,10 +1614,9 @@ let crash t =
   (* parked requests lose their server: flush each with an I/O error so no
      requester is left holding a completion that can never resolve *)
   Lock.Waitgraph.clear t.waitgraph;
-  let parked = t.waiters in
+  let waiting = t.waiters in
   t.waiters <- [];
-  Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_parked
-    (-List.length parked);
+  List.iter (unparked t) waiting;
   List.iter
     (fun w ->
       if not (Msg.resolved w.w_deferral) then begin
@@ -1614,7 +1625,7 @@ let crash t =
           (encode_reply
              (Rp_error (Errors.Io_error (t.dp_name ^ ": disk process crashed"))))
       end)
-    parked;
+    waiting;
   (* in-flight transactions lose their records on this volume: restart
      recovery treats them as losers here, and the transactions can still
      abort cleanly on surviving volumes *)

@@ -28,12 +28,13 @@ type fault_filter =
   from:processor -> to_name:string -> tag:string -> fault_action
 
 (* A deferred reply: the server parked the request (e.g. on a lock wait
-   queue) and will deliver the reply later via [resolve]. [d_arrived_at] is
-   the virtual time the request reached the server — resolution can never
+   queue) and will deliver the reply later via [resolve]. [d_route] is the
+   requester and the server, whose reply hop [resolve] charges; [None] for
+   a local completion, which no message carries. [d_arrived_at] is the
+   virtual time the request reached the server — resolution can never
    complete before it. *)
 type deferral = {
-  d_from : processor;
-  d_endpoint : endpoint;
+  d_route : (processor * endpoint) option;
   d_arrived_at : float;
   mutable d_state : [ `Waiting | `Resolved of string * float ];
 }
@@ -169,8 +170,7 @@ let defer t =
       | None ->
           let d =
             {
-              d_from = ctx.cc_from;
-              d_endpoint = ctx.cc_endpoint;
+              d_route = Some (ctx.cc_from, ctx.cc_endpoint);
               d_arrived_at = Sim.now t.sim;
               d_state = `Waiting;
             }
@@ -182,15 +182,19 @@ let resolve t d reply =
   match d.d_state with
   | `Resolved _ -> invalid_arg "Msg.resolve: deferral already resolved"
   | `Waiting ->
-      let stats = Sim.stats t.sim in
-      stats.Stats.msg_reply_bytes <-
-        stats.Stats.msg_reply_bytes + String.length reply;
-      (* measure the reply hop without advancing the resolver's clock: the
-         hop belongs to the parked requester's timeline *)
-      let (), hop =
-        Sim.capture t.sim (fun () ->
-            charge_hop t ~from:d.d_endpoint.processor ~to_:d.d_from
-              (String.length reply))
+      let hop =
+        match d.d_route with
+        | None -> 0.
+        | Some (from, e) ->
+            let stats = Sim.stats t.sim in
+            stats.Stats.msg_reply_bytes <-
+              stats.Stats.msg_reply_bytes + String.length reply;
+            (* measure the reply hop without advancing the resolver's
+               clock: the hop belongs to the parked requester's timeline *)
+            snd
+              (Sim.capture t.sim (fun () ->
+                   charge_hop t ~from:e.processor ~to_:from
+                     (String.length reply)))
       in
       let done_at = max (Sim.now t.sim) d.d_arrived_at +. hop in
       d.d_state <- `Resolved (reply, done_at)
@@ -204,9 +208,12 @@ let pump_until_resolved t d =
   if Sim.in_capture t.sim then
     Errors.fatal
       "Msg: blocking wait on a deferred reply under a clock capture";
-  (* the requester is parked on a server-side lock queue: its wall time
-     here is lock wait, whatever events happen to fire meanwhile *)
-  let cat = Moncore.C_lockwait in
+  (* a requester parked on a server-side lock queue: its wall time here is
+     lock wait, whatever events happen to fire meanwhile; a local
+     completion's wait is await *)
+  let cat =
+    match d.d_route with None -> Moncore.C_await | Some _ -> Moncore.C_lockwait
+  in
   let rec loop () =
     match d.d_state with
     | `Resolved (reply, done_at) ->
@@ -252,6 +259,11 @@ let send_nowait t ~from ~tag e request =
   match r with
   | R_ready reply -> C_ready { c_reply = reply; c_done_at = Sim.now t.sim +. elapsed }
   | R_deferred d -> C_pending d
+
+let local t =
+  Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_outstanding 1;
+  let d = { d_route = None; d_arrived_at = Sim.now t.sim; d_state = `Waiting } in
+  (d, C_pending d)
 
 let await t c =
   Moncore.gauge_add (Sim.moncore t.sim) Moncore.G_outstanding (-1);

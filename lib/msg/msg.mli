@@ -97,8 +97,9 @@ val defer : system -> deferral
 
 (** [resolve sys d reply] delivers the withheld reply: charges the reply
     bytes and hop, and stamps the completion time (never earlier than the
-    request's arrival at the server). The resolver's own clock does not
-    advance. Resolving twice raises [Invalid_argument]. *)
+    request's arrival at the server); a {!local} deferral charges neither.
+    The resolver's own clock does not advance. Resolving twice raises
+    [Invalid_argument]. *)
 val resolve : system -> deferral -> string -> unit
 
 (** [resolved d] is true once {!resolve} has delivered the reply. *)
@@ -128,6 +129,14 @@ type completion
     completion is pending: its time is fixed when the server resolves it. *)
 val send_nowait :
   system -> from:processor -> tag:string -> endpoint -> string -> completion
+
+(** [local sys] is a pending completion that no message carries, and the
+    deferral that resolves it: TMF's nowait commit, whose completion the
+    audit flush that makes the COMMIT durable resolves. {!resolve} then
+    stamps the resolver's current time and charges no hop, message or
+    byte. It counts as outstanding until awaited, as a {!send_nowait}
+    does. *)
+val local : system -> deferral * completion
 
 (** [await sys c] advances the clock to the completion time (a no-op if
     already past) and returns the reply payload. Idempotent. A pending

@@ -2,8 +2,8 @@
 
     Coordinates transactions across the Disk Processes of a node: assigns
     transaction identifiers, writes BEGIN/COMMIT/ABORT audit records to the
-    shared audit trail, performs group-commit waits, and drives backout on
-    abort.
+    shared audit trail, decides when a group commit can stop waiting, and
+    drives backout on abort.
 
     Each Disk Process registers as the resource manager of its volume with
     an {e on-finish} hook (where two-phase locking releases its locks) and
@@ -69,14 +69,43 @@ val prepare :
   t -> tx:int -> coordinator_node:int -> coordinator_tx:int ->
   (unit, Nsql_util.Errors.t) result
 
-(** [commit t ~tx] writes the COMMIT record, waits for group commit
-    durability, then releases the participants; a transaction that logged
-    no data record skips both. A commit with no other transaction in
-    flight flushes the trail at once: no group could form, so the timer
-    would only add its wait. Also commits a prepared branch when the
-    coordinator's decision arrives. An active transaction that lost
-    records to {!volume_lost} is aborted instead, answering [Tx_aborted]. *)
+(** [request_commit ?on_durable t ~tx] is the first half of a commit:
+    it writes the COMMIT record and registers it with the trail, and
+    [on_durable] runs at the flush that makes it durable. The answer is
+    the COMMIT's LSN, or [None] for a transaction that logged no data
+    record, which writes no COMMIT and waits for no flush.
+
+    A transaction is {e running} while it is in flight, has not requested
+    its commit, and has no request parked on a lock queue: only a running
+    transaction can still bring its commit to the pending group. So if no
+    other transaction runs when the COMMIT arrives, the trail flushes at
+    once, and whenever the last running transaction stops (it parks, or
+    aborts) while commits are pending, the trail flushes them at that
+    moment ({!Nsql_audit.Trail.close_group}). Also commits a
+    prepared branch when the coordinator's decision arrives. An active
+    transaction that lost records to {!volume_lost} is aborted instead,
+    answering [Tx_aborted]. *)
+val request_commit :
+  ?on_durable:(unit -> unit) ->
+  t ->
+  tx:int ->
+  (int64 option, Nsql_util.Errors.t) result
+
+(** [finish_commit t ~tx] is the second half: it counts the commit and
+    releases the participants. Called once the COMMIT is durable. *)
+val finish_commit : t -> tx:int -> unit
+
+(** [commit t ~tx] is {!request_commit}, then the wait for the COMMIT to
+    become durable, then {!finish_commit}: the blocking form. *)
 val commit : t -> tx:int -> (unit, Nsql_util.Errors.t) result
+
+(** [park t ~tx] and [unpark t ~tx] report that a request of [tx] joined
+    or left a Disk Process lock queue (granted, denied, timed out, chosen
+    as deadlock victim or flushed by a crash). Every park is matched by
+    one unpark; a transaction that has finished is ignored. *)
+val park : t -> tx:int -> unit
+
+val unpark : t -> tx:int -> unit
 
 (** [abort t ~tx] backs the transaction's records out, newest first,
     writes the ABORT record, and releases the participants. *)

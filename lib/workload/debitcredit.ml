@@ -369,11 +369,17 @@ type transfer_report = {
   x_failed : int;
 }
 
-(* a terminal is an explicit state machine: at most one Disk Process
-   interaction outstanding, advanced by the driver loop when its reply
-   arrives — possibly long after it was sent, if the request sat on a
-   lock wait queue *)
-type phase = P_read_src | P_write_src | P_read_dst | P_write_dst | P_append
+(* a terminal is an explicit state machine: at most one completion
+   outstanding, advanced by the driver loop when it arrives — possibly long
+   after it was issued, if the request sat on a lock wait queue or the
+   commit waited for its group's flush *)
+type phase =
+  | P_read_src
+  | P_write_src
+  | P_read_dst
+  | P_write_dst
+  | P_append
+  | P_commit
 
 type terminal = {
   t_id : int;
@@ -459,13 +465,10 @@ let run_transfers ?(max_retries = 25) ?(backoff_us = 300.) ?on_commit db
     t.t_attempt <- 0;
     t.t_ready_at <- Sim.now sim
   in
-  (* the session-side half of victim abort: release our locks (waking the
-     competitors we deadlocked with), then back off for a bounded,
-     terminal-staggered time before retrying the same parameters *)
-  let abort_terminal t e =
-    (match Tmf.abort tmf ~tx:t.t_tx with
-    | Ok () -> ()
-    | Error e' -> Errors.fatal ("transfer abort: " ^ Errors.to_string e'));
+  (* after a failed attempt whose transaction has ended: back off for a
+     bounded, terminal-staggered time before retrying the same parameters,
+     or give the parameter set up *)
+  let settle t e =
     t.t_tx <- 0;
     let retryable =
       match e with
@@ -488,46 +491,72 @@ let run_transfers ?(max_retries = 25) ?(backoff_us = 300.) ?on_commit db
         +. (float_of_int t.t_id *. backoff_us /. 4.)
     end
   in
-  let commit_terminal t =
-    match Tmf.commit tmf ~tx:t.t_tx with
-    | Ok () ->
-        t.t_tx <- 0;
-        incr committed;
-        observe_transfer t;
-        (match on_commit with
-        | Some f -> f ~src:t.t_src ~dst:t.t_dst ~delta:t.t_delta
-        | None -> ());
-        t.t_done <- t.t_done + 1;
-        t.t_seq <- t.t_seq + 1;
-        t.t_attempt <- 0;
-        t.t_ready_at <- Sim.now sim
-    | Error e -> abort_terminal t e
+  (* the session-side half of victim abort: release our locks (waking the
+     competitors we deadlocked with), then settle *)
+  let abort_terminal t e =
+    (match Tmf.abort tmf ~tx:t.t_tx with
+    | Ok () -> ()
+    | Error e' -> Errors.fatal ("transfer abort: " ^ Errors.to_string e'));
+    settle t e
+  in
+  let committed_terminal t =
+    t.t_tx <- 0;
+    incr committed;
+    observe_transfer t;
+    (match on_commit with
+    | Some f -> f ~src:t.t_src ~dst:t.t_dst ~delta:t.t_delta
+    | None -> ());
+    t.t_done <- t.t_done + 1;
+    t.t_seq <- t.t_seq + 1;
+    t.t_attempt <- 0;
+    t.t_ready_at <- Sim.now sim
+  in
+  (* the nowait commit: COMMIT is written and registered with the trail
+     under a clock capture (a flush it starts at once is the audit
+     volume's work, not this terminal's), and the completion, which no
+     message carries, is resolved by the flush that makes it durable. The
+     terminal keeps its locks until the driver awaits it. *)
+  let ok_reply = Dp_msg.encode_reply Dp_msg.Rp_ok in
+  let commit_nowait t =
+    let d, c = Msg.local msys in
+    let reply payload () = Msg.resolve msys d payload in
+    (match
+       fst
+         (Sim.capture sim (fun () ->
+              Tmf.request_commit tmf ~tx:t.t_tx ~on_durable:(reply ok_reply)))
+     with
+    | Ok (Some _) -> ()
+    | Ok None -> reply ok_reply ()
+    | Error e -> reply (Dp_msg.encode_reply (Dp_msg.Rp_error e)) ());
+    t.t_phase <- P_commit;
+    t.t_pending <- Some c
   in
   let advance t reply =
-    match (reply : Dp_msg.reply) with
-    | Dp_msg.Rp_error e -> abort_terminal t e
-    | reply -> (
-        match (t.t_phase, reply) with
-        | P_read_src, Dp_msg.Rp_record { record; _ } ->
-            t.t_phase <- P_write_src;
-            t.t_pending <-
-              Some (write_account t t.t_src (bump record (-.t.t_delta)))
-        | P_write_src, Dp_msg.Rp_ok ->
-            t.t_phase <- P_read_dst;
-            t.t_pending <- Some (read_account t t.t_dst)
-        | P_read_dst, Dp_msg.Rp_record { record; _ } ->
-            t.t_phase <- P_write_dst;
-            t.t_pending <- Some (write_account t t.t_dst (bump record t.t_delta))
-        | P_write_dst, Dp_msg.Rp_ok ->
-            t.t_phase <- P_append;
-            t.t_pending <-
-              Some
-                (send_dp db.c_hdp
-                   (Dp_msg.R_entry_append
-                      { file = db.c_hfile; tx = t.t_tx;
-                        record = history_record t }))
-        | P_append, Dp_msg.Rp_slot _ -> commit_terminal t
-        | _ -> Errors.fatal "transfer driver: reply does not match phase")
+    match (t.t_phase, (reply : Dp_msg.reply)) with
+    (* a failed commit request has already ended its transaction *)
+    | P_commit, Dp_msg.Rp_error e -> settle t e
+    | _, Dp_msg.Rp_error e -> abort_terminal t e
+    | P_read_src, Dp_msg.Rp_record { record; _ } ->
+        t.t_phase <- P_write_src;
+        t.t_pending <- Some (write_account t t.t_src (bump record (-.t.t_delta)))
+    | P_write_src, Dp_msg.Rp_ok ->
+        t.t_phase <- P_read_dst;
+        t.t_pending <- Some (read_account t t.t_dst)
+    | P_read_dst, Dp_msg.Rp_record { record; _ } ->
+        t.t_phase <- P_write_dst;
+        t.t_pending <- Some (write_account t t.t_dst (bump record t.t_delta))
+    | P_write_dst, Dp_msg.Rp_ok ->
+        t.t_phase <- P_append;
+        t.t_pending <-
+          Some
+            (send_dp db.c_hdp
+               (Dp_msg.R_entry_append
+                  { file = db.c_hfile; tx = t.t_tx; record = history_record t }))
+    | P_append, Dp_msg.Rp_slot _ -> commit_nowait t
+    | P_commit, Dp_msg.Rp_ok ->
+        Tmf.finish_commit tmf ~tx:t.t_tx;
+        committed_terminal t
+    | _ -> Errors.fatal "transfer driver: reply does not match phase"
   in
   let terms =
     Array.init terminals (fun i ->

@@ -134,11 +134,24 @@ canary backout-order lib/tmf/tmf.ml backout \
   's/\(Trail\.read_at t\.trail pos\)\)(\s*)e\.records;/(Trail.read_at t.trail pos))$1(List.rev e.records);/' \
   "a backout that walks the records oldest first"
 
-# A commit with no other transaction in flight flushes the trail at once
-# (audit 10 times a lone commit against a pinned 50 ms timer).
-canary lone-commit lib/tmf/tmf.ml "audit 10" \
-  's/~alone:\(Hashtbl\.length t\.table = 1\)/~alone:false/' \
-  "a lone commit that waits out the group-commit timer"
+# A commit with no other transaction running flushes the trail at once
+# (audit 10 times a lone commit against a pinned 50 ms timer; audit 11
+# closes a group of two with the second commit).
+canary lone-commit lib/tmf/tmf.ml "audit 10,audit 11" \
+  's/~can_grow:\(t\.running > 0\)/~can_grow:true/' \
+  "a commit that waits out the timer with no transaction left to join it"
+
+# A parked transaction cannot join a group: dp 21 parks the one other
+# running transaction and expects the flush at the park, not the timer.
+canary stalled-group lib/tmf/tmf.ml "dp 21" \
+  's/(let (?:un)?park t ~tx =\n)/$1  if false then\n/g' \
+  "a running count that ignores parks"
+
+# The transfer terminals commit nowait, so the other terminals run on
+# while a commit waits for its group (workload 8 counts timer flushes).
+canary inline-commit lib/workload/debitcredit.ml "workload 8" \
+  's/\| P_append, Dp_msg\.Rp_slot _ -> commit_nowait t/| P_append, Dp_msg.Rp_slot _ -> (\n        ignore commit_nowait;\n        match Tmf.commit tmf ~tx:t.t_tx with\n        | Ok () -> committed_terminal t\n        | Error e -> settle t e)/' \
+  "a driver that blocks in the blocking commit"
 
 # A timer event acts only for its own arm: a flush leaves the disarmed
 # timer's event in the heap (audit 9 arms a second timer before the first

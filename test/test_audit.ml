@@ -174,7 +174,7 @@ let group_commit_batches () =
       (fun tx ->
         ignore (Trail.append trail ~tx Ar.Begin_tx);
         let lsn = Trail.append trail ~tx Ar.Commit_tx in
-        Trail.request_commit trail ~tx ~alone:false lsn;
+        Trail.request_commit trail ~can_grow:true lsn;
         lsn)
       [ 1; 2; 3; 4; 5 ]
   in
@@ -190,7 +190,7 @@ let group_commit_waits_timer () =
   ignore (Trail.append trail ~tx:1 Ar.Begin_tx);
   let lsn = Trail.append trail ~tx:1 Ar.Commit_tx in
   let t0 = Sim.now sim in
-  Trail.request_commit trail ~tx:1 ~alone:false lsn;
+  Trail.request_commit trail ~can_grow:true lsn;
   Trail.await_durable trail lsn;
   let waited = Sim.now sim -. t0 in
   Alcotest.(check bool)
@@ -206,7 +206,7 @@ let stale_timer_event () =
   Trail.set_timer_us trail timer;
   let commit tx =
     let lsn = Trail.append trail ~tx Ar.Commit_tx in
-    Trail.request_commit trail ~tx ~alone:false lsn;
+    Trail.request_commit trail ~can_grow:true lsn;
     lsn
   in
   let a = commit 1 in
@@ -250,20 +250,50 @@ let lone_commit_flushes () =
   Alcotest.(check int) "one timer flush" 1 s.Stats.audit_flush_timer;
   Nsql_util.Errors.get_ok ~ctx:"abort" (Tmf.abort tmf ~tx:other)
 
+(* Two commits share one flush through TMF: A's nowait commit arms the
+   timer while B runs; B's commit leaves no transaction running, so one
+   flush commits both before the timer is due. *)
+let commits_share_a_flush () =
+  let sim, trail = setup () in
+  let tmf = Tmf.create sim trail in
+  Trail.set_timer_us trail 50_000.;
+  let s = Sim.stats sim in
+  let write tx =
+    ignore (Tmf.log tmf ~volume:"$DATA" ~tx (Ar.Insert { file = 0; key = "k"; image = "i" }))
+  in
+  let a = Tmf.begin_tx tmf and b = Tmf.begin_tx tmf in
+  write a;
+  write b;
+  let flushes = s.Stats.audit_flushes and txs = s.Stats.group_commit_txs in
+  let timers = s.Stats.audit_flush_timer in
+  let t0 = Sim.now sim in
+  let a_durable = ref false in
+  ignore
+    (Nsql_util.Errors.get_ok ~ctx:"A requests its commit"
+       (Tmf.request_commit tmf ~tx:a ~on_durable:(fun () -> a_durable := true)));
+  Alcotest.(check bool) "A waits while B runs" false !a_durable;
+  Nsql_util.Errors.get_ok ~ctx:"commit B" (Tmf.commit tmf ~tx:b);
+  Alcotest.(check bool) "A is durable" true !a_durable;
+  Alcotest.(check bool) "before the timer is due" true (Sim.now sim -. t0 < 50_000.);
+  Alcotest.(check int) "two commits in the group" 2 (s.Stats.group_commit_txs - txs);
+  Alcotest.(check int) "one flush" 1 (s.Stats.audit_flushes - flushes);
+  Alcotest.(check int) "no timer flush" 0 (s.Stats.audit_flush_timer - timers);
+  Tmf.finish_commit tmf ~tx:a
+
 let adaptive_timer_tracks_rate () =
   let sim, trail = setup () in
   (* rapid commits: timer should shrink towards the clamp *)
   for tx = 1 to 50 do
     Sim.charge sim ~cat:Moncore.C_other 100.;
     let lsn = Trail.append trail ~tx Ar.Commit_tx in
-    Trail.request_commit trail ~tx ~alone:false lsn
+    Trail.request_commit trail ~can_grow:true lsn
   done;
   let fast_timer = Trail.current_timer_us trail in
   (* slow commits: timer should grow *)
   for tx = 51 to 70 do
     Sim.charge sim ~cat:Moncore.C_other 40_000.;
     let lsn = Trail.append trail ~tx Ar.Commit_tx in
-    Trail.request_commit trail ~tx ~alone:false lsn
+    Trail.request_commit trail ~can_grow:true lsn
   done;
   let slow_timer = Trail.current_timer_us trail in
   Alcotest.(check bool)
@@ -287,4 +317,5 @@ let suite =
     Alcotest.test_case "a stale timer event leaves a later group" `Quick
       stale_timer_event;
     Alcotest.test_case "a lone commit flushes at once" `Quick lone_commit_flushes;
+    Alcotest.test_case "two commits share one flush" `Quick commits_share_a_flush;
   ]

@@ -629,6 +629,78 @@ let crash_flushes_wait_queue () =
   | Dp_msg.Rp_error e -> Alcotest.fail (Errors.to_string e)
   | _ -> Alcotest.fail "flushed READ should report an I/O error")
 
+(* A commit's flush waits only while some transaction can still join its
+   group. Here B, the one other running transaction, parks on a lock that
+   A holds until A's commit is durable: from that moment no commit can
+   join, so the trail flushes at the park instead of at the 50 ms timer. *)
+let park_closes_the_group () =
+  let n, file = wait_node () in
+  Trail.set_timer_us n.trail 50_000.;
+  let s = Sim.stats n.sim in
+  let a = Tmf.begin_tx n.tmf in
+  get_ok ~ctx:"A updates"
+    (Fs.update n.fs file ~tx:a ~key:(acct_key 1)
+       ~record:(Row.encode account_schema (account 1 5. "a")));
+  let b = Tmf.begin_tx n.tmf in
+  let flushes = s.Stats.audit_flushes and timers = s.Stats.audit_flush_timer in
+  let t0 = Sim.now n.sim in
+  let durable_at = ref None in
+  ignore
+    (get_ok ~ctx:"A requests its commit"
+       (Tmf.request_commit n.tmf ~tx:a ~on_durable:(fun () ->
+            durable_at := Some (Sim.now n.sim))));
+  Alcotest.(check bool) "A waits while B runs" true (!durable_at = None);
+  let c = nowait_read n ~tx:b ~acct:1 ~lock:Dp_msg.L_exclusive in
+  while !durable_at = None do
+    match Sim.next_event n.sim with
+    | Some due -> Sim.wait_until n.sim ~cat:Nsql_sim.Moncore.C_other due
+    | None -> Alcotest.fail "nothing left to flush A's commit"
+  done;
+  let waited = Option.get !durable_at -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "flushed after %.0fus" waited) true
+    (waited < 50_000.);
+  Alcotest.(check int) "one flush" 1 (s.Stats.audit_flushes - flushes);
+  Alcotest.(check int) "no timer flush" 0 (s.Stats.audit_flush_timer - timers);
+  Tmf.finish_commit n.tmf ~tx:a;
+  (match reply_of n c with
+  | Dp_msg.Rp_record _ -> ()
+  | Dp_msg.Rp_error e -> Alcotest.fail (Errors.to_string e)
+  | _ -> Alcotest.fail "unexpected reply to B's READ");
+  get_ok ~ctx:"commit B" (Tmf.commit n.tmf ~tx:b)
+
+(* A crash unparks through the same path as a grant: the transaction
+   whose parked request the crash denied runs again, so a later commit
+   beside it waits for its group to fill instead of flushing at once. *)
+let crash_unpark_runs_again () =
+  let n, file = wait_node () in
+  Trail.set_timer_us n.trail 50_000.;
+  let s = Sim.stats n.sim in
+  let holder = Tmf.begin_tx n.tmf in
+  ignore
+    (get_ok ~ctx:"holder locks acct 1"
+       (Fs.read n.fs file ~tx:holder ~key:(acct_key 1) ~lock:Dp_msg.L_exclusive));
+  let parked = Tmf.begin_tx n.tmf in
+  let c = nowait_read n ~tx:parked ~acct:1 ~lock:Dp_msg.L_exclusive in
+  Alcotest.(check bool) "request parked" true (Msg.done_at c = None);
+  Dp.crash n.dps.(0);
+  (match reply_of n c with
+  | Dp_msg.Rp_error (Errors.Io_error _) -> ()
+  | _ -> Alcotest.fail "the crash should deny the parked READ");
+  get_ok ~ctx:"abort holder" (Tmf.abort n.tmf ~tx:holder);
+  (* a commit on another volume, beside the denied transaction *)
+  let tx = Tmf.begin_tx n.tmf in
+  ignore
+    (Tmf.log n.tmf ~volume:"$ELSEWHERE" ~tx
+       (Ar.Insert { file = 0; key = "k"; image = "i" }));
+  let timers = s.Stats.audit_flush_timer in
+  let t0 = Sim.now n.sim in
+  get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
+  let waited = Sim.now n.sim -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "commit waited %.0fus" waited) true
+    (waited >= 50_000.);
+  Alcotest.(check int) "a timer flush" 1 (s.Stats.audit_flush_timer - timers);
+  get_ok ~ctx:"abort the denied transaction" (Tmf.abort n.tmf ~tx:parked)
+
 let suite =
   suite
   @ [
@@ -639,6 +711,10 @@ let suite =
         deadlock_aborts_youngest;
       Alcotest.test_case "crash flushes wait queue" `Quick
         crash_flushes_wait_queue;
+      Alcotest.test_case "a park closes the commit group" `Quick
+        park_closes_the_group;
+      Alcotest.test_case "a crash's denial runs the transaction again" `Quick
+        crash_unpark_runs_again;
     ]
 
 (* --- a blocked point request applies nothing ------------------------- *)

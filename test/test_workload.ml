@@ -181,6 +181,23 @@ let transfer_single_terminal () =
   let sum = get_ok ~ctx:"sum" (Debitcredit.transfer_balance_sum db) in
   Alcotest.(check (float 1e-6)) "conservation" 4000. sum
 
+(* nowait commits: a commit waits only while another terminal can still
+   bring its commit to the group, so no flush waits out the timer *)
+let transfer_commits_wait_no_timer () =
+  let config =
+    Nsql_sim.Config.v ~dp_lock_wait:true ~lock_wait_timeout_us:150_000. ()
+  in
+  let node = N.create_node ~config ~volumes:2 () in
+  let db = get_ok ~ctx:"setup" (Debitcredit.setup_transfer node ~accounts:4) in
+  let s = Nsql_sim.Sim.stats (N.sim node) in
+  let timers = s.Nsql_sim.Stats.audit_flush_timer in
+  let rep = Debitcredit.run_transfers db ~terminals:4 ~txs_per_terminal:25 () in
+  Alcotest.(check int) "all committed" 100 rep.Debitcredit.x_committed;
+  Alcotest.(check int) "no failures" 0 rep.Debitcredit.x_failed;
+  Alcotest.(check int) "no timer flush" 0 (s.Nsql_sim.Stats.audit_flush_timer - timers);
+  let sum = get_ok ~ctx:"sum" (Debitcredit.transfer_balance_sum db) in
+  Alcotest.(check (float 1e-6)) "conservation" 4000. sum
+
 let suite =
   [
     Alcotest.test_case "wisconsin loads correctly" `Quick wisconsin_loads;
@@ -195,4 +212,6 @@ let suite =
       lock_wait_free_when_uncontended;
     Alcotest.test_case "transfer driver, single terminal" `Quick
       transfer_single_terminal;
+    Alcotest.test_case "transfer commits wait out no timer" `Quick
+      transfer_commits_wait_no_timer;
   ]
