@@ -33,6 +33,16 @@ let pp_body ppf = function
         (String.concat ";"
            (List.map (fun (n, _, _) -> string_of_int n) fields))
 
+let invert = function
+  | Insert { file; key; image } -> Delete { file; key; image }
+  | Delete { file; key; image } -> Insert { file; key; image }
+  | Update_full { file; key; before; after } ->
+      Update_full { file; key; before = after; after = before }
+  | Update_fields { file; key; fields } ->
+      let fields = List.map (fun (n, before, after) -> (n, after, before)) fields in
+      Update_fields { file; key; fields }
+  | (Begin_tx | Commit_tx | Abort_tx | Prepare_tx _) as control -> control
+
 let body_tag = function
   | Begin_tx -> 0
   | Commit_tx -> 1

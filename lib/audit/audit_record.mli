@@ -31,6 +31,11 @@ type t = { lsn : int64; tx : int; body : body }
 
 val pp_body : Format.formatter -> body -> unit
 
+(** [invert b] is the data record that undoes [b], as many bytes long:
+    [Insert] and [Delete] swap, an update swaps its before- and after-values
+    (each field's, for [Update_fields]); a control record stays as it is. *)
+val invert : body -> body
+
 (** [encode r] frames the record (length prefix included) for the trail. *)
 val encode : t -> string
 

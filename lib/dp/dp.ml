@@ -100,16 +100,6 @@ type t = {
   mutable replica : replica option;
 }
 
-(* [handler] is defined at the bottom of this file (it needs the whole
-   dispatch machinery); [create] wires the endpoint through this cell, and
-   [pump_cell] lets the lock-release hook reach the wait-queue pump, and
-   [undo_cell] TMF's backout reach [undo], the same way. *)
-let handler_cell : (t -> string -> string) ref =
-  ref (fun _ _ -> assert false)
-
-let pump_cell : (t -> unit) ref = ref (fun _ -> ())
-let undo_cell : (t -> Ar.t -> unit) ref = ref (fun _ _ -> ())
-
 (* --- process-pair checkpointing ---------------------------------------- *)
 
 (* Checkpoint traffic flows whenever a backup exists. *)
@@ -184,60 +174,6 @@ let apply_ckpt t payload =
                     List.filter (fun w -> w.w_tx <> tx) rp.rp_parked)
             items)
 
-let create sim msys tmf ~name ~processor ?backup () =
-  let volume = Disk.create sim ~name in
-  let trail = Tmf.trail tmf in
-  let cfg = Sim.config sim in
-  let cache =
-    Cache.create sim volume ~capacity:cfg.Config.cache_blocks
-      ~durable_lsn:(fun () -> Trail.durable_lsn trail)
-      ~force_log:(fun lsn -> Trail.force trail lsn)
-  in
-  let locks = Lock.create sim in
-  let endpoint =
-    Msg.register msys ~name ~processor ?backup (fun _ -> assert false)
-  in
-  let t =
-    {
-      sim;
-      msys;
-      tmf;
-      dp_name = name;
-      endpoint;
-      volume;
-      cache;
-      locks;
-      files = Hashtbl.create 16;
-      by_name = Hashtbl.create 16;
-      scbs = Hashtbl.create 16;
-      next_scb = 0;
-      waiters = [];
-      waitgraph = Lock.Waitgraph.create ();
-      ckpt_pending = [];
-      replica =
-        (if backup <> None then
-           Some { rp_scbs = Hashtbl.create 16; rp_locks = []; rp_parked = [] }
-         else None);
-    }
-  in
-  (* mirror lock grants into the checkpoint stream *)
-  Lock.set_grant_hook locks
-    (Some (fun ~tx ~file res mode -> ckpt_push t (Ck_lock { tx; file; res; mode })));
-  (* the backup half consumes the checkpoint stream *)
-  if t.replica <> None then
-    Msg.set_checkpoint_receiver endpoint (Some (fun payload -> apply_ckpt t payload));
-  (* two-phase locking: locks drop at transaction finish, then the wait
-     queue is pumped — freed resources may grant parked requests *)
-  Tmf.register_resource_manager tmf ~volume:name
-    ~on_finish:(fun tx ->
-      let held = Lock.held locks ~tx in
-      Lock.release_all locks ~tx;
-      if held > 0 then ckpt_emit t [ Ck_release { tx } ];
-      !pump_cell t)
-    ~undo:(fun r -> !undo_cell t r);
-  Msg.set_handler endpoint (fun payload -> !handler_cell t payload);
-  t
-
 let name t = t.dp_name
 let endpoint t = t.endpoint
 let volume t = t.volume
@@ -253,8 +189,6 @@ let find_file t id =
 (* --- small helpers ----------------------------------------------------- *)
 
 let ( let* ) = Errors.( let* )
-
-let audit t ~tx body = Tmf.log t.tmf ~volume:t.dp_name ~tx body
 
 let require_tx t tx =
   if tx <= 0 then Errors.fail Errors.No_transaction
@@ -301,9 +235,9 @@ let try_lock ?last_key t ~tx ~file resource mode k =
    its primary key, a relative record by [Keycode.of_int slot] and an entry
    by [Keycode.of_int addr] — the keys the DP locks, audits and replies
    with. Each primitive below is the only [match f.f_structure] for its
-   operation; the record requests, their undo and restart recovery all go
-   through them. An entry-sequenced file grows only at EOF (ENTRY^APPEND,
-   audited under the empty key) and loses a record only to the undo of
+   operation, and every change to a record goes through them from
+   [apply_record]. An entry-sequenced file grows only at EOF (ENTRY^APPEND,
+   audited under the empty key) and loses a record only to the backout of
    its append. *)
 
 (* the record number a relative or entry key encodes; only the key
@@ -447,121 +381,144 @@ let check_constraint f row =
              (Format.asprintf "CHECK %a rejected row %a" Expr.pp check
                 Row.pp_row row))
 
-(* --- recovery-capable primitive mutations ------------------------------ *)
+(* --- applying audit records ------------------------------------------------
 
-(* All mutations funnel through these, so normal operation, backout, and
-   replay behave identically. Each validates that the operation will
-   succeed, then audits, then applies: an audit record must never describe
-   an operation that failed, or recovery would replay it and backout undo
-   it. Once audited, failing to apply is a broken invariant. *)
+   [apply_record] is the one place a data record changes a file; it answers
+   the key the record is stored at (an append's address). A forward write
+   checks that its record will apply, audits it, then applies it; backout
+   does the same with the record's inverse; redo applies a winner's record
+   at LSN 0, which the trail never issues. [encoded] is a forward field
+   update's after-image; without it the row at the key is read and its
+   fields set. Once audited, failing to apply is a broken invariant: the
+   trail would describe a change that never happened. Redo alone is
+   lenient, though its winners find each key as they first did: an
+   [Insert] overwrites a present key (trying the overwrite first, as
+   restart always has), and a [Delete] or [Update_fields] that finds its
+   key absent does nothing. *)
 
 let applied what = function
   | Ok x -> x
   | Error e -> Errors.fatal ("Dp." ^ what ^ ": " ^ Errors.to_string e)
 
+let apply_record f ~lsn ?encoded (body : Ar.body) =
+  let redo = Int64.equal lsn 0L in
+  let at key = function Ok () -> Ok key | Error e -> Error e in
+  match body with
+  | Ar.Insert { key; image; _ } when redo -> (
+      match replace f ~key ~record:image ~lsn with
+      | Ok () -> Ok key
+      | Error _ -> insert f ~key ~record:image ~lsn)
+  | Ar.Insert { key; image; _ } -> insert f ~key ~record:image ~lsn
+  | Ar.Delete { key; _ } -> (
+      match remove f ~key ~lsn with
+      | Error (Errors.Not_found_key _) when redo -> Ok key
+      | r -> at key r)
+  | Ar.Update_full { key; after; _ } -> at key (replace f ~key ~record:after ~lsn)
+  | Ar.Update_fields { key; fields; _ } -> (
+      let* record =
+        match encoded with
+        | Some _ -> Ok encoded
+        | None ->
+            let* schema = sql_schema f ~what:"a field update" in
+            let* current = lookup f key in
+            Ok
+              (Option.map
+                 (fun current ->
+                   let row = Row.decode_exn schema current in
+                   List.iter (fun (i, _, after) -> row.(i) <- after) fields;
+                   Row.encode schema row)
+                 current)
+      in
+      match record with
+      | Some record -> at key (replace f ~key ~record ~lsn)
+      | None when redo -> Ok key
+      | None -> Errors.fail (Errors.Not_found_key key))
+  | Ar.Begin_tx | Ar.Commit_tx | Ar.Abort_tx | Ar.Prepare_tx _ ->
+      Errors.fail (Errors.Internal "not a data record")
+
+(* the file of this volume a data record changes *)
+let record_file t (body : Ar.body) =
+  match body with
+  | Ar.Insert { file; _ } | Ar.Delete { file; _ } | Ar.Update_full { file; _ }
+  | Ar.Update_fields { file; _ } ->
+      Hashtbl.find_opt t.files file
+  | Ar.Begin_tx | Ar.Commit_tx | Ar.Abort_tx | Ar.Prepare_tx _ -> None
+
+(* audit [body], a change to [f] checked to apply, and apply it *)
+let audited t ~tx f ?encoded body =
+  let lsn = Tmf.log t.tmf ~volume:t.dp_name ~tx body in
+  applied "apply_record" (apply_record f ~lsn ?encoded body)
+
+(* a forward write's last check before it audits *)
+let must_fit f ~key ~record =
+  if fits f ~key ~record then Ok ()
+  else Errors.fail (Errors.Bad_request "record exceeds maximum size")
+
 let do_insert t ~tx f ~key ~record =
   let* present = lookup f key in
   if present <> None then Errors.fail (Errors.Duplicate_key key)
-  else if not (fits f ~key ~record) then
-    Errors.fail (Errors.Bad_request "record exceeds maximum size")
-  else begin
-    let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key; image = record }) in
-    ignore (applied "do_insert" (insert f ~key ~record ~lsn) : string);
-    Ok ()
-  end
+  else
+    let* () = must_fit f ~key ~record in
+    let body = Ar.Insert { file = f.f_id; key; image = record } in
+    Ok (ignore (audited t ~tx f body : string))
 
 let do_delete t ~tx f ~key =
   let* present = lookup f key in
   match present with
   | None -> Errors.fail (Errors.Not_found_key key)
   | Some image ->
-      let lsn = audit t ~tx (Ar.Delete { file = f.f_id; key; image }) in
-      Ok (applied "do_delete" (remove f ~key ~lsn))
-
-(* replace the record [before] at [key], already looked up, by [record] *)
-let replace_image t ~tx f ~key ~before ~record =
-  if not (fits f ~key ~record) then
-    Errors.fail (Errors.Bad_request "record exceeds maximum size")
-  else begin
-    let lsn =
-      audit t ~tx (Ar.Update_full { file = f.f_id; key; before; after = record })
-    in
-    Ok (applied "replace_image" (replace f ~key ~record ~lsn))
-  end
-
-let do_update_full t ~tx f ~key ~record =
-  let* present = lookup f key in
-  match present with
-  | None -> Errors.fail (Errors.Not_found_key key)
-  | Some before -> replace_image t ~tx f ~key ~before ~record
+      let body = Ar.Delete { file = f.f_id; key; image } in
+      Ok (ignore (audited t ~tx f body : string))
 
 (* field-compressed update of [row], the record at [key]: the assignments'
    result is checked, and only the touched fields are audited *)
 let do_update_fields t ~tx f ~key schema row assignments =
-  let* b = btree_of f in
   let after_row = Expr.apply_assignments row assignments in
   let* () = Row.validate schema after_row in
   let* () = check_constraint f after_row in
   let record = Row.encode schema after_row in
-  if not (Btree.record_fits b ~key ~record) then
-    Errors.fail (Errors.Bad_request "record exceeds maximum size")
-  else begin
-    let fields =
-      List.map (fun { Expr.target = i; _ } -> (i, row.(i), after_row.(i))) assignments
-    in
-    let lsn = audit t ~tx (Ar.Update_fields { file = f.f_id; key; fields }) in
-    ignore (applied "do_update_fields" (Btree.update b ~key ~record ~lsn) : string);
-    Ok ()
-  end
+  let* () = must_fit f ~key ~record in
+  let fields =
+    List.map (fun { Expr.target = i; _ } -> (i, row.(i), after_row.(i))) assignments
+  in
+  let body = Ar.Update_fields { file = f.f_id; key; fields } in
+  Ok (ignore (audited t ~tx f ~encoded:record body : string))
 
-(* [key]'s current image, and that image with each of a field-compressed
-   record's [fields] set to the value [pick] chooses: how replay and
-   backout apply one *)
-let with_fields f ~key fields pick =
-  match (f.f_schema, lookup f key) with
-  | Some schema, Ok (Some current) ->
-      let row = Row.decode_exn schema current in
-      List.iter (fun field -> let i, v = pick field in row.(i) <- v) fields;
-      Some (current, Row.encode schema row)
-  | (Some _ | None), _ -> None
-
-(* The backout of one of the transaction's own records, newest first: the
-   inverse of restart replay's [apply], audited as a compensation like any
-   mutation. Two-phase locking still holds every record the transaction
-   changed, so the current row is the record's after-image, and SQL images
-   are canonical ([check_sql_image]): setting an [Update_fields] record's
-   before-values rebuilds the old image byte for byte. An append, audited
-   under the empty key, is still the file's last record, since
-   ENTRY^APPEND holds "EOF" until the transaction ends; it is truncated
-   under its compensation's LSN, as [do_delete] removes a record, so the
-   WAL rule keeps the truncated block off disk until the compensation is
-   durable. *)
-let undo t (r : Ar.t) =
-  let tx = r.Ar.tx in
-  let on id = applied "undo" (find_file t id) in
-  applied "undo"
-    (match r.Ar.body with
-    | Ar.Insert { file; key; image } -> (
-        let f = on file in
-        match f.f_structure with
-        | S_entry e -> (
-            match Entryfile.last_addr e ~record:image with
-            | None -> Errors.fail (Errors.Internal "no append to undo")
-            | Some addr ->
-                let key = Keycode.of_int addr in
-                let lsn = audit t ~tx (Ar.Delete { file; key; image }) in
-                remove f ~key ~lsn)
-        | S_btree _ | S_rel _ -> do_delete t ~tx f ~key)
-    | Ar.Delete { file; key; image } -> do_insert t ~tx (on file) ~key ~record:image
-    | Ar.Update_full { file; key; before; _ } ->
-        do_update_full t ~tx (on file) ~key ~record:before
-    | Ar.Update_fields { file; key; fields } -> (
-        let f = on file in
-        match with_fields f ~key fields (fun (i, before, _) -> (i, before)) with
-        | Some (before, record) -> replace_image t ~tx f ~key ~before ~record
-        | None -> Errors.fail (Errors.Internal "no row to undo"))
-    | Ar.Begin_tx | Ar.Commit_tx | Ar.Abort_tx | Ar.Prepare_tx _ ->
-        Errors.fail (Errors.Internal "not a data record"))
+(* The backout of one of the transaction's own records, newest first: its
+   [Ar.invert], audited as a compensation and applied like any write.
+   Two-phase locking still holds every record the transaction changed, so
+   its key holds what the record left there: backout reads and checks it,
+   as the forward write read it ([apply_record] reads an [Update_fields]
+   row itself). SQL images are canonical ([check_sql_image]), so setting the
+   before-values again rebuilds the old image byte for byte. An append,
+   audited under the empty key, is still the file's last record (its
+   "EOF" lock is held until the transaction ends) and is backed out at
+   that address, truncated under the compensation's LSN: the WAL rule
+   keeps the truncated block off disk until the compensation is durable. *)
+let back_out t (r : Ar.t) =
+  (* [r], once its [key] is found to hold [left] *)
+  let holding f key left =
+    let* now = lookup f key in
+    if Option.equal String.equal now left then Ok r.Ar.body
+    else Errors.fail (Errors.Internal (Printf.sprintf "backout finds %S changed" key))
+  in
+  applied "back_out"
+    (let* f =
+       Option.to_result (record_file t r.Ar.body)
+         ~none:(Errors.Internal "not a record of this volume")
+     in
+     let* body =
+       match (f.f_structure, r.Ar.body) with
+       | S_entry e, Ar.Insert { file; key = _; image } -> (
+           match Entryfile.last_addr e ~record:image with
+           | Some addr -> Ok (Ar.Insert { file; key = Keycode.of_int addr; image })
+           | None -> Errors.fail (Errors.Internal "no append to back out"))
+       | _, Ar.Insert { key; image; _ } -> holding f key (Some image)
+       | _, Ar.Update_full { key; after; _ } -> holding f key (Some after)
+       | _, Ar.Delete { key; _ } -> holding f key None
+       | _, body -> Ok body
+     in
+     Ok (ignore (audited t ~tx:r.Ar.tx f (Ar.invert body) : string)))
 
 (* --- point / record operations ------------------------------------------- *)
 
@@ -637,8 +594,14 @@ let op_update t ~file ~tx ~key ~record =
   let* () = keyed_write f ~what:"REWRITE" in
   let* () = check_sql_image f record in
   try_lock t ~tx ~file (Lock.Record key) L_exclusive @@ fun () ->
-  let* () = do_update_full t ~tx f ~key ~record in
-  Ok Rp_ok
+  let* present = lookup f key in
+  match present with
+  | None -> Errors.fail (Errors.Not_found_key key)
+  | Some before ->
+      let* () = must_fit f ~key ~record in
+      let body = Ar.Update_full { file = f.f_id; key; before; after = record } in
+      ignore (audited t ~tx f body : string);
+      Ok Rp_ok
 
 let op_delete t ~file ~tx ~key =
   let* () = require_tx t tx in
@@ -673,12 +636,11 @@ let op_entry_append t ~file ~tx ~record =
   try_lock t ~tx ~file (Lock.Generic "EOF") L_exclusive @@ fun () ->
   if not (fits f ~key:"" ~record) then
     Errors.fail (Errors.Bad_request "record exceeds block size")
-  else begin
-    let lsn = audit t ~tx (Ar.Insert { file = f.f_id; key = ""; image = record }) in
-    let key = applied "op_entry_append" (insert f ~key:"" ~record ~lsn) in
-    let* addr = number_of key in
+  else
+    let* addr =
+      number_of (audited t ~tx f (Ar.Insert { file = f.f_id; key = ""; image = record }))
+    in
     Ok (Rp_slot addr)
-  end
 
 (* --- set-oriented scans ---------------------------------------------------- *)
 
@@ -1631,48 +1593,22 @@ let crash t =
      abort cleanly on surviving volumes *)
   Tmf.volume_lost t.tmf ~volume:t.dp_name
 
-let recover_with_gen t ~resolve =
+let recover_with t ~resolve =
   (* rebuild every structure empty (the file labels survive on disk), in
      file-id order: creation order decides cache/disk allocation *)
   List.iter
     (fun (_, f) -> f.f_structure <- new_structure t ~name:f.f_name f.f_kind)
     (Nsql_util.Tbl.sorted_bindings t.files);
-  let apply body =
-    let with_file file k =
-      match Hashtbl.find_opt t.files file with Some f -> k f | None -> ()
-    in
-    (* leave [record] at [key], whatever the key held; an append's empty
-       key lands at EOF. A winner's image was stored once under the same
-       checks, so failing to store it again is a broken invariant. *)
-    let put f ~key ~record =
-      match replace f ~key ~record ~lsn:0L with
-      | Ok () -> ()
-      | Error _ -> (
-          match insert f ~key ~record ~lsn:0L with
-          | Ok _ -> ()
-          | Error e -> Errors.fatal ("Dp.recover: replay failed: " ^ Errors.to_string e))
-    in
-    match body with
-    | Ar.Insert { file; key; image } ->
-        with_file file (fun f -> put f ~key ~record:image)
-    | Ar.Delete { file; key; _ } ->
-        with_file file (fun f -> Errors.swallow (remove f ~key ~lsn:0L))
-    | Ar.Update_full { file; key; after; _ } ->
-        with_file file (fun f -> put f ~key ~record:after)
-    | Ar.Update_fields { file; key; fields } ->
-        with_file file (fun f ->
-            match with_fields f ~key fields (fun (i, _, after) -> (i, after)) with
-            | Some (_, record) -> put f ~key ~record
-            | None -> ())
-    | Ar.Begin_tx | Ar.Commit_tx | Ar.Abort_tx | Ar.Prepare_tx _ -> ()
+  (* a record of a file on another volume is not this volume's to redo *)
+  let redo body =
+    match record_file t body with
+    | Some f -> ignore (applied "recover" (apply_record f ~lsn:0L body) : string)
+    | None -> ()
   in
-  Nsql_tmf.Recovery.rollforward_with (Tmf.trail t.tmf) ~resolve ~apply
+  Nsql_tmf.Recovery.rollforward_with (Tmf.trail t.tmf) ~resolve ~apply:redo
 
 let recover t =
-  recover_with_gen t
-    ~resolve:(fun ~coordinator_node:_ ~coordinator_tx:_ -> false)
-
-let recover_with t ~resolve = recover_with_gen t ~resolve
+  recover_with t ~resolve:(fun ~coordinator_node:_ ~coordinator_tx:_ -> false)
 
 let check_invariants t =
   List.fold_left
@@ -1686,6 +1622,56 @@ let check_invariants t =
     (Ok ())
     (Nsql_util.Tbl.sorted_bindings t.files)
 
-let () = handler_cell := handler
-let () = pump_cell := pump
-let () = undo_cell := undo
+let create sim msys tmf ~name ~processor ?backup () =
+  let volume = Disk.create sim ~name in
+  let trail = Tmf.trail tmf in
+  let cfg = Sim.config sim in
+  let cache =
+    Cache.create sim volume ~capacity:cfg.Config.cache_blocks
+      ~durable_lsn:(fun () -> Trail.durable_lsn trail)
+      ~force_log:(fun lsn -> Trail.force trail lsn)
+  in
+  let locks = Lock.create sim in
+  let endpoint =
+    Msg.register msys ~name ~processor ?backup (fun _ -> assert false)
+  in
+  let t =
+    {
+      sim;
+      msys;
+      tmf;
+      dp_name = name;
+      endpoint;
+      volume;
+      cache;
+      locks;
+      files = Hashtbl.create 16;
+      by_name = Hashtbl.create 16;
+      scbs = Hashtbl.create 16;
+      next_scb = 0;
+      waiters = [];
+      waitgraph = Lock.Waitgraph.create ();
+      ckpt_pending = [];
+      replica =
+        (if backup <> None then
+           Some { rp_scbs = Hashtbl.create 16; rp_locks = []; rp_parked = [] }
+         else None);
+    }
+  in
+  (* mirror lock grants into the checkpoint stream *)
+  Lock.set_grant_hook locks
+    (Some (fun ~tx ~file res mode -> ckpt_push t (Ck_lock { tx; file; res; mode })));
+  (* the backup half consumes the checkpoint stream *)
+  if t.replica <> None then
+    Msg.set_checkpoint_receiver endpoint (Some (fun payload -> apply_ckpt t payload));
+  (* two-phase locking: locks drop at transaction finish, then the wait
+     queue is pumped — freed resources may grant parked requests *)
+  Tmf.register_resource_manager tmf ~volume:name
+    ~on_finish:(fun tx ->
+      let held = Lock.held locks ~tx in
+      Lock.release_all locks ~tx;
+      if held > 0 then ckpt_emit t [ Ck_release { tx } ];
+      pump t)
+    ~undo:(back_out t);
+  Msg.set_handler endpoint (handler t);
+  t

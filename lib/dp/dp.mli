@@ -74,12 +74,11 @@ val takeover : t -> (unit, Nsql_util.Errors.t) result
     Use {!recover} to rebuild from the audit trail. *)
 val crash : t -> unit
 
-(** [recover t] rebuilds every file of this volume by rolling the durable
-    audit trail forward (see {!Nsql_tmf.Recovery}): file structures are
-    re-created empty from the on-disk file labels (which survive the
-    crash) and committed operations of this volume's files re-applied.
-    File ids are node-global (allocated by TMF), so the shared trail
-    routes unambiguously. *)
+(** [recover t] rebuilds every file of this volume by redoing the durable
+    audit trail's committed records (see {!Nsql_tmf.Recovery}) into
+    structures re-created empty from the on-disk file labels, which survive
+    the crash. File ids are node-global (allocated by TMF), so the shared
+    trail routes unambiguously. An in-doubt branch is presumed aborted. *)
 val recover : t -> Nsql_tmf.Recovery.outcome
 
 (** [recover_with t ~resolve] is {!recover} with an in-doubt resolver for

@@ -283,8 +283,7 @@ let err_swallow ~path ~(index : Result_index.t) structure =
                         flag e.pexp_loc
                           (Printf.sprintf
                              "ignore of result-returning %s discards an \
-                              error; handle it or mark the intent with \
-                              Errors.swallow"
+                              error; handle it or propagate it"
                              (String.concat "." callee_path))
                     | false -> ())
                 | None -> ())

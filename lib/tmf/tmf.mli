@@ -7,10 +7,10 @@
 
     Each Disk Process registers as the resource manager of its volume with
     an {e on-finish} hook (where two-phase locking releases its locks) and
-    an {e undo} function, the inverse of restart replay. Every data record
-    a transaction writes goes through {!log}; abort reads those records
-    back from the trail, newest first, and hands each to the manager of
-    the volume holding its file. Restart recovery is in {!Recovery}. *)
+    an {e undo} function, which applies {!Nsql_audit.Audit_record.invert}
+    of a record. Every data record a transaction writes goes through
+    {!log}; abort reads those records back from the trail, newest first,
+    and hands each to the manager of the volume holding its file. Restart recovery is in {!Recovery}. *)
 
 type t
 
@@ -20,8 +20,8 @@ val trail : t -> Nsql_audit.Trail.t
 
 (** [register_resource_manager t ~volume ~on_finish ~undo] adds the
     manager of [volume]: [on_finish] runs at every transaction completion,
-    and [undo] backs out a data record of one of its files, auditing the
-    compensation. *)
+    and [undo] backs out a data record of one of its files, auditing its
+    inverse as the compensation. *)
 val register_resource_manager :
   t ->
   volume:string ->

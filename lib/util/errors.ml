@@ -64,5 +64,3 @@ let get_ok ~ctx = function
 exception Fatal of string
 
 let fatal msg = raise (Fatal msg)
-
-let swallow : ('a, t) result -> unit = function Ok _ | Error _ -> ()

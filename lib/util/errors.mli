@@ -58,9 +58,3 @@ exception Fatal of string
     [lib/tmf]); this is the sanctioned replacement for genuine
     can't-happen failures. *)
 val fatal : string -> 'a
-
-(** [swallow r] deliberately discards a [result] in a path where failure is
-    acceptable (best-effort cleanup, idempotent recovery replay). A
-    greppable, audited marker: ERR-SWALLOW flags [ignore] of a
-    result-returning call but accepts [swallow]. *)
-val swallow : ('a, t) result -> unit

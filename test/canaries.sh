@@ -134,6 +134,13 @@ canary backout-order lib/tmf/tmf.ml backout \
   's/\(Trail\.read_at t\.trail pos\)\)(\s*)e\.records;/(Trail.read_at t.trail pos))$1(List.rev e.records);/' \
   "a backout that walks the records oldest first"
 
+# Backout applies each record's inverse: an inverse field update that keeps
+# each field's values sets the after-values again, so a field-compressed
+# update does not come back.
+canary backout-invert lib/audit/audit_record.ml backout \
+  's/\(n, after, before\)\) fields/(n, before, after)) fields/' \
+  "an inverse that does not swap a field's values"
+
 # A commit with no other transaction running flushes the trail at once
 # (audit 10 times a lone commit against a pinned 50 ms timer; audit 11
 # closes a group of two with the second commit).

@@ -301,6 +301,42 @@ let adaptive_timer_tracks_rate () =
     true
     (fast_timer < slow_timer)
 
+(* --- inverse records --------------------------------------------------- *)
+
+let gen_body =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 40) in
+  let value =
+    oneof
+      [
+        return Row.Null;
+        map (fun i -> Row.Vint i) int;
+        map (fun f -> Row.Vfloat f) (oneof [ float; oneofl [ nan; -0.; infinity ] ]);
+        map (fun b -> Row.Vbool b) bool;
+        map (fun s -> Row.Vstr s) str;
+      ]
+  in
+  let* file = int_bound 1000 and* key = str in
+  oneof
+    [
+      map (fun image -> Ar.Insert { file; key; image }) str;
+      map (fun image -> Ar.Delete { file; key; image }) str;
+      map2 (fun before after -> Ar.Update_full { file; key; before; after }) str str;
+      map
+        (fun fields -> Ar.Update_fields { file; key; fields })
+        (list_size (int_bound 6) (triple (int_bound 50) value value));
+    ]
+
+(* Every data body's inverse undoes it, and a compensation costs the trail
+   as many bytes as its record (compared encoded, so NaN fields compare). *)
+let invert_laws =
+  QCheck.Test.make ~name:"invert is an involution that keeps the size" ~count:300
+    (QCheck.make ~print:(Format.asprintf "%a" Ar.pp_body) gen_body)
+    (fun body ->
+      let record body = Ar.{ lsn = 9L; tx = 4; body } in
+      String.equal (Ar.encode (record (Ar.invert (Ar.invert body)))) (Ar.encode (record body))
+      && Ar.encoded_size (record (Ar.invert body)) = Ar.encoded_size (record body))
+
 let suite =
   [
     Alcotest.test_case "audit record roundtrip" `Quick record_roundtrip;
@@ -318,4 +354,5 @@ let suite =
       stale_timer_event;
     Alcotest.test_case "a lone commit flushes at once" `Quick lone_commit_flushes;
     Alcotest.test_case "two commits share one flush" `Quick commits_share_a_flush;
+    QCheck_alcotest.to_alcotest invert_laws;
   ]

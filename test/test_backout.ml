@@ -73,6 +73,24 @@ let gen_case =
 
 let assignments = List.map (fun (target, v) -> { Expr.target; source = Expr.Const v })
 
+(* the bytes a record body encodes to, which compare NaN fields too *)
+let body_bytes body = Ar.encode { Ar.lsn = 0L; tx = 0; body }
+
+(* [tx]'s data records, oldest first, read back from the trail *)
+let data_records n ~tx =
+  Trail.force n.trail (Int64.pred (Trail.next_lsn n.trail));
+  List.filter_map
+    (fun r ->
+      match r.Ar.body with
+      | (Ar.Insert _ | Ar.Delete _ | Ar.Update_full _ | Ar.Update_fields _) as b
+        when r.Ar.tx = tx ->
+          Some b
+      | _ -> None)
+    (Trail.read_durable n.trail)
+
+(* The updates are backed out byte for byte, each by a compensation that is
+   its record's field-compressed inverse; committed instead, they come back
+   byte for byte from a restart's redo. *)
 let update_fields_backout =
   QCheck.Test.make ~name:"field-compressed updates back out byte for byte" ~count:60
     (QCheck.make gen_case) (fun (row, first, second) ->
@@ -88,16 +106,31 @@ let update_fields_backout =
           Errors.list_iter (fun k -> Fs.insert_row n.fs file ~tx (keyed k)) [ 1; 2; 3 ]);
       let key = Row.key_of_row wide_schema (keyed 2) in
       let before = image n file key in
-      let tx = Tmf.begin_tx n.tmf in
       (* the set update and the buffered one both audit Update_fields *)
-      ignore
-        (get_ok ~ctx:"update subset"
-           (Fs.update_subset n.fs file ~tx ~range:(in_range key) (assignments first)));
-      let buf = Fs.open_apply_buffer n.fs file ~tx ~capacity:4 in
-      get_ok ~ctx:"buffered update" (Fs.buffered_update n.fs buf ~key (assignments second));
-      get_ok ~ctx:"flush" (Fs.flush_apply_buffer n.fs buf);
+      let update () =
+        let tx = Tmf.begin_tx n.tmf in
+        ignore
+          (get_ok ~ctx:"update subset"
+             (Fs.update_subset n.fs file ~tx ~range:(in_range key) (assignments first)));
+        let buf = Fs.open_apply_buffer n.fs file ~tx ~capacity:4 in
+        get_ok ~ctx:"buffered update" (Fs.buffered_update n.fs buf ~key (assignments second));
+        get_ok ~ctx:"flush" (Fs.flush_apply_buffer n.fs buf);
+        tx
+      in
+      let tx = update () in
       get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
-      String.equal before (image n file key))
+      if not (String.equal before (image n file key)) then
+        QCheck.Test.fail_report "the image did not come back";
+      let inverse c u = String.equal (body_bytes c) (body_bytes (Ar.invert u)) in
+      (match data_records n ~tx with
+      | [ u1; u2; c2; c1 ] when inverse c2 u2 && inverse c1 u1 -> ()
+      | _ -> QCheck.Test.fail_report "a compensation is not its record's inverse");
+      let tx = update () in
+      get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
+      let committed = image n file key in
+      Dp.crash n.dps.(0);
+      ignore (Dp.recover n.dps.(0) : Nsql_tmf.Recovery.outcome);
+      String.equal committed (image n file key))
 
 (* --- entry-sequenced appends are truncated from the end ------------------ *)
 

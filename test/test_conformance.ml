@@ -280,26 +280,32 @@ let run kind txs =
   let n = node ~dps:3 () in
   let file = create n kind in
   let h = Enscribe.open_file n.fs file ~sbb:false in
-  ignore
-    (List.fold_left
-       (fun (model, i) t ->
-         let tx = Tmf.begin_tx n.tmf in
-         let local = run_ops n kind file h ~tx model t.ops in
-         let model =
-           if t.commit then begin
-             get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
-             local
-           end
-           else begin
-             get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
-             model
-           end
-         in
-         check_file n file model
-           ~after:(Printf.sprintf "transaction %d (%s)" i
-                     (if t.commit then "committed" else "aborted"));
-         (model, i + 1))
-       (Smap.empty, 1) txs);
+  let model, _ =
+    List.fold_left
+      (fun (model, i) t ->
+        let tx = Tmf.begin_tx n.tmf in
+        let local = run_ops n kind file h ~tx model t.ops in
+        let model =
+          if t.commit then begin
+            get_ok ~ctx:"commit" (Tmf.commit n.tmf ~tx);
+            local
+          end
+          else begin
+            get_ok ~ctx:"abort" (Tmf.abort n.tmf ~tx);
+            model
+          end
+        in
+        check_file n file model
+          ~after:(Printf.sprintf "transaction %d (%s)" i
+                    (if t.commit then "committed" else "aborted"));
+        (model, i + 1))
+      (Smap.empty, 1) txs
+  in
+  (* restart redoes the committed transactions on every volume: each kind
+     comes back as the model, an entry file's appends at their addresses *)
+  Array.iter Dp.crash n.dps;
+  Array.iter (fun dp -> ignore (Dp.recover dp : Nsql_tmf.Recovery.outcome)) n.dps;
+  check_file n file model ~after:"a restart of every volume";
   true
 
 let pair kind call =
